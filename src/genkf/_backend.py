@@ -1,29 +1,25 @@
-"""Kernel backend selection.
+"""The one seam through which the layers reach the blade kernels.
 
-The compiled extension is preferred when it imports cleanly; setting
-GENKF_PURE_PYTHON=1 forces the numpy fallback.  Both backends share the
-tables in _tables and agree to the last bit on integer-indexed paths
-(verified in tests/test_kernels_backends.py).
+Layers import the kernels from here rather than from ``_kernels_py``, so
+an outside profiler can wrap these five names in one place.
 """
 
 from __future__ import annotations
 
-import os
+from ._kernels_py import (
+    BACKEND_NAME,
+    clifford_batch,
+    interior_batch,
+    mukai_batch,
+    wedge1_batch,
+    wedge_batch,
+)
 
-from . import _kernels_py
-
-if os.environ.get("GENKF_PURE_PYTHON", "") == "1":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND_NAME = _impl.BACKEND_NAME
-
-wedge_batch = _impl.wedge_batch
-interior_batch = _impl.interior_batch
-wedge1_batch = _impl.wedge1_batch
-clifford_batch = _impl.clifford_batch
-mukai_batch = _impl.mukai_batch
+__all__ = [
+    "BACKEND_NAME",
+    "wedge_batch",
+    "interior_batch",
+    "wedge1_batch",
+    "clifford_batch",
+    "mukai_batch",
+]

@@ -1,9 +1,8 @@
-"""Pure numpy kernels for batched blade-coefficient algebra.
+"""Numpy kernels for batched blade-coefficient algebra.
 
 Every function takes coefficient arrays with one flat batch axis:
 ``a`` has shape (B, size) complex128 and vector/covector component arrays
-have shape (B, dim).  The compiled backend in ``_kernels.pyx`` implements
-the same signatures over the same tables; ``_backend`` picks one at import.
+have shape (B, dim).  The layers reach them through ``_backend``.
 """
 
 from __future__ import annotations

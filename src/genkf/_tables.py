@@ -4,8 +4,8 @@ Basis blades of the full exterior algebra are indexed by bitmasks
 S in [0, 4^n): bit mu set means dx^{mu+1} is a factor, and the blade is
 the ascending product dx^{s1} ^ ... ^ dx^{sk}, s1 < ... < sk.
 
-All kernel backends consume the same frozen integer tables built here, so
-backend parity is a table-independent statement about the inner loops.
+The kernels in _kernels_py and the coordinate wedge/interior in fields
+index coefficient arrays through the frozen integer tables built here.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ bundles, soliton profiles on line bundles), and a matrix-free
 conjugate-direction solver for the rank-one Einstein-Hermitian equation.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,7 +216,7 @@ def _complex_report(n, r, j1, j2, theta):
     return tuple(dims), tuple(ranks), tuple(exact)
 
 
-def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0, threads=1):
+def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
     """Assemble the symbol complex at theta and test exactness by SVD ranks.
 
     Repeats the rank check for `trials` extra random cotangent directions;
@@ -243,15 +242,7 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0, threads=1):
             comps = rng.standard_normal(2 * n)
         thetas.append(np.concatenate([np.zeros(2 * n), comps]))
 
-    def run(tv):
-        return _complex_report(n, r, j1, j2, tv)
-
-    threads = max(1, int(threads))
-    if threads > 1 and len(thetas) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, thetas))
-    else:
-        results = [run(tv) for tv in thetas]
+    results = [_complex_report(n, r, j1, j2, tv) for tv in thetas]
 
     dims, ranks, _ = results[0]
     exact = tuple(

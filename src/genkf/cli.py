@@ -11,14 +11,12 @@ solve that did not converge), 2 means the input or usage was invalid.
 
 Human-readable progress goes to stdout; the canonical JSON report is
 written to --output when given (the report command prints it to stdout
-otherwise).  GENKF_THREADS caps the worker threads used for symbol
-trials; reports never depend on it.
+otherwise).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -64,15 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GENKF_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    return min(max(k, 1), 64)
-
-
 def _deliver(doc, args, stdout_fallback=False):
     if args.output:
         report.emit(doc, args.output)
@@ -81,9 +70,9 @@ def _deliver(doc, args, stdout_fallback=False):
         report.emit(doc, None)
 
 
-def cmd_verify(cfg, args, threads) -> int:
+def cmd_verify(cfg, args) -> int:
     validate_spinor_field(cfg.grid, cfg.psi)
-    rows = run_suite(cfg, seed=args.seed, threads=threads)
+    rows = run_suite(cfg, seed=args.seed)
     failures = sum(0 if r["pass"] else 1 for r in rows)
     for r in rows:
         tag = "PASS" if r["pass"] else "FAIL"
@@ -99,7 +88,7 @@ def cmd_verify(cfg, args, threads) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_curvature(cfg, args, threads) -> int:
+def cmd_curvature(cfg, args) -> int:
     grid, conn = cfg.grid, cfg.conn
     psi = validate_spinor_field(grid, cfg.psi)
     n = grid.n
@@ -144,7 +133,7 @@ def cmd_curvature(cfg, args, threads) -> int:
     return 0
 
 
-def cmd_solve(cfg, args, threads) -> int:
+def cmd_solve(cfg, args) -> int:
     if cfg.rank != 1:
         raise specio.SpecError(
             f"solve handles rank-1 bundles only (got rank {cfg.rank}); "
@@ -182,7 +171,7 @@ def cmd_solve(cfg, args, threads) -> int:
     return 0 if trace.converged else 1
 
 
-def cmd_symbols(cfg, args, threads) -> int:
+def cmd_symbols(cfg, args) -> int:
     n = cfg.n
     theta = cfg.theta
     if theta is None:
@@ -191,7 +180,7 @@ def cmd_symbols(cfg, args, threads) -> int:
     jc = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
     js = gcs_symplectic(cfg.omega)
     rep = symbol_exactness(
-        n, cfg.rank, jc, js, theta, trials=args.trials, seed=args.seed, threads=threads
+        n, cfg.rank, jc, js, theta, trials=args.trials, seed=args.seed
     )
     print(f"dims  = {list(rep.dims)}")
     print(f"ranks = {list(rep.ranks)}")
@@ -213,9 +202,9 @@ def cmd_symbols(cfg, args, threads) -> int:
     return 0 if all(rep.exact) else 1
 
 
-def cmd_report(cfg, args, threads) -> int:
+def cmd_report(cfg, args) -> int:
     psi = validate_spinor_field(cfg.grid, cfg.psi)
-    rows = run_suite(cfg, seed=args.seed, threads=threads)
+    rows = run_suite(cfg, seed=args.seed)
     failures = sum(0 if r["pass"] else 1 for r in rows)
 
     n = cfg.n
@@ -231,7 +220,6 @@ def cmd_report(cfg, args, threads) -> int:
         theta,
         trials=args.trials,
         seed=args.seed,
-        threads=threads,
     )
 
     lam = cfg.lam if cfg.lam is not None else lambda_from_chern(cfg.conn, psi)
@@ -270,7 +258,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = _thread_count()
     try:
         doc = specio.load_document(args.input)
         n = doc.get("n", 1) if isinstance(doc, dict) else 1
@@ -278,7 +265,7 @@ def main(argv=None) -> int:
         if args.grid is not None:
             sizes = (args.grid,) * (2 * int(n))
         cfg = specio.build_config(doc, grid_sizes=sizes, rank=args.rank, seed=args.seed)
-        return _COMMANDS[args.command](cfg, args, threads)
+        return _COMMANDS[args.command](cfg, args)
     except (TypeError, ValueError) as exc:
         msg = str(exc)
         if "d-closed" in msg:

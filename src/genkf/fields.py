@@ -258,24 +258,26 @@ def _unrows(rows: np.ndarray, rest) -> np.ndarray:
     return np.ascontiguousarray(rows.T).reshape((size,) + tuple(rest))
 
 
-def _basis_covector_rows(t, mu, count):
-    xi = np.zeros((count, t.dim), dtype=np.complex128)
-    xi[:, mu] = 1.0
-    return xi
+def _axis_scatter(t, mu, data, src, dst):
+    """out[dst[mu]] = sign * data[src[mu]], a signed permutation of blades.
+
+    Adding into zeros, rather than assigning, turns negative zeros positive
+    exactly as the general kernels do, so results match them bit for bit.
+    """
+    sign = t.axis_s[mu].reshape((-1,) + (1,) * (data.ndim - 1))
+    out = np.zeros(data.shape, dtype=data.dtype)
+    out[dst[mu]] += sign * data[src[mu]]
+    return out
 
 
 def _wedge_basis(t, mu, data):
     """dx^mu wedge data (blade axis first)."""
-    rows = _rows(data)
-    out = _k.wedge1_batch(t, _basis_covector_rows(t, mu, rows.shape[0]), rows)
-    return _unrows(out, data.shape[1:])
+    return _axis_scatter(t, mu, data, t.axis_lo, t.axis_hi)
 
 
 def _interior_basis(t, mu, data):
     """Contraction with the coordinate vector d/dx^mu."""
-    rows = _rows(data)
-    out = _k.interior_batch(t, _basis_covector_rows(t, mu, rows.shape[0]), rows)
-    return _unrows(out, data.shape[1:])
+    return _axis_scatter(t, mu, data, t.axis_hi, t.axis_lo)
 
 
 def _interior_varying(t, vfield, data):

@@ -29,13 +29,15 @@ where `basis` is a rank x rank skew-Hermitian matrix, default i times the
 identity; a missing initializer means zero.  The two-form b is a constant
 matrix [[b_ij]] or {"entries": [{"i": 0, "j": 1, "coeff": <expr>}]};
 entries may vary over the grid, and the spinor field e^{b + i omega} is
-then assembled pointwise.  Field dumps written by commands list arrays in
-row-major grid order.
+then assembled pointwise.  Every number must be finite; NaN and infinities
+are rejected with their key path.  Field dumps written by commands list
+arrays in row-major grid order.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +95,27 @@ def load_document(path):
     extra = set(doc) - _DOC_KEYS
     if extra:
         raise SpecError(f"unknown document keys: {sorted(extra)}")
+    found = _non_finite(doc, "")
+    if found is not None:
+        raise SpecError(f"{found[0]} must be a finite number, got {found[1]!r}")
     return doc
+
+
+def _non_finite(value, path):
+    """(key path, value) of the first NaN or infinity in a parsed document."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, dict):
+        items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    for sub, v in items:
+        found = _non_finite(v, sub)
+        if found is not None:
+            return found
+    return None
 
 
 def _as_int(value, what, minimum=None):

@@ -4,7 +4,7 @@ Each check measures one structural identity numerically and reports the
 worst error against a fixed tolerance.  The suite runs on the configured
 geometry and connection where the identity depends on them, and on small
 self-contained instances where it does not.  Given the same seed the
-rows are reproduced exactly, independent of the worker-thread count.
+rows are reproduced exactly.
 """
 
 from __future__ import annotations
@@ -529,7 +529,7 @@ def _line_oracle_check(rng):
     )
 
 
-def _analysis_checks(rng, cfg, seed, threads):
+def _analysis_checks(rng, cfg, seed):
     rows = []
     n = cfg.n
     r = min(cfg.rank, 2)
@@ -539,7 +539,7 @@ def _analysis_checks(rng, cfg, seed, threads):
     theta[0] = 1.0
 
     try:
-        rep = symbol_exactness(n, r, jc, js, theta, trials=8, seed=seed, threads=threads)
+        rep = symbol_exactness(n, r, jc, js, theta, trials=8, seed=seed)
         inexact = sum(0 if ok else 1 for ok in rep.exact)
         rows.append(_row("analysis/symbol-junction-exactness", 0.5, float(inexact)))
 
@@ -615,7 +615,7 @@ def _analysis_checks(rng, cfg, seed, threads):
     return rows
 
 
-def run_suite(cfg, seed=0, threads=1):
+def run_suite(cfg, seed=0):
     """All checks as report rows; deterministic for a fixed seed."""
     rng = np.random.default_rng([seed, 101])
     psi0 = cfg.psi.value_at((0,) * (2 * cfg.n))
@@ -623,5 +623,5 @@ def run_suite(cfg, seed=0, threads=1):
     rows += _algebra_checks(rng, cfg.n)
     rows += _structure_checks(rng, cfg.n, cfg.omega, psi0)
     rows += _field_checks(rng, cfg)
-    rows += _analysis_checks(rng, cfg, seed, threads)
+    rows += _analysis_checks(rng, cfg, seed)
     return rows

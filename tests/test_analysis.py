@@ -184,11 +184,11 @@ def test_symbol_exactness_b_transformed_pair():
     assert all(rep.exact)
 
 
-def test_symbol_trials_deterministic_across_threads():
+def test_symbol_trials_deterministic():
     j1, j2 = std_pair(2)
     th = cov_theta(2, [1.0, -0.3, 0.2, 0.8])
     rep1 = symbol_exactness(2, 2, j1, j2, th, trials=25, seed=3)
-    rep2 = symbol_exactness(2, 2, j1, j2, th, trials=25, seed=3, threads=4)
+    rep2 = symbol_exactness(2, 2, j1, j2, th, trials=25, seed=3)
     assert rep1.dims == rep2.dims
     assert rep1.ranks == rep2.ranks
     assert rep1.exact == rep2.exact

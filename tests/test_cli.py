@@ -81,12 +81,10 @@ def test_seed_determinism_bytes(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_thread_determinism_bytes(tmp_path, capsys, monkeypatch):
+def test_symbols_determinism_bytes(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["symbols", "--rank", "2", "--trials", "30", "--seed", "3"]
-    monkeypatch.setenv("GENKF_THREADS", "1")
     assert main(args + ["--output", str(p1)]) == 0
-    monkeypatch.setenv("GENKF_THREADS", "5")
     assert main(args + ["--output", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -208,6 +206,33 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_unknown_document_key_exits_2(tmp_path, capsys):
     assert main(["verify", "--input", write_doc(tmp_path, {"gird": {}})]) == 2
     assert "unknown document keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        ("curvature", {"lambda": float("nan")}, "lambda"),
+        ("symbols", {"theta": [float("nan"), 0.0]}, "theta[0]"),
+        (
+            "verify",
+            {"connection": {"A": {"random": {"amp": float("inf"), "modes": 2}}}},
+            "connection.A.random.amp",
+        ),
+        (
+            "solve",
+            {"psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": [{"c": -float("inf")}]}]}}},
+            "psi.b.entries[0].coeff[0].c",
+        ),
+    ],
+    ids=["nan-scalar", "nan-in-list", "nested-inf", "nested-neg-inf"],
+)
+def test_non_finite_number_exits_2_before_work(tmp_path, capsys, monkeypatch, command, doc, path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_config reached with a non-finite document")
+
+    monkeypatch.setattr("genkf.specio.build_config", no_build)
+    assert main([command, "--input", write_doc(tmp_path, doc)]) == 2
+    assert f"{path} must be a finite number" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2(capsys):

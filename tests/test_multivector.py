@@ -8,6 +8,8 @@ bubble-sort parity, and the small Mukai values are frozen by hand.
 import numpy as np
 import pytest
 
+import genkf
+from genkf import _backend, _kernels_py
 from genkf.multivector import (
     GenVector,
     GradedForm,
@@ -112,6 +114,12 @@ def random_two_form(n, rng=RNG, real=True):
 
 # ---------------------------------------------------------------------------
 # wedge / interior
+
+
+def test_backend_seam_reexports_numpy_kernels():
+    assert genkf.kernel_backend == _backend.BACKEND_NAME == "python"
+    for name in ("wedge_batch", "interior_batch", "wedge1_batch", "clifford_batch", "mukai_batch"):
+        assert getattr(_backend, name) is getattr(_kernels_py, name)
 
 
 def test_wedge_basis_blades():
