@@ -40,6 +40,7 @@ __all__ = [
 _J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _RANK_TOL = 1e-8
+_TRIAL_BLOCK = 32  # directions per stacked rank test; bounds peak memory
 _DENSE_POINT_CAP = 1024
 
 
@@ -189,31 +190,51 @@ def _symbol_matrices(n, r, j1, j2, theta):
     return dims, mats
 
 
-def _rank_of(m):
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > _RANK_TOL * s[0]))
+def _random_covectors(rng, n, trials):
+    """(trials, 2n) random cotangent components; near-zero draws are redrawn."""
+    out = np.empty((trials, 2 * n))
+    for i in range(trials):
+        comps = rng.standard_normal(2 * n)
+        while np.abs(comps).max() < 1e-3:
+            comps = rng.standard_normal(2 * n)
+        out[i] = comps
+    return out
 
 
-def _complex_report(n, r, j1, j2, theta):
-    dims, mats = _symbol_matrices(n, r, j1, j2, theta)
+def _trial_ranks(n, r, j1, j2, covecs):
+    """Dims of the symbol complex and the rank of each map at each covector.
+
+    The symbol maps are linear in theta, so they are assembled once per
+    covector basis element and each direction's maps are combinations of
+    those stacks; the directions are rank-tested in blocks of _TRIAL_BLOCK.
+    Returns (dims, ranks) with ranks shaped (len(covecs), number of maps).
+    """
+    basis = [
+        _symbol_matrices(n, r, j1, j2, np.eye(4 * n)[2 * n + a]) for a in range(2 * n)
+    ]
+    dims = basis[0][0]
+    stacks = [np.stack(maps) for maps in zip(*(mats for _, mats in basis))]
     if sum((-1) ** i * d for i, d in enumerate(dims)) != 0:
         raise RuntimeError(f"symbol complex dimensions do not alternate to zero: {dims}")
-    for m_in, m_out in zip(mats, mats[1:]):
-        scale = max(1.0, float(np.abs(m_in).max() * np.abs(m_out).max()))
-        defect = float(np.abs(m_out @ m_in).max())
-        if defect > 1e-10 * scale:
-            raise RuntimeError(
-                f"consecutive symbol maps fail to compose to zero (defect {defect:.3e})"
-            )
-    ranks = [_rank_of(m) for m in mats]
-    exact = []
-    for j, d in enumerate(dims):
-        incoming = ranks[j - 1] if j > 0 else 0
-        outgoing = ranks[j] if j < len(mats) else 0
-        exact.append(incoming + outgoing == d)
-    return tuple(dims), tuple(ranks), tuple(exact)
+
+    ranks = np.empty((len(covecs), len(stacks)), dtype=int)
+    for lo in range(0, len(covecs), _TRIAL_BLOCK):
+        block = covecs[lo : lo + _TRIAL_BLOCK]
+        mats = [np.einsum("ta,aij->tij", block, s) for s in stacks]
+        peaks = [np.abs(m).max(axis=(1, 2)) for m in mats]
+        for k, (m_in, m_out) in enumerate(zip(mats, mats[1:])):
+            scale = np.maximum(1.0, peaks[k] * peaks[k + 1])
+            defect = np.abs(m_out @ m_in).max(axis=(1, 2))
+            bad = np.flatnonzero(defect > 1e-10 * scale)
+            if bad.size:
+                raise RuntimeError(
+                    f"consecutive symbol maps fail to compose to zero at trial "
+                    f"{lo + bad[0]} (defect {defect[bad[0]]:.3e})"
+                )
+        for k, m in enumerate(mats):
+            s = np.linalg.svd(m, compute_uv=False)
+            ranks[lo : lo + len(block), k] = np.sum(s > _RANK_TOL * s[:, :1], axis=1)
+    return tuple(dims), ranks
 
 
 def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
@@ -225,8 +246,11 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
     """
     n = int(n)
     r = int(r)
+    trials = int(trials)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     if j1.n != n or j2.n != n:
         raise ValueError(f"structure dimension mismatch: n={n}, got {j1.n} and {j2.n}")
     report = gk_validate(j1, j2)
@@ -234,22 +258,20 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
         raise ValueError(f"not a generalized Kahler pair: {report}")
     th = _theta_covector(theta, n)
 
-    rng = np.random.default_rng(seed)
-    thetas = [th]
-    for _ in range(int(trials)):
-        comps = rng.standard_normal(2 * n)
-        while np.abs(comps).max() < 1e-3:
-            comps = rng.standard_normal(2 * n)
-        thetas.append(np.concatenate([np.zeros(2 * n), comps]))
-
-    results = [_complex_report(n, r, j1, j2, tv) for tv in thetas]
-
-    dims, ranks, _ = results[0]
+    covecs = np.vstack(
+        [th[2 * n :], _random_covectors(np.random.default_rng(seed), n, trials)]
+    )
+    dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
+    # junction j is exact when the ranks into and out of B^j add up to dim B^j
+    padded = np.pad(ranks, ((0, 0), (1, 1)))
     exact = tuple(
-        all(res[2][j] for res in results) for j in range(len(dims))
+        bool(np.all(padded[:, j] + padded[:, j + 1] == d)) for j, d in enumerate(dims)
     )
     return SymbolReport(
-        theta=GenVector(th[: 2 * n], th[2 * n :]), dims=dims, ranks=ranks, exact=exact
+        theta=GenVector(th[: 2 * n], th[2 * n :]),
+        dims=dims,
+        ranks=tuple(int(k) for k in ranks[0]),
+        exact=exact,
     )
 
 

@@ -285,6 +285,16 @@ def _init_component(spec, grid, rank, rng, what):
     return out
 
 
+def _check_no_overflow(part, rank, what):
+    """Reject a connection whose products (curvature is quadratic) overflow."""
+    peak = float(np.max(np.abs(part)))
+    if not math.isfinite(peak * peak * rank):
+        raise SpecError(
+            f"{what} is too large: max|entry|^2 * rank overflows "
+            f"(max |entry| = {peak:.3e}, rank {rank})"
+        )
+
+
 def _theta_components(spec, n):
     if spec is None:
         return None
@@ -333,6 +343,8 @@ def build_config(doc, grid_sizes=None, rank=None, seed=0) -> RunConfig:
     rng = np.random.default_rng(seed)
     a = _init_component(cspec.get("A"), grid, r, rng, "connection A")
     v = _init_component(cspec.get("V"), grid, r, rng, "connection V")
+    for key, part in (("A", a), ("V", v)):
+        _check_no_overflow(part, r, f"connection.{key}")
     conn = GenConnection(grid, r, a, v)
 
     lam = doc.get("lambda")

@@ -8,15 +8,22 @@ distance, and a Fourier-diagonal least-squares solution assembled from
 impulse responses of the curvature map.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from genkf import constants
+from genkf import analysis, constants, structures
 from genkf.analysis import (
+    _TRIAL_BLOCK,
     FlowTrace,
     SymbolReport,
+    _random_covectors,
     _symbol_matrices,
     _skew_basis,
+    _trial_ranks,
     cohiggs_residual,
     kr_soliton_check,
     solve_eh_line,
@@ -207,6 +214,141 @@ def test_symbol_rejects_degenerate_inputs():
         symbol_exactness(1, 0, j1, j2, cov_theta(1, [1.0, 0.0]))
     with pytest.raises(ValueError, match="dimension"):
         symbol_exactness(2, 1, j1, j2, cov_theta(2, [1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
+        symbol_exactness(1, 1, j1, j2, cov_theta(1, [1.0, 0.0]), trials=-3)
+
+
+def direct_ranks(n, r, j1, j2, covec):
+    """Reference: assemble the complex at one covector and rank each map."""
+    _, mats = _symbol_matrices(n, r, j1, j2, np.concatenate([np.zeros(2 * n), covec]))
+    ranks = []
+    for m in mats:
+        s = np.linalg.svd(m, compute_uv=False)
+        ranks.append(0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-8 * s[0])))
+    return ranks
+
+
+def reference_directions(covec, trials, seed):
+    """The given covector, then the seeded draws with near-zero redraws."""
+    rng = np.random.default_rng(seed)
+    out = [np.asarray(covec, dtype=float)]
+    for _ in range(trials):
+        comps = rng.standard_normal(len(covec))
+        while np.abs(comps).max() < 1e-3:
+            comps = rng.standard_normal(len(covec))
+        out.append(comps)
+    return np.array(out)
+
+
+_BASIS_STACKS = {}
+
+
+def basis_stacks(n, r):
+    if (n, r) not in _BASIS_STACKS:
+        j1, j2 = std_pair(n)
+        _BASIS_STACKS[n, r] = [
+            _symbol_matrices(n, r, j1, j2, np.eye(4 * n)[2 * n + a])[1]
+            for a in range(2 * n)
+        ]
+    return _BASIS_STACKS[n, r]
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@settings(max_examples=25, deadline=None)
+@given(
+    comps=st.lists(
+        st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_symbol_matrices_linear_in_theta(n, r, comps):
+    comps = np.array(comps[: 2 * n])
+    assume(np.abs(comps).max() > 1e-100)
+    j1, j2 = std_pair(n)
+    _, direct = _symbol_matrices(n, r, j1, j2, np.concatenate([np.zeros(2 * n), comps]))
+    stacks = basis_stacks(n, r)
+    for k, m in enumerate(direct):
+        combo = sum(c * mats[k] for c, mats in zip(comps, stacks))
+        assert np.abs(m - combo).max() <= 1e-14 * np.abs(m).max()
+
+
+@pytest.mark.parametrize(
+    "trials", [_TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 1]
+)
+def test_block_ranks_match_direct_assembly(trials):
+    n, r, seed = 2, 2, 5
+    j1, j2 = std_pair(n)
+    th = np.array([0.3, -1.1, 0.7, 0.2])
+    covecs = reference_directions(th, trials, seed)
+    drawn = _random_covectors(np.random.default_rng(seed), n, trials)
+    assert np.array_equal(np.vstack([th, drawn]), covecs)
+
+    dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
+    want = np.array([direct_ranks(n, r, j1, j2, c) for c in covecs])
+    assert ranks.shape == (trials + 1, len(dims) - 1)
+    assert np.array_equal(ranks, want)
+
+    rep = symbol_exactness(n, r, j1, j2, cov_theta(n, th), trials=trials, seed=seed)
+    zero = np.zeros((trials + 1, 1), dtype=int)
+    padded = np.hstack([zero, want, zero])
+    want_exact = tuple(
+        bool(np.all(padded[:, j] + padded[:, j + 1] == d)) for j, d in enumerate(dims)
+    )
+    assert rep.dims == dims
+    assert rep.ranks == tuple(want[0])
+    assert rep.exact == want_exact
+
+
+def test_random_covectors_redraw_near_zero():
+    class ScriptedRng:
+        def __init__(self, draws):
+            self.draws = [np.array(d) for d in draws]
+
+        def standard_normal(self, size):
+            assert size == 2
+            return self.draws.pop(0)
+
+    rng = ScriptedRng([[4e-4, -9e-4], [0.5, 2.0], [-1e-3, 0.0]])
+    assert np.array_equal(_random_covectors(rng, 1, 2), [[0.5, 2.0], [-1e-3, 0.0]])
+
+
+def test_symbol_composition_check_is_live(monkeypatch):
+    # a defect in the last basis stack spares theta = e_0 (trial 0) but
+    # reaches every random direction
+    n, r = 2, 2
+    j1, j2 = std_pair(n)
+    original = analysis._symbol_matrices
+
+    def perturbed(n_, r_, j1_, j2_, theta):
+        dims, mats = original(n_, r_, j1_, j2_, theta)
+        if theta[4 * n_ - 1] == 1.0:
+            mats[1] = mats[1] + 1e-3
+        return dims, mats
+
+    monkeypatch.setattr(analysis, "_symbol_matrices", perturbed)
+    with pytest.raises(RuntimeError, match="compose to zero at trial 1 "):
+        symbol_exactness(n, r, j1, j2, cov_theta(n, [1.0, 0.0, 0.0, 0.0]), trials=40)
+
+
+def test_symbol_assembly_cost_independent_of_trials(monkeypatch):
+    counts = Counter()
+    for module in (analysis, structures):
+        for name in ("clifford_matrix", "spinor_line"):
+            def counted(*args, _fn=getattr(structures, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    j1, j2 = std_pair(2)
+    th = cov_theta(2, [1.0, 0.0, 0.0, 0.0])
+    per_trials = []
+    for trials in (10, 1000):
+        counts.clear()
+        assert all(symbol_exactness(2, 2, j1, j2, th, trials=trials).exact)
+        per_trials.append(dict(counts))
+    assert per_trials[0]["clifford_matrix"] > 0 and per_trials[0]["spinor_line"] > 0
+    assert per_trials[0] == per_trials[1]
 
 
 def test_plus_projected_theta_components_pair_positively():

@@ -164,6 +164,13 @@ def test_symbols_zero_theta_exits_2(tmp_path, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+def test_symbols_negative_trials_exits_2(tmp_path, capsys):
+    out = tmp_path / "symbols.json"
+    assert main(["symbols", "--trials", "-3", "--output", str(out)]) == 2
+    assert "trials must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # curvature and report
 
@@ -233,6 +240,26 @@ def test_non_finite_number_exits_2_before_work(tmp_path, capsys, monkeypatch, co
     monkeypatch.setattr("genkf.specio.build_config", no_build)
     assert main([command, "--input", write_doc(tmp_path, doc)]) == 2
     assert f"{path} must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["A", "V"])
+@pytest.mark.parametrize("amp", [1e300, 1e200])
+def test_overflowing_connection_exits_2_before_work(tmp_path, capsys, monkeypatch, key, amp):
+    def no_curvature(*args, **kwargs):
+        raise AssertionError("curvature reached with an overflowing connection")
+
+    monkeypatch.setattr("genkf.fields.curvature", no_curvature)
+    monkeypatch.setattr("genkf.cli.curvature", no_curvature)
+    doc = {"connection": {key: {"random": {"amp": amp, "modes": 2}}}}
+    assert main(["curvature", "--input", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"connection.{key} is too large" in err
+
+
+def test_small_random_connection_is_accepted(tmp_path):
+    doc = {"connection": {"A": {"random": {"amp": 0.1}}, "V": {"random": {"amp": 0.1}}}}
+    cfg = build_config(load_document(write_doc(tmp_path, doc)))
+    assert 0.0 < np.max(np.abs(cfg.conn.A)) < 1.0
 
 
 def test_unknown_command_exits_2(capsys):
