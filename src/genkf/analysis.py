@@ -17,11 +17,15 @@ from ._tables import blade_tables
 from .fields import (
     FormField,
     GenConnection,
+    chern_from,
+    curvature,
     dbar_residual,
-    eh_residual,
+    eh_residual_from,
+    lambda_from,
     lambda_from_chern,
     lie_derivative,
     mean_curvature,
+    mean_curvature_from,
     validate_spinor_field,
     vol_density,
 )
@@ -369,8 +373,9 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
     psi = FormField.constant(
         grid, exp_two_form(GradedForm.from_two_form_matrix((c + 1j) * om))
     )
-    lam = lambda_from_chern(conn, psi)
-    _, eh_norm = eh_residual(conn, psi, lam)
+    fcurv = curvature(conn, psi)
+    lam = lambda_from(chern_from(fcurv, psi), psi, conn.rank)
+    _, eh_norm = eh_residual_from(mean_curvature_from(fcurv, psi), psi, lam)
     jref = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
     return val, {
         "dbar_residual": dbar_residual(grid, conn, jref),

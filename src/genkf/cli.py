@@ -17,6 +17,7 @@ otherwise).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -24,13 +25,14 @@ import numpy as np
 from . import report, specio
 from .analysis import solve_eh_line, symbol_exactness
 from .fields import (
-    chern_pair,
+    chern_from,
     curvature,
     d_field,
     dbar_residual,
-    eh_residual,
+    eh_residual_from,
+    lambda_from,
     lambda_from_chern,
-    mean_curvature,
+    mean_curvature_from,
     validate_spinor_field,
 )
 from .structures import UDecomposition, gcs_complex, gcs_from_spinor, gcs_symplectic
@@ -62,6 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_flags(args):
+    """Reject out-of-range solver and trial counts before any work."""
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise specio.SpecError(f"--tol must be a finite positive number, got {args.tol}")
+    for flag, value in (("--max-iter", args.max_iter), ("--trials", args.trials)):
+        if value < 0:
+            raise specio.SpecError(f"{flag} must be non-negative, got {value}")
+
+
 def _deliver(doc, args, stdout_fallback=False):
     if args.output:
         report.emit(doc, args.output)
@@ -88,15 +99,39 @@ def cmd_verify(cfg, args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _curvature_numbers(cfg, psi):
+    """The curvature F of the document's connection and what is read off it.
+
+    F is computed once; the mean curvature k, the chern pair, lambda (unless
+    the document fixes it) and the EH residual norm all derive from it.
+    Returns (f, k, chern, lam, norm); raises ValueError naming the document
+    keys at fault when any of them is not finite.
+    """
+    f = curvature(cfg.conn, psi, validate=False)
+    k = mean_curvature_from(f, psi)
+    chern = chern_from(f, psi)
+    lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
+    _, norm = eh_residual_from(k, psi, lam)
+    if not (
+        np.all(np.isfinite(f.data))
+        and np.all(np.isfinite(k))
+        and np.all(np.isfinite([chern, lam, norm]))
+    ):
+        keys = "connection.A or connection.V"
+        if cfg.lam is not None:
+            keys += " or lambda"
+        raise ValueError(
+            f"{keys} is too large: the curvature or a number read off it "
+            "(mean curvature, chern pair, lambda, EH residual) is not finite"
+        )
+    return f, k, chern, lam, norm
+
+
 def cmd_curvature(cfg, args) -> int:
     grid, conn = cfg.grid, cfg.conn
     psi = validate_spinor_field(grid, cfg.psi)
     n = grid.n
-    f = curvature(conn, psi, validate=False)
-    k = mean_curvature(conn, psi, validate=False)
-    lam = cfg.lam if cfg.lam is not None else lambda_from_chern(conn, psi)
-    _, norm = eh_residual(conn, psi, lam)
-    chern = chern_pair(conn, psi)
+    f, k, chern, lam, norm = _curvature_numbers(cfg, psi)
     closed = float(np.max(np.abs(d_field(psi).data)))
 
     fscale = float(np.max(np.abs(f.data))) + 1e-30
@@ -204,6 +239,7 @@ def cmd_symbols(cfg, args) -> int:
 
 def cmd_report(cfg, args) -> int:
     psi = validate_spinor_field(cfg.grid, cfg.psi)
+    _, _, chern, lam, norm = _curvature_numbers(cfg, psi)
     rows = run_suite(cfg, seed=args.seed)
     failures = sum(0 if r["pass"] else 1 for r in rows)
 
@@ -222,8 +258,6 @@ def cmd_report(cfg, args) -> int:
         seed=args.seed,
     )
 
-    lam = cfg.lam if cfg.lam is not None else lambda_from_chern(cfg.conn, psi)
-    _, norm = eh_residual(cfg.conn, psi, lam)
     doc = report.document(
         "report",
         args.seed,
@@ -239,7 +273,7 @@ def cmd_report(cfg, args) -> int:
             "curvature": {
                 "lambda": lam,
                 "eh_residual": norm,
-                "chern": chern_pair(cfg.conn, psi),
+                "chern": chern,
             },
         },
     )
@@ -259,6 +293,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         doc = specio.load_document(args.input)
         n = doc.get("n", 1) if isinstance(doc, dict) else 1
         sizes = None

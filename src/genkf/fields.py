@@ -37,6 +37,7 @@ __all__ = [
     "b_transform_field",
     "bfield_act",
     "canonical_line_connection",
+    "chern_from",
     "chern_pair",
     "connection_derivative",
     "covariant_d",
@@ -44,11 +45,14 @@ __all__ = [
     "d_field",
     "dbar_residual",
     "eh_residual",
+    "eh_residual_from",
     "gm_metric",
     "gm_symplectic",
+    "lambda_from",
     "lambda_from_chern",
     "lie_derivative",
     "mean_curvature",
+    "mean_curvature_from",
     "moment_value",
     "mukai_field",
     "mukai_integral",
@@ -206,8 +210,8 @@ class GenConnection:
                 f = (
                     _diff(self.grid, self.A[nu], mu)
                     - _diff(self.grid, self.A[mu], nu)
-                    + self.A[mu] @ self.A[nu]
-                    - self.A[nu] @ self.A[mu]
+                    + _small_matmul(self.A[mu], self.A[nu])
+                    - _small_matmul(self.A[nu], self.A[mu])
                 )
                 out[mu, nu] = f
                 out[nu, mu] = -f
@@ -246,6 +250,28 @@ def _diff(grid: TorusGrid, arr: np.ndarray, mu: int, axis: int | None = None):
 def _diff_form(grid, data, mu):
     # data has the blade axis first, spatial axes 1..2n
     return _diff(grid, data, mu, axis=1 + mu)
+
+
+def _small_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y over trailing (r, r) axes, leading axes broadcast.
+
+    numpy's matmul loops over every small matrix; here each of the r^2
+    output entries is a sum of r elementwise products of strided views, so
+    the loop runs r^3 times whatever the grid size.  At r = 1 there is no
+    loop to save, and matmul is kept: its scalar products commute exactly,
+    so rank-1 commutators vanish bit for bit.
+    """
+    r = x.shape[-1]
+    if r == 1:
+        return np.matmul(x, y)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    for i in range(r):
+        for k in range(r):
+            acc = x[..., i, 0] * y[..., 0, k]
+            for j in range(1, r):
+                acc += x[..., i, j] * y[..., j, k]
+            out[..., i, k] = acc
+    return out
 
 
 def _rows(data: np.ndarray) -> np.ndarray:
@@ -352,7 +378,8 @@ def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
     out = d_field(a).data
     for mu in range(2 * grid.n):
         amu = conn.A[mu][None]  # broadcast over the blade axis
-        out += _wedge_basis(t, mu, amu @ a.data - a.data @ amu)
+        comm = _small_matmul(amu, a.data) - _small_matmul(a.data, amu)
+        out += _wedge_basis(t, mu, comm)
     return EndFormField(grid, a.rank, out)
 
 
@@ -448,17 +475,16 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
             if mu == nu:
                 continue
             double = _interior_basis(t, mu, ipsi[nu])
-            comm = conn.V[mu] @ conn.V[nu] - conn.V[nu] @ conn.V[mu]
+            vmu, vnu = conn.V[mu], conn.V[nu]
+            comm = _small_matmul(vmu, vnu) - _small_matmul(vnu, vmu)
             out += 0.5 * np.einsum("c...,...ij->c...ij", double, comm)
 
     return EndFormField(grid, r, out)
 
 
-def mean_curvature(conn: GenConnection, psi, validate: bool = True) -> np.ndarray:
-    """Hermitian part of the psi-line coefficient of the curvature, (*sizes, r, r)."""
-    grid = conn.grid
-    psi = _as_form_field(grid, psi)
-    f = curvature(conn, psi, validate=validate)
+def mean_curvature_from(f: EndFormField, psi) -> np.ndarray:
+    """Hermitian part of the psi-line coefficient of the curvature f, (*sizes, r, r)."""
+    psi = _as_form_field(f.grid, psi)
     psibar = psi.conjugate()
     num = mukai_field(f, psibar)  # (*sizes, r, r)
     den = mukai_field(psi, psibar)  # (*sizes)
@@ -466,16 +492,26 @@ def mean_curvature(conn: GenConnection, psi, validate: bool = True) -> np.ndarra
     return (k + np.swapaxes(k, -1, -2).conj()) / 2.0
 
 
-def eh_residual(conn: GenConnection, psi, lam: float):
-    """Pointwise K - lambda*id and its vol-weighted L2 norm."""
-    grid = conn.grid
-    psi = _as_form_field(grid, psi)
-    k = mean_curvature(conn, psi)
-    res = k - lam * np.eye(conn.rank)[(None,) * (2 * grid.n)]
+def mean_curvature(conn: GenConnection, psi, validate: bool = True) -> np.ndarray:
+    """mean_curvature_from of the curvature of conn on psi."""
+    psi = _as_form_field(conn.grid, psi)
+    return mean_curvature_from(curvature(conn, psi, validate=validate), psi)
+
+
+def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):
+    """Pointwise K - lambda*id of a mean curvature k, and its vol-weighted L2 norm."""
+    grid = psi.grid
+    res = k - lam * np.eye(k.shape[-1])[(None,) * (2 * grid.n)]
     vol = vol_density(grid, psi)
     dens = np.einsum("...ij,...ji->...", res, np.swapaxes(res, -1, -2).conj()).real
     norm = float(np.sqrt(grid.integrate(vol * dens)))
     return res, norm
+
+
+def eh_residual(conn: GenConnection, psi, lam: float):
+    """eh_residual_from of the mean curvature of conn on psi."""
+    psi = _as_form_field(conn.grid, psi)
+    return eh_residual_from(mean_curvature(conn, psi), psi, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +590,33 @@ def trace_field(f: EndFormField) -> FormField:
 # Chern pairing and the topological lambda
 
 
+def chern_from(f: EndFormField, psi) -> complex:
+    """Integral of <tr f, psibar>_s for the curvature f on psi."""
+    grid = f.grid
+    psi = _as_form_field(grid, psi)
+    return complex(grid.integrate(mukai_field(trace_field(f), psi.conjugate())))
+
+
 def chern_pair(conn: GenConnection, psi) -> complex:
-    grid = conn.grid
-    psi = _as_form_field(grid, psi)
-    tr_f = trace_field(curvature(conn, psi))
-    return complex(grid.integrate(mukai_field(tr_f, psi.conjugate())))
+    """chern_from of the curvature of conn on psi."""
+    psi = _as_form_field(conn.grid, psi)
+    return chern_from(curvature(conn, psi), psi)
 
 
-def lambda_from_chern(conn: GenConnection, psi) -> float:
-    grid = conn.grid
-    psi = _as_form_field(grid, psi)
-    total = chern_pair(conn, psi)
-    denom = conn.rank * complex(grid.integrate(_pair_density(grid, psi)))
-    lam = total / denom
+def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
+    """The topological lambda: the chern pair over rank times the total pairing."""
+    grid = psi.grid
+    denom = rank * complex(grid.integrate(_pair_density(grid, psi)))
+    lam = chern / denom
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
         raise ValueError(f"lambda is not real: {lam}")
     return float(lam.real)
+
+
+def lambda_from_chern(conn: GenConnection, psi) -> float:
+    """lambda_from of the chern pair of conn on psi."""
+    psi = _as_form_field(conn.grid, psi)
+    return lambda_from(chern_pair(conn, psi), psi, conn.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ def _clean(obj):
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
+        # field dumps are long lists of Python floats: pass those through
+        return [v if type(v) is float else _clean(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _clean(obj.tolist())
     if isinstance(obj, (np.bool_, bool)):
@@ -46,13 +47,14 @@ def complex_field(arr) -> dict:
 
 
 def document(command: str, seed: int, config_summary: dict, body: dict) -> dict:
+    """The report's sections as given; render makes them JSON values."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "seed": int(seed),
-        "config": _clean(config_summary),
+        "config": config_summary,
     }
-    doc.update(_clean(body))
+    doc.update(body)
     return doc
 
 

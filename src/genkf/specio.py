@@ -335,7 +335,10 @@ def build_config(doc, grid_sizes=None, rank=None, seed=0) -> RunConfig:
     bspec = doc.get("bundle", {})
     if not isinstance(bspec, dict) or set(bspec) - {"rank"}:
         raise SpecError("bundle must be {'rank': r}")
-    r = rank if rank is not None else _as_int(bspec.get("rank", 1), "bundle rank", 1)
+    if rank is not None:
+        r = _as_int(rank, "--rank", 1)
+    else:
+        r = _as_int(bspec.get("rank", 1), "bundle rank", 1)
 
     cspec = doc.get("connection", {"A": {"random": {}}, "V": None})
     if not isinstance(cspec, dict) or set(cspec) - {"A", "V"}:

@@ -44,17 +44,19 @@ from .fields import (
     TorusGrid,
     b_transform_field,
     bfield_act,
+    chern_from,
     chern_pair,
     connection_derivative,
     curvature,
     d_field,
     dbar_residual,
-    eh_residual,
+    eh_residual_from,
     gm_metric,
     gm_symplectic,
-    lambda_from_chern,
+    lambda_from,
     lie_derivative,
     mean_curvature,
+    mean_curvature_from,
     moment_value,
     shift_connection,
     trace_field,
@@ -399,9 +401,11 @@ def _field_checks(rng, cfg):
         )
     )
 
-    lam = lambda_from_chern(conn, psi)
-    _, norm0 = eh_residual(conn, psi, lam)
-    _, norm_b = eh_residual(conn_b, psi_b, lam)
+    c0 = chern_from(fcurv, psi)
+    lam = lambda_from(c0, psi, conn.rank)
+    k = mean_curvature_from(fcurv, psi)
+    _, norm0 = eh_residual_from(k, psi, lam)
+    _, norm_b = eh_residual_from(mean_curvature_from(lhs, psi_b), psi_b, lam)
     rows.append(
         _row("fields/eh-norm-b-invariance", 1e-10, _rel(abs(norm_b - norm0), norm0))
     )
@@ -415,7 +419,6 @@ def _field_checks(rng, cfg):
         )
     )
 
-    c0 = chern_pair(conn, psi)
     no_v = GenConnection(grid, conn.rank, conn.A, np.zeros_like(conn.V))
     rows.append(
         _row(
@@ -434,7 +437,6 @@ def _field_checks(rng, cfg):
         )
     )
 
-    k = mean_curvature(conn, psi)
     vol = vol_density(grid, psi)
     drift = grid.integrate(vol * (np.einsum("...ii->...", k).real - conn.rank * lam))
     rows.append(_row("fields/chern-mean-consistency", 1e-10, _rel(abs(drift), abs(lam))))

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from genkf import cli, fields, report
 from genkf.cli import main
 from genkf.multivector import exp_two_form
 from genkf.specio import SpecError, build_config, load_document
+from genkf.verify import _field_checks
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -190,6 +192,60 @@ def test_curvature_reports_invariants(tmp_path, capsys):
     assert rep["psi_closedness"] < 1e-10
 
 
+def count_curvature(monkeypatch):
+    """Route every curvature call through a counter of its (A, V, psi) inputs."""
+    calls = []
+    real = fields.curvature
+
+    def counted(conn, psi, validate=True):
+        calls.append((conn.A.tobytes(), conn.V.tobytes(), psi.data.tobytes()))
+        return real(conn, psi, validate=validate)
+
+    for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
+        monkeypatch.setattr(f"{mod}.curvature", counted)
+    return calls
+
+
+_RANK2_DOC = {
+    "bundle": {"rank": 2},
+    "connection": {"A": {"random": {"amp": 0.2}}, "V": {"random": {"amp": 0.2}}},
+}
+
+
+def test_curvature_command_computes_curvature_once(tmp_path, capsys, monkeypatch):
+    calls = count_curvature(monkeypatch)
+    args = ["curvature", "--grid", "16", "--input", write_doc(tmp_path, _RANK2_DOC)]
+    assert main(args) == 0
+    assert len(calls) == 1
+
+
+def test_report_adds_one_curvature_to_the_suite(tmp_path, capsys, monkeypatch):
+    calls = count_curvature(monkeypatch)
+    in_suite = []
+    real_suite = cli.run_suite
+
+    def suite(cfg, seed=0):
+        before = len(calls)
+        rows = real_suite(cfg, seed=seed)
+        in_suite.append(len(calls) - before)
+        return rows
+
+    monkeypatch.setattr("genkf.cli.run_suite", suite)
+    args = ["report", "--grid", "16", "--trials", "2", "--input", write_doc(tmp_path, _RANK2_DOC)]
+    assert main(args + ["--output", str(tmp_path / "rep.json")]) == 0
+    assert len(in_suite) == 1
+    assert len(calls) - in_suite[0] == 1
+
+
+def test_field_checks_compute_each_curvature_once(monkeypatch):
+    calls = count_curvature(monkeypatch)
+    cfg = build_config(_RANK2_DOC, grid_sizes=(16, 16), seed=4)
+    rows = _field_checks(np.random.default_rng(0), cfg)
+    assert all(row["pass"] for row in rows)
+    assert len(calls) >= 5
+    assert len(set(calls)) == len(calls)
+
+
 def test_report_combined(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["report", "--grid", "16", "--trials", "10", "--output", str(out)]) == 0
@@ -254,6 +310,60 @@ def test_overflowing_connection_exits_2_before_work(tmp_path, capsys, monkeypatc
     assert main(["curvature", "--input", write_doc(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert f"connection.{key} is too large" in err
+
+
+@pytest.mark.parametrize("command", ["curvature", "report"])
+def test_huge_finite_connection_exits_2_before_render(tmp_path, capsys, monkeypatch, command):
+    # passes the overflow check of the document, but |F|^2 in the EH norm overflows
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached with a non-finite curvature")
+
+    monkeypatch.setattr("genkf.report.render", unreachable)
+    monkeypatch.setattr("genkf.cli.run_suite", unreachable)
+    doc = {
+        "n": 1,
+        "bundle": {"rank": 2},
+        "connection": {"A": {"random": {"amp": 1e100}}, "V": {"random": {"amp": 1e100}}},
+    }
+    out = tmp_path / "out.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([command, "--input", write_doc(tmp_path, doc), "--output", str(out)])
+    assert rc == 2
+    assert "connection.A or connection.V is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_document_lambda_is_named(tmp_path, capsys):
+    # a finite lambda whose square overflows in the EH norm
+    out = tmp_path / "out.json"
+    args = ["curvature", "--grid", "16", "--input", write_doc(tmp_path, {"lambda": 1e300})]
+    with np.errstate(over="ignore"):
+        assert main(args + ["--output", str(out)]) == 2
+    assert "connection.A or connection.V or lambda is too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["curvature", "--rank", "0"], "--rank must be at least 1, got 0"),
+        (["curvature", "--rank", "-1"], "--rank must be at least 1, got -1"),
+        (["solve", "--tol", "-1"], "--tol must be a finite positive number, got -1.0"),
+        (["solve", "--tol", "nan"], "--tol must be a finite positive number, got nan"),
+        (["solve", "--tol", "0"], "--tol must be a finite positive number, got 0.0"),
+        (["solve", "--max-iter", "-1"], "--max-iter must be non-negative, got -1"),
+        (["report", "--trials", "-2"], "--trials must be non-negative, got -2"),
+    ],
+)
+def test_out_of_range_flag_exits_2_before_work(capsys, monkeypatch, argv, flag):
+    def no_work(*args, **kwargs):
+        raise AssertionError("field work reached with an out-of-range flag")
+
+    for target in ("genkf.cli.solve_eh_line", "genkf.cli.curvature", "genkf.fields.curvature",
+                   "genkf.cli.run_suite"):
+        monkeypatch.setattr(target, no_work)
+    assert main(argv + ["--grid", "16"]) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_small_random_connection_is_accepted(tmp_path):
@@ -344,3 +454,92 @@ def test_document_validation_errors():
                 }
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# report rendering
+
+
+_MIXED_RENDER = """{
+  "chern": [
+    1.5,
+    -2.0
+  ],
+  "command": "curvature",
+  "config": {
+    "n": 2,
+    "periods": [
+      1.0,
+      0.5
+    ],
+    "sizes": [
+      8,
+      8
+    ]
+  },
+  "dims": [
+    4,
+    32
+  ],
+  "exact": [
+    true,
+    false
+  ],
+  "field": {
+    "im": [
+      1.0,
+      0.0
+    ],
+    "re": [
+      1.0,
+      0.1
+    ],
+    "shape": [
+      2,
+      1
+    ]
+  },
+  "lambda": -0.125,
+  "matrix": [
+    [
+      1.5,
+      -2.0
+    ],
+    [
+      0.0,
+      1e-300
+    ]
+  ],
+  "pair": [
+    0.5,
+    7
+  ],
+  "passed": false,
+  "schema_version": 1,
+  "seed": 3,
+  "z": [
+    -0.0,
+    -0.25
+  ]
+}
+"""
+
+
+def test_render_pins_bytes_of_numpy_values():
+    doc = report.document(
+        "curvature",
+        np.int64(3),
+        {"n": np.int64(2), "sizes": (8, 8), "periods": [np.float64(1.0), 0.5]},
+        {
+            "lambda": np.float64(-0.125),
+            "chern": 1.5 - 2j,
+            "z": np.complex128(-0.25j),
+            "dims": np.array([4, 32]),
+            "matrix": np.array([[1.5, -2.0], [0.0, 1e-300]]),
+            "pair": (np.float32(0.5), 7),
+            "exact": [np.bool_(True), False],
+            "passed": np.bool_(False),
+            "field": report.complex_field(np.array([[1.0 + 1.0j], [0.1 - 0.0j]])),
+        },
+    )
+    assert report.render(doc) == _MIXED_RENDER

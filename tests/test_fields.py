@@ -9,6 +9,9 @@ tolerance; genuinely discretized statements carry O(h^2) tolerances.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from genkf import _backend, constants
 from genkf._tables import blade_tables
@@ -29,6 +32,7 @@ from genkf.fields import (
     b_transform_field,
     bfield_act,
     canonical_line_connection,
+    chern_from,
     chern_pair,
     connection_derivative,
     covariant_d,
@@ -36,11 +40,14 @@ from genkf.fields import (
     d_field,
     dbar_residual,
     eh_residual,
+    eh_residual_from,
     gm_metric,
     gm_symplectic,
+    lambda_from,
     lambda_from_chern,
     lie_derivative,
     mean_curvature,
+    mean_curvature_from,
     moment_value,
     mukai_field,
     mukai_integral,
@@ -49,7 +56,7 @@ from genkf.fields import (
     validate_spinor_field,
     vol_density,
 )
-from genkf.fields import _interior_basis, _rows, _unrows, _wedge_basis
+from genkf.fields import _interior_basis, _rows, _small_matmul, _unrows, _wedge_basis
 
 RNG = np.random.default_rng(660301)
 
@@ -812,3 +819,50 @@ def test_basis_scatter_matches_kernel_bitwise(n, r):
             want = _unrows(kernel(t, onehot, rows), data.shape[1:])
             assert np.array_equal(got, want)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_derived_quantities_from_curvature_match_wrappers_bitwise(n, size, r):
+    rng = np.random.default_rng([n, r, 7])
+    g = make_grid(n, size)
+    conn = random_conn(g, r, rng, amp=0.3)
+    psi = psi_const(g, c=0.4)
+    f = curvature(conn, psi)
+    k = mean_curvature_from(f, psi)
+    chern = chern_from(f, psi)
+    lam = lambda_from(chern, psi, r)
+    res, norm = eh_residual_from(k, psi, lam)
+    assert np.array_equal(k, mean_curvature(conn, psi))
+    assert chern == chern_pair(conn, psi)
+    assert lam == lambda_from_chern(conn, psi)
+    want_res, want_norm = eh_residual(conn, psi, lam)
+    assert np.array_equal(res, want_res) and norm == want_norm
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two complex (..., r, r) stacks, r = 1..3, with broadcastable leading shapes."""
+    r = draw(st.integers(1, 3))
+    leads = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    out = []
+    for lead in leads.input_shapes:
+        re = draw(hnp.arrays(np.float64, lead + (r, r), elements=entries))
+        im = draw(hnp.arrays(np.float64, lead + (r, r), elements=entries))
+        out.append(re + 1j * im)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=matrix_pairs())
+def test_small_matmul_matches_matmul(pair):
+    x, y = pair
+    got = _small_matmul(x, y)
+    want = np.matmul(x, y)
+    assert got.shape == want.shape and got.dtype == np.complex128
+    scale = float(np.max(np.abs(x) @ np.abs(y), initial=0.0))
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-15 * scale
+    if x.shape[-1] == 1:
+        assert np.array_equal(got, want)
+        assert not np.any(_small_matmul(x, y) - _small_matmul(y, x))
