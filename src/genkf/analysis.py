@@ -22,9 +22,7 @@ from .fields import (
     dbar_residual,
     eh_residual_from,
     lambda_from,
-    lambda_from_chern,
     lie_derivative,
-    mean_curvature,
     mean_curvature_from,
     validate_spinor_field,
     vol_density,
@@ -45,7 +43,6 @@ _J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 _OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _RANK_TOL = 1e-8
 _TRIAL_BLOCK = 32  # directions per stacked rank test; bounds peak memory
-_DENSE_POINT_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -60,12 +57,13 @@ class SymbolReport:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Iteration record of the conjugate-direction solver."""
+    """Iteration record of the conjugate-direction solver and its target lambda."""
 
     iterations: int
     residual_history: np.ndarray
     step_size: float
     converged: bool
+    lam: float
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +386,129 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
 # conjugate-direction solver for the abelian line equation
 
 
+def _stencil_offsets(n2):
+    """The cross stencil {0, +-e_nu} as (4n + 1, 2n) integer offsets."""
+    eye = np.eye(n2, dtype=int)
+    return np.vstack([np.zeros((1, n2), dtype=int), eye, -eye])
+
+
+def _stencil_colouring(sizes, offsets):
+    """Greedy distance-2 colouring of the periodic grid, (*sizes) ints.
+
+    Points whose stencils p + offsets overlap get different colours, so the
+    responses to one impulse per point of a colour never share a point.
+    """
+    clash = np.unique((offsets[:, None] - offsets[None]).reshape(-1, len(sizes)), axis=0)
+    points = np.indices(sizes).reshape(len(sizes), -1)
+    near = np.ravel_multi_index(
+        tuple(points[:, :, None] + clash.T[:, None, :]), sizes, mode="wrap"
+    )
+    colour = np.full(points.shape[1], -1)
+    for p, row in enumerate(near):
+        taken = set(colour[row].tolist())
+        c = 0
+        while c in taken:
+            c += 1
+        colour[p] = c
+    return colour.reshape(sizes)
+
+
+def _line_k(f, psi):
+    """Real rank-1 mean curvature of the curvature field f on psi."""
+    return mean_curvature_from(f, psi)[..., 0, 0].real
+
+
+def _shifted(conn, u):
+    """The rank-1 connection conn + i u for real component fields u (nd, *sizes)."""
+    n2 = 2 * conn.grid.n
+    return GenConnection(
+        conn.grid,
+        1,
+        conn.A + 1j * u[:n2][..., None, None],
+        conn.V + 1j * u[n2:][..., None, None],
+    )
+
+
+def _line_map(init, psi, weight, k0):
+    """Stencil coefficients of u -> weight * (k(init + i u) - k0), k0 = k(init).
+
+    coef[s, o, p] is the response at p + offsets[o] to a unit impulse in
+    component field s at p; the map is affine at rank 1 and each impulse
+    moves k only on its stencil.  A constant spinor makes the map commute
+    with translations, so one origin impulse per field fills every point;
+    otherwise one probe per field and colour of _stencil_colouring does.
+    Raises RuntimeError if a response reaches beyond the probed stencils.
+    """
+    grid = init.grid
+    n2 = 2 * grid.n
+    nd = 2 * n2
+    axes = tuple(range(n2))
+    offsets = _stencil_offsets(n2)
+    origin = (slice(None),) + (0,) * n2
+    flat = float(np.max(np.abs(psi.data - psi.data[origin].reshape((-1,) + (1,) * n2))))
+    constant = flat <= 1e-12 * float(np.max(np.abs(psi.data)))
+    if constant:
+        colour = np.full(grid.sizes, -1)
+        colour[(0,) * n2] = 0
+    else:
+        colour = _stencil_colouring(grid.sizes, offsets)
+    coef = np.zeros((nd, len(offsets), *grid.sizes))
+    for c in range(int(colour.max()) + 1):
+        mask = colour == c
+        reach = np.zeros(grid.sizes, dtype=bool)
+        for off in offsets:
+            reach |= np.roll(mask, tuple(off), axis=axes)
+        for s in range(nd):
+            u = np.zeros((nd, *grid.sizes))
+            u[s][mask] = 1.0
+            f = curvature(_shifted(init, u), psi, validate=False)
+            resp = weight * (_line_k(f, psi) - k0)
+            if np.any(resp[~reach]):
+                raise RuntimeError(
+                    f"the residual response to component field {s} reaches "
+                    "beyond the stencil {0, +-e_nu}"
+                )
+            for o, off in enumerate(offsets):
+                coef[s, o][mask] = np.roll(resp, tuple(-off), axis=axes)[mask]
+    if constant:  # the origin's coefficients hold at every point
+        coef[...] = coef[(...,) + (slice(0, 1),) * n2]
+    return offsets, coef
+
+
+def _forward(offsets, coef, u):
+    """Apply the stencil map to component fields u (nd, *sizes)."""
+    axes = tuple(range(u.ndim - 1))
+    out = np.zeros(u.shape[1:])
+    for o, off in enumerate(offsets):
+        out += np.roll(np.sum(coef[:, o] * u, axis=0), tuple(off), axis=axes)
+    return out
+
+
+def _adjoint(offsets, coef, y):
+    """Apply the transpose of the stencil map to a residual field y (*sizes)."""
+    axes = tuple(range(y.ndim))
+    out = np.zeros(coef[:, 0].shape)
+    for o, off in enumerate(offsets):
+        out += coef[:, o] * np.roll(y, tuple(-off), axis=axes)
+    return out
+
+
 def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     """Drive the rank-one Einstein-Hermitian residual to zero.
 
     For rank one the residual is exactly affine in the 4n real component
     fields of (A, V), so the normal equations are solved matrix-free by
     conjugate directions on the volume-weighted least-squares system.  The
-    linear map is assembled numerically from directional probes: impulse
-    responses propagated by translation when the spinor field is constant,
-    one probe per unknown otherwise.  lam defaults to the chern-normalized
-    value (any other target is unreachable).  Returns the updated connection
-    and a FlowTrace; raises if the rank is not one or the step size
-    collapses below 1e-12 before the tolerance is met.
+    linear map is stored as coefficients over the cross stencil {0, +-e_nu}
+    and applied as sums of shifted products.  The coefficients come from
+    impulse probes about init: one origin impulse per field when the spinor
+    field is constant, else one probe per field and colour of a greedy
+    distance-2 colouring of the grid; no grid size is refused.  The
+    curvature of init is computed once and gives lam and the right-hand
+    side.  lam defaults to the chern-normalized value (any other target is
+    unreachable).  Returns the updated connection and a FlowTrace; raises
+    if the rank is not one or the step size collapses below 1e-12 before
+    the tolerance is met.
     """
     grid = init.grid
     if init.rank != 1:
@@ -407,82 +516,28 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     psi = validate_spinor_field(grid, psi)
     n2 = 2 * grid.n
     nd = 2 * n2
-    lam = lambda_from_chern(init, psi) if lam is None else float(lam)
+    f = curvature(init, psi, validate=False)
+    lam = lambda_from(chern_from(f, psi), psi, 1) if lam is None else float(lam)
     weight = np.sqrt(vol_density(grid, psi) * grid.cell_volume)
+    k0 = _line_k(f, psi)
 
-    def kfield(conn):
-        return mean_curvature(conn, psi, validate=False)[..., 0, 0].real
-
-    def shifted(conn, u):
-        return GenConnection(
-            grid,
-            1,
-            conn.A + 1j * u[:n2][..., None, None],
-            conn.V + 1j * u[n2:][..., None, None],
-        )
-
-    base = GenConnection.zero(grid, 1)
-    kbase = kfield(base)
-    origin = (slice(None),) + (0,) * n2
-    flat = float(np.max(np.abs(psi.data - psi.data[origin].reshape((-1,) + (1,) * n2))))
-    if flat <= 1e-12 * float(np.max(np.abs(psi.data))):
-        # constant spinor: the residual map commutes with translations, so
-        # impulse responses at the origin generate it as a convolution
-        resp = np.empty((nd, *grid.sizes))
-        for s in range(nd):
-            u = np.zeros((nd, *grid.sizes))
-            u[(s,) + (0,) * n2] = 1.0
-            resp[s] = weight * (kfield(shifted(base, u)) - kbase)
-        axes = tuple(range(1, n2 + 1))
-        rhat = np.fft.rfftn(resp, axes=axes)
-
-        out_axes = tuple(range(n2))
-
-        def forward(u):
-            uh = np.fft.rfftn(u, axes=axes)
-            return np.fft.irfftn(np.sum(uh * rhat, axis=0), s=grid.sizes, axes=out_axes)
-
-        def adjoint(y):
-            yh = np.fft.rfftn(y, axes=out_axes)
-            return np.fft.irfftn(yh[None] * np.conj(rhat), s=grid.sizes, axes=axes)
-
-    else:
-        if grid.npoints > _DENSE_POINT_CAP:
-            raise ValueError(
-                f"varying spinor fields need one probe per unknown; supported up "
-                f"to {_DENSE_POINT_CAP} grid points, got {grid.npoints}"
-            )
-        cols = np.empty((grid.npoints, nd * grid.npoints))
-        col = 0
-        for s in range(nd):
-            for p in range(grid.npoints):
-                u = np.zeros((nd, grid.npoints))
-                u[s, p] = 1.0
-                u = u.reshape((nd, *grid.sizes))
-                cols[:, col] = (weight * (kfield(shifted(base, u)) - kbase)).ravel()
-                col += 1
-
-        def forward(u):
-            return (cols @ u.ravel()).reshape(grid.sizes)
-
-        def adjoint(y):
-            return (cols.T @ y.ravel()).reshape((nd, *grid.sizes))
-
-    rhs = -(weight * (kfield(init) - lam))
+    rhs = -(weight * (k0 - lam))
     hist = [float(np.sqrt(np.sum(rhs * rhs)))]
     if hist[0] <= tol:
-        return init, FlowTrace(0, np.array(hist), 0.0, True)
+        return init, FlowTrace(0, np.array(hist), 0.0, True, lam)
+
+    offsets, coef = _line_map(init, psi, weight, k0)
 
     x = np.zeros((nd, *grid.sizes))
     resid = rhs.copy()
-    s = adjoint(resid)
+    s = _adjoint(offsets, coef, resid)
     p = s.copy()
     gamma = float(np.sum(s * s))
     alpha = 0.0
     converged = False
     iterations = 0
     for iterations in range(1, int(max_iter) + 1):
-        q = forward(p)
+        q = _forward(offsets, coef, p)
         qq = float(np.sum(q * q))
         if qq <= 0.0 or gamma <= 0.0:
             raise RuntimeError(
@@ -502,11 +557,11 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
         if rn <= tol:
             converged = True
             break
-        snew = adjoint(resid)
+        snew = _adjoint(offsets, coef, resid)
         gnew = float(np.sum(snew * snew))
         p = snew + (gnew / gamma) * p
         gamma = gnew
 
-    return shifted(init, x), FlowTrace(
-        iterations, np.array(hist), float(alpha), converged
+    return _shifted(init, x), FlowTrace(
+        iterations, np.array(hist), float(alpha), converged, lam
     )

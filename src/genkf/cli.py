@@ -31,12 +31,11 @@ from .fields import (
     dbar_residual,
     eh_residual_from,
     lambda_from,
-    lambda_from_chern,
     mean_curvature_from,
     validate_spinor_field,
 )
 from .structures import UDecomposition, gcs_complex, gcs_from_spinor, gcs_symplectic
-from .verify import run_suite
+from .verify import require_finite_curvature, run_suite
 
 _J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -112,18 +111,10 @@ def _curvature_numbers(cfg, psi):
     chern = chern_from(f, psi)
     lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
     _, norm = eh_residual_from(k, psi, lam)
-    if not (
-        np.all(np.isfinite(f.data))
-        and np.all(np.isfinite(k))
-        and np.all(np.isfinite([chern, lam, norm]))
-    ):
-        keys = "connection.A or connection.V"
-        if cfg.lam is not None:
-            keys += " or lambda"
-        raise ValueError(
-            f"{keys} is too large: the curvature or a number read off it "
-            "(mean curvature, chern pair, lambda, EH residual) is not finite"
-        )
+    keys = "connection.A or connection.V"
+    if cfg.lam is not None:
+        keys += " or lambda"
+    require_finite_curvature(keys, f, k, chern, lam, norm)
     return f, k, chern, lam, norm
 
 
@@ -179,7 +170,7 @@ def cmd_solve(cfg, args) -> int:
     conn, trace = solve_eh_line(
         cfg.conn, psi, max_iter=args.max_iter, tol=tol, lam=cfg.lam
     )
-    lam = cfg.lam if cfg.lam is not None else lambda_from_chern(cfg.conn, psi)
+    lam = trace.lam
     final = float(trace.residual_history[-1])
     print(f"lambda = {lam:.12g}")
     print(f"final residual = {final:.6e} after {trace.iterations} iterations")

@@ -308,6 +308,21 @@ def _structure_checks(rng, n, omega, psi0):
     return rows
 
 
+def require_finite_curvature(keys, f, k, chern, lam, norm):
+    """Raise ValueError naming the document keys unless the curvature f and
+    the numbers read off it (k, the chern pair, lambda, the EH norm) are all
+    finite."""
+    if not (
+        np.all(np.isfinite(f.data))
+        and np.all(np.isfinite(k))
+        and np.all(np.isfinite([chern, lam, norm]))
+    ):
+        raise ValueError(
+            f"{keys} is too large: the curvature or a number read off it "
+            "(mean curvature, chern pair, lambda, EH residual) is not finite"
+        )
+
+
 def _field_checks(rng, cfg):
     rows = []
     grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
@@ -405,6 +420,7 @@ def _field_checks(rng, cfg):
     lam = lambda_from(c0, psi, conn.rank)
     k = mean_curvature_from(fcurv, psi)
     _, norm0 = eh_residual_from(k, psi, lam)
+    require_finite_curvature("connection.A or connection.V", fcurv, k, c0, lam, norm0)
     _, norm_b = eh_residual_from(mean_curvature_from(lhs, psi_b), psi_b, lam)
     rows.append(
         _row("fields/eh-norm-b-invariance", 1e-10, _rel(abs(norm_b - norm0), norm0))

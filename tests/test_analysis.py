@@ -8,6 +8,7 @@ distance, and a Fourier-diagonal least-squares solution assembled from
 impulse responses of the curvature map.
 """
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,13 @@ from genkf.analysis import (
     _TRIAL_BLOCK,
     FlowTrace,
     SymbolReport,
+    _adjoint,
+    _forward,
+    _line_k,
+    _line_map,
+    _shifted,
+    _stencil_colouring,
+    _stencil_offsets,
     _random_covectors,
     _symbol_matrices,
     _skew_basis,
@@ -33,10 +41,12 @@ from genkf.fields import (
     FormField,
     GenConnection,
     TorusGrid,
+    curvature,
     eh_residual,
     lambda_from_chern,
     lie_derivative,
     mean_curvature,
+    vol_density,
 )
 from genkf.multivector import (
     GenVector,
@@ -45,6 +55,7 @@ from genkf.multivector import (
     mukai_pair,
     neutral_pairing,
 )
+from genkf.specio import build_config
 from genkf.structures import (
     GKPair,
     gcs_b_transform,
@@ -649,7 +660,7 @@ def test_solve_b_field_line_identity():
     assert np.max(np.abs(total - constants.LINE_EH_SCALE * lam * 1j)) < 1e-7
 
 
-def test_solve_varying_spinor_dense_path():
+def test_solve_varying_spinor_coloured_probes():
     grid = TorusGrid(1, (8, 8))
     x = grid.meshes()
     data = np.zeros((4, *grid.sizes), dtype=np.complex128)
@@ -692,3 +703,167 @@ def test_solve_step_collapse_raises():
     conn = line_conn(grid, rng)
     with pytest.raises(RuntimeError, match="step"):
         solve_eh_line(conn, psi_const(grid), tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the solver's stencil map
+
+
+def varying_b_doc(n, size):
+    """A closed b-field varying along x0 (and x2 at n = 2): a non-constant spinor."""
+    entries = [{"i": 0, "j": 1, "coeff": [{"c": 0.2, "trig": "sin", "k": [1] + [0] * (2 * n - 1)}]}]
+    if n == 2:
+        entries.append({"i": 2, "j": 3, "coeff": [{"c": 0.1, "trig": "cos", "k": [0, 0, 1, 0]}]})
+    return {
+        "n": n,
+        "grid": {"sizes": [size] * (2 * n)},
+        "bundle": {"rank": 1},
+        "psi": {"b": {"entries": entries}},
+        "connection": {"A": {"random": {"amp": 0.1, "modes": 2}}},
+    }
+
+
+def map_inputs(n, size, constant):
+    """(init, psi, weight, k0) as solve_eh_line hands them to _line_map.
+
+    The constant-spinor case uses a constant connection, so the map about it
+    is translation-invariant to the last bit."""
+    if constant:
+        grid = make_grid(n, size)
+        psi = psi_const(grid, c=0.3)
+        shape = (2 * n, *grid.sizes, 1, 1)
+        a = np.full(shape, 0.05j) * np.arange(1, 2 * n + 1)[(...,) + (None,) * (2 * n + 2)]
+        init = GenConnection(grid, 1, a, np.full(shape, -0.02j))
+    else:
+        cfg = build_config(varying_b_doc(n, size), seed=3)
+        grid, psi, init = cfg.grid, cfg.psi, cfg.conn
+    weight = np.sqrt(vol_density(grid, psi) * grid.cell_volume)
+    k0 = _line_k(curvature(init, psi, validate=False), psi)
+    return init, psi, weight, k0
+
+
+def probe_one(init, psi, weight, k0, s, point):
+    """Response of the residual map to one unit impulse in field s at point."""
+    grid = init.grid
+    u = np.zeros((4 * grid.n, *grid.sizes))
+    u[(s,) + tuple(point)] = 1.0
+    return weight * (_line_k(curvature(_shifted(init, u), psi, validate=False), psi) - k0)
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
+@pytest.mark.parametrize("size", [8, 10])
+def test_line_map_matches_dense_probes_bitwise(monkeypatch, size, constant):
+    init, psi, weight, k0 = map_inputs(1, size, constant)
+    grid = init.grid
+    probes = []
+
+    def counted(conn, psi, validate=True):
+        probes.append(conn)
+        return curvature(conn, psi, validate=validate)
+
+    monkeypatch.setattr(analysis, "curvature", counted)
+    offsets, coef = _line_map(init, psi, weight, k0)
+    monkeypatch.undo()
+    colours = int(_stencil_colouring(grid.sizes, offsets).max()) + 1
+    assert len(probes) == (4 if constant else 4 * colours)
+    assert coef.shape == (4, 5, size, size)
+
+    # one probe per unknown; each response is one column of the dense matrix
+    ref = np.empty_like(coef)
+    dense = np.empty((grid.npoints, 4 * grid.npoints))
+    for s in range(4):
+        for flat, point in enumerate(np.ndindex(grid.sizes)):
+            resp = probe_one(init, psi, weight, k0, s, point)
+            dense[:, s * grid.npoints + flat] = resp.ravel()
+            for o, off in enumerate(offsets):
+                ref[(s, o) + point] = resp[tuple((np.array(point) + off) % size)]
+    assert np.array_equal(coef, ref)
+
+    u = np.random.default_rng(8).standard_normal((4, *grid.sizes))
+    got = _forward(offsets, coef, u)
+    want = (dense @ u.ravel()).reshape(grid.sizes)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_line_map_matches_probe_sample_n2():
+    init, psi, weight, k0 = map_inputs(2, 8, False)
+    offsets, coef = _line_map(init, psi, weight, k0)
+    assert coef.shape == (8, 9, 8, 8, 8, 8)
+    rng = np.random.default_rng(19)
+    for _ in range(64):
+        s = int(rng.integers(8))
+        point = tuple(int(i) for i in rng.integers(8, size=4))
+        resp = probe_one(init, psi, weight, k0, s, point)
+        reach = np.zeros(resp.shape, dtype=bool)
+        for o, off in enumerate(offsets):
+            target = tuple((np.array(point) + off) % 8)
+            assert coef[(s, o) + point] == resp[target]
+            reach[target] = True
+        assert not np.any(resp[~reach])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stencil_forward_adjoint_are_transposes(n):
+    rng = np.random.default_rng(40 + n)
+    sizes = (8, 10, 8, 12)[: 2 * n]
+    offsets = _stencil_offsets(2 * n)
+    coef = rng.standard_normal((4 * n, len(offsets), *sizes))
+    u = rng.standard_normal((4 * n, *sizes))
+    y = rng.standard_normal(sizes)
+    lhs = float(np.sum(_forward(offsets, coef, u) * y))
+    rhs = float(np.sum(u * _adjoint(offsets, coef, y)))
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+
+
+def colouring_is_distance_2(sizes):
+    offsets = _stencil_offsets(len(sizes))
+    colour = _stencil_colouring(sizes, offsets)
+    assert colour.min() == 0
+    axes = tuple(range(len(sizes)))
+    for d in {tuple(a - b) for a in offsets for b in offsets} - {(0,) * len(sizes)}:
+        assert not np.any(colour == np.roll(colour, d, axis=axes)), d
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[st.integers(4, 15).map(lambda h: 2 * h)] * 2))
+def test_stencil_colouring_separates_stencils_n1(sizes):
+    colouring_is_distance_2(sizes)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.tuples(*[st.sampled_from([8, 10])] * 4))
+def test_stencil_colouring_separates_stencils_n2(sizes):
+    colouring_is_distance_2(sizes)
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
+def test_line_map_guard_rejects_a_wider_stencil(monkeypatch, constant):
+    # a mean curvature that also reaches two points away along x0
+    real = analysis.mean_curvature_from
+
+    def wider(f, psi):
+        k = real(f, psi)
+        return k + np.roll(k, 2, axis=0)
+
+    monkeypatch.setattr(analysis, "mean_curvature_from", wider)
+    init, psi, weight, k0 = map_inputs(1, 8, constant)
+    with pytest.raises(RuntimeError, match="component field 0 reaches beyond the stencil"):
+        _line_map(init, psi, weight, k0)
+    init = line_conn(init.grid, np.random.default_rng(3)) if constant else init
+    with pytest.raises(RuntimeError, match="beyond the stencil"):
+        solve_eh_line(init, psi)
+
+
+@pytest.mark.parametrize("n, size, bound", [(1, 128, 30.0), (2, 8, 60.0)])
+def test_solve_varying_b_beyond_old_point_cap(n, size, bound):
+    cfg = build_config(varying_b_doc(n, size), seed=0)
+    assert cfg.grid.npoints > 1024
+    start = time.perf_counter()
+    out, trace = solve_eh_line(cfg.conn, cfg.psi)
+    elapsed = time.perf_counter() - start
+    assert trace.converged and trace.iterations > 0
+    assert trace.residual_history[-1] <= 1e-8
+    assert trace.lam == lambda_from_chern(cfg.conn, cfg.psi)
+    _, norm = eh_residual(out, cfg.psi, trace.lam)
+    assert norm < 1e-7
+    assert elapsed < bound

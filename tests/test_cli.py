@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from genkf import cli, fields, report
+from genkf import analysis, cli, fields, report
 from genkf.cli import main
 from genkf.multivector import exp_two_form
 from genkf.specio import SpecError, build_config, load_document
@@ -29,6 +29,18 @@ def test_default_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("n, rank", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_verify_matrix_passes_every_check(tmp_path, capsys, n, rank):
+    grid = 16 if n == 1 else 8
+    out = tmp_path / "verify.json"
+    args = ["verify", "--grid", str(grid), "--rank", str(rank), "--output", str(out)]
+    assert main(args + ["--input", write_doc(tmp_path, {"n": n})]) == 0
+    assert "41/41 checks passed" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["config"]["sizes"] == [grid] * (2 * n)
+    assert doc["passed"] is True and len(doc["checks"]) == 41
 
 
 def test_verify_report_schema(tmp_path, capsys):
@@ -246,6 +258,20 @@ def test_field_checks_compute_each_curvature_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_solve_command_computes_each_curvature_once(tmp_path, capsys, monkeypatch):
+    # one curvature of the document's connection, then one per field and colour
+    calls = count_curvature(monkeypatch)
+    doc = {
+        "psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": [{"c": 0.2, "trig": "sin", "k": [1, 0]}]}]}},
+        "connection": {"A": {"random": {"amp": 0.1}}},
+    }
+    assert main(["solve", "--grid", "16", "--input", write_doc(tmp_path, doc)]) == 0
+    offsets = analysis._stencil_offsets(2)
+    colours = int(analysis._stencil_colouring((16, 16), offsets).max()) + 1
+    assert len(calls) == 1 + 4 * colours
+    assert len(set(calls)) == len(calls)
+
+
 def test_report_combined(tmp_path, capsys):
     out = tmp_path / "rep.json"
     assert main(["report", "--grid", "16", "--trials", "10", "--output", str(out)]) == 0
@@ -312,14 +338,15 @@ def test_overflowing_connection_exits_2_before_work(tmp_path, capsys, monkeypatc
     assert f"connection.{key} is too large" in err
 
 
-@pytest.mark.parametrize("command", ["curvature", "report"])
+@pytest.mark.parametrize("command", ["curvature", "report", "verify"])
 def test_huge_finite_connection_exits_2_before_render(tmp_path, capsys, monkeypatch, command):
     # passes the overflow check of the document, but |F|^2 in the EH norm overflows
     def unreachable(*args, **kwargs):
         raise AssertionError("reached with a non-finite curvature")
 
     monkeypatch.setattr("genkf.report.render", unreachable)
-    monkeypatch.setattr("genkf.cli.run_suite", unreachable)
+    if command != "verify":  # verify meets the curvature inside the suite
+        monkeypatch.setattr("genkf.cli.run_suite", unreachable)
     doc = {
         "n": 1,
         "bundle": {"rank": 2},
