@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
@@ -56,6 +57,12 @@ class BladeTables:
     axis_lo: np.ndarray   # (dim, size//2) blades without bit mu
     axis_hi: np.ndarray   # (dim, size//2) same blades with bit mu set
     axis_s: np.ndarray    # (dim, size//2) sign (-1)^{# factors below mu}
+    # per-pair tables, (dim, dim, size//4): blades without bits mu and nu <->
+    # the same blades with both set; the diagonal is the zero map (sign 0)
+    pair_lo: np.ndarray
+    pair_hi: np.ndarray
+    wedge2_s: np.ndarray     # sign of dx^mu ^ dx^nu ^, s_nu(m) s_mu(m|nu)
+    interior2_s: np.ndarray  # sign of i_mu i_nu, s_mu(m) s_nu(m|mu)
     # Mukai pair table: <a,b>_s = sum_i mukai_s[i] * a[i] * b[comp[i]]
     mukai_comp: np.ndarray
     mukai_s: np.ndarray
@@ -89,20 +96,22 @@ def blade_tables(n: int) -> BladeTables:
     wedge_s = np.asarray(ws, dtype=np.float64)[order]
     cols, starts = np.unique(wedge_k, return_index=True)
 
-    half = size // 2
-    axis_lo = np.empty((dim, half), dtype=np.int64)
-    axis_hi = np.empty((dim, half), dtype=np.int64)
-    axis_s = np.empty((dim, half), dtype=np.float64)
-    for mu in range(dim):
-        bit = 1 << mu
-        pos = 0
-        for m in range(size):
-            if m & bit:
-                continue
-            axis_lo[mu, pos] = m
-            axis_hi[mu, pos] = m | bit
-            axis_s[mu, pos] = -1.0 if _popcount(m & (bit - 1)) & 1 else 1.0
-            pos += 1
+    # step[mu, m]: sign of dx^mu ^ on blade m, (-1)^{# factors below mu}
+    blades = np.arange(size, dtype=np.int64)
+    step = np.array([[(-1.0) ** _popcount(m & ((1 << mu) - 1)) for m in range(size)]
+                     for mu in range(dim)])
+    axis_lo = np.array([blades[(blades >> mu) & 1 == 0] for mu in range(dim)])
+    axis_hi = axis_lo | (1 << np.arange(dim))[:, None]
+    axis_s = np.take_along_axis(step, axis_lo, axis=1)
+
+    shape = (dim, dim, size // 4)
+    pair_lo, pair_hi = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+    wedge2_s, interior2_s = np.zeros(shape), np.zeros(shape)
+    for mu, nu in permutations(range(dim), 2):
+        lo = blades[(blades >> mu | blades >> nu) & 1 == 0]
+        pair_lo[mu, nu], pair_hi[mu, nu] = lo, lo | 1 << mu | 1 << nu
+        wedge2_s[mu, nu] = step[nu, lo] * step[mu, lo | 1 << nu]
+        interior2_s[mu, nu] = step[mu, lo] * step[nu, lo | 1 << mu]
 
     comp = np.array([top ^ i for i in range(size)], dtype=np.int64)
     mukai_s = np.array(
@@ -125,6 +134,10 @@ def blade_tables(n: int) -> BladeTables:
         axis_lo=axis_lo,
         axis_hi=axis_hi,
         axis_s=axis_s,
+        pair_lo=pair_lo,
+        pair_hi=pair_hi,
+        wedge2_s=wedge2_s,
+        interior2_s=interior2_s,
         mukai_comp=comp,
         mukai_s=mukai_s,
     )

@@ -1,6 +1,6 @@
 """Discrete calculus for generalized connections on flat periodic tori.
 
-Derivatives are second-order central differences built from index rolls,
+Derivatives are second-order central differences of periodic neighbours,
 so shift operators commute exactly: d compose d = 0, grid sums of exact
 forms vanish, and every identity whose continuum proof only uses
 constant-coefficient algebra plus d^2 = 0 holds here to roundoff.  The
@@ -239,17 +239,19 @@ def shift_connection(conn: GenConnection, var: ConnVariation, t: float) -> GenCo
 
 
 def _diff(grid: TorusGrid, arr: np.ndarray, mu: int, axis: int | None = None):
-    """Central difference along grid axis mu; spatial axes lead unless told."""
+    """Central difference along grid axis mu; spatial axes lead unless told.
+
+    (arr[i+1] - arr[i-1]) / 2h, periodic: interior slab and wrap faces apart.
+    """
     if axis is None:
         axis = mu
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
-        2.0 * grid.spacings[mu]
-    )
-
-
-def _diff_form(grid, data, mu):
-    # data has the blade axis first, spatial axes 1..2n
-    return _diff(grid, data, mu, axis=1 + mu)
+    out = np.empty_like(arr)
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(a[2:], a[:-2], out=o[1:-1])
+    np.subtract(a[1], a[-1], out=o[0])
+    np.subtract(a[0], a[-2], out=o[-1])
+    out /= 2.0 * grid.spacings[mu]
+    return out
 
 
 def _small_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -284,36 +286,24 @@ def _unrows(rows: np.ndarray, rest) -> np.ndarray:
     return np.ascontiguousarray(rows.T).reshape((size,) + tuple(rest))
 
 
-def _axis_scatter(t, mu, data, src, dst):
-    """out[dst[mu]] = sign * data[src[mu]], a signed permutation of blades.
+def _signed(sign, sub):
+    """sign * sub, one sign per blade; a coordinate step is out[dst] += this.
 
-    Adding into zeros, rather than assigning, turns negative zeros positive
-    exactly as the general kernels do, so results match them bit for bit.
+    Each step (dx^mu ^, i_mu or a pair) maps its source blades one to one,
+    so sub holds those only.  Other blades would get an exact +-0, which
+    changes no bit of an accumulator started at +0 (never -0 when rounding
+    to nearest).
     """
-    sign = t.axis_s[mu].reshape((-1,) + (1,) * (data.ndim - 1))
-    out = np.zeros(data.shape, dtype=data.dtype)
-    out[dst[mu]] += sign * data[src[mu]]
-    return out
-
-
-def _wedge_basis(t, mu, data):
-    """dx^mu wedge data (blade axis first)."""
-    return _axis_scatter(t, mu, data, t.axis_lo, t.axis_hi)
-
-
-def _interior_basis(t, mu, data):
-    """Contraction with the coordinate vector d/dx^mu."""
-    return _axis_scatter(t, mu, data, t.axis_hi, t.axis_lo)
+    return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
 
 
 def _interior_varying(t, vfield, data):
-    """Contraction with a pointwise vector field v (2n, *sizes)."""
-    rows = _rows(data)
-    v_rows = np.ascontiguousarray(
-        np.moveaxis(vfield, 0, -1).reshape(-1, t.dim).astype(np.complex128)
-    )
-    out = _k.interior_batch(t, v_rows, rows)
-    return _unrows(out, data.shape[1:])
+    """i_v data for v (2n, *sizes), as interior_batch computes it: (v^mu s) data."""
+    v = vfield.astype(np.complex128)
+    out = np.zeros_like(data)
+    for mu in range(t.dim):
+        out[t.axis_lo[mu]] += _signed(t.axis_s[mu], v[mu][None]) * data[t.axis_hi[mu]]
+    return out
 
 
 def _wedge_data(t, d1, d2):
@@ -351,7 +341,9 @@ def d_field(f):
     t = blade_tables(grid.n)
     out = np.zeros_like(f.data)
     for mu in range(2 * grid.n):
-        out += _wedge_basis(t, mu, _diff_form(grid, f.data, mu))
+        # blade axis first, spatial axes 1..2n
+        diff = _diff(grid, f.data[t.axis_lo[mu]], mu, axis=1 + mu)
+        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], diff)
     return _like(f, out)
 
 
@@ -378,8 +370,9 @@ def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
     out = d_field(a).data
     for mu in range(2 * grid.n):
         amu = conn.A[mu][None]  # broadcast over the blade axis
-        comm = _small_matmul(amu, a.data) - _small_matmul(a.data, amu)
-        out += _wedge_basis(t, mu, comm)
+        sub = a.data[t.axis_lo[mu]]
+        comm = _small_matmul(amu, sub) - _small_matmul(sub, amu)
+        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
     return EndFormField(grid, a.rank, out)
 
 
@@ -459,14 +452,16 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
     fmat = conn.field_strength()
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            blade = _wedge_basis(t, mu, _wedge_basis(t, nu, psi.data))
-            out += np.einsum("c...,...ij->c...ij", blade, fmat[mu, nu])
+            blade = _signed(t.wedge2_s[mu, nu], psi.data[t.pair_lo[mu, nu]])
+            out[t.pair_hi[mu, nu]] += np.einsum(
+                "c...,...ij->c...ij", blade, fmat[mu, nu]
+            )
 
     # vector part acting by contraction, then the covariant derivative
-    ipsi = [_interior_basis(t, mu, psi.data) for mu in range(n2)]
     vpsi = np.zeros_like(out)
     for mu in range(n2):
-        vpsi += np.einsum("c...,...ij->c...ij", ipsi[mu], conn.V[mu])
+        ipsi = _signed(t.axis_s[mu], psi.data[t.axis_hi[mu]])
+        vpsi[t.axis_lo[mu]] += np.einsum("c...,...ij->c...ij", ipsi, conn.V[mu])
     out += covariant_d(conn, EndFormField(grid, r, vpsi)).data
 
     # quadratic vector term: (1/2) sum [V^mu, V^nu] (x) i_mu i_nu
@@ -474,10 +469,12 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
         for nu in range(n2):
             if mu == nu:
                 continue
-            double = _interior_basis(t, mu, ipsi[nu])
+            double = _signed(t.interior2_s[mu, nu], psi.data[t.pair_hi[mu, nu]])
             vmu, vnu = conn.V[mu], conn.V[nu]
             comm = _small_matmul(vmu, vnu) - _small_matmul(vnu, vmu)
-            out += 0.5 * np.einsum("c...,...ij->c...ij", double, comm)
+            out[t.pair_lo[mu, nu]] += 0.5 * np.einsum(
+                "c...,...ij->c...ij", double, comm
+            )
 
     return EndFormField(grid, r, out)
 
@@ -628,12 +625,9 @@ def _variation_act(grid, var, psi_data, rank):
     t = blade_tables(grid.n)
     out = np.zeros((t.size, *grid.sizes, rank, rank), dtype=np.complex128)
     for mu in range(2 * grid.n):
-        out += np.einsum(
-            "c...,...ij->c...ij", _wedge_basis(t, mu, psi_data), var.A[mu]
-        )
-        out += np.einsum(
-            "c...,...ij->c...ij", _interior_basis(t, mu, psi_data), var.V[mu]
-        )
+        lo, hi, sign = t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]
+        out[hi] += np.einsum("c...,...ij->c...ij", _signed(sign, psi_data[lo]), var.A[mu])
+        out[lo] += np.einsum("c...,...ij->c...ij", _signed(sign, psi_data[hi]), var.V[mu])
     return out
 
 

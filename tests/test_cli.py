@@ -258,6 +258,39 @@ def test_field_checks_compute_each_curvature_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_suite_validates_the_document_spinor_first_and_once(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the command validates psi before any curvature; the suite's own
+    # curvatures on it skip the check, and only the three moment_value
+    # calls (public, validating) see it again
+    events = []
+    real_validate, real_curvature = fields.validate_spinor_field, fields.curvature
+
+    def validate(grid, psi, closed_tol=None):
+        events.append(("validate", psi.data.tobytes()))
+        return real_validate(grid, psi, closed_tol=closed_tol)
+
+    def counted(conn, psi, validate=True):
+        events.append(("curvature", psi.data.tobytes()))
+        return real_curvature(conn, psi, validate=validate)
+
+    for mod in ("genkf.fields", "genkf.cli", "genkf.analysis"):
+        monkeypatch.setattr(f"{mod}.validate_spinor_field", validate)
+    for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
+        monkeypatch.setattr(f"{mod}.curvature", counted)
+    path = write_doc(tmp_path, _RANK2_DOC)
+    cfg = build_config(load_document(path), grid_sizes=(10, 10), seed=0)
+    psi = cfg.psi.data.tobytes()
+    args = [command, "--grid", "10", "--trials", "2", "--input", path]
+    assert main(args + ["--output", str(tmp_path / "out.json")]) == 0
+    assert events[0] == ("validate", psi)
+    assert events.count(("validate", psi)) == 4
+    # fcurv, no_v and other; report adds its own F
+    assert events.count(("curvature", psi)) == (3 if command == "verify" else 4)
+
+
 def test_solve_command_computes_each_curvature_once(tmp_path, capsys, monkeypatch):
     # one curvature of the document's connection, then one per field and colour
     calls = count_curvature(monkeypatch)

@@ -56,7 +56,15 @@ from genkf.fields import (
     validate_spinor_field,
     vol_density,
 )
-from genkf.fields import _interior_basis, _rows, _small_matmul, _unrows, _wedge_basis
+from genkf.fields import (
+    _diff,
+    _interior_varying,
+    _rows,
+    _signed,
+    _small_matmul,
+    _unrows,
+    _variation_act,
+)
 
 RNG = np.random.default_rng(660301)
 
@@ -799,8 +807,9 @@ def test_b_transform_field_matches_pointwise():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("r", [1, 2])
 def test_basis_scatter_matches_kernel_bitwise(n, r):
-    # dx^mu ^ and i_mu as signed blade permutations agree bit for bit with
-    # the general kernels fed a one-hot covector, signed zeros included
+    # dx^mu ^ and i_mu taken on the source blades only, out[dst] +=
+    # sign * data[src] into zeros, agree bit for bit with the general
+    # kernels fed a one-hot covector, signed zeros included
     t = blade_tables(n)
     rng = np.random.default_rng([n, r])
     shape = (t.size,) + (3,) * (2 * n) + (r, r)
@@ -812,10 +821,13 @@ def test_basis_scatter_matches_kernel_bitwise(n, r):
     for mu in range(t.dim):
         onehot = np.zeros((rows.shape[0], t.dim), dtype=np.complex128)
         onehot[:, mu] = 1.0
-        for got, kernel in (
-            (_wedge_basis(t, mu, data), _backend.wedge1_batch),
-            (_interior_basis(t, mu, data), _backend.interior_batch),
+        lo, hi = t.axis_lo[mu], t.axis_hi[mu]
+        for src, dst, kernel in (
+            (lo, hi, _backend.wedge1_batch),
+            (hi, lo, _backend.interior_batch),
         ):
+            got = np.zeros_like(data)
+            got[dst] += _signed(t.axis_s[mu], data[src])
             want = _unrows(kernel(t, onehot, rows), data.shape[1:])
             assert np.array_equal(got, want)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -866,3 +878,233 @@ def test_small_matmul_matches_matmul(pair):
     if x.shape[-1] == 1:
         assert np.array_equal(got, want)
         assert not np.any(_small_matmul(x, y) - _small_matmul(y, x))
+
+
+# ---------------------------------------------------------------------------
+# coordinate steps on the blades they reach, against the full-array formulas
+
+
+def signed_zeros(rng, arr, zero=0.2, neg=0.1):
+    """Scatter exact zeros and negative zeros into a complex array."""
+    arr[rng.random(arr.shape) < zero] = 0.0
+    arr.real[rng.random(arr.shape) < neg] = -0.0
+    arr.imag[rng.random(arr.shape) < neg] = -0.0
+    return arr
+
+
+def full_step(t, mu, data, src, dst):
+    """A coordinate step as a fresh full-size zero array plus one scatter-add."""
+    sign = t.axis_s[mu].reshape((-1,) + (1,) * (data.ndim - 1))
+    out = np.zeros(data.shape, dtype=data.dtype)
+    out[dst[mu]] += sign * data[src[mu]]
+    return out
+
+
+def roll_diff(grid, arr, mu, axis=None):
+    axis = mu if axis is None else axis
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
+        2.0 * grid.spacings[mu]
+    )
+
+
+def full_d(grid, data):
+    t = blade_tables(grid.n)
+    out = np.zeros_like(data)
+    for mu in range(2 * grid.n):
+        diff = roll_diff(grid, data, mu, axis=1 + mu)
+        out += full_step(t, mu, diff, t.axis_lo, t.axis_hi)
+    return out
+
+
+def full_covariant_d(conn, data):
+    t = blade_tables(conn.grid.n)
+    out = full_d(conn.grid, data)
+    for mu in range(2 * conn.grid.n):
+        amu = conn.A[mu][None]
+        comm = _small_matmul(amu, data) - _small_matmul(data, amu)
+        out += full_step(t, mu, comm, t.axis_lo, t.axis_hi)
+    return out
+
+
+def full_curvature(conn, psi_data):
+    grid, r = conn.grid, conn.rank
+    t = blade_tables(grid.n)
+    n2 = 2 * grid.n
+    A, V = conn.A, conn.V
+
+    def wedge(mu, data):
+        return full_step(t, mu, data, t.axis_lo, t.axis_hi)
+
+    def interior(mu, data):
+        return full_step(t, mu, data, t.axis_hi, t.axis_lo)
+
+    def times(blade, mat):
+        return np.einsum("c...,...ij->c...ij", blade, mat)
+
+    out = np.zeros((t.size, *grid.sizes, r, r), dtype=np.complex128)
+    for mu in range(n2):
+        for nu in range(mu + 1, n2):
+            fmn = (
+                roll_diff(grid, A[nu], mu)
+                - roll_diff(grid, A[mu], nu)
+                + _small_matmul(A[mu], A[nu])
+                - _small_matmul(A[nu], A[mu])
+            )
+            out += times(wedge(mu, wedge(nu, psi_data)), fmn)
+    ipsi = [interior(mu, psi_data) for mu in range(n2)]
+    vpsi = np.zeros_like(out)
+    for mu in range(n2):
+        vpsi += times(ipsi[mu], V[mu])
+    out += full_covariant_d(conn, vpsi)
+    for mu in range(n2):
+        for nu in range(n2):
+            if mu != nu:
+                comm = _small_matmul(V[mu], V[nu]) - _small_matmul(V[nu], V[mu])
+                out += 0.5 * times(interior(mu, ipsi[nu]), comm)
+    return out
+
+
+def full_variation_act(grid, var, psi_data, rank):
+    t = blade_tables(grid.n)
+    out = np.zeros((t.size, *grid.sizes, rank, rank), dtype=np.complex128)
+    for mu in range(2 * grid.n):
+        wedged = full_step(t, mu, psi_data, t.axis_lo, t.axis_hi)
+        out += np.einsum("c...,...ij->c...ij", wedged, var.A[mu])
+        contracted = full_step(t, mu, psi_data, t.axis_hi, t.axis_lo)
+        out += np.einsum("c...,...ij->c...ij", contracted, var.V[mu])
+    return out
+
+
+def full_gm_symplectic(grid, a1, a2, psi):
+    rank = a1.A.shape[-1]
+    s1 = EndFormField(grid, rank, full_variation_act(grid, a1, psi.data, rank))
+    s2 = EndFormField(grid, rank, full_variation_act(grid, a2, np.conj(psi.data), rank))
+    paired = mukai_field(s1, s2)
+    integrand = ((1j ** (-grid.n)) * np.einsum("...ii->...", paired)).imag
+    return float(grid.integrate(integrand))
+
+
+def skew_with_zeros(rng, grid, r, zero, neg):
+    """Skew-Hermitian (2n, *sizes, r, r) field, zero at some points and with
+    -0 on some diagonal real parts."""
+    shape = (2 * grid.n, *grid.sizes, r, r)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = m - np.swapaxes(m, -1, -2).conj()
+    a[rng.random(shape[:-2]) < zero] = 0.0
+    eye = (..., np.arange(r), np.arange(r))
+    diag = a.real[eye]  # exact zeros: the matrices are skew-Hermitian
+    a.real[eye] = np.where(rng.random(diag.shape) < neg, -0.0, diag)
+    return a
+
+
+def complex_with_zeros(rng, shape, zero=0.2, neg=0.1):
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return signed_zeros(rng, data, zero, neg)
+
+
+def same_bits(got, want):
+    return (
+        np.array_equal(got, want)
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zero=st.sampled_from([0.0, 0.2, 0.6]),
+    neg=st.sampled_from([0.0, 0.1, 0.5]),
+    sizes=st.lists(st.sampled_from([8, 10]), min_size=2, max_size=2),
+)
+def test_field_operators_match_full_array_formulas_bitwise(n, r, seed, zero, neg, sizes):
+    # d, covariant d, curvature and the variation action on the blades they
+    # reach equal the full-array formulas (fresh zero array per coordinate
+    # step, np.roll differences) bit for bit, signed zeros included
+    rng = np.random.default_rng(seed)
+    sizes = sizes if n == 1 else (8,) * 4
+    g = TorusGrid(n, sizes, periods=rng.uniform(0.5, 2.0, 2 * n))
+    shape = (4**n, *g.sizes)
+    psi = FormField(g, complex_with_zeros(rng, shape, zero, neg))
+    a = EndFormField(g, r, complex_with_zeros(rng, shape + (r, r), zero, neg))
+    skews = [skew_with_zeros(rng, g, r, zero, neg) for _ in range(2)]
+    conn = GenConnection(g, r, *skews)
+    assert same_bits(d_field(psi).data, full_d(g, psi.data))
+    assert same_bits(d_field(a).data, full_d(g, a.data))
+    assert same_bits(covariant_d(conn, a).data, full_covariant_d(conn, a.data))
+    got = curvature(conn, psi, validate=False).data
+    assert same_bits(got, full_curvature(conn, psi.data))
+    var_shape = (2 * n, *g.sizes, r, r)
+    a1, a2 = (
+        ConnVariation(*(complex_with_zeros(rng, var_shape, zero, neg) for _ in range(2)))
+        for _ in range(2)
+    )
+    got = _variation_act(g, a1, psi.data, r)
+    assert same_bits(got, full_variation_act(g, a1, psi.data, r))
+    got = gm_symplectic(g, a1, a2, psi)
+    want = full_gm_symplectic(g, a1, a2, psi)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_diff_matches_roll_formula_bitwise(n):
+    # smallest legal size, so both wrap faces sit next to the interior slab
+    g = TorusGrid(n, (8,) * (2 * n), periods=np.linspace(0.7, 1.9, 2 * n))
+    rng = np.random.default_rng(n)
+    t = blade_tables(n)
+    data = complex_with_zeros(rng, (t.size, *g.sizes, 2, 2))
+    spatial = data[1, ..., 0, 1]  # spatial axes first, strided
+    real = rng.standard_normal(g.sizes)
+    real[rng.random(g.sizes) < 0.2] = -0.0
+    for mu in range(2 * n):
+        got = _diff(g, data, mu, axis=1 + mu)
+        assert same_bits(got, roll_diff(g, data, mu, axis=1 + mu))
+        assert same_bits(_diff(g, spatial, mu), roll_diff(g, spatial, mu))
+        assert same_bits(_diff(g, real, mu), roll_diff(g, real, mu))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_interior_varying_matches_kernel_bitwise(n):
+    g = TorusGrid(n, (8,) * (2 * n))
+    rng = np.random.default_rng([n, 11])
+    t = blade_tables(n)
+    data = complex_with_zeros(rng, (t.size, *g.sizes))
+    v = rng.standard_normal((2 * n, *g.sizes))
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v[rng.random(v.shape) < 0.1] = -0.0
+    v_rows = np.moveaxis(v, 0, -1).reshape(-1, t.dim).astype(np.complex128)
+    want = _unrows(_backend.interior_batch(t, v_rows, _rows(data)), data.shape[1:])
+    assert same_bits(_interior_varying(t, v, data), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_tables_compose_two_axis_steps(n):
+    # dx^mu ^ dx^nu ^ and i_mu i_nu, read off the pair tables, equal the
+    # products of the single-axis signed permutation matrices
+    t = blade_tables(n)
+    quarter = t.size // 4
+
+    def axis_matrix(mu, src, dst):
+        m = np.zeros((t.size, t.size))
+        m[dst[mu], src[mu]] = t.axis_s[mu]
+        return m
+
+    wedge1 = [axis_matrix(mu, t.axis_lo, t.axis_hi) for mu in range(t.dim)]
+    inter1 = [axis_matrix(mu, t.axis_hi, t.axis_lo) for mu in range(t.dim)]
+    for mu in range(t.dim):
+        for nu in range(t.dim):
+            lo, hi = t.pair_lo[mu, nu], t.pair_hi[mu, nu]
+            wedge2 = np.zeros((t.size, t.size))
+            np.add.at(wedge2, (hi, lo), t.wedge2_s[mu, nu])
+            inter2 = np.zeros((t.size, t.size))
+            np.add.at(inter2, (lo, hi), t.interior2_s[mu, nu])
+            assert np.array_equal(wedge2, wedge1[mu] @ wedge1[nu])
+            assert np.array_equal(inter2, inter1[mu] @ inter1[nu])
+            if mu != nu:
+                both = 1 << mu | 1 << nu
+                assert len(set(lo.tolist())) == quarter
+                assert not np.any(lo & both) and np.array_equal(hi, lo | both)
+            else:
+                assert not np.any(t.wedge2_s[mu, nu]) and not np.any(t.interior2_s[mu, nu])
