@@ -15,10 +15,11 @@ BACKEND_NAME = "python"
 
 
 def wedge_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[p] = a[p] ^ b[p] for each batch row p."""
+    """out[p] = a[p] ^ b[p] for each batch row p; a single row of a or b
+    broadcasts against the other's rows."""
     prod = a[:, t.wedge_i] * b[:, t.wedge_j] * t.wedge_s
     segsum = np.add.reduceat(prod, t.wedge_starts, axis=1)
-    out = np.zeros_like(a)
+    out = np.zeros((len(segsum), t.size), dtype=segsum.dtype)
     out[:, t.wedge_cols] = segsum
     return out
 

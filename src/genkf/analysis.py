@@ -28,7 +28,7 @@ from .fields import (
     vol_density,
 )
 from .multivector import GenVector, GradedForm, exp_two_form, mukai_pair, two_form_matrix, wedge
-from .structures import GCStructure, clifford_matrix, gcs_complex, gk_validate, spinor_line
+from .structures import OMEGA_BLOCK, clifford_matrix, gk_validate, spinor_line, standard_complex
 
 __all__ = [
     "SymbolReport",
@@ -39,8 +39,6 @@ __all__ = [
     "solve_eh_line",
 ]
 
-_J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
-_OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _RANK_TOL = 1e-8
 _TRIAL_BLOCK = 32  # directions per stacked rank test; bounds peak memory
 
@@ -297,7 +295,7 @@ def _positive_blocks(omega, n):
     if np.max(np.abs(om + om.T)) > 1e-12 * scale:
         raise ValueError("omega must be antisymmetric")
     c = np.array([om[2 * i, 2 * i + 1] for i in range(n)])
-    model = np.kron(np.diag(c), _OMEGA_BLOCK)
+    model = np.kron(np.diag(c), OMEGA_BLOCK)
     if np.max(np.abs(om - model)) > 1e-12 * scale:
         raise ValueError("omega must pair coordinates (2i, 2i+1) blockwise")
     if np.any(c <= 0.0):
@@ -317,8 +315,7 @@ def cohiggs_residual(conn, omega, lam, dbar_tol=1e-6):
     grid = conn.grid
     n = grid.n
     weights, om = _positive_blocks(omega, n)
-    jref = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
-    defect = dbar_residual(grid, conn, jref)
+    defect = dbar_residual(grid, conn, standard_complex(n))
     if defect > dbar_tol:
         raise ValueError(f"connection is not co-Higgs (dbar defect {defect:.3e})")
     f = conn.field_strength()
@@ -330,11 +327,8 @@ def cohiggs_residual(conn, omega, lam, dbar_tol=1e-6):
         total = total + w @ wh - wh @ w
     k = constants.COHIGGS_SCALE * total
     k = (k + np.swapaxes(k, -1, -2).conj()) / 2.0
-    res = k - lam * np.eye(conn.rank)[(None,) * (2 * n)]
     psi = FormField.constant(grid, exp_two_form(GradedForm.from_two_form_matrix(1j * om)))
-    vol = vol_density(grid, psi)
-    dens = np.einsum("...ij,...ji->...", res, np.swapaxes(res, -1, -2).conj()).real
-    return res, float(np.sqrt(grid.integrate(vol * dens)))
+    return eh_residual_from(k, psi, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +368,8 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
     fcurv = curvature(conn, psi)
     lam = lambda_from(chern_from(fcurv, psi), psi, conn.rank)
     _, eh_norm = eh_residual_from(mean_curvature_from(fcurv, psi), psi, lam)
-    jref = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
     return val, {
-        "dbar_residual": dbar_residual(grid, conn, jref),
+        "dbar_residual": dbar_residual(grid, conn, standard_complex(n)),
         "eh_residual": eh_norm,
         "lambda": lam,
     }
@@ -507,8 +500,9 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     curvature of init is computed once and gives lam and the right-hand
     side.  lam defaults to the chern-normalized value (any other target is
     unreachable).  Returns the updated connection and a FlowTrace; raises
-    if the rank is not one or the step size collapses below 1e-12 before
-    the tolerance is met.
+    ValueError if the rank is not one or the starting residual is not
+    finite, RuntimeError if the step size collapses below 1e-12 before the
+    tolerance is met.
     """
     grid = init.grid
     if init.rank != 1:
@@ -523,6 +517,11 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
 
     rhs = -(weight * (k0 - lam))
     hist = [float(np.sqrt(np.sum(rhs * rhs)))]
+    if not np.isfinite(hist[0]):
+        raise ValueError(
+            f"lambda ({lam:.6g}) or the connection is too large: "
+            "the starting residual is not finite"
+        )
     if hist[0] <= tol:
         return init, FlowTrace(0, np.array(hist), 0.0, True, lam)
 

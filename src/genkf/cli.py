@@ -34,10 +34,8 @@ from .fields import (
     mean_curvature_from,
     validate_spinor_field,
 )
-from .structures import UDecomposition, gcs_complex, gcs_from_spinor, gcs_symplectic
-from .verify import require_finite_curvature, run_suite
-
-_J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
+from .structures import UDecomposition, gcs_from_spinor, gcs_symplectic, standard_complex
+from .verify import run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,49 +78,63 @@ def _deliver(doc, args, stdout_fallback=False):
         report.emit(doc, None)
 
 
-def cmd_verify(cfg, args) -> int:
-    validate_spinor_field(cfg.grid, cfg.psi)
-    rows = run_suite(cfg, seed=args.seed)
-    failures = sum(0 if r["pass"] else 1 for r in rows)
-    for r in rows:
-        tag = "PASS" if r["pass"] else "FAIL"
-        print(f"{tag}  {r['check']}  error={r['error']:.3e}  tol={r['tolerance']:.0e}")
-    print(f"{len(rows) - failures}/{len(rows)} checks passed")
-    doc = report.document(
-        "verify",
-        args.seed,
-        cfg.summary,
-        {"checks": rows, "passed": failures == 0, "failures": failures},
-    )
-    _deliver(doc, args)
-    return 0 if failures == 0 else 1
+def _curvature_numbers(cfg):
+    """Validate the document's spinor, then compute the curvature F of its
+    connection and what is read off it.
 
-
-def _curvature_numbers(cfg, psi):
-    """The curvature F of the document's connection and what is read off it.
-
-    F is computed once; the mean curvature k, the chern pair, lambda (unless
-    the document fixes it) and the EH residual norm all derive from it.
-    Returns (f, k, chern, lam, norm); raises ValueError naming the document
-    keys at fault when any of them is not finite.
+    F is computed once per command; the mean curvature k, the chern pair,
+    lambda (unless the document fixes it) and the EH residual norm all derive
+    from it.  Returns (f, k, chern, lam, norm); raises ValueError naming the
+    document keys at fault when lambda is not real or any of them is not
+    finite.
     """
+    psi = validate_spinor_field(cfg.grid, cfg.psi)
+    keys = "connection.A or connection.V"
     f = curvature(cfg.conn, psi, validate=False)
     k = mean_curvature_from(f, psi)
     chern = chern_from(f, psi)
-    lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
+    try:
+        lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
+    except ValueError as exc:  # roundoff of a huge curvature
+        raise ValueError(f"{keys} is too large: {exc}") from None
     _, norm = eh_residual_from(k, psi, lam)
-    keys = "connection.A or connection.V"
     if cfg.lam is not None:
         keys += " or lambda"
-    require_finite_curvature(keys, f, k, chern, lam, norm)
+    if not (
+        np.all(np.isfinite(f.data))
+        and np.all(np.isfinite(k))
+        and np.all(np.isfinite([chern, lam, norm]))
+    ):
+        raise ValueError(
+            f"{keys} is too large: the curvature or a number read off it "
+            "(mean curvature, chern pair, lambda, EH residual) is not finite"
+        )
     return f, k, chern, lam, norm
 
 
+def _verify_body(cfg, curv, seed):
+    """The suite's rows and their tally, as verify and report write them."""
+    rows = run_suite(cfg, curv, seed=seed)
+    failures = sum(0 if r["pass"] else 1 for r in rows)
+    return {"checks": rows, "passed": failures == 0, "failures": failures}
+
+
+def cmd_verify(cfg, args) -> int:
+    body = _verify_body(cfg, _curvature_numbers(cfg), args.seed)
+    rows = body["checks"]
+    for r in rows:
+        tag = "PASS" if r["pass"] else "FAIL"
+        print(f"{tag}  {r['check']}  error={r['error']:.3e}  tol={r['tolerance']:.0e}")
+    print(f"{len(rows) - body['failures']}/{len(rows)} checks passed")
+    doc = report.document("verify", args.seed, cfg.summary, body)
+    _deliver(doc, args)
+    return 0 if body["passed"] else 1
+
+
 def cmd_curvature(cfg, args) -> int:
-    grid, conn = cfg.grid, cfg.conn
-    psi = validate_spinor_field(grid, cfg.psi)
+    grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
     n = grid.n
-    f, k, chern, lam, norm = _curvature_numbers(cfg, psi)
+    f, k, chern, lam, norm = _curvature_numbers(cfg)
     closed = float(np.max(np.abs(d_field(psi).data)))
 
     fscale = float(np.max(np.abs(f.data))) + 1e-30
@@ -134,7 +146,7 @@ def cmd_curvature(cfg, args) -> int:
             continue
         window = max(window, float(np.max(np.abs(dec.projector(kk) @ flat))) / fscale)
 
-    dbar = dbar_residual(grid, conn, gcs_complex(np.kron(np.eye(n), _J_BLOCK)))
+    dbar = dbar_residual(grid, conn, standard_complex(n))
 
     print(f"lambda = {lam:.12g}")
     print(f"eh residual = {norm:.6e}")
@@ -197,79 +209,54 @@ def cmd_solve(cfg, args) -> int:
     return 0 if trace.converged else 1
 
 
-def cmd_symbols(cfg, args) -> int:
+def _symbols_body(cfg, args):
+    """Symbol exactness of the standard pair at the document's theta
+    (default dx^0), as symbols writes it."""
     n = cfg.n
     theta = cfg.theta
     if theta is None:
         theta = np.zeros(2 * n)
         theta[0] = 1.0
-    jc = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
-    js = gcs_symplectic(cfg.omega)
-    rep = symbol_exactness(
-        n, cfg.rank, jc, js, theta, trials=args.trials, seed=args.seed
-    )
-    print(f"dims  = {list(rep.dims)}")
-    print(f"ranks = {list(rep.ranks)}")
-    for j, ok in enumerate(rep.exact):
+    jc, js = standard_complex(n), gcs_symplectic(cfg.omega)
+    rep = symbol_exactness(n, cfg.rank, jc, js, theta, trials=args.trials, seed=args.seed)
+    return {
+        "theta": rep.theta.as_array().real,
+        "dims": list(rep.dims),
+        "ranks": list(rep.ranks),
+        "exact": list(rep.exact),
+        "trials": args.trials,
+    }
+
+
+def cmd_symbols(cfg, args) -> int:
+    body = _symbols_body(cfg, args)
+    print(f"dims  = {body['dims']}")
+    print(f"ranks = {body['ranks']}")
+    for j, ok in enumerate(body["exact"]):
         print(f"junction {j}: {'exact' if ok else 'INEXACT'}")
-    doc = report.document(
-        "symbols",
-        args.seed,
-        cfg.summary,
-        {
-            "theta": rep.theta.as_array().real,
-            "dims": list(rep.dims),
-            "ranks": list(rep.ranks),
-            "exact": list(rep.exact),
-            "trials": args.trials,
-        },
-    )
+    doc = report.document("symbols", args.seed, cfg.summary, body)
     _deliver(doc, args)
-    return 0 if all(rep.exact) else 1
+    return 0 if all(body["exact"]) else 1
 
 
 def cmd_report(cfg, args) -> int:
-    psi = validate_spinor_field(cfg.grid, cfg.psi)
-    _, _, chern, lam, norm = _curvature_numbers(cfg, psi)
-    rows = run_suite(cfg, seed=args.seed)
-    failures = sum(0 if r["pass"] else 1 for r in rows)
-
-    n = cfg.n
-    theta = cfg.theta
-    if theta is None:
-        theta = np.zeros(2 * n)
-        theta[0] = 1.0
-    rep = symbol_exactness(
-        n,
-        cfg.rank,
-        gcs_complex(np.kron(np.eye(n), _J_BLOCK)),
-        gcs_symplectic(cfg.omega),
-        theta,
-        trials=args.trials,
-        seed=args.seed,
-    )
-
+    curv = _curvature_numbers(cfg)
+    _, _, chern, lam, norm = curv
+    verify = _verify_body(cfg, curv, args.seed)
+    symbols = _symbols_body(cfg, args)
+    del symbols["theta"]  # the combined report leaves theta out
     doc = report.document(
         "report",
         args.seed,
         cfg.summary,
         {
-            "verify": {"checks": rows, "passed": failures == 0, "failures": failures},
-            "symbols": {
-                "dims": list(rep.dims),
-                "ranks": list(rep.ranks),
-                "exact": list(rep.exact),
-                "trials": args.trials,
-            },
-            "curvature": {
-                "lambda": lam,
-                "eh_residual": norm,
-                "chern": chern,
-            },
+            "verify": verify,
+            "symbols": symbols,
+            "curvature": {"lambda": lam, "eh_residual": norm, "chern": chern},
         },
     )
     _deliver(doc, args, stdout_fallback=True)
-    return 0 if failures == 0 and all(rep.exact) else 1
+    return 0 if verify["passed"] and all(symbols["exact"]) else 1
 
 
 _COMMANDS = {

@@ -549,10 +549,10 @@ def b_transform_field(b, f):
     """Pointwise e^b wedge on a (form or endomorphism-form) field."""
     grid = f.grid
     t = blade_tables(grid.n)
-    bm = _b_matrix(b, grid.n)
-    eb = exp_two_form(GradedForm.from_two_form_matrix(bm))
-    shape = (t.size,) + (1,) * (f.data.ndim - 1)
-    return _like(f, _wedge_data(t, eb.coeffs.reshape(shape), f.data))
+    eb = exp_two_form(GradedForm.from_two_form_matrix(_b_matrix(b, grid.n)))
+    # one row of e^b against every row of f: the kernel broadcasts it
+    out = _k.wedge_batch(t, eb.coeffs[None], _rows(f.data))
+    return _like(f, _unrows(out, f.data.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

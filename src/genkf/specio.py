@@ -44,8 +44,8 @@ import numpy as np
 
 from .multivector import blade_tables, exp_two_form
 from .fields import MAX_GRID_N, FormField, GenConnection, TorusGrid, _wedge_data
+from .structures import OMEGA_BLOCK
 
-DEFAULT_OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _DEFAULT_SIZE = 32
 _DEFAULT_AMP = 0.1
 _DEFAULT_MODES = 2
@@ -171,7 +171,7 @@ def _eval_expr(expr, grid, what):
 
 def _omega_matrix(spec, n):
     if spec is None:
-        return np.kron(np.eye(n), DEFAULT_OMEGA_BLOCK)
+        return np.kron(np.eye(n), OMEGA_BLOCK)
     m = _as_matrix(spec, (2 * n, 2 * n), "psi.omega")
     if np.max(np.abs(m + m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise SpecError("psi.omega must be antisymmetric")

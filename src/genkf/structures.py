@@ -44,11 +44,17 @@ __all__ = [
     "gk_validate",
     "spinor_kernel",
     "spinor_line",
+    "standard_complex",
 ]
 
 _KERNEL_SVD_TOL = 1e-10
 _ISOTROPY_TOL = 1e-10
 _DEGREE_TOL = 1e-12
+
+# The standard structures pair coordinates (2i, 2i+1) blockwise:
+# J e_{2i} = e_{2i+1} and omega = sum_i dx^{2i} ^ dx^{2i+1}.
+_J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
+OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def clifford_matrix(e, n: int) -> np.ndarray:
@@ -115,6 +121,11 @@ def gcs_complex(j_small) -> GCStructure:
     out[:dim, :dim] = j_small
     out[dim:, dim:] = -j_small.T
     return GCStructure(out)
+
+
+def standard_complex(n: int) -> GCStructure:
+    """gcs_complex of the standard complex structure on R^{2n}."""
+    return gcs_complex(np.kron(np.eye(n), _J_BLOCK))
 
 
 def gcs_symplectic(omega) -> GCStructure:

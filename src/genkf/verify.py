@@ -27,14 +27,15 @@ from .multivector import (
     wedge,
 )
 from .structures import (
+    OMEGA_BLOCK,
     GKPair,
     UDecomposition,
     gcs_b_transform,
-    gcs_complex,
     gcs_from_spinor,
     gcs_symplectic,
     gk_validate,
     spinor_line,
+    standard_complex,
     u_project,
 )
 from .fields import (
@@ -62,9 +63,6 @@ from .fields import (
     vol_density,
 )
 from .analysis import cohiggs_residual, solve_eh_line, symbol_exactness
-
-_J_BLOCK = np.array([[0.0, -1.0], [1.0, 0.0]])
-_OMEGA_BLOCK = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _SYMBOL_TABLES = {
     1: ((1, 4, 3), (1, 3)),
@@ -233,7 +231,7 @@ def _algebra_checks(rng, n, trials=40):
 
 def _structure_checks(rng, n, omega, psi0):
     rows = []
-    jc = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
+    jc = standard_complex(n)
     js = gcs_symplectic(omega)
 
     j = gcs_from_spinor(psi0)
@@ -307,24 +305,10 @@ def _structure_checks(rng, n, omega, psi0):
     return rows
 
 
-def require_finite_curvature(keys, f, k, chern, lam, norm):
-    """Raise ValueError naming the document keys unless the curvature f and
-    the numbers read off it (k, the chern pair, lambda, the EH norm) are all
-    finite."""
-    if not (
-        np.all(np.isfinite(f.data))
-        and np.all(np.isfinite(k))
-        and np.all(np.isfinite([chern, lam, norm]))
-    ):
-        raise ValueError(
-            f"{keys} is too large: the curvature or a number read off it "
-            "(mean curvature, chern pair, lambda, EH residual) is not finite"
-        )
-
-
-def _field_checks(rng, cfg):
+def _field_checks(rng, cfg, curv):
     rows = []
     grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
+    fcurv, kmean, c0 = curv[:3]
     n = grid.n
     t = blade_tables(n)
     scale_psi = float(np.max(np.abs(psi.data)))
@@ -386,8 +370,6 @@ def _field_checks(rng, cfg):
         )
     )
 
-    # the caller validated cfg.psi (see run_suite); psi_b is new and checked
-    fcurv = curvature(conn, psi, validate=False)
     fscale = float(np.max(np.abs(fcurv.data))) + 1e-30
     err = 0.0
     for point in _sample_index_points(rng, grid, 6):
@@ -401,7 +383,8 @@ def _field_checks(rng, cfg):
 
     # bfield_act shifts A and so nabla_V in D^2(psi (x) s) = F_A(psi) s +
     # psi (x) nabla_V s, hence the curvature obeys
-    # F_{b.A}(e^b psi) = e^b F_A(psi) + (sum_{mu nu} V^mu V^nu b_{nu mu}) e^b psi
+    # F_{b.A}(e^b psi) = e^b F_A(psi) + (sum_{mu nu} V^mu V^nu b_{nu mu}) e^b psi;
+    # psi_b is new, so its curvature validates it
     conn_b = bfield_act(bmat, conn)
     psi_b = b_transform_field(bmat, psi)
     lhs = curvature(conn_b, psi_b)
@@ -416,11 +399,9 @@ def _field_checks(rng, cfg):
         )
     )
 
-    c0 = chern_from(fcurv, psi)
+    # the topological lambda, whatever lambda the document fixes
     lam = lambda_from(c0, psi, conn.rank)
-    k = mean_curvature_from(fcurv, psi)
-    _, norm0 = eh_residual_from(k, psi, lam)
-    require_finite_curvature("connection.A or connection.V", fcurv, k, c0, lam, norm0)
+    _, norm0 = eh_residual_from(kmean, psi, lam)
     _, norm_b = eh_residual_from(mean_curvature_from(lhs, psi_b), psi_b, lam)
     rows.append(
         _row("fields/eh-norm-b-invariance", 1e-10, _rel(abs(norm_b - norm0), norm0))
@@ -444,7 +425,7 @@ def _field_checks(rng, cfg):
     rows.append(_row("fields/chern-connection-independence", 1e-10, err))
 
     vol = vol_density(grid, psi)
-    drift = grid.integrate(vol * (np.einsum("...ii->...", k).real - conn.rank * lam))
+    drift = grid.integrate(vol * (np.einsum("...ii->...", kmean).real - conn.rank * lam))
     rows.append(_row("fields/chern-mean-consistency", 1e-10, _rel(abs(drift), abs(lam))))
 
     rows.append(
@@ -452,8 +433,8 @@ def _field_checks(rng, cfg):
             "fields/mean-curvature-hermitian",
             1e-12,
             _rel(
-                np.max(np.abs(k - np.swapaxes(k, -1, -2).conj())),
-                float(np.max(np.abs(k))),
+                np.max(np.abs(kmean - np.swapaxes(kmean, -1, -2).conj())),
+                float(np.max(np.abs(kmean))),
             ),
         )
     )
@@ -470,7 +451,7 @@ def _field_checks(rng, cfg):
         _row("fields/gm-symplectic-antisymmetry", 1e-10, _rel(abs(w12 + w21), abs(w12)))
     )
 
-    pair = GKPair(gcs_complex(np.kron(np.eye(n), _J_BLOCK)), gcs_symplectic(cfg.omega))
+    pair = GKPair(standard_complex(n), gcs_symplectic(cfg.omega))
     g12 = gm_metric(grid, a1, a2, pair, psi)
     g21 = gm_metric(grid, a2, a1, pair, psi)
     g11 = gm_metric(grid, a1, a1, pair, psi)
@@ -481,7 +462,7 @@ def _field_checks(rng, cfg):
 
     xi = _rand_xi(rng, grid, conn.rank)
     mv = moment_value(grid, conn, xi, psi)
-    pairing = np.einsum("...ij,...ji->...", xi, k)
+    pairing = np.einsum("...ij,...ji->...", xi, kmean)
     want = -grid.integrate(vol * pairing.imag)
     rows.append(
         _row("fields/moment-mean-curvature-pairing", 1e-10, _rel(abs(mv - want), abs(mv)))
@@ -501,7 +482,7 @@ def _field_checks(rng, cfg):
         _row(
             "fields/dbar-flat-connection",
             1e-12,
-            dbar_residual(grid, flat, gcs_complex(np.kron(np.eye(n), _J_BLOCK))),
+            dbar_residual(grid, flat, standard_complex(n)),
         )
     )
 
@@ -511,7 +492,7 @@ def _field_checks(rng, cfg):
 def _line_oracle_check(rng):
     grid = TorusGrid(1, (16, 16))
     c = 0.4
-    om = _OMEGA_BLOCK
+    om = OMEGA_BLOCK
     psi = FormField.constant(grid, exp_two_form((c + 1j) * om))
     a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
     v = np.stack([_trig(rng, grid), _trig(rng, grid)])
@@ -541,8 +522,8 @@ def _analysis_checks(rng, cfg, seed):
     rows = []
     n = cfg.n
     r = min(cfg.rank, 2)
-    jc = gcs_complex(np.kron(np.eye(n), _J_BLOCK))
-    js = gcs_symplectic(np.kron(np.eye(n), _OMEGA_BLOCK))
+    jc = standard_complex(n)
+    js = gcs_symplectic(np.kron(np.eye(n), OMEGA_BLOCK))
     theta = np.zeros(2 * n)
     theta[0] = 1.0
 
@@ -592,7 +573,7 @@ def _analysis_checks(rng, cfg, seed):
     for mu in range(2):
         a[mu] = (1j * _trig(rng, grid))[..., None, None] * np.eye(rr)
     w = np.array([[0.2, 0.9], [0.1, -0.2]]) + 1j * np.array([[0.0, 0.3], [-0.4, 0.0]])
-    om = _OMEGA_BLOCK
+    om = OMEGA_BLOCK
     v = np.zeros_like(a)
     z = np.array([1.0, 1j]) / np.sqrt(2.0)
     for mu in range(2):
@@ -623,16 +604,18 @@ def _analysis_checks(rng, cfg, seed):
     return rows
 
 
-def run_suite(cfg, seed=0):
+def run_suite(cfg, curv, seed=0):
     """All checks as report rows; deterministic for a fixed seed.
 
-    The caller validates cfg.psi first; curvatures on it here skip that check.
+    The caller validates cfg.psi first and passes curv, the document's
+    (F, mean curvature, chern pair, lambda, EH norm) checked for finiteness
+    (cli._curvature_numbers); curvatures on cfg.psi here skip validation.
     """
     rng = np.random.default_rng([seed, 101])
     psi0 = cfg.psi.value_at((0,) * (2 * cfg.n))
     rows = []
     rows += _algebra_checks(rng, cfg.n)
     rows += _structure_checks(rng, cfg.n, cfg.omega, psi0)
-    rows += _field_checks(rng, cfg)
+    rows += _field_checks(rng, cfg, curv)
     rows += _analysis_checks(rng, cfg, seed)
     return rows

@@ -1,11 +1,17 @@
 """End-to-end tests for the command-line driver and input documents."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genkf import analysis, cli, fields, report
 from genkf.cli import main
@@ -231,28 +237,24 @@ def test_curvature_command_computes_curvature_once(tmp_path, capsys, monkeypatch
     assert len(calls) == 1
 
 
-def test_report_adds_one_curvature_to_the_suite(tmp_path, capsys, monkeypatch):
+def test_report_computes_no_curvature_beyond_verify(tmp_path, capsys, monkeypatch):
+    # the document's F is computed once, before the suite, which takes it
     calls = count_curvature(monkeypatch)
-    in_suite = []
-    real_suite = cli.run_suite
-
-    def suite(cfg, seed=0):
+    counts = {}
+    for command in ("verify", "report"):
         before = len(calls)
-        rows = real_suite(cfg, seed=seed)
-        in_suite.append(len(calls) - before)
-        return rows
-
-    monkeypatch.setattr("genkf.cli.run_suite", suite)
-    args = ["report", "--grid", "16", "--trials", "2", "--input", write_doc(tmp_path, _RANK2_DOC)]
-    assert main(args + ["--output", str(tmp_path / "rep.json")]) == 0
-    assert len(in_suite) == 1
-    assert len(calls) - in_suite[0] == 1
+        args = [command, "--grid", "16", "--trials", "2", "--input", write_doc(tmp_path, _RANK2_DOC)]
+        assert main(args + ["--output", str(tmp_path / f"{command}.json")]) == 0
+        counts[command] = len(calls) - before
+        assert len(set(calls[before:])) == counts[command]
+    assert counts["report"] == counts["verify"]
 
 
 def test_field_checks_compute_each_curvature_once(monkeypatch):
     calls = count_curvature(monkeypatch)
     cfg = build_config(_RANK2_DOC, grid_sizes=(16, 16), seed=4)
-    rows = _field_checks(np.random.default_rng(0), cfg)
+    curv = cli._curvature_numbers(cfg)
+    rows = _field_checks(np.random.default_rng(0), cfg, curv)
     assert all(row["pass"] for row in rows)
     assert len(calls) >= 5
     assert len(set(calls)) == len(calls)
@@ -262,8 +264,8 @@ def test_field_checks_compute_each_curvature_once(monkeypatch):
 def test_suite_validates_the_document_spinor_first_and_once(
     tmp_path, capsys, monkeypatch, command
 ):
-    # the command validates psi before any curvature; the suite's own
-    # curvatures on it skip the check, and only the three moment_value
+    # the command validates psi before any curvature; its F and the suite's
+    # own curvatures on psi skip the check, and only the three moment_value
     # calls (public, validating) see it again
     events = []
     real_validate, real_curvature = fields.validate_spinor_field, fields.curvature
@@ -287,8 +289,8 @@ def test_suite_validates_the_document_spinor_first_and_once(
     assert main(args + ["--output", str(tmp_path / "out.json")]) == 0
     assert events[0] == ("validate", psi)
     assert events.count(("validate", psi)) == 4
-    # fcurv, no_v and other; report adds its own F
-    assert events.count(("curvature", psi)) == (3 if command == "verify" else 4)
+    # the command's F, then the suite's no_v and other
+    assert events.count(("curvature", psi)) == 3
 
 
 def test_solve_command_computes_each_curvature_once(tmp_path, capsys, monkeypatch):
@@ -371,18 +373,27 @@ def test_overflowing_connection_exits_2_before_work(tmp_path, capsys, monkeypatc
     assert f"connection.{key} is too large" in err
 
 
-@pytest.mark.parametrize("command", ["curvature", "report", "verify"])
-def test_huge_finite_connection_exits_2_before_render(tmp_path, capsys, monkeypatch, command):
-    # passes the overflow check of the document, but |F|^2 in the EH norm overflows
+@pytest.mark.parametrize(
+    "command, rank",
+    [
+        pytest.param(command, rank, id=command + ("" if rank == 2 else "-rank1"))
+        for rank in (2, 1)
+        for command in ("curvature", "report", "verify")
+    ],
+)
+def test_huge_finite_connection_exits_2_before_render(
+    tmp_path, capsys, monkeypatch, command, rank
+):
+    # passes the overflow check of the document, but at rank 2 |F|^2 in the
+    # EH norm overflows, and at rank 1 roundoff makes lambda non-real
     def unreachable(*args, **kwargs):
         raise AssertionError("reached with a non-finite curvature")
 
     monkeypatch.setattr("genkf.report.render", unreachable)
-    if command != "verify":  # verify meets the curvature inside the suite
-        monkeypatch.setattr("genkf.cli.run_suite", unreachable)
+    monkeypatch.setattr("genkf.cli.run_suite", unreachable)
     doc = {
         "n": 1,
-        "bundle": {"rank": 2},
+        "bundle": {"rank": rank},
         "connection": {"A": {"random": {"amp": 1e100}}, "V": {"random": {"amp": 1e100}}},
     }
     out = tmp_path / "out.json"
@@ -393,14 +404,57 @@ def test_huge_finite_connection_exits_2_before_render(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-def test_huge_document_lambda_is_named(tmp_path, capsys):
-    # a finite lambda whose square overflows in the EH norm
+def test_huge_document_lambda_is_named(tmp_path, capsys, monkeypatch):
+    # a finite lambda whose square overflows in the EH norm (verify and
+    # report stop before their suite) or in the solver's starting residual
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached with an overflowing lambda")
+
+    monkeypatch.setattr("genkf.cli.run_suite", unreachable)
+    monkeypatch.setattr("genkf.analysis._line_map", unreachable)
     out = tmp_path / "out.json"
-    args = ["curvature", "--grid", "16", "--input", write_doc(tmp_path, {"lambda": 1e300})]
-    with np.errstate(over="ignore"):
-        assert main(args + ["--output", str(out)]) == 2
-    assert "connection.A or connection.V or lambda is too large" in capsys.readouterr().err
-    assert not out.exists()
+    path = write_doc(tmp_path, {"lambda": 1e300})
+    named = "connection.A or connection.V or lambda is too large"
+    for command, message in (
+        ("curvature", named),
+        ("verify", named),
+        ("report", named),
+        ("solve", "lambda (1e+300) or the connection is too large"),
+    ):
+        args = [command, "--grid", "16", "--input", path, "--output", str(out)]
+        with np.errstate(over="ignore"):
+            assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    command=st.sampled_from(["verify", "curvature", "solve", "symbols", "report"]),
+    rank=st.sampled_from([1, 2]),
+    exponents=st.tuples(st.floats(-3.0, 300.0), st.floats(-3.0, 300.0)),
+)
+def test_any_connection_amplitude_ends_with_a_status(command, rank, exponents):
+    # from tiny to overflowing random connections, every command returns
+    # 0, 1 or 2; none raises or meets a non-finite number at render time
+    amp_a, amp_v = (10.0**e for e in exponents)
+    doc = {
+        "n": 1,
+        "bundle": {"rank": rank},
+        "connection": {"A": {"random": {"amp": amp_a}}, "V": {"random": {"amp": amp_v}}},
+    }
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        args = [command, "--grid", "8", "--trials", "2", "--input", path]
+        args += ["--output", os.path.join(tmp, "out.json")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with np.errstate(all="ignore"):
+                rc = main(args)
+    assert rc in (0, 1, 2)
+    assert "Out of range float" not in err.getvalue()
 
 
 @pytest.mark.parametrize(

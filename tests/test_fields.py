@@ -64,6 +64,7 @@ from genkf.fields import (
     _small_matmul,
     _unrows,
     _variation_act,
+    _wedge_data,
 )
 
 RNG = np.random.default_rng(660301)
@@ -802,6 +803,27 @@ def test_b_transform_field_matches_pointwise():
     p = (2, 7)
     want = b_transform(GradedForm.from_two_form_matrix(bmat), f.value_at(p))
     assert max_abs(out.value_at(p).coeffs - want.coeffs) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rank", [None, 2])
+def test_b_transform_field_equals_broadcast_wedge_bitwise(n, rank):
+    # one e^b row against every row of the field gives the bits of the
+    # same wedge with e^b copied to every grid point
+    rng = np.random.default_rng(8 + n)
+    g = make_grid(n, 8)
+    shape = (4**n, *g.sizes) + (() if rank is None else (rank, rank))
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    f = FormField(g, data) if rank is None else EndFormField(g, rank, data)
+    m = rng.normal(size=(2 * n, 2 * n))
+    bmat = m - m.T
+    eb = exp_two_form(GradedForm.from_two_form_matrix(bmat)).coeffs
+    t = blade_tables(n)
+    want = _wedge_data(t, eb.reshape((t.size,) + (1,) * (data.ndim - 1)), data)
+    got = b_transform_field(bmat, f)
+    assert type(got) is type(f)
+    assert got.data.shape == want.shape
+    assert got.data.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
