@@ -25,6 +25,7 @@ import numpy as np
 from . import report, specio
 from .analysis import solve_eh_line, symbol_exactness
 from .fields import (
+    LambdaNotReal,
     chern_from,
     curvature,
     d_field,
@@ -78,6 +79,9 @@ def _deliver(doc, args, stdout_fallback=False):
         report.emit(doc, None)
 
 
+_CONNECTION_KEYS = "connection.A or connection.V"
+
+
 def _curvature_numbers(cfg):
     """Validate the document's spinor, then compute the curvature F of its
     connection and what is read off it.
@@ -85,18 +89,15 @@ def _curvature_numbers(cfg):
     F is computed once per command; the mean curvature k, the chern pair,
     lambda (unless the document fixes it) and the EH residual norm all derive
     from it.  Returns (f, k, chern, lam, norm); raises ValueError naming the
-    document keys at fault when lambda is not real or any of them is not
-    finite.
+    document keys at fault when any of them is not finite, and LambdaNotReal
+    (named by main) when lambda is not real.
     """
     psi = validate_spinor_field(cfg.grid, cfg.psi)
-    keys = "connection.A or connection.V"
+    keys = _CONNECTION_KEYS
     f = curvature(cfg.conn, psi, validate=False)
     k = mean_curvature_from(f, psi)
     chern = chern_from(f, psi)
-    try:
-        lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
-    except ValueError as exc:  # roundoff of a huge curvature
-        raise ValueError(f"{keys} is too large: {exc}") from None
+    lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
     _, norm = eh_residual_from(k, psi, lam)
     if cfg.lam is not None:
         keys += " or lambda"
@@ -281,7 +282,11 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except (TypeError, ValueError) as exc:
         msg = str(exc)
-        if "d-closed" in msg:
+        if isinstance(exc, LambdaNotReal):
+            # the document's chern pair gives every lambda_from in a
+            # command: roundoff of a huge curvature of its connection
+            msg = f"{_CONNECTION_KEYS} is too large: {msg}"
+        elif "d-closed" in msg:
             msg = f"psi not d-closed ({msg})"
         print(f"error: {msg}", file=sys.stderr)
         return 2

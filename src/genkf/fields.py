@@ -33,6 +33,7 @@ __all__ = [
     "EndFormField",
     "FormField",
     "GenConnection",
+    "LambdaNotReal",
     "TorusGrid",
     "b_transform_field",
     "bfield_act",
@@ -362,12 +363,22 @@ def lie_derivative(grid: TorusGrid, v, f: FormField) -> FormField:
 
 
 def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
-    """d a + sum_mu dx^mu ^ [A_mu, a]."""
+    """d a + sum_mu dx^mu ^ [A_mu, a].
+
+    At rank 1 this is d a, bit for bit: _small_matmul is np.matmul there,
+    whose scalar products commute exactly, so each commutator is p - p =
+    +0 for finite p, and adding +-0 changes no bit of an accumulator
+    started at +0 (see _signed).  The one difference is where a product
+    overflows: the commutator was inf - inf = NaN there, and is now left out.
+    """
     if a.rank != conn.rank:
         raise ValueError("rank mismatch")
+    da = d_field(a)
+    if a.rank == 1:
+        return da
     grid = conn.grid
     t = blade_tables(grid.n)
-    out = d_field(a).data
+    out = da.data
     for mu in range(2 * grid.n):
         amu = conn.A[mu][None]  # broadcast over the blade axis
         sub = a.data[t.axis_lo[mu]]
@@ -438,6 +449,11 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
     This is the gauge-covariant part of D^2 for D = d + A^ + sum_mu V^mu i_mu:
     on a d-closed psi and a section s, D^2(psi (x) s) = F_A(psi) s +
     psi (x) nabla_V s with nabla = d + A.
+
+    At rank 1 the quadratic [V^mu, V^nu] term is skipped, as covariant_d
+    skips [A_mu, .]: each commutator is an exact +0, and so is the term.
+    field_strength keeps its [A_mu, A_nu]: there the commutator enters as
+    (y + p) - p, which is not y bit for bit.
     """
     grid = conn.grid
     psi = _as_form_field(grid, psi)
@@ -463,6 +479,8 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
         ipsi = _signed(t.axis_s[mu], psi.data[t.axis_hi[mu]])
         vpsi[t.axis_lo[mu]] += np.einsum("c...,...ij->c...ij", ipsi, conn.V[mu])
     out += covariant_d(conn, EndFormField(grid, r, vpsi)).data
+    if r == 1:
+        return EndFormField(grid, r, out)
 
     # quadratic vector term: (1/2) sum [V^mu, V^nu] (x) i_mu i_nu
     for mu in range(n2):
@@ -600,13 +618,21 @@ def chern_pair(conn: GenConnection, psi) -> complex:
     return chern_from(curvature(conn, psi), psi)
 
 
+class LambdaNotReal(ValueError):
+    """The chern pair over the total pairing is not real.
+
+    On a valid spinor this only comes from roundoff of a huge curvature, so
+    the connection is at fault; the CLI names its document keys.
+    """
+
+
 def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
     """The topological lambda: the chern pair over rank times the total pairing."""
     grid = psi.grid
     denom = rank * complex(grid.integrate(_pair_density(grid, psi)))
     lam = chern / denom
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
-        raise ValueError(f"lambda is not real: {lam}")
+        raise LambdaNotReal(f"lambda is not real: {lam}")
     return float(lam.real)
 
 
@@ -631,9 +657,17 @@ def _variation_act(grid, var, psi_data, rank):
     return out
 
 
-def moment_value(grid: TorusGrid, conn: GenConnection, xi, psi) -> float:
-    """Integral of Im i^{-n} tr <xi psi, curvature(psibar)>_s."""
-    psi = validate_spinor_field(grid, psi)
+def moment_value(
+    grid: TorusGrid, conn: GenConnection, xi, psi, validate: bool = True
+) -> float:
+    """Integral of Im i^{-n} tr <xi psi, curvature(psibar)>_s.
+
+    validate=False skips validate_spinor_field on psi; the caller must have
+    validated that same spinor field already.
+    """
+    psi = _as_form_field(grid, psi)
+    if validate:
+        validate_spinor_field(grid, psi)
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (*grid.sizes, conn.rank, conn.rank):
         raise ValueError(f"xi shape {xi.shape}")

@@ -36,7 +36,6 @@ from .structures import (
     gk_validate,
     spinor_line,
     standard_complex,
-    u_project,
 )
 from .fields import (
     ConnVariation,
@@ -273,16 +272,16 @@ def _structure_checks(rng, n, omega, psi0):
         )
     )
 
+    dec = UDecomposition(j)
     err = 0.0
     for _ in range(10):
         a = _rand_form(rng, n)
         total = GradedForm.zero(n)
         for k in range(-n, n + 1):
-            total = total + u_project(j, k, a)
+            total = total + dec.project(k, a)
         err = max(err, _rel((total - a).norm(), a.norm()))
     rows.append(_row("structures/u-resolution-identity", 1e-10, err))
 
-    dec = UDecomposition(j)
     err = 0.0
     for k in range(-n, n + 1):
         for l in range(-n, n + 1):
@@ -312,6 +311,9 @@ def _field_checks(rng, cfg, curv):
     n = grid.n
     t = blade_tables(n)
     scale_psi = float(np.max(np.abs(psi.data)))
+    # the topological lambda, whatever lambda the document fixes; first, so
+    # that a non-real one stops the suite before any field work
+    lam = lambda_from(c0, psi, conn.rank)
 
     rows.append(
         _row(
@@ -399,8 +401,6 @@ def _field_checks(rng, cfg, curv):
         )
     )
 
-    # the topological lambda, whatever lambda the document fixes
-    lam = lambda_from(c0, psi, conn.rank)
     _, norm0 = eh_residual_from(kmean, psi, lam)
     _, norm_b = eh_residual_from(mean_curvature_from(lhs, psi_b), psi_b, lam)
     rows.append(
@@ -461,7 +461,7 @@ def _field_checks(rng, cfg, curv):
     rows.append(_row("fields/gm-metric-symmetric-positive", 1e-10, err))
 
     xi = _rand_xi(rng, grid, conn.rank)
-    mv = moment_value(grid, conn, xi, psi)
+    mv = moment_value(grid, conn, xi, psi, validate=False)
     pairing = np.einsum("...ij,...ji->...", xi, kmean)
     want = -grid.integrate(vol * pairing.imag)
     rows.append(
@@ -469,8 +469,10 @@ def _field_checks(rng, cfg, curv):
     )
 
     step = 1e-4
-    plus = moment_value(grid, shift_connection(conn, a1, step), xi, psi)
-    minus = moment_value(grid, shift_connection(conn, a1, -step), xi, psi)
+    plus, minus = (
+        moment_value(grid, shift_connection(conn, a1, s), xi, psi, validate=False)
+        for s in (step, -step)
+    )
     deriv = (plus - minus) / (2.0 * step)
     want = constants.MOMENT_DERIVATIVE_SIGN * gm_symplectic(
         grid, connection_derivative(conn, xi), a1, psi
@@ -609,7 +611,8 @@ def run_suite(cfg, curv, seed=0):
 
     The caller validates cfg.psi first and passes curv, the document's
     (F, mean curvature, chern pair, lambda, EH norm) checked for finiteness
-    (cli._curvature_numbers); curvatures on cfg.psi here skip validation.
+    (cli._curvature_numbers); curvatures and moment values on cfg.psi here
+    skip validation.
     """
     rng = np.random.default_rng([seed, 101])
     psi0 = cfg.psi.value_at((0,) * (2 * cfg.n))

@@ -17,7 +17,8 @@ from genkf import analysis, cli, fields, report
 from genkf.cli import main
 from genkf.multivector import exp_two_form
 from genkf.specio import SpecError, build_config, load_document
-from genkf.verify import _field_checks
+from genkf.structures import OMEGA_BLOCK, UDecomposition, gcs_from_spinor
+from genkf.verify import _field_checks, _structure_checks
 
 
 def write_doc(tmp_path, doc, name="doc.json"):
@@ -260,13 +261,29 @@ def test_field_checks_compute_each_curvature_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_structure_checks_decompose_the_spinor_structure_once(monkeypatch, n):
+    built = []
+    real_init = UDecomposition.__init__
+
+    def counted(self, j):
+        built.append(j.J.tobytes())
+        real_init(self, j)
+
+    monkeypatch.setattr(UDecomposition, "__init__", counted)
+    omega = np.kron(np.eye(n), OMEGA_BLOCK)
+    psi0 = exp_two_form(1j * omega)
+    rows = _structure_checks(np.random.default_rng(0), n, omega, psi0)
+    assert all(row["pass"] for row in rows)
+    assert built == [gcs_from_spinor(psi0).J.tobytes()]
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_suite_validates_the_document_spinor_first_and_once(
     tmp_path, capsys, monkeypatch, command
 ):
     # the command validates psi before any curvature; its F and the suite's
-    # own curvatures on psi skip the check, and only the three moment_value
-    # calls (public, validating) see it again
+    # own curvatures and moment values on psi skip the check
     events = []
     real_validate, real_curvature = fields.validate_spinor_field, fields.curvature
 
@@ -288,7 +305,7 @@ def test_suite_validates_the_document_spinor_first_and_once(
     args = [command, "--grid", "10", "--trials", "2", "--input", path]
     assert main(args + ["--output", str(tmp_path / "out.json")]) == 0
     assert events[0] == ("validate", psi)
-    assert events.count(("validate", psi)) == 4
+    assert events.count(("validate", psi)) == 1
     # the command's F, then the suite's no_v and other
     assert events.count(("curvature", psi)) == 3
 
@@ -426,6 +443,42 @@ def test_huge_document_lambda_is_named(tmp_path, capsys, monkeypatch):
             assert main(args) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+_HUGE_CONNECTION = {"A": {"random": {"amp": 1e100}}, "V": {"random": {"amp": 1e100}}}
+
+
+@pytest.mark.parametrize(
+    "command, lam, grid, rc",
+    [
+        ("solve", None, 16, 2),
+        ("verify", 1.0, 8, 2),
+        ("report", 1.0, 8, 2),
+        ("curvature", 1.0, 8, 0),
+    ],
+)
+def test_non_real_topological_lambda_names_the_connection(
+    tmp_path, capsys, monkeypatch, command, lam, grid, rc
+):
+    # at rank 1 roundoff of the huge curvature makes the chern pair's
+    # lambda non-real: in the solver, and in the suite when the document
+    # fixes lambda (which curvature then reports)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("field work reached after a non-real lambda")
+
+    monkeypatch.setattr("genkf.analysis._line_map", unreachable)
+    monkeypatch.setattr("genkf.verify.d_field", unreachable)
+    doc = {"connection": _HUGE_CONNECTION}
+    if lam is not None:
+        doc["lambda"] = lam
+    args = [command, "--grid", str(grid), "--trials", "2", "--input", write_doc(tmp_path, doc)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args + ["--output", str(tmp_path / "out.json")]) == rc
+    err = capsys.readouterr().err
+    if rc == 2:
+        assert "error: connection.A or connection.V is too large: lambda is not real" in err
+    else:
+        assert err == ""
 
 
 @settings(max_examples=25, deadline=None)

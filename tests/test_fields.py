@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from genkf import _backend, constants
+from genkf import _backend, constants, fields
 from genkf._tables import blade_tables
 from genkf.multivector import (
     GradedForm,
@@ -622,6 +622,21 @@ def test_moment_equals_mean_curvature_pairing():
     assert abs(mv - want) < 1e-10 * max(1.0, abs(mv))
 
 
+def test_moment_value_skips_validation_bitwise_and_validates_by_default():
+    g = make_grid()
+    psi = psi_const(g, c=0.25)
+    for r in (1, 2):
+        conn = random_conn(g, r, RNG)
+        xi = random_xi(g, r, RNG)
+        got = moment_value(g, conn, xi, psi, validate=False)
+        want = moment_value(g, conn, xi, psi)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        bad = nonclosed_psi(g)
+        with pytest.raises(ValueError, match="closed"):
+            moment_value(g, conn, xi, bad)
+        assert np.isfinite(moment_value(g, conn, xi, bad, validate=False))
+
+
 def test_moment_derivative_identity():
     g = make_grid()
     psi = psi_const(g, c=0.2)
@@ -665,17 +680,22 @@ def test_dbar_detects_nonholomorphic():
 # spinor field validation
 
 
-def test_validate_rejects_nonclosed():
-    g = make_grid()
+def nonclosed_psi(g):
+    """e^{i omega} plus a dx^2 piece whose d is nonzero; n = 1."""
     x = g.meshes()
     om = std_omega(1)
     data = np.zeros((4, *g.sizes), dtype=np.complex128)
     base = exp_two_form(GradedForm.from_two_form_matrix(1j * om)).coeffs
     for c in range(4):
         data[c] = base[c]
-    data[2] += 0.2 * np.sin(2 * np.pi * x[0])  # d of this dx^2 piece is nonzero
+    data[2] += 0.2 * np.sin(2 * np.pi * x[0])
+    return FormField(g, data)
+
+
+def test_validate_rejects_nonclosed():
+    g = make_grid()
     with pytest.raises(ValueError, match="closed"):
-        validate_spinor_field(g, FormField(g, data))
+        validate_spinor_field(g, nonclosed_psi(g))
 
 
 def test_validate_rejects_degenerate_point():
@@ -872,6 +892,44 @@ def test_derived_quantities_from_curvature_match_wrappers_bitwise(n, size, r):
     assert lam == lambda_from_chern(conn, psi)
     want_res, want_norm = eh_residual(conn, psi, lam)
     assert np.array_equal(res, want_res) and norm == want_norm
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
+    # at r = 1 each [A_mu, .] of covariant_d and [V^mu, V^nu] of curvature
+    # is an exact +0 and is skipped; field_strength keeps its [A_mu, A_nu]
+    shapes = []
+    real = fields._small_matmul
+
+    def counted(x, y):
+        shapes.append(x.shape[-1])
+        return real(x, y)
+
+    monkeypatch.setattr("genkf.fields._small_matmul", counted)
+    n2 = 2 * n
+    g = make_grid(n, 8)
+    psi = psi_const(g, c=0.3)
+    rng = np.random.default_rng([n, 3])
+    for r in (1, 2):
+        conn = random_conn(g, r, rng)
+        a = EndFormField(g, r, complex_with_zeros(rng, (4**n, *g.sizes, r, r)))
+        counts = []
+        for run in (
+            conn.field_strength,
+            lambda: covariant_d(conn, a),
+            lambda: curvature(conn, psi, validate=False),
+        ):
+            shapes.clear()
+            run()
+            assert set(shapes) <= {r}
+            counts.append(len(shapes))
+        strength, cov, curv = counts
+        assert strength == n2 * (n2 - 1)
+        if r == 1:
+            assert cov == 0 and curv == strength
+        else:
+            assert cov == 2 * n2
+            assert curv == strength + cov + 2 * n2 * (n2 - 1)
 
 
 @st.composite

@@ -7,6 +7,9 @@ bubble-sort parity, and the small Mukai values are frozen by hand.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import genkf
 from genkf import _backend, _kernels_py
@@ -362,6 +365,83 @@ def test_two_form_matrix_roundtrip():
     assert np.allclose(m, -m.T)
     back = GradedForm.from_two_form_matrix(m)
     assert np.max(np.abs(back.coeffs - b.coeffs)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# algebra properties on drawn values, n = 1..3 (no grid fields)
+
+
+@st.composite
+def algebra_values(draw):
+    """n, two complex forms, a complex generalized vector, two real two-forms."""
+    n = draw(st.integers(1, 3))
+    entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+    def reals(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=entries))
+
+    def cplx(shape):
+        return reals(shape) + 1j * reals(shape)
+
+    size, dim = 4**n, 2 * n
+    phi, chi = GradedForm(n, cplx(size)), GradedForm(n, cplx(size))
+    e = GenVector(cplx(dim), cplx(dim))
+    b1, b2 = ((m - m.T) / 2 for m in (reals((dim, dim)), reals((dim, dim))))
+    return n, phi, chi, e, b1, b2
+
+
+def norm_of(x):
+    return float(np.linalg.norm(x.coeffs if isinstance(x, GradedForm) else x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=algebra_values())
+def test_clifford_square_is_the_pairing(values):
+    # e.(e.phi) = <e, e> phi
+    _, phi, _, e, _, _ = values
+    lhs = clifford_act(e, clifford_act(e, phi))
+    rhs = phi * neutral_pairing(e, e)
+    scale = (norm_of(e.vec) + norm_of(e.covec)) ** 2 * norm_of(phi)
+    assert norm_of(lhs - rhs) <= 1e-13 * (1.0 + scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=algebra_values())
+def test_mukai_pairing_is_b_invariant(values):
+    _, phi, chi, _, b, _ = values
+    eb = exp_two_form(b)
+    lhs = mukai_pair(wedge(eb, phi), wedge(eb, chi))
+    scale = norm_of(eb) ** 2 * norm_of(phi) * norm_of(chi)
+    assert abs(lhs - mukai_pair(phi, chi)) <= 1e-13 * (1.0 + scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=algebra_values())
+def test_exp_two_form_is_a_homomorphism(values):
+    # e^{b1} ^ e^{b2} = e^{b1 + b2}
+    _, _, _, _, b1, b2 = values
+    e1, e2 = exp_two_form(b1), exp_two_form(b2)
+    lhs = wedge(e1, e2)
+    rhs = exp_two_form(b1 + b2)
+    assert norm_of(lhs - rhs) <= 1e-13 * (1.0 + norm_of(e1) * norm_of(e2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=algebra_values())
+def test_b_transform_conjugates_the_clifford_action(values):
+    # e^b (v + xi) e^{-b} = v + xi - i_v b, with (i_v b)_mu = sum_nu v^nu
+    # b_{nu mu}: the shift fields.bfield_act applies to A
+    _, phi, _, e, b, _ = values
+    lhs = b_transform(b, clifford_act(e, b_transform(-b, phi)))
+    shifted = GenVector(e.vec, e.covec - np.einsum("n,nm->m", e.vec, b))
+    rhs = clifford_act(shifted, phi)
+    scale = (
+        norm_of(exp_two_form(b))
+        * norm_of(exp_two_form(-b))
+        * (norm_of(e.vec) + norm_of(e.covec))
+        * norm_of(phi)
+    )
+    assert norm_of(lhs - rhs) <= 1e-13 * (1.0 + scale)
 
 
 # ---------------------------------------------------------------------------
