@@ -1,7 +1,9 @@
 """The one seam through which the layers reach the blade kernels.
 
 Layers import the kernels from here rather than from ``_kernels_py``, so
-an outside profiler can wrap these five names in one place.
+an outside profiler can wrap these five names in one place.  The kernels
+take the one coefficient layout of the package, blade axis first:
+(size, *batch) coefficients and (dim, *batch) components.
 """
 
 from __future__ import annotations

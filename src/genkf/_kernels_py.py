@@ -1,8 +1,11 @@
-"""Numpy kernels for batched blade-coefficient algebra.
+"""Numpy kernels for blade-coefficient algebra, blade axis first.
 
-Every function takes coefficient arrays with one flat batch axis:
-``a`` has shape (B, size) complex128 and vector/covector component arrays
-have shape (B, dim).  The layers reach them through ``_backend``.
+Every function takes coefficient arrays of shape (size, *batch) complex128
+and vector/covector component arrays of shape (dim, *batch): the same
+layout as ``GradedForm.coeffs`` (no batch axes) and the field data
+(batch axes = grid axes, then any matrix axes).  Trailing batch axes
+broadcast as numpy's do, so a (size, 1, 1) form or a (dim,) vector acts
+at every point.  The layers reach the kernels through ``_backend``.
 """
 
 from __future__ import annotations
@@ -14,34 +17,50 @@ from ._tables import BladeTables
 BACKEND_NAME = "python"
 
 
+def _batch_ndim(*arrays) -> int:
+    return max(x.ndim for x in arrays) - 1
+
+
+def _lift(x: np.ndarray, nb: int) -> np.ndarray:
+    """x (k, *batch) with its batch axes padded on the left to nb axes."""
+    return x.reshape(x.shape[:1] + (1,) * (nb + 1 - x.ndim) + x.shape[1:])
+
+
+def _column(sign: np.ndarray, nb: int) -> np.ndarray:
+    """One sign per blade, shaped to multiply (blades, *batch) arrays."""
+    return sign.reshape((-1,) + (1,) * nb)
+
+
 def wedge_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[p] = a[p] ^ b[p] for each batch row p; a single row of a or b
-    broadcasts against the other's rows."""
-    prod = a[:, t.wedge_i] * b[:, t.wedge_j] * t.wedge_s
-    segsum = np.add.reduceat(prod, t.wedge_starts, axis=1)
-    out = np.zeros((len(segsum), t.size), dtype=segsum.dtype)
-    out[:, t.wedge_cols] = segsum
+    """out[:, p] = a[:, p] ^ b[:, p] at each batch point p."""
+    nb = _batch_ndim(a, b)
+    a, b = _lift(a, nb), _lift(b, nb)
+    prod = a[t.wedge_i] * b[t.wedge_j] * _column(t.wedge_s, nb)
+    segsum = np.add.reduceat(prod, t.wedge_starts, axis=0)
+    out = np.zeros((t.size,) + segsum.shape[1:], dtype=segsum.dtype)
+    out[t.wedge_cols] = segsum
+    return out
+
+
+def _axis_steps(t, comps, a, src, dst):
+    """sum_mu (sign comps[mu]) a[src[mu]], each term scattered to dst[mu]."""
+    nb = _batch_ndim(comps, a)
+    a = _lift(a, nb)
+    shape = np.broadcast_shapes(comps.shape[1:], a.shape[1:])
+    out = np.zeros((t.size,) + shape, dtype=np.result_type(comps, a))
+    for mu in range(t.dim):
+        out[dst[mu]] += _column(t.axis_s[mu], nb) * comps[mu] * a[src[mu]]
     return out
 
 
 def interior_batch(t: BladeTables, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """out[p] = i_{v[p]} a[p], contracting each axis component in turn."""
-    out = np.zeros_like(a)
-    for mu in range(t.dim):
-        out[:, t.axis_lo[mu]] += (
-            v[:, mu, None] * t.axis_s[mu] * a[:, t.axis_hi[mu]]
-        )
-    return out
+    """out[:, p] = i_{v[:, p]} a[:, p], contracting each axis component in turn."""
+    return _axis_steps(t, v, a, t.axis_hi, t.axis_lo)
 
 
 def wedge1_batch(t: BladeTables, xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """out[p] = (sum_mu xi[p, mu] dx^mu) ^ a[p]."""
-    out = np.zeros_like(a)
-    for mu in range(t.dim):
-        out[:, t.axis_hi[mu]] += (
-            xi[:, mu, None] * t.axis_s[mu] * a[:, t.axis_lo[mu]]
-        )
-    return out
+    """out[:, p] = (sum_mu xi[mu, p] dx^mu) ^ a[:, p]."""
+    return _axis_steps(t, xi, a, t.axis_lo, t.axis_hi)
 
 
 def clifford_batch(
@@ -52,5 +71,9 @@ def clifford_batch(
 
 
 def mukai_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Top-degree coefficient of a ^ sigma(b), one value per batch row."""
-    return np.sum(a * t.mukai_s * b[:, t.mukai_comp], axis=1)
+    """Top-degree coefficient of a ^ sigma(b), one value per batch point."""
+    nb = _batch_ndim(a, b)
+    prod = _lift(a, nb) * _column(t.mukai_s, nb) * _lift(b, nb)[t.mukai_comp]
+    # numpy sums a contiguous last axis pairwise but an outer axis in
+    # sequence; with the blades last, each point sums as its form alone does
+    return np.moveaxis(prod, 0, -1).copy().sum(axis=-1)

@@ -6,6 +6,8 @@ the ascending product dx^{s1} ^ ... ^ dx^{sk}, s1 < ... < sk.
 
 The kernels in _kernels_py and the coordinate wedge/interior in fields
 index coefficient arrays through the frozen integer tables built here.
+Every such array has the blade axis first, (size, *batch), so a table
+selects along axis 0.
 """
 
 from __future__ import annotations

@@ -274,11 +274,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         doc = specio.load_document(args.input)
-        n = doc.get("n", 1) if isinstance(doc, dict) else 1
-        sizes = None
-        if args.grid is not None:
-            sizes = (args.grid,) * (2 * int(n))
-        cfg = specio.build_config(doc, grid_sizes=sizes, rank=args.rank, seed=args.seed)
+        cfg = specio.build_config(doc, grid_size=args.grid, rank=args.rank, seed=args.seed)
         return _COMMANDS[args.command](cfg, args)
     except (TypeError, ValueError) as exc:
         msg = str(exc)

@@ -23,7 +23,6 @@ from ._tables import blade_tables
 from .multivector import (
     GradedForm,
     exp_two_form,
-    neutral_pairing_matrix,
     two_form_matrix,
 )
 from .structures import GCStructure, GKPair, classify_spinor, gcs_from_spinor
@@ -277,16 +276,6 @@ def _small_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(data: np.ndarray) -> np.ndarray:
-    size = data.shape[0]
-    return np.ascontiguousarray(data.reshape(size, -1).T)
-
-
-def _unrows(rows: np.ndarray, rest) -> np.ndarray:
-    size = rows.shape[1]
-    return np.ascontiguousarray(rows.T).reshape((size,) + tuple(rest))
-
-
 def _signed(sign, sub):
     """sign * sub, one sign per blade; a coordinate step is out[dst] += this.
 
@@ -296,24 +285,6 @@ def _signed(sign, sub):
     to nearest).
     """
     return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
-
-
-def _interior_varying(t, vfield, data):
-    """i_v data for v (2n, *sizes), as interior_batch computes it: (v^mu s) data."""
-    v = vfield.astype(np.complex128)
-    out = np.zeros_like(data)
-    for mu in range(t.dim):
-        out[t.axis_lo[mu]] += _signed(t.axis_s[mu], v[mu][None]) * data[t.axis_hi[mu]]
-    return out
-
-
-def _wedge_data(t, d1, d2):
-    """Pointwise wedge of two blade-first arrays with broadcast trailing axes."""
-    rest = np.broadcast_shapes(d1.shape[1:], d2.shape[1:])
-    b1 = np.broadcast_to(d1, (t.size,) + rest)
-    b2 = np.broadcast_to(d2, (t.size,) + rest)
-    out = _k.wedge_batch(t, _rows(b1), _rows(b2))
-    return _unrows(out, rest)
 
 
 def _like(f, data):
@@ -355,10 +326,10 @@ def lie_derivative(grid: TorusGrid, v, f: FormField) -> FormField:
         raise ValueError(f"vector field shape {v.shape}")
     if np.iscomplexobj(v) and np.max(np.abs(v.imag)) > 1e-14:
         raise ValueError("vector field must be real")
-    v = v.real.astype(float)
+    v = v.real.astype(np.complex128)
     t = blade_tables(grid.n)
-    term1 = _interior_varying(t, v, d_field(f).data)
-    term2 = d_field(FormField(grid, _interior_varying(t, v, f.data))).data
+    term1 = _k.interior_batch(t, v, d_field(f).data)
+    term2 = d_field(FormField(grid, _k.interior_batch(t, v, f.data))).data
     return FormField(grid, term1 + term2)
 
 
@@ -568,9 +539,8 @@ def b_transform_field(b, f):
     grid = f.grid
     t = blade_tables(grid.n)
     eb = exp_two_form(GradedForm.from_two_form_matrix(_b_matrix(b, grid.n)))
-    # one row of e^b against every row of f: the kernel broadcasts it
-    out = _k.wedge_batch(t, eb.coeffs[None], _rows(f.data))
-    return _like(f, _unrows(out, f.data.shape[1:]))
+    # one e^b against every point of f: the kernel broadcasts it
+    return _like(f, _k.wedge_batch(t, eb.coeffs, f.data))
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +685,7 @@ def gm_metric(
 ) -> float:
     """Positive metric -integral tr <G a1, a2> vol on skew-Hermitian variations."""
     psi = _as_form_field(grid, psi)
-    m = pair.g_hat().T @ neutral_pairing_matrix(grid.n)
+    m = pair.metric_matrix()
     e1 = np.concatenate([a1.V, a1.A], axis=0)  # (4n, *sizes, r, r)
     e2 = np.concatenate([a2.V, a2.A], axis=0)
     s = np.einsum("jk,j...ab,k...ba->...", m, e1, e2)
@@ -805,25 +775,16 @@ def canonical_line_connection(
         if not (cls.is_pure and cls.is_nondegenerate):
             raise ValueError(f"phi at {point} is not pure nondegenerate: {cls}")
 
-    # build the pointwise linear system c(e_k) phi = column k
-    rows = _rows(phi.data)  # (N, size)
-    npts = rows.shape[0]
-    cols = []
-    for k in range(4 * n):
-        e = np.zeros(4 * n, dtype=np.complex128)
-        e[k] = 1.0
-        v = np.broadcast_to(e[: 2 * n], (npts, 2 * n))
-        xi = np.broadcast_to(e[2 * n :], (npts, 2 * n))
-        cols.append(
-            _k.clifford_batch(t, np.ascontiguousarray(v), np.ascontiguousarray(xi), rows)
-        )
-    m = np.stack(cols, axis=-1)  # (N, size, 4n)
-    target = _rows(d_field(phi).data)  # (N, size)
+    # build the pointwise linear system c(e_k) phi = column k: the basis
+    # vector e_k acts along a last batch axis k
+    basis = np.eye(4 * n, dtype=np.complex128)
+    m = _k.clifford_batch(t, basis[: 2 * n], basis[2 * n :], phi.data[..., None])
+    target = d_field(phi).data  # (size, *sizes)
 
-    gram = np.einsum("psk,psl->pkl", np.conj(m), m).real
-    rhs = np.einsum("psk,ps->pk", np.conj(m), target).real
-    eta = np.linalg.solve(gram, rhs[..., None])[..., 0]  # (N, 4n) real
-    resid = np.einsum("psk,pk->ps", m, eta.astype(np.complex128)) - target
+    gram = np.einsum("s...k,s...l->...kl", np.conj(m), m).real
+    rhs = np.einsum("s...k,s...->...k", np.conj(m), target).real
+    eta = np.linalg.solve(gram, rhs[..., None])[..., 0]  # (*sizes, 4n) real
+    resid = np.einsum("s...k,...k->s...", m, eta.astype(np.complex128)) - target
     worst = float(np.max(np.abs(resid)))
     if worst > 1e-8 * max(1.0, float(np.max(np.abs(target)))):
         raise ValueError(f"d phi is not of the form eta . phi (residual {worst:.3e})")
@@ -844,7 +805,7 @@ def canonical_line_connection(
     for mu in range(2 * n):
         dlog[2 * n + mu] = _diff(grid, log_rho, mu)
 
-    eta_field = np.moveaxis(eta.reshape(grid.sizes + (4 * n,)), -1, 0)
+    eta_field = np.moveaxis(eta, -1, 0)
     comps = 1j * np.einsum(
         "jk,k...->j...", jmat, -eta_field + 0.5 * dlog
     )

@@ -22,7 +22,6 @@ __all__ = [
     "wedge",
     "interior",
     "clifford_act",
-    "involution",
     "mukai_pair",
     "exp_two_form",
     "b_transform",
@@ -30,11 +29,6 @@ __all__ = [
     "neutral_pairing_matrix",
     "two_form_matrix",
 ]
-
-
-def _as_complex_row(values, length):
-    arr = np.asarray(values, dtype=np.complex128).reshape(1, length)
-    return np.ascontiguousarray(arr)
 
 
 class GradedForm:
@@ -208,8 +202,7 @@ def wedge(a: GradedForm, b: GradedForm) -> GradedForm:
     if a.n != b.n:
         raise ValueError("operands live on different spaces")
     t = blade_tables(a.n)
-    out = _k.wedge_batch(t, _as_complex_row(a.coeffs, t.size), _as_complex_row(b.coeffs, t.size))
-    return GradedForm(a.n, out[0])
+    return GradedForm(a.n, _k.wedge_batch(t, a.coeffs, b.coeffs))
 
 
 def interior(v, a: GradedForm) -> GradedForm:
@@ -218,33 +211,21 @@ def interior(v, a: GradedForm) -> GradedForm:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (t.dim,):
         raise ValueError(f"vector must have {t.dim} components")
-    out = _k.interior_batch(t, _as_complex_row(v, t.dim), _as_complex_row(a.coeffs, t.size))
-    return GradedForm(a.n, out[0])
+    return GradedForm(a.n, _k.interior_batch(t, v, a.coeffs))
 
 
 def clifford_act(e: GenVector, a: GradedForm) -> GradedForm:
     if e.n != a.n:
         raise ValueError("operands live on different spaces")
     t = blade_tables(a.n)
-    out = _k.clifford_batch(
-        t,
-        _as_complex_row(e.vec, t.dim),
-        _as_complex_row(e.covec, t.dim),
-        _as_complex_row(a.coeffs, t.size),
-    )
-    return GradedForm(a.n, out[0])
-
-
-def involution(a: GradedForm) -> GradedForm:
-    return a.involution()
+    return GradedForm(a.n, _k.clifford_batch(t, e.vec, e.covec, a.coeffs))
 
 
 def mukai_pair(a: GradedForm, b: GradedForm) -> complex:
     if a.n != b.n:
         raise ValueError("operands live on different spaces")
     t = blade_tables(a.n)
-    out = _k.mukai_batch(t, _as_complex_row(a.coeffs, t.size), _as_complex_row(b.coeffs, t.size))
-    return complex(out[0])
+    return complex(_k.mukai_batch(t, a.coeffs, b.coeffs))
 
 
 def exp_two_form(b) -> GradedForm:

@@ -42,8 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend as _k
 from .multivector import blade_tables, exp_two_form
-from .fields import MAX_GRID_N, FormField, GenConnection, TorusGrid, _wedge_data
+from .fields import MAX_GRID_N, FormField, GenConnection, TorusGrid
 from .structures import OMEGA_BLOCK
 
 _DEFAULT_SIZE = 32
@@ -95,15 +96,27 @@ def load_document(path):
     extra = set(doc) - _DOC_KEYS
     if extra:
         raise SpecError(f"unknown document keys: {sorted(extra)}")
-    found = _non_finite(doc, "")
+    found = _unrepresentable(doc, "")
     if found is not None:
-        raise SpecError(f"{found[0]} must be a finite number, got {found[1]!r}")
+        path, value = found
+        if isinstance(value, float):
+            raise SpecError(f"{path} must be a finite number, got {value!r}")
+        raise SpecError(
+            f"{path} must be an integer in the 64-bit range, "
+            f"got a {len(str(abs(value)))}-digit integer"
+        )
     return doc
 
 
-def _non_finite(value, path):
-    """(key path, value) of the first NaN or infinity in a parsed document."""
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _unrepresentable(value, path):
+    """(key path, value) of the first NaN, infinity or integer outside int64
+    in a parsed document."""
     if isinstance(value, float) and not math.isfinite(value):
+        return path, value
+    if isinstance(value, int) and not _INT64_MIN <= value <= _INT64_MAX:
         return path, value
     if isinstance(value, dict):
         items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
@@ -112,7 +125,7 @@ def _non_finite(value, path):
     else:
         return None
     for sub, v in items:
-        found = _non_finite(v, sub)
+        found = _unrepresentable(v, sub)
         if found is not None:
             return found
     return None
@@ -220,7 +233,7 @@ def _build_psi(grid, bfield, omega):
     acc[0] = 1.0
     term = acc.copy()
     for k in range(1, grid.n + 1):
-        term = _wedge_data(t, term, bdata) * (1.0 / k)
+        term = _k.wedge_batch(t, term, bdata) * (1.0 / k)
         acc = acc + term
     return FormField(grid, acc)
 
@@ -307,8 +320,9 @@ def _theta_components(spec, n):
     return arr
 
 
-def build_config(doc, grid_sizes=None, rank=None, seed=0) -> RunConfig:
-    """Assemble the run configuration, applying command-line overrides."""
+def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
+    """Assemble the run configuration, applying command-line overrides:
+    grid_size (--grid) points on every axis, rank (--rank) and the seed."""
     if not isinstance(doc, dict):
         raise SpecError("input document must be a JSON object")
     n = _as_int(doc.get("n", 1), "n", 1)
@@ -318,7 +332,10 @@ def build_config(doc, grid_sizes=None, rank=None, seed=0) -> RunConfig:
     gspec = doc.get("grid", {})
     if not isinstance(gspec, dict) or set(gspec) - {"sizes", "periods"}:
         raise SpecError("grid must be {'sizes': [...], 'periods': [...]}")
-    sizes = grid_sizes if grid_sizes is not None else gspec.get("sizes")
+    if grid_size is not None:
+        sizes = (grid_size,) * (2 * n)
+    else:
+        sizes = gspec.get("sizes")
     if sizes is None:
         sizes = (_DEFAULT_SIZE if n == 1 else 8,) * (2 * n)
     try:

@@ -63,13 +63,9 @@ def clifford_matrix(e, n: int) -> np.ndarray:
     e = np.asarray(e, dtype=np.complex128)
     if e.shape != (4 * n,):
         raise ValueError(f"need 4n = {4 * n} components, got {e.shape}")
+    # column J of the identity is blade J: the action maps it to column J
     eye = np.eye(t.size, dtype=np.complex128)
-    v = np.broadcast_to(e[: t.dim], (t.size, t.dim))
-    xi = np.broadcast_to(e[t.dim :], (t.size, t.dim))
-    acted = _k.clifford_batch(
-        t, np.ascontiguousarray(v), np.ascontiguousarray(xi), eye
-    )
-    return acted.T
+    return _k.clifford_batch(t, e[: t.dim], e[t.dim :], eye)
 
 
 def _column_space(p: np.ndarray, rank: int) -> np.ndarray:
@@ -147,11 +143,8 @@ def spinor_kernel(phi: GradedForm, tol: float = _KERNEL_SVD_TOL) -> np.ndarray:
     t = blade_tables(phi.n)
     dim4 = 4 * phi.n
     basis = np.eye(dim4, dtype=np.complex128)
-    v = np.ascontiguousarray(basis[:, : t.dim])
-    xi = np.ascontiguousarray(basis[:, t.dim :])
-    a = np.ascontiguousarray(np.broadcast_to(phi.coeffs, (dim4, t.size)))
-    acted = _k.clifford_batch(t, v, xi, a)  # row I = coefficients of e_I . phi
-    m = acted.T  # (size, 4n)
+    # column I = coefficients of e_I . phi
+    m = _k.clifford_batch(t, basis[: t.dim], basis[t.dim :], phi.coeffs)
     _, s, vh = np.linalg.svd(m)
     rank = int(np.sum(s > tol * s[0]))
     return vh[rank:].conj().T

@@ -95,8 +95,9 @@ def _rand_two_form(rng, n):
     return m - m.T
 
 
-def _trig(rng, grid, amp=0.1, modes=3):
-    x = grid.meshes()
+def _trig(rng, grid, x, amp=0.1, modes=3):
+    """Random trigonometric field on grid; x = grid.meshes(), built once by
+    the caller for all its fields."""
     n2 = 2 * grid.n
     out = np.zeros(grid.sizes)
     for _ in range(modes):
@@ -112,24 +113,24 @@ def _rand_skew_mat(rng, r):
     return (g - g.conj().T) / 2.0
 
 
-def _rand_xi(rng, grid, r):
+def _rand_xi(rng, grid, x, r):
     out = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
     for _ in range(2):
-        out += _trig(rng, grid, amp=0.5)[..., None, None] * _rand_skew_mat(rng, r)
+        out += _trig(rng, grid, x, amp=0.5)[..., None, None] * _rand_skew_mat(rng, r)
     return out
 
 
-def _rand_component(rng, grid, r, amp=0.1):
+def _rand_component(rng, grid, x, r):
     n2 = 2 * grid.n
     out = np.zeros((n2, *grid.sizes, r, r), dtype=np.complex128)
     for mu in range(n2):
-        out[mu] = _trig(rng, grid, amp=amp)[..., None, None] * _rand_skew_mat(rng, r)
+        out[mu] = _trig(rng, grid, x)[..., None, None] * _rand_skew_mat(rng, r)
     return out
 
 
-def _rand_conn(rng, grid, r, amp=0.1, with_v=True):
-    a = _rand_component(rng, grid, r, amp)
-    v = _rand_component(rng, grid, r, amp) if with_v else np.zeros_like(a)
+def _rand_conn(rng, grid, x, r):
+    a = _rand_component(rng, grid, x, r)
+    v = _rand_component(rng, grid, x, r)
     return GenConnection(grid, r, a, v)
 
 
@@ -323,8 +324,9 @@ def _field_checks(rng, cfg, curv):
         )
     )
 
-    f = _trig(rng, grid)
-    g = _trig(rng, grid)
+    x = grid.meshes()
+    f = _trig(rng, grid, x)
+    g = _trig(rng, grid, x)
     fdata = np.zeros((t.size, *grid.sizes), dtype=np.complex128)
     fdata[0] = f
     df = d_field(FormField(grid, fdata)).data
@@ -337,17 +339,17 @@ def _field_checks(rng, cfg, curv):
         err = max(err, abs(float(s)))
     rows.append(_row("fields/derivative-skew-sum", 1e-12, err))
 
-    rand_data = np.stack([_trig(rng, grid) for _ in range(t.size)]).astype(
+    rand_data = np.stack([_trig(rng, grid, x) for _ in range(t.size)]).astype(
         np.complex128
     )
     ff = FormField(grid, rand_data)
-    ddf = d_field(d_field(ff))
+    dff = d_field(ff)  # for both rows below
     scale = float(np.max(np.abs(ff.data)))
     rows.append(
         _row(
             "fields/exterior-derivative-nilpotent",
             1e-12,
-            _rel(np.max(np.abs(ddf.data)), scale),
+            _rel(np.max(np.abs(d_field(dff).data)), scale),
         )
     )
 
@@ -356,7 +358,7 @@ def _field_checks(rng, cfg, curv):
             "fields/discrete-stokes",
             1e-12,
             _rel(
-                np.max(np.abs(grid.integrate(np.moveaxis(d_field(ff).data, 0, -1)))),
+                np.max(np.abs(grid.integrate(np.moveaxis(dff.data, 0, -1)))),
                 scale,
             ),
         )
@@ -420,7 +422,7 @@ def _field_checks(rng, cfg, curv):
     err = _rel(abs(chern_from(curvature(no_v, psi, validate=False), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-v-independence", 1e-10, err))
 
-    other = _rand_conn(rng, grid, conn.rank)
+    other = _rand_conn(rng, grid, x, conn.rank)
     err = _rel(abs(chern_from(curvature(other, psi, validate=False), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-connection-independence", 1e-10, err))
 
@@ -440,10 +442,10 @@ def _field_checks(rng, cfg, curv):
     )
 
     a1 = ConnVariation(
-        _rand_component(rng, grid, conn.rank), _rand_component(rng, grid, conn.rank)
+        _rand_component(rng, grid, x, conn.rank), _rand_component(rng, grid, x, conn.rank)
     )
     a2 = ConnVariation(
-        _rand_component(rng, grid, conn.rank), _rand_component(rng, grid, conn.rank)
+        _rand_component(rng, grid, x, conn.rank), _rand_component(rng, grid, x, conn.rank)
     )
     w12 = gm_symplectic(grid, a1, a2, psi)
     w21 = gm_symplectic(grid, a2, a1, psi)
@@ -460,7 +462,7 @@ def _field_checks(rng, cfg, curv):
         err = max(err, 1.0)
     rows.append(_row("fields/gm-metric-symmetric-positive", 1e-10, err))
 
-    xi = _rand_xi(rng, grid, conn.rank)
+    xi = _rand_xi(rng, grid, x, conn.rank)
     mv = moment_value(grid, conn, xi, psi, validate=False)
     pairing = np.einsum("...ij,...ji->...", xi, kmean)
     want = -grid.integrate(vol * pairing.imag)
@@ -496,11 +498,12 @@ def _line_oracle_check(rng):
     c = 0.4
     om = OMEGA_BLOCK
     psi = FormField.constant(grid, exp_two_form((c + 1j) * om))
+    x = grid.meshes()
     a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
-    v = np.stack([_trig(rng, grid), _trig(rng, grid)])
+    v = np.stack([_trig(rng, grid, x), _trig(rng, grid, x)])
     vmat = np.zeros_like(a)
     for mu in range(2):
-        a[mu, ..., 0, 0] = 1j * _trig(rng, grid)
+        a[mu, ..., 0, 0] = 1j * _trig(rng, grid, x)
         vmat[mu, ..., 0, 0] = 1j * v[mu]
     conn = GenConnection(grid, 1, a, vmat)
     got = mean_curvature(conn, psi)[..., 0, 0]
@@ -571,9 +574,10 @@ def _analysis_checks(rng, cfg, seed):
 
     grid = TorusGrid(1, (16, 16))
     rr = 2
+    x = grid.meshes()
     a = np.zeros((2, *grid.sizes, rr, rr), dtype=np.complex128)
     for mu in range(2):
-        a[mu] = (1j * _trig(rng, grid))[..., None, None] * np.eye(rr)
+        a[mu] = (1j * _trig(rng, grid, x))[..., None, None] * np.eye(rr)
     w = np.array([[0.2, 0.9], [0.1, -0.2]]) + 1j * np.array([[0.0, 0.3], [-0.4, 0.0]])
     om = OMEGA_BLOCK
     v = np.zeros_like(a)

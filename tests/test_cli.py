@@ -253,7 +253,7 @@ def test_report_computes_no_curvature_beyond_verify(tmp_path, capsys, monkeypatc
 
 def test_field_checks_compute_each_curvature_once(monkeypatch):
     calls = count_curvature(monkeypatch)
-    cfg = build_config(_RANK2_DOC, grid_sizes=(16, 16), seed=4)
+    cfg = build_config(_RANK2_DOC, grid_size=16, seed=4)
     curv = cli._curvature_numbers(cfg)
     rows = _field_checks(np.random.default_rng(0), cfg, curv)
     assert all(row["pass"] for row in rows)
@@ -300,7 +300,7 @@ def test_suite_validates_the_document_spinor_first_and_once(
     for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
         monkeypatch.setattr(f"{mod}.curvature", counted)
     path = write_doc(tmp_path, _RANK2_DOC)
-    cfg = build_config(load_document(path), grid_sizes=(10, 10), seed=0)
+    cfg = build_config(load_document(path), grid_size=10, seed=0)
     psi = cfg.psi.data.tobytes()
     args = [command, "--grid", "10", "--trials", "2", "--input", path]
     assert main(args + ["--output", str(tmp_path / "out.json")]) == 0
@@ -374,6 +374,35 @@ def test_non_finite_number_exits_2_before_work(tmp_path, capsys, monkeypatch, co
     monkeypatch.setattr("genkf.specio.build_config", no_build)
     assert main([command, "--input", write_doc(tmp_path, doc)]) == 2
     assert f"{path} must be a finite number" in capsys.readouterr().err
+
+
+_HUGE_INT = 10**400  # written as a 401-digit JSON integer literal
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (
+            {"grid": {"sizes": [_HUGE_INT, 8]}},
+            [],
+            "grid.sizes[0] must be an integer in the 64-bit range",
+        ),
+        (
+            {"connection": {"A": {"terms": [
+                {"mu": 0, "coeff": [{"c": 1.0, "trig": "sin", "k": [_HUGE_INT, 0]}]}
+            ]}}},
+            [],
+            "connection.A.terms[0].coeff[0].k[0] must be an integer in the 64-bit range",
+        ),
+        ({"n": _HUGE_INT}, ["--grid", "8"], "n must be an integer in the 64-bit range"),
+        ({"n": None}, ["--grid", "8"], "n must be an integer, got None"),
+        ({"n": [2]}, ["--grid", "8"], "n must be an integer, got [2]"),
+    ],
+    ids=["huge-size", "huge-mode", "huge-n", "null-n", "list-n"],
+)
+def test_unrepresentable_integer_exits_2_naming_its_key(tmp_path, capsys, doc, argv, message):
+    assert main(["verify", "--input", write_doc(tmp_path, doc), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("key", ["A", "V"])

@@ -58,13 +58,9 @@ from genkf.fields import (
 )
 from genkf.fields import (
     _diff,
-    _interior_varying,
-    _rows,
     _signed,
     _small_matmul,
-    _unrows,
     _variation_act,
-    _wedge_data,
 )
 
 RNG = np.random.default_rng(660301)
@@ -828,8 +824,8 @@ def test_b_transform_field_matches_pointwise():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("rank", [None, 2])
 def test_b_transform_field_equals_broadcast_wedge_bitwise(n, rank):
-    # one e^b row against every row of the field gives the bits of the
-    # same wedge with e^b copied to every grid point
+    # one e^b against every point of the field gives the bits of the same
+    # wedge with e^b copied to every grid point
     rng = np.random.default_rng(8 + n)
     g = make_grid(n, 8)
     shape = (4**n, *g.sizes) + (() if rank is None else (rank, rank))
@@ -839,7 +835,8 @@ def test_b_transform_field_equals_broadcast_wedge_bitwise(n, rank):
     bmat = m - m.T
     eb = exp_two_form(GradedForm.from_two_form_matrix(bmat)).coeffs
     t = blade_tables(n)
-    want = _wedge_data(t, eb.reshape((t.size,) + (1,) * (data.ndim - 1)), data)
+    copies = np.broadcast_to(eb.reshape((t.size,) + (1,) * (data.ndim - 1)), data.shape)
+    want = _backend.wedge_batch(t, copies.copy(), data)
     got = b_transform_field(bmat, f)
     assert type(got) is type(f)
     assert got.data.shape == want.shape
@@ -851,7 +848,8 @@ def test_b_transform_field_equals_broadcast_wedge_bitwise(n, rank):
 def test_basis_scatter_matches_kernel_bitwise(n, r):
     # dx^mu ^ and i_mu taken on the source blades only, out[dst] +=
     # sign * data[src] into zeros, agree bit for bit with the general
-    # kernels fed a one-hot covector, signed zeros included
+    # kernels fed a one-hot vector (one (dim,) array for every point),
+    # signed zeros included
     t = blade_tables(n)
     rng = np.random.default_rng([n, r])
     shape = (t.size,) + (3,) * (2 * n) + (r, r)
@@ -859,10 +857,9 @@ def test_basis_scatter_matches_kernel_bitwise(n, r):
     data[rng.random(shape) < 0.2] = 0.0
     data.real[rng.random(shape) < 0.1] = -0.0
     data.imag[rng.random(shape) < 0.1] = -0.0
-    rows = _rows(data)
     for mu in range(t.dim):
-        onehot = np.zeros((rows.shape[0], t.dim), dtype=np.complex128)
-        onehot[:, mu] = 1.0
+        onehot = np.zeros(t.dim, dtype=np.complex128)
+        onehot[mu] = 1.0
         lo, hi = t.axis_lo[mu], t.axis_hi[mu]
         for src, dst, kernel in (
             (lo, hi, _backend.wedge1_batch),
@@ -870,7 +867,7 @@ def test_basis_scatter_matches_kernel_bitwise(n, r):
         ):
             got = np.zeros_like(data)
             got[dst] += _signed(t.axis_s[mu], data[src])
-            want = _unrows(kernel(t, onehot, rows), data.shape[1:])
+            want = kernel(t, onehot, data)
             assert np.array_equal(got, want)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -1143,20 +1140,6 @@ def test_diff_matches_roll_formula_bitwise(n):
         assert same_bits(got, roll_diff(g, data, mu, axis=1 + mu))
         assert same_bits(_diff(g, spatial, mu), roll_diff(g, spatial, mu))
         assert same_bits(_diff(g, real, mu), roll_diff(g, real, mu))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_interior_varying_matches_kernel_bitwise(n):
-    g = TorusGrid(n, (8,) * (2 * n))
-    rng = np.random.default_rng([n, 11])
-    t = blade_tables(n)
-    data = complex_with_zeros(rng, (t.size, *g.sizes))
-    v = rng.standard_normal((2 * n, *g.sizes))
-    v[rng.random(v.shape) < 0.2] = 0.0
-    v[rng.random(v.shape) < 0.1] = -0.0
-    v_rows = np.moveaxis(v, 0, -1).reshape(-1, t.dim).astype(np.complex128)
-    want = _unrows(_backend.interior_batch(t, v_rows, _rows(data)), data.shape[1:])
-    assert same_bits(_interior_varying(t, v, data), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import genkf
 from genkf import _backend, _kernels_py
+from genkf._tables import blade_tables
 from genkf.multivector import (
     GenVector,
     GradedForm,
@@ -123,6 +124,52 @@ def test_backend_seam_reexports_numpy_kernels():
     assert genkf.kernel_backend == _backend.BACKEND_NAME == "python"
     for name in ("wedge_batch", "interior_batch", "wedge1_batch", "clifford_batch", "mukai_batch"):
         assert getattr(_backend, name) is getattr(_kernels_py, name)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_on_blade_first_batches_match_single_forms_bitwise(n):
+    # each kernel on (size, 2, 3) coefficient and (dim, 2, 3) component
+    # arrays gives, at every batch point, the bits of the same operation on
+    # that point's forms alone; a (size, 1, 1) or (size,) form and a (dim,)
+    # vector broadcast to every point
+    t = blade_tables(n)
+    rng = np.random.default_rng([n, 17])
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = cplx(t.size, 2, 3), cplx(t.size, 1, 1)
+    v, xi = cplx(t.dim), cplx(t.dim, 2, 3)
+    zero = np.zeros(t.dim)
+    got = {
+        "wedge": _backend.wedge_batch(t, a, b),
+        "wedge swapped": _backend.wedge_batch(t, b, a),
+        "interior": _backend.interior_batch(t, v, a),
+        "wedge1": _backend.wedge1_batch(t, xi, a),
+        "wedge1 on one form": _backend.wedge1_batch(t, xi, b[:, 0, 0]),
+        "clifford": _backend.clifford_batch(t, v, xi, a),
+        "clifford on broadcast form": _backend.clifford_batch(t, v, xi, b),
+        "mukai": _backend.mukai_batch(t, a, b),
+    }
+    for key, out in got.items():
+        assert out.shape == ((2, 3) if key == "mukai" else (t.size, 2, 3)), key
+    fb = GradedForm(n, b[:, 0, 0])
+    for p in np.ndindex(2, 3):
+        at = (slice(None),) + p
+        fa, e = GradedForm(n, a[at]), GenVector(v, xi[at])
+        want = {
+            "wedge": wedge(fa, fb).coeffs,
+            "wedge swapped": wedge(fb, fa).coeffs,
+            "interior": interior(v, fa).coeffs,
+            "wedge1": clifford_act(GenVector(zero, xi[at]), fa).coeffs,
+            "wedge1 on one form": clifford_act(GenVector(zero, xi[at]), fb).coeffs,
+            "clifford": clifford_act(e, fa).coeffs,
+            "clifford on broadcast form": clifford_act(e, fb).coeffs,
+            "mukai": np.complex128(mukai_pair(fa, fb)),
+        }
+        for key, out in got.items():
+            point = out[p] if key == "mukai" else out[at]
+            assert point.tobytes() == want[key].tobytes(), (key, p)
 
 
 def test_wedge_basis_blades():
