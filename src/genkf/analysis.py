@@ -27,7 +27,9 @@ from .fields import (
     validate_spinor_field,
     vol_density,
 )
-from .multivector import GenVector, GradedForm, exp_two_form, mukai_pair, two_form_matrix, wedge
+from .multivector import (
+    GenVector, GradedForm, exp_two_form, mukai_pair, real_two_form_matrix, wedge
+)
 from .structures import OMEGA_BLOCK, clifford_matrix, gk_validate, spinor_line, standard_complex
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
 
 _RANK_TOL = 1e-8
 _TRIAL_BLOCK = 32  # directions per stacked rank test; bounds peak memory
+_COHIGGS_DBAR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -281,19 +284,8 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
 
 def _positive_blocks(omega, n):
     """Validate omega = sum_i c_i dx^{2i} ^ dx^{2i+1}, c_i > 0; return (c, matrix)."""
-    if isinstance(omega, GradedForm):
-        omega = two_form_matrix(omega)
-    om = np.asarray(omega)
-    if np.iscomplexobj(om):
-        if np.max(np.abs(om.imag)) > 1e-12 * max(1.0, float(np.max(np.abs(om)))):
-            raise ValueError("omega must be real")
-        om = om.real
-    om = om.astype(float)
-    if om.shape != (2 * n, 2 * n):
-        raise ValueError(f"omega matrix shape {om.shape}, expected {(2 * n, 2 * n)}")
+    om = real_two_form_matrix(omega, n, "omega")
     scale = max(1.0, float(np.max(np.abs(om))))
-    if np.max(np.abs(om + om.T)) > 1e-12 * scale:
-        raise ValueError("omega must be antisymmetric")
     c = np.array([om[2 * i, 2 * i + 1] for i in range(n)])
     model = np.kron(np.diag(c), OMEGA_BLOCK)
     if np.max(np.abs(om - model)) > 1e-12 * scale:
@@ -303,7 +295,7 @@ def _positive_blocks(omega, n):
     return c, om
 
 
-def cohiggs_residual(conn, omega, lam, dbar_tol=1e-6):
+def cohiggs_residual(conn, omega, lam):
     """Einstein-Hermitian residual of a co-Higgs pair in the unitary frame.
 
     The vector part must define a holomorphic Higgs field for the standard
@@ -316,7 +308,7 @@ def cohiggs_residual(conn, omega, lam, dbar_tol=1e-6):
     n = grid.n
     weights, om = _positive_blocks(omega, n)
     defect = dbar_residual(grid, conn, standard_complex(n))
-    if defect > dbar_tol:
+    if defect > _COHIGGS_DBAR_TOL:
         raise ValueError(f"connection is not co-Higgs (dbar defect {defect:.3e})")
     f = conn.field_strength()
     contracted = 0.5 * np.einsum("mn...ij,nm->...ij", f, np.linalg.inv(om))

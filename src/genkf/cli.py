@@ -33,9 +33,11 @@ from .fields import (
     eh_residual_from,
     lambda_from,
     mean_curvature_from,
+    sample_points,
+    u_window_defect,
     validate_spinor_field,
 )
-from .structures import UDecomposition, gcs_from_spinor, gcs_symplectic, standard_complex
+from .structures import gcs_symplectic, standard_complex
 from .verify import run_suite
 
 
@@ -134,20 +136,10 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_curvature(cfg, args) -> int:
     grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
-    n = grid.n
     f, k, chern, lam, norm = _curvature_numbers(cfg)
     closed = float(np.max(np.abs(d_field(psi).data)))
-
-    fscale = float(np.max(np.abs(f.data))) + 1e-30
-    window = 0.0
-    dec = UDecomposition(gcs_from_spinor(psi.value_at((0,) * (2 * n))))
-    flat = f.data.reshape(4**n, -1)
-    for kk in range(-n, n + 1):
-        if kk in (-n, -n + 2):
-            continue
-        window = max(window, float(np.max(np.abs(dec.projector(kk) @ flat))) / fscale)
-
-    dbar = dbar_residual(grid, conn, standard_complex(n))
+    window = u_window_defect(f, psi, sample_points(grid))
+    dbar = dbar_residual(grid, conn, standard_complex(grid.n))
 
     print(f"lambda = {lam:.12g}")
     print(f"eh residual = {norm:.6e}")

@@ -20,12 +20,8 @@ import numpy as np
 
 from . import _backend as _k
 from ._tables import blade_tables
-from .multivector import (
-    GradedForm,
-    exp_two_form,
-    two_form_matrix,
-)
-from .structures import GCStructure, GKPair, classify_spinor, gcs_from_spinor
+from .multivector import GradedForm, exp_two_form, is_skew, real_two_form_matrix
+from .structures import GCStructure, GKPair, UDecomposition, classify_spinor, gcs_from_spinor
 
 __all__ = [
     "ConnVariation",
@@ -57,7 +53,9 @@ __all__ = [
     "mukai_field",
     "mukai_integral",
     "shift_connection",
+    "sample_points",
     "trace_field",
+    "u_window_defect",
     "validate_spinor_field",
     "vol_density",
 ]
@@ -111,6 +109,21 @@ class TorusGrid:
         """Coordinate arrays, each of shape *sizes."""
         axes = [self.axis_coord(mu) for mu in range(2 * self.n)]
         return list(np.meshgrid(*axes, indexing="ij"))
+
+    def phase(self, k) -> np.ndarray:
+        """The plane-wave phase 2 pi k . x / P for integer modes k (2n,), shape *sizes."""
+        x = np.meshgrid(*map(self.axis_coord, range(2 * self.n)), indexing="ij", sparse=True)
+        return sum(2.0 * np.pi * k[mu] * x[mu] / self.periods[mu] for mu in range(len(x)))
+
+    def random_trig(self, rng, amp: float, modes: int, kmax: int) -> np.ndarray:
+        """Sum of `modes` plane waves amp * N(0, 1) * cos(phase(k) + s), each
+        with k uniform in [-kmax, kmax]^{2n} and s uniform in [0, 2 pi)."""
+        out = np.zeros(self.sizes)
+        for _ in range(modes):
+            k = rng.integers(-kmax, kmax + 1, size=2 * self.n)
+            shift = rng.uniform(0.0, 2.0 * np.pi)
+            out += amp * rng.standard_normal() * np.cos(self.phase(k) + shift)
+        return out
 
     def integrate(self, values: np.ndarray):
         """Riemann sum over the grid; trailing axes pass through."""
@@ -168,15 +181,16 @@ class EndFormField:
         return EndFormField(self.grid, self.rank, np.conj(self.data))
 
 
-def _check_skew(arr, grid, what, tol=1e-12):
+def _check_skew(arr, grid, what):
     arr = np.asarray(arr, dtype=np.complex128)
     n2 = 2 * grid.n
     if arr.ndim != n2 + 3 or arr.shape[: n2 + 1] != (n2, *grid.sizes):
         raise ValueError(f"{what} must have shape (2n, *sizes, r, r), got {arr.shape}")
     if arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"{what} matrix axes must be square")
-    defect = np.max(np.abs(arr + np.swapaxes(arr, -1, -2).conj()))
-    if defect > tol * max(1.0, np.max(np.abs(arr))):
+    adjoint = np.swapaxes(arr, -1, -2).conj()
+    if not is_skew(arr, adjoint):
+        defect = np.max(np.abs(arr + adjoint))
         raise ValueError(f"{what} is not skew-Hermitian (defect {defect:.3e})")
     return arr
 
@@ -383,7 +397,8 @@ def vol_density(grid: TorusGrid, psi) -> np.ndarray:
     return val.real
 
 
-def _sample_points(grid: TorusGrid):
+def sample_points(grid: TorusGrid):
+    """The 2^{2n} grid points whose coordinates are each 0 or half the size."""
     picks = [(0, s // 2) for s in grid.sizes]
     out = [()]
     for choices in picks:
@@ -391,17 +406,16 @@ def _sample_points(grid: TorusGrid):
     return out
 
 
-def validate_spinor_field(grid: TorusGrid, psi, closed_tol: float | None = None):
+def validate_spinor_field(grid: TorusGrid, psi):
     """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type spinor."""
     psi = _as_form_field(grid, psi)
     vol_density(grid, psi)
     scale = float(np.max(np.abs(psi.data)))
-    if closed_tol is None:
-        closed_tol = max(1e-10, 10.0 * max(grid.spacings) ** 2) * max(1.0, scale)
+    closed_tol = max(1e-10, 10.0 * max(grid.spacings) ** 2) * max(1.0, scale)
     dnorm = float(np.max(np.abs(d_field(psi).data)))
     if dnorm > closed_tol:
         raise ValueError(f"spinor field is not d-closed (|d psi| = {dnorm:.3e})")
-    for point in _sample_points(grid):
+    for point in sample_points(grid):
         cls = classify_spinor(psi.value_at(point))
         if not (cls.is_pure and cls.is_nondegenerate):
             raise ValueError(f"spinor at {point} is not pure nondegenerate: {cls}")
@@ -478,10 +492,38 @@ def mean_curvature_from(f: EndFormField, psi) -> np.ndarray:
     return (k + np.swapaxes(k, -1, -2).conj()) / 2.0
 
 
-def mean_curvature(conn: GenConnection, psi, validate: bool = True) -> np.ndarray:
+def mean_curvature(conn: GenConnection, psi) -> np.ndarray:
     """mean_curvature_from of the curvature of conn on psi."""
     psi = _as_form_field(conn.grid, psi)
-    return mean_curvature_from(curvature(conn, psi, validate=validate), psi)
+    return mean_curvature_from(curvature(conn, psi), psi)
+
+
+def u_window_defect(f: EndFormField, psi: FormField, points) -> float:
+    """Largest |P_k f| / max|f| over the U^k pieces of psi, k not in {-n, -n + 2}.
+
+    psi is decomposed at each of `points` in turn, and that decomposition
+    serves every grid point where psi has exactly the same value and that no
+    earlier point served; a constant psi takes one, applied to a view of f.
+    """
+    n = f.grid.n
+    fscale = float(np.max(np.abs(f.data))) + 1e-30
+    values = psi.data.reshape(4**n, -1)
+    left = np.ones(values.shape[1], dtype=bool)
+    window = 0.0
+    for point in points:
+        at = np.ravel_multi_index(point, f.grid.sizes)
+        if not left[at]:
+            continue
+        same = left & np.all(values == values[:, at : at + 1], axis=0)
+        left &= ~same
+        cols = f.data.reshape(4**n, -1)
+        if not same.all():
+            cols = cols[:, np.repeat(same, cols.shape[1] // same.size)]
+        dec = UDecomposition(gcs_from_spinor(psi.value_at(point)))
+        for k in range(-n, n + 1):
+            if k not in (-n, -n + 2):
+                window = max(window, float(np.max(np.abs(dec.projector(k) @ cols))) / fscale)
+    return window
 
 
 def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):
@@ -504,22 +546,6 @@ def eh_residual(conn: GenConnection, psi, lam: float):
 # b-field action
 
 
-def _b_matrix(b, n):
-    if isinstance(b, GradedForm):
-        b = two_form_matrix(b)
-    b = np.asarray(b)
-    if np.iscomplexobj(b):
-        if np.max(np.abs(b.imag)) > 1e-12 * max(1.0, np.max(np.abs(b))):
-            raise ValueError("b-field must be real")
-        b = b.real
-    b = b.astype(float)
-    if b.shape != (2 * n, 2 * n):
-        raise ValueError(f"b matrix shape {b.shape}, expected {(2 * n, 2 * n)}")
-    if np.max(np.abs(b + b.T)) > 1e-12 * max(1.0, np.max(np.abs(b))):
-        raise ValueError("b matrix must be antisymmetric")
-    return b
-
-
 def bfield_act(b, conn: GenConnection) -> GenConnection:
     """Constant-b transform of a connection: A_mu -> A_mu - sum_nu V^nu b_{nu mu}.
 
@@ -529,7 +555,7 @@ def bfield_act(b, conn: GenConnection) -> GenConnection:
     F_{b.A}(psi) = e^b F_A(e^{-b} psi) + (sum_{mu nu} V^mu V^nu b_{nu mu}) psi;
     the psi-line term is skew-Hermitian and vanishes for commuting V.
     """
-    b = _b_matrix(b, conn.grid.n)
+    b = real_two_form_matrix(b, conn.grid.n, "b matrix")
     shift = np.einsum("n...,nm->m...", conn.V, b)
     return GenConnection(conn.grid, conn.rank, conn.A - shift, conn.V.copy())
 
@@ -538,7 +564,7 @@ def b_transform_field(b, f):
     """Pointwise e^b wedge on a (form or endomorphism-form) field."""
     grid = f.grid
     t = blade_tables(grid.n)
-    eb = exp_two_form(GradedForm.from_two_form_matrix(_b_matrix(b, grid.n)))
+    eb = exp_two_form(real_two_form_matrix(b, grid.n, "b matrix"))
     # one e^b against every point of f: the kernel broadcasts it
     return _like(f, _k.wedge_batch(t, eb.coeffs, f.data))
 
@@ -641,9 +667,7 @@ def moment_value(
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (*grid.sizes, conn.rank, conn.rank):
         raise ValueError(f"xi shape {xi.shape}")
-    if np.max(np.abs(xi + np.swapaxes(xi, -1, -2).conj())) > 1e-12 * max(
-        1.0, np.max(np.abs(xi))
-    ):
+    if not is_skew(xi, np.swapaxes(xi, -1, -2).conj()):
         raise ValueError("xi must be skew-Hermitian")
     fbar = curvature(conn, psi.conjugate(), validate=False)
     xipsi = EndFormField(
@@ -697,8 +721,8 @@ def gm_metric(
 # holomorphicity of the (0,1) part
 
 
-def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure, kmax: int = 1) -> float:
-    """Max norm of dbar compose dbar over coordinate-exponential test sections.
+def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float:
+    """Max norm of dbar compose dbar over test sections exp(i phase(k)) e_i, k = 0 or e_mu.
 
     dbar is the L-bar projection of the generalized derivative: along each
     antiholomorphic basis direction e = v + eta the operator is
@@ -724,19 +748,9 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure, kmax: in
                 out += eta[mu] * np.einsum("...ij,...j->...i", conn.V[mu], s)
         return out
 
-    x = grid.meshes()
     worst = 0.0
-    waves = [np.zeros(n2, dtype=int)]
-    for mu in range(n2):
-        for k in range(1, kmax + 1):
-            wave = np.zeros(n2, dtype=int)
-            wave[mu] = k
-            waves.append(wave)
-    for wave in waves:
-        phase = sum(
-            2 * np.pi * wave[mu] * x[mu] / grid.periods[mu] for mu in range(n2)
-        )
-        scalar = np.exp(1j * phase)
+    for wave in (np.zeros(n2, dtype=int), *np.eye(n2, dtype=int)):
+        scalar = np.exp(1j * grid.phase(wave))
         for i in range(r):
             s = np.zeros((*grid.sizes, r), dtype=np.complex128)
             s[..., i] = scalar
@@ -770,7 +784,7 @@ def canonical_line_connection(
         raise ValueError("psi must be a constant field")
     jmat = gcs_from_spinor(psi0).J
 
-    for point in _sample_points(grid):
+    for point in sample_points(grid):
         cls = classify_spinor(phi.value_at(point))
         if not (cls.is_pure and cls.is_nondegenerate):
             raise ValueError(f"phi at {point} is not pure nondegenerate: {cls}")

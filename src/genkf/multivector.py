@@ -28,7 +28,11 @@ __all__ = [
     "neutral_pairing",
     "neutral_pairing_matrix",
     "two_form_matrix",
+    "is_skew",
+    "real_two_form_matrix",
 ]
+
+_SKEW_TOL = 1e-12
 
 
 class GradedForm:
@@ -78,7 +82,7 @@ class GradedForm:
         m = np.asarray(m, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"need a (2n, 2n) matrix, got shape {m.shape}")
-        if np.max(np.abs(m + m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if not is_skew(m, m.T):
             raise ValueError("two-form matrix must be antisymmetric")
         n = m.shape[0] // 2
         out = cls.zero(n)
@@ -133,15 +137,6 @@ class GradedForm:
         return GradedForm(self.n, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __xor__(self, other):
-        return wedge(self, other)
-
-    def wedge(self, other):
-        return wedge(self, other)
-
-    def mukai(self, other):
-        return mukai_pair(self, other)
 
     def __repr__(self):
         return f"GradedForm(n={self.n}, degrees={self.degrees()})"
@@ -268,4 +263,27 @@ def two_form_matrix(b: GradedForm) -> np.ndarray:
             m[nu, mu] = -c
     if np.max(np.abs(m.imag)) == 0.0:
         return m.real
+    return m
+
+
+def is_skew(m, adjoint) -> bool:
+    """The skew test, max|m + adjoint| <= 1e-12 * max(1, max|m|), with adjoint
+    the transpose of m (antisymmetric) or its conjugate transpose
+    (skew-Hermitian).  A NaN defect passes; finiteness is checked on input.
+    """
+    return not np.max(np.abs(m + adjoint)) > _SKEW_TOL * max(1.0, np.max(np.abs(m)))
+
+
+def real_two_form_matrix(m, n: int, what: str) -> np.ndarray:
+    """m as a real antisymmetric (2n, 2n) matrix; ValueError naming `what` if not."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        if np.max(np.abs(m.imag)) > _SKEW_TOL * max(1.0, np.max(np.abs(m))):
+            raise ValueError(f"{what} must be real")
+        m = m.real
+    m = m.astype(float)
+    if m.shape != (2 * n, 2 * n):
+        raise ValueError(f"{what} has shape {m.shape}, expected {(2 * n, 2 * n)}")
+    if not is_skew(m, m.T):
+        raise ValueError(f"{what} must be antisymmetric")
     return m

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _backend as _k
-from .multivector import blade_tables, exp_two_form
+from .multivector import blade_tables, exp_two_form, is_skew
 from .fields import MAX_GRID_N, FormField, GenConnection, TorusGrid
 from .structures import OMEGA_BLOCK
 
@@ -86,7 +86,7 @@ def load_document(path):
         return {}
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise SpecError(f"cannot read input: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -103,7 +103,7 @@ def load_document(path):
             raise SpecError(f"{path} must be a finite number, got {value!r}")
         raise SpecError(
             f"{path} must be an integer in the 64-bit range, "
-            f"got a {len(str(abs(value)))}-digit integer"
+            f"got a {value.digits}-digit integer"
         )
     return doc
 
@@ -111,12 +111,28 @@ def load_document(path):
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+@dataclass(frozen=True)
+class _OutOfRange:
+    """An integer literal outside int64, kept as its digit count (int()
+    refuses literals of more than 4300 digits)."""
+
+    digits: int
+
+
+def _parse_int(text):
+    """json's parse_int: the int, or an _OutOfRange marker outside int64."""
+    digits = len(text.lstrip("-"))
+    if digits <= 19 and _INT64_MIN <= (value := int(text)) <= _INT64_MAX:
+        return value
+    return _OutOfRange(digits)
+
+
 def _unrepresentable(value, path):
-    """(key path, value) of the first NaN, infinity or integer outside int64
+    """(key path, value) of the first NaN, infinity or _OutOfRange integer
     in a parsed document."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return path, value
-    if isinstance(value, int) and not _INT64_MIN <= value <= _INT64_MAX:
+    if isinstance(value, _OutOfRange) or (
+        isinstance(value, float) and not math.isfinite(value)
+    ):
         return path, value
     if isinstance(value, dict):
         items = ((f"{path}.{k}" if path else k, v) for k, v in value.items())
@@ -161,7 +177,6 @@ def _eval_expr(expr, grid, what):
         return np.full(grid.sizes, float(expr))
     if not isinstance(expr, list):
         raise SpecError(f"{what} must be a number or a list of monomials")
-    x = grid.meshes()
     out = np.zeros(grid.sizes)
     for mono in expr:
         if not isinstance(mono, dict) or set(mono) - {"c", "trig", "k"}:
@@ -173,11 +188,7 @@ def _eval_expr(expr, grid, what):
         k = mono.get("k")
         if not isinstance(k, list) or len(k) != 2 * grid.n:
             raise SpecError(f"{what}: k must list {2 * grid.n} integer modes")
-        phase = np.zeros(grid.sizes)
-        for mu, kmu in enumerate(k):
-            phase = phase + (
-                2.0 * np.pi * _as_int(kmu, f"{what} mode") * x[mu] / grid.periods[mu]
-            )
+        phase = grid.phase([_as_int(kmu, f"{what} mode") for kmu in k])
         out += c * (np.sin(phase) if trig == "sin" else np.cos(phase))
     return out
 
@@ -186,7 +197,7 @@ def _omega_matrix(spec, n):
     if spec is None:
         return np.kron(np.eye(n), OMEGA_BLOCK)
     m = _as_matrix(spec, (2 * n, 2 * n), "psi.omega")
-    if np.max(np.abs(m + m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+    if not is_skew(m, m.T):
         raise SpecError("psi.omega must be antisymmetric")
     return m
 
@@ -213,7 +224,7 @@ def _b_field(spec, grid):
             out[j, i] -= val
         return out
     m = _as_matrix(spec, (n2, n2), "psi.b")
-    if np.max(np.abs(m + m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+    if not is_skew(m, m.T):
         raise SpecError("psi.b must be antisymmetric")
     return np.broadcast_to(m[(...,) + (None,) * n2], (n2, n2, *grid.sizes)).copy()
 
@@ -247,7 +258,7 @@ def _basis_matrix(spec, rank, what):
     re = _as_matrix(spec.get("re", np.zeros(shape)), shape, f"{what} basis re")
     im = _as_matrix(spec.get("im", np.zeros(shape)), shape, f"{what} basis im")
     m = re + 1j * im
-    if np.max(np.abs(m + m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+    if not is_skew(m, m.conj().T):
         raise SpecError(f"{what} basis must be skew-Hermitian")
     return m
 
@@ -274,16 +285,8 @@ def _init_component(spec, grid, rank, rng, what):
             raise SpecError(f"{what} random initializer takes amp and modes")
         amp = _as_real(opts.get("amp", _DEFAULT_AMP), f"{what} amp")
         modes = _as_int(opts.get("modes", _DEFAULT_MODES), f"{what} modes", 1)
-        x = grid.meshes()
         for mu in range(n2):
-            field = np.zeros(grid.sizes)
-            for _ in range(modes):
-                k = rng.integers(-modes, modes + 1, size=n2)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                arg = sum(
-                    2.0 * np.pi * k[j] * x[j] / grid.periods[j] for j in range(n2)
-                )
-                field += amp * rng.standard_normal() * np.cos(arg + phase)
+            field = grid.random_trig(rng, amp, modes, modes)
             out[mu] = field[..., None, None] * _random_skew(rng, rank)
         return out
     for term in spec["terms"]:

@@ -22,13 +22,7 @@ import numpy as np
 
 from . import _backend as _k
 from ._tables import blade_tables
-from .multivector import (
-    GenVector,
-    GradedForm,
-    neutral_pairing,
-    neutral_pairing_matrix,
-    two_form_matrix,
-)
+from .multivector import GenVector, GradedForm, is_skew, neutral_pairing, neutral_pairing_matrix
 
 __all__ = [
     "GCStructure",
@@ -48,6 +42,7 @@ __all__ = [
 ]
 
 _KERNEL_SVD_TOL = 1e-10
+_STRUCTURE_TOL = 1e-8  # J^2 = -1, pairing and GK-pair defects
 _ISOTROPY_TOL = 1e-10
 _DEGREE_TOL = 1e-12
 
@@ -78,15 +73,15 @@ class GCStructure:
 
     __slots__ = ("n", "J")
 
-    def __init__(self, J, tol: float = 1e-8):
+    def __init__(self, J):
         J = np.asarray(J, dtype=float)
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 4:
             raise ValueError(f"J must be a (4n, 4n) matrix, got {J.shape}")
         self.n = J.shape[0] // 4
         self.J = J
-        if self.square_defect() > tol:
+        if self.square_defect() > _STRUCTURE_TOL:
             raise ValueError(f"J^2 != -1 (defect {self.square_defect():.3e})")
-        if self.orthogonality_defect() > tol:
+        if self.orthogonality_defect() > _STRUCTURE_TOL:
             raise ValueError(
                 f"J does not preserve the pairing (defect {self.orthogonality_defect():.3e})"
             )
@@ -128,7 +123,7 @@ def gcs_symplectic(omega) -> GCStructure:
     """Off-diagonal structure of a symplectic form: blocks (-Omega^{-1}, Omega)."""
     omega = np.asarray(omega, dtype=float)
     dim = omega.shape[0]
-    if np.max(np.abs(omega + omega.T)) > 1e-12 * max(1.0, np.max(np.abs(omega))):
+    if not is_skew(omega, omega.T):
         raise ValueError("omega matrix must be antisymmetric")
     out = np.zeros((2 * dim, 2 * dim))
     out[:dim, dim:] = -np.linalg.inv(omega)
@@ -136,7 +131,7 @@ def gcs_symplectic(omega) -> GCStructure:
     return GCStructure(out)
 
 
-def spinor_kernel(phi: GradedForm, tol: float = _KERNEL_SVD_TOL) -> np.ndarray:
+def spinor_kernel(phi: GradedForm) -> np.ndarray:
     """Column basis of {e : e . phi = 0} in (vec | covec) coordinates."""
     if phi.norm() == 0.0:
         raise ValueError("zero spinor has no kernel structure")
@@ -146,7 +141,7 @@ def spinor_kernel(phi: GradedForm, tol: float = _KERNEL_SVD_TOL) -> np.ndarray:
     # column I = coefficients of e_I . phi
     m = _k.clifford_batch(t, basis[: t.dim], basis[t.dim :], phi.coeffs)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > _KERNEL_SVD_TOL * s[0]))
     return vh[rank:].conj().T
 
 
@@ -225,8 +220,6 @@ def spinor_line(j: GCStructure) -> GradedForm:
 
 def gcs_b_transform(b, j: GCStructure) -> GCStructure:
     """Conjugate J by the shear [[I, 0], [b, I]]; matches e^b on spinor lines."""
-    if isinstance(b, GradedForm):
-        b = two_form_matrix(b)
     b = np.asarray(b, dtype=float)
     dim = 2 * j.n
     eye = np.eye(dim)
@@ -286,8 +279,8 @@ class GKPair:
 
     __slots__ = ("J1", "J2", "n")
 
-    def __init__(self, J1: GCStructure, J2: GCStructure, tol: float = 1e-8):
-        rep = gk_validate(J1, J2, tol=tol)
+    def __init__(self, J1: GCStructure, J2: GCStructure):
+        rep = gk_validate(J1, J2)
         if not rep["valid"]:
             raise ValueError(f"not a compatible pair: {rep}")
         self.J1 = J1
@@ -330,7 +323,7 @@ class GKPair:
         return f"GKPair(n={self.n})"
 
 
-def gk_validate(J1, J2, tol: float = 1e-8) -> dict:
+def gk_validate(J1, J2) -> dict:
     """Compatibility report for a candidate pair (accepts matrices or structures)."""
     j1 = J1.J if isinstance(J1, GCStructure) else np.asarray(J1, dtype=float)
     j2 = J2.J if isinstance(J2, GCStructure) else np.asarray(J2, dtype=float)
@@ -344,10 +337,10 @@ def gk_validate(J1, J2, tol: float = 1e-8) -> dict:
     sym = (metric + metric.T) / 2.0
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     valid = (
-        commutator < tol
-        and square_defect < tol
-        and metric_symmetry < tol
-        and min_eig > tol
+        commutator < _STRUCTURE_TOL
+        and square_defect < _STRUCTURE_TOL
+        and metric_symmetry < _STRUCTURE_TOL
+        and min_eig > _STRUCTURE_TOL
     )
     return {
         "commutator": commutator,

@@ -59,6 +59,7 @@ from .fields import (
     moment_value,
     shift_connection,
     trace_field,
+    u_window_defect,
     vol_density,
 )
 from .analysis import cohiggs_residual, solve_eh_line, symbol_exactness
@@ -67,6 +68,7 @@ _SYMBOL_TABLES = {
     1: ((1, 4, 3), (1, 3)),
     2: ((1, 8, 13, 8, 2), (1, 7, 6, 2)),
 }
+_ALGEBRA_TRIALS = 40
 
 
 def _row(check, tol, err):
@@ -95,17 +97,9 @@ def _rand_two_form(rng, n):
     return m - m.T
 
 
-def _trig(rng, grid, x, amp=0.1, modes=3):
-    """Random trigonometric field on grid; x = grid.meshes(), built once by
-    the caller for all its fields."""
-    n2 = 2 * grid.n
-    out = np.zeros(grid.sizes)
-    for _ in range(modes):
-        k = rng.integers(-2, 3, size=n2)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        arg = sum(2.0 * np.pi * k[j] * x[j] / grid.periods[j] for j in range(n2))
-        out += amp * rng.standard_normal() * np.cos(arg + phase)
-    return out
+def _trig(rng, grid, amp=0.1):
+    """Random trigonometric field on grid: three waves, modes in [-2, 2]."""
+    return grid.random_trig(rng, amp, modes=3, kmax=2)
 
 
 def _rand_skew_mat(rng, r):
@@ -113,24 +107,24 @@ def _rand_skew_mat(rng, r):
     return (g - g.conj().T) / 2.0
 
 
-def _rand_xi(rng, grid, x, r):
+def _rand_xi(rng, grid, r):
     out = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
     for _ in range(2):
-        out += _trig(rng, grid, x, amp=0.5)[..., None, None] * _rand_skew_mat(rng, r)
+        out += _trig(rng, grid, amp=0.5)[..., None, None] * _rand_skew_mat(rng, r)
     return out
 
 
-def _rand_component(rng, grid, x, r):
+def _rand_component(rng, grid, r):
     n2 = 2 * grid.n
     out = np.zeros((n2, *grid.sizes, r, r), dtype=np.complex128)
     for mu in range(n2):
-        out[mu] = _trig(rng, grid, x)[..., None, None] * _rand_skew_mat(rng, r)
+        out[mu] = _trig(rng, grid)[..., None, None] * _rand_skew_mat(rng, r)
     return out
 
 
-def _rand_conn(rng, grid, x, r):
-    a = _rand_component(rng, grid, x, r)
-    v = _rand_component(rng, grid, x, r)
+def _rand_conn(rng, grid, r):
+    a = _rand_component(rng, grid, r)
+    v = _rand_component(rng, grid, r)
     return GenConnection(grid, r, a, v)
 
 
@@ -149,11 +143,11 @@ def _sample_index_points(rng, grid, count):
 # check groups
 
 
-def _algebra_checks(rng, n, trials=40):
+def _algebra_checks(rng, n):
     rows = []
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         e1, e2 = _rand_gv(rng, n), _rand_gv(rng, n)
         a = _rand_form(rng, n)
         lhs = clifford_act(e1, clifford_act(e2, a)) + clifford_act(
@@ -164,7 +158,7 @@ def _algebra_checks(rng, n, trials=40):
     rows.append(_row("algebra/clifford-relation", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         e = _rand_gv(rng, n)
         a, b = _rand_form(rng, n), _rand_form(rng, n)
         lhs = mukai_pair(clifford_act(e, a), b)
@@ -173,7 +167,7 @@ def _algebra_checks(rng, n, trials=40):
     rows.append(_row("algebra/clifford-pairing-adjunction", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         a, b = _rand_form(rng, n), _rand_form(rng, n)
         lhs = mukai_pair(a, b)
         rhs = (-1.0) ** n * mukai_pair(b, a)
@@ -181,7 +175,7 @@ def _algebra_checks(rng, n, trials=40):
     rows.append(_row("algebra/pairing-symmetry", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         a, b = _rand_form(rng, n), _rand_form(rng, n)
         bmat = _rand_two_form(rng, n)
         lhs = mukai_pair(b_transform(bmat, a), b_transform(bmat, b))
@@ -190,7 +184,7 @@ def _algebra_checks(rng, n, trials=40):
     rows.append(_row("algebra/pairing-b-invariance", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         a, b, c = (_rand_form(rng, n) for _ in range(3))
         lhs = wedge(wedge(a, b), c)
         rhs = wedge(a, wedge(b, c))
@@ -198,7 +192,7 @@ def _algebra_checks(rng, n, trials=40):
     rows.append(_row("algebra/wedge-associativity", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         k = int(rng.integers(0, 2 * n + 1))
         a = _rand_form(rng, n).degree_part(k)
         b = _rand_form(rng, n)
@@ -209,14 +203,14 @@ def _algebra_checks(rng, n, trials=40):
     rows.append(_row("algebra/interior-antiderivation", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         bmat = _rand_two_form(rng, n)
         out = wedge(exp_two_form(bmat), exp_two_form(-bmat))
         err = max(err, (out - GradedForm.scalar(n, 1.0)).norm())
     rows.append(_row("algebra/exp-two-form-inverse", 1e-12, err))
 
     err = 0.0
-    for _ in range(trials):
+    for _ in range(_ALGEBRA_TRIALS):
         a = _rand_form(rng, n)
         got = a.involution()
         want = GradedForm.zero(n)
@@ -324,9 +318,8 @@ def _field_checks(rng, cfg, curv):
         )
     )
 
-    x = grid.meshes()
-    f = _trig(rng, grid, x)
-    g = _trig(rng, grid, x)
+    f = _trig(rng, grid)
+    g = _trig(rng, grid)
     fdata = np.zeros((t.size, *grid.sizes), dtype=np.complex128)
     fdata[0] = f
     df = d_field(FormField(grid, fdata)).data
@@ -339,7 +332,7 @@ def _field_checks(rng, cfg, curv):
         err = max(err, abs(float(s)))
     rows.append(_row("fields/derivative-skew-sum", 1e-12, err))
 
-    rand_data = np.stack([_trig(rng, grid, x) for _ in range(t.size)]).astype(
+    rand_data = np.stack([_trig(rng, grid) for _ in range(t.size)]).astype(
         np.complex128
     )
     ff = FormField(grid, rand_data)
@@ -375,14 +368,7 @@ def _field_checks(rng, cfg, curv):
     )
 
     fscale = float(np.max(np.abs(fcurv.data))) + 1e-30
-    err = 0.0
-    for point in _sample_index_points(rng, grid, 6):
-        dec = UDecomposition(gcs_from_spinor(psi.value_at(point)))
-        slab = fcurv.data[(slice(None),) + point].reshape(t.size, -1)
-        for k in range(-n, n + 1):
-            if k in (-n, -n + 2):
-                continue
-            err = max(err, np.max(np.abs(dec.projector(k) @ slab)) / fscale)
+    err = u_window_defect(fcurv, psi, _sample_index_points(rng, grid, 6))
     rows.append(_row("fields/curvature-u-window", 1e-10, err))
 
     # bfield_act shifts A and so nabla_V in D^2(psi (x) s) = F_A(psi) s +
@@ -422,7 +408,7 @@ def _field_checks(rng, cfg, curv):
     err = _rel(abs(chern_from(curvature(no_v, psi, validate=False), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-v-independence", 1e-10, err))
 
-    other = _rand_conn(rng, grid, x, conn.rank)
+    other = _rand_conn(rng, grid, conn.rank)
     err = _rel(abs(chern_from(curvature(other, psi, validate=False), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-connection-independence", 1e-10, err))
 
@@ -442,10 +428,10 @@ def _field_checks(rng, cfg, curv):
     )
 
     a1 = ConnVariation(
-        _rand_component(rng, grid, x, conn.rank), _rand_component(rng, grid, x, conn.rank)
+        _rand_component(rng, grid, conn.rank), _rand_component(rng, grid, conn.rank)
     )
     a2 = ConnVariation(
-        _rand_component(rng, grid, x, conn.rank), _rand_component(rng, grid, x, conn.rank)
+        _rand_component(rng, grid, conn.rank), _rand_component(rng, grid, conn.rank)
     )
     w12 = gm_symplectic(grid, a1, a2, psi)
     w21 = gm_symplectic(grid, a2, a1, psi)
@@ -462,7 +448,7 @@ def _field_checks(rng, cfg, curv):
         err = max(err, 1.0)
     rows.append(_row("fields/gm-metric-symmetric-positive", 1e-10, err))
 
-    xi = _rand_xi(rng, grid, x, conn.rank)
+    xi = _rand_xi(rng, grid, conn.rank)
     mv = moment_value(grid, conn, xi, psi, validate=False)
     pairing = np.einsum("...ij,...ji->...", xi, kmean)
     want = -grid.integrate(vol * pairing.imag)
@@ -498,12 +484,11 @@ def _line_oracle_check(rng):
     c = 0.4
     om = OMEGA_BLOCK
     psi = FormField.constant(grid, exp_two_form((c + 1j) * om))
-    x = grid.meshes()
     a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
-    v = np.stack([_trig(rng, grid, x), _trig(rng, grid, x)])
+    v = np.stack([_trig(rng, grid), _trig(rng, grid)])
     vmat = np.zeros_like(a)
     for mu in range(2):
-        a[mu, ..., 0, 0] = 1j * _trig(rng, grid, x)
+        a[mu, ..., 0, 0] = 1j * _trig(rng, grid)
         vmat[mu, ..., 0, 0] = 1j * v[mu]
     conn = GenConnection(grid, 1, a, vmat)
     got = mean_curvature(conn, psi)[..., 0, 0]
@@ -574,10 +559,9 @@ def _analysis_checks(rng, cfg, seed):
 
     grid = TorusGrid(1, (16, 16))
     rr = 2
-    x = grid.meshes()
     a = np.zeros((2, *grid.sizes, rr, rr), dtype=np.complex128)
     for mu in range(2):
-        a[mu] = (1j * _trig(rng, grid, x))[..., None, None] * np.eye(rr)
+        a[mu] = (1j * _trig(rng, grid))[..., None, None] * np.eye(rr)
     w = np.array([[0.2, 0.9], [0.1, -0.2]]) + 1j * np.array([[0.0, 0.3], [-0.4, 0.0]])
     om = OMEGA_BLOCK
     v = np.zeros_like(a)

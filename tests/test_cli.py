@@ -211,6 +211,49 @@ def test_curvature_reports_invariants(tmp_path, capsys):
     assert rep["psi_closedness"] < 1e-10
 
 
+# closed, with psi varying over x0 and x2: b01 = 0.3 sin 2 pi x0,
+# b23 = 0.3 cos 2 pi x2, b02 = 0.2
+_VARYING_B_DOC = {
+    "n": 2,
+    "grid": {"sizes": [8, 8, 8, 8]},
+    "bundle": {"rank": 2},
+    "psi": {"b": {"entries": [
+        {"i": 0, "j": 1, "coeff": [{"c": 0.3, "trig": "sin", "k": [1, 0, 0, 0]}]},
+        {"i": 2, "j": 3, "coeff": [{"c": 0.3, "trig": "cos", "k": [0, 0, 1, 0]}]},
+        {"i": 0, "j": 2, "coeff": 0.2},
+    ]}},
+    "connection": {"A": {"random": {}}, "V": {"random": {}}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc, decompositions",
+    [
+        ({key: _VARYING_B_DOC[key] for key in ("n", "grid", "bundle", "connection")}, 1),
+        # the 16 sample points see 4 distinct values of psi: b01 is 0 or
+        # sin(pi) != 0 in floating point, b23 is +-0.3
+        (_VARYING_B_DOC, 4),
+    ],
+    ids=["constant-psi", "varying-psi"],
+)
+def test_curvature_u_window_decomposes_psi_at_each_sampled_value(
+    tmp_path, capsys, monkeypatch, doc, decompositions
+):
+    # a varying psi is decomposed where it is sampled, not only at the origin
+    built = []
+    real_init = UDecomposition.__init__
+
+    def counted(self, j):
+        built.append(j)
+        real_init(self, j)
+
+    monkeypatch.setattr(UDecomposition, "__init__", counted)
+    out = tmp_path / "curv.json"
+    assert main(["curvature", "--input", write_doc(tmp_path, doc), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["u_window_defect"] <= 1e-10
+    assert len(built) == decompositions
+
+
 def count_curvature(monkeypatch):
     """Route every curvature call through a counter of its (A, V, psi) inputs."""
     calls = []
@@ -287,9 +330,9 @@ def test_suite_validates_the_document_spinor_first_and_once(
     events = []
     real_validate, real_curvature = fields.validate_spinor_field, fields.curvature
 
-    def validate(grid, psi, closed_tol=None):
+    def validate(grid, psi):
         events.append(("validate", psi.data.tobytes()))
-        return real_validate(grid, psi, closed_tol=closed_tol)
+        return real_validate(grid, psi)
 
     def counted(conn, psi, validate=True):
         events.append(("curvature", psi.data.tobytes()))
@@ -397,11 +440,24 @@ _HUGE_INT = 10**400  # written as a 401-digit JSON integer literal
         ({"n": _HUGE_INT}, ["--grid", "8"], "n must be an integer in the 64-bit range"),
         ({"n": None}, ["--grid", "8"], "n must be an integer, got None"),
         ({"n": [2]}, ["--grid", "8"], "n must be an integer, got [2]"),
+        # past int()'s 4300-digit limit, as raw text: json.dumps cannot write these
+        (
+            '{"n": ' + "9" * 5000 + "}",
+            ["--grid", "8"],
+            "n must be an integer in the 64-bit range, got a 5000-digit integer",
+        ),
+        (
+            '{"grid": {"sizes": [8, -' + "9" * 4400 + "]}}",
+            [],
+            "grid.sizes[1] must be an integer in the 64-bit range, got a 4400-digit integer",
+        ),
     ],
-    ids=["huge-size", "huge-mode", "huge-n", "null-n", "list-n"],
+    ids=["huge-size", "huge-mode", "huge-n", "null-n", "list-n", "overlong-n", "overlong-size"],
 )
 def test_unrepresentable_integer_exits_2_naming_its_key(tmp_path, capsys, doc, argv, message):
-    assert main(["verify", "--input", write_doc(tmp_path, doc), *argv]) == 2
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(["verify", "--input", str(path), *argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 

@@ -5,6 +5,8 @@ wedge and interior products are recomputed over tuple-keyed dicts with
 bubble-sort parity, and the small Mukai values are frozen by hand.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from hypothesis.extra import numpy as hnp
 import genkf
 from genkf import _backend, _kernels_py
 from genkf._tables import blade_tables
+from genkf.analysis import kr_soliton_check
+from genkf.fields import FormField, GenConnection, TorusGrid, bfield_act, moment_value
 from genkf.multivector import (
     GenVector,
     GradedForm,
@@ -27,6 +31,8 @@ from genkf.multivector import (
     two_form_matrix,
     wedge,
 )
+from genkf.specio import build_config
+from genkf.structures import OMEGA_BLOCK, gcs_symplectic
 
 RNG = np.random.default_rng(20260823)
 
@@ -509,3 +515,77 @@ def test_genvector_roundtrip():
     arr = e.as_array()
     back = GenVector.from_array(arr)
     assert np.allclose(back.vec, e.vec) and np.allclose(back.covec, e.covec)
+
+
+# ---------------------------------------------------------------------------
+# the skew test max|m + m^T| (or m^H) <= 1e-12 * max(1, max|m|) at each site
+
+_GRID = TorusGrid(1, (8, 8))
+_SKEW2 = 3j * np.eye(2)
+_PSI = FormField.constant(_GRID, exp_two_form(1j * OMEGA_BLOCK))
+
+
+def _a_part(a):
+    return GenConnection(_GRID, 2, a, np.zeros_like(a))
+
+
+def _xi(xi):
+    return moment_value(_GRID, GenConnection.zero(_GRID, 2), xi, _PSI, validate=False)
+
+
+def _basis(m):
+    term = {"mu": 0, "coeff": 1.0, "basis": {"re": m.real.tolist(), "im": m.imag.tolist()}}
+    return build_config({"bundle": {"rank": 2}, "connection": {"A": {"terms": [term]}}})
+
+
+# site: (a valid matrix, the call that tests it, the site's message)
+_SKEW_SITES = {
+    "from-two-form-matrix": (
+        (0.5 + 3j) * OMEGA_BLOCK,
+        GradedForm.from_two_form_matrix,
+        "two-form matrix must be antisymmetric",
+    ),
+    "gcs-symplectic": (3 * OMEGA_BLOCK, gcs_symplectic, "omega matrix must be antisymmetric"),
+    "connection-part": (
+        np.broadcast_to(_SKEW2, (2, 8, 8, 2, 2)), _a_part, "A is not skew-Hermitian"
+    ),
+    "moment-xi": (np.broadcast_to(_SKEW2, (8, 8, 2, 2)), _xi, "xi must be skew-Hermitian"),
+    "b-matrix": (
+        3 * OMEGA_BLOCK,
+        lambda b: bfield_act(b, GenConnection.zero(_GRID, 1)),
+        "b matrix must be antisymmetric",
+    ),
+    "omega-blocks": (
+        3 * OMEGA_BLOCK,
+        lambda om: kr_soliton_check(GenConnection.zero(_GRID, 1), om, 0.0),
+        "omega must be antisymmetric",
+    ),
+    "psi-omega": (
+        3 * OMEGA_BLOCK,
+        lambda m: build_config({"psi": {"omega": m.tolist()}}),
+        "psi.omega must be antisymmetric",
+    ),
+    "psi-b": (
+        0.3 * OMEGA_BLOCK,
+        lambda m: build_config({"psi": {"b": m.tolist()}}),
+        "psi.b must be antisymmetric",
+    ),
+    "basis": (_SKEW2, _basis, "connection A basis must be skew-Hermitian"),
+}
+
+
+@pytest.mark.parametrize("site", list(_SKEW_SITES))
+def test_skew_test_bound_at_every_site(site):
+    base, call, message = _SKEW_SITES[site]
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(base))))
+
+    def with_defect(defect):
+        # half the defect on the first diagonal entry: m + m^T (or m^H) is
+        # the defect there and zero elsewhere, and max|m| stays as it was
+        m = np.array(base, dtype=np.result_type(base, float))
+        m[(0,) * m.ndim] += defect / 2
+        return m
+
+    call(with_defect(0.99 * bound))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(with_defect(1.01 * bound))
