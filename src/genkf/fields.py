@@ -433,7 +433,9 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
 
     This is the gauge-covariant part of D^2 for D = d + A^ + sum_mu V^mu i_mu:
     on a d-closed psi and a section s, D^2(psi (x) s) = F_A(psi) s +
-    psi (x) nabla_V s with nabla = d + A.
+    psi (x) nabla_V s with nabla = d + A.  The quadratic term
+    (1/2) sum_{mu != nu} [V^mu, V^nu] i_mu i_nu is summed over mu < nu
+    without the 1/2, one commutator per unordered pair.
 
     At rank 1 the quadratic [V^mu, V^nu] term is skipped, as covariant_d
     skips [A_mu, .]: each commutator is an exact +0, and so is the term.
@@ -467,17 +469,16 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
     if r == 1:
         return EndFormField(grid, r, out)
 
-    # quadratic vector term: (1/2) sum [V^mu, V^nu] (x) i_mu i_nu
+    # quadratic vector term: (1/2) sum_{mu != nu} [V^mu, V^nu] (x) i_mu i_nu,
+    # taken over mu < nu: the commutator and interior2_s are antisymmetric
+    # in (mu, nu) and pair_lo/pair_hi symmetric, so each unordered pair
+    # gives the same term twice
     for mu in range(n2):
-        for nu in range(n2):
-            if mu == nu:
-                continue
+        for nu in range(mu + 1, n2):
             double = _signed(t.interior2_s[mu, nu], psi.data[t.pair_hi[mu, nu]])
             vmu, vnu = conn.V[mu], conn.V[nu]
             comm = _small_matmul(vmu, vnu) - _small_matmul(vnu, vmu)
-            out[t.pair_lo[mu, nu]] += 0.5 * np.einsum(
-                "c...,...ij->c...ij", double, comm
-            )
+            out[t.pair_lo[mu, nu]] += np.einsum("c...,...ij->c...ij", double, comm)
 
     return EndFormField(grid, r, out)
 
@@ -726,39 +727,41 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
 
     dbar is the L-bar projection of the generalized derivative: along each
     antiholomorphic basis direction e = v + eta the operator is
-    sum_mu v^mu (D_mu + A_mu) + sum_mu eta_mu V^mu.
+    sum_mu v^mu D_mu + m_e, with m_e = sum_mu v^mu A_mu + sum_mu eta_mu V^mu.
+    Each m_e is built once, as one (*sizes, r, r) field; the r sections of a
+    wave are the columns of the one field exp(i phase) I, so a single matrix
+    product applies m_e to all of them.
     """
     if j.n != grid.n:
         raise ValueError("structure dimension mismatch")
     lbar = j.minus_i_eigenbasis()  # (4n, 2n)
     n2 = 2 * grid.n
     r = conn.rank
+    zeroth = []
+    for a in range(n2):
+        m = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+        for mu in range(n2):
+            if lbar[mu, a] != 0:
+                m += lbar[mu, a] * conn.A[mu]
+            if lbar[n2 + mu, a] != 0:
+                m += lbar[n2 + mu, a] * conn.V[mu]
+        zeroth.append(m)
 
     def op(a, s):
-        v = lbar[:n2, a]
-        eta = lbar[n2:, a]
-        out = np.zeros_like(s)
+        out = _small_matmul(zeroth[a], s)
         for mu in range(n2):
-            if v[mu] != 0:
-                out += v[mu] * (
-                    _diff(grid, s, mu)
-                    + np.einsum("...ij,...j->...i", conn.A[mu], s)
-                )
-            if eta[mu] != 0:
-                out += eta[mu] * np.einsum("...ij,...j->...i", conn.V[mu], s)
+            if lbar[mu, a] != 0:
+                out += lbar[mu, a] * _diff(grid, s, mu)
         return out
 
     worst = 0.0
     for wave in (np.zeros(n2, dtype=int), *np.eye(n2, dtype=int)):
-        scalar = np.exp(1j * grid.phase(wave))
-        for i in range(r):
-            s = np.zeros((*grid.sizes, r), dtype=np.complex128)
-            s[..., i] = scalar
-            ops = [op(a, s) for a in range(n2)]
-            for a in range(n2):
-                for b in range(a + 1, n2):
-                    res = op(a, ops[b]) - op(b, ops[a])
-                    worst = max(worst, float(np.max(np.abs(res))))
+        s = np.exp(1j * grid.phase(wave))[..., None, None] * np.eye(r)
+        ops = [op(a, s) for a in range(n2)]
+        for a in range(n2):
+            for b in range(a + 1, n2):
+                res = op(a, ops[b]) - op(b, ops[a])
+                worst = max(worst, float(np.max(np.abs(res))))
     return worst
 
 

@@ -311,6 +311,29 @@ def _check_no_overflow(part, rank, what):
         )
 
 
+def _check_addressable(n, sizes, rank, grid_key, rank_key):
+    """Reject sizes and rank whose endomorphism-form fields, 16 * 4^n *
+    prod(sizes) * r^2 bytes, no numpy array can index; this runs before the
+    first allocation.  Sizes that are not integers >= 1 are left to
+    TorusGrid, which names the fault."""
+    try:
+        sizes = [int(s) for s in sizes]
+    except (TypeError, ValueError):
+        return
+    if min(sizes, default=0) < 1:
+        return
+    limit = np.iinfo(np.intp).max
+    rank1_bytes = 16 * 4**n * math.prod(sizes)
+    if rank1_bytes * rank * rank <= limit:
+        return
+    keys = grid_key if rank1_bytes > limit else f"{grid_key} with {rank_key} {rank}"
+    raise SpecError(
+        f"{keys} is too large: a rank-{rank} curvature field, 16 * 4^n * "
+        f"prod(sizes) * r^2 bytes, is past the largest array numpy can index "
+        f"({limit} bytes)"
+    )
+
+
 def _theta_components(spec, n):
     if spec is None:
         return None
@@ -341,6 +364,22 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         sizes = gspec.get("sizes")
     if sizes is None:
         sizes = (_DEFAULT_SIZE if n == 1 else 8,) * (2 * n)
+
+    bspec = doc.get("bundle", {})
+    if not isinstance(bspec, dict) or set(bspec) - {"rank"}:
+        raise SpecError("bundle must be {'rank': r}")
+    if rank is not None:
+        r = _as_int(rank, "--rank", 1)
+    else:
+        r = _as_int(bspec.get("rank", 1), "bundle rank", 1)
+
+    _check_addressable(
+        n,
+        sizes,
+        r,
+        "grid.sizes" if grid_size is None else "--grid",
+        "bundle.rank" if rank is None else "--rank",
+    )
     try:
         grid = TorusGrid(n, tuple(sizes), gspec.get("periods"))
     except (TypeError, ValueError) as exc:
@@ -351,14 +390,6 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         raise SpecError("psi must be {'b': ..., 'omega': ...}")
     omega = _omega_matrix(pspec.get("omega"), n)
     psi = _build_psi(grid, _b_field(pspec.get("b"), grid), omega)
-
-    bspec = doc.get("bundle", {})
-    if not isinstance(bspec, dict) or set(bspec) - {"rank"}:
-        raise SpecError("bundle must be {'rank': r}")
-    if rank is not None:
-        r = _as_int(rank, "--rank", 1)
-    else:
-        r = _as_int(bspec.get("rank", 1), "bundle rank", 1)
 
     cspec = doc.get("connection", {"A": {"random": {}}, "V": None})
     if not isinstance(cspec, dict) or set(cspec) - {"A", "V"}:

@@ -461,6 +461,32 @@ def test_unrepresentable_integer_exits_2_naming_its_key(tmp_path, capsys, doc, a
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ({}, ["--grid", "100000000000000000000000"], "--grid is too large"),
+        ({}, ["--grid", "3037000500"], "--grid is too large"),
+        ({}, ["--grid", "1" + "0" * 400], "--grid is too large"),
+        ({"n": 2, "grid": {"sizes": [2**20] * 4}}, [], "grid.sizes is too large"),
+        ({"n": 2, "bundle": {"rank": 2**26}}, ["--grid", "256"],
+         "--grid with bundle.rank 67108864 is too large"),
+        ({}, ["--grid", "2048", "--rank", str(2**40)],
+         f"--grid with --rank {2**40} is too large"),
+    ],
+    ids=["grid-1e23", "grid-3037000500", "grid-1e400", "doc-sizes", "doc-rank", "flag-rank"],
+)
+def test_unindexable_grid_exits_2_before_any_array(tmp_path, capsys, monkeypatch, doc, argv, message):
+    # 16 * 4^n * prod(sizes) * r^2 bytes past the intp range is named by its
+    # keys before the grid, the spinor or the connection exists
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was built for an unindexable grid")
+
+    for target in ("TorusGrid", "_build_psi", "_init_component"):
+        monkeypatch.setattr(f"genkf.specio.{target}", no_array)
+    assert main(["verify", "--input", write_doc(tmp_path, doc), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("key", ["A", "V"])
 @pytest.mark.parametrize("amp", [1e300, 1e200])
 def test_overflowing_connection_exits_2_before_work(tmp_path, capsys, monkeypatch, key, amp):
@@ -795,3 +821,55 @@ def test_render_pins_bytes_of_numpy_values():
         },
     )
     assert report.render(doc) == _MIXED_RENDER
+
+
+def json_reference(doc):
+    return json.dumps(report._clean(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _finite | st.text() | st.lists(_finite),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_json_values)
+def test_render_matches_json_dumps(doc):
+    assert report.render(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"a": {}, "b": [], "c": [[], {}]},
+        [-0.0, 5e-324, 1e308, -1e308, 0.1, 1e-7, 1e16],
+        {"x": -0.0, "y": 5e-324, "z": 1e308},
+        [1, 2.5, -0.0, 3, True, None, 1e308],
+        {"mixed": [0, 0.0], "ints": [1, 2, 3], "bools": [True, False], "nested": [[1.5], [2]]},
+    ],
+)
+def test_render_matches_json_dumps_on_edge_values(doc):
+    assert report.render(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: {"re": [0.5, x, 1.5]},
+        lambda x: [x],
+        lambda x: {"k": x},
+        lambda x: [1, x, 2.0],
+    ],
+)
+def test_render_rejects_non_finite_floats_as_json_does(bad, place):
+    doc = place(bad)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json_reference(doc)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.render(doc)

@@ -22,7 +22,14 @@ from genkf.multivector import (
     mukai_pair,
     wedge,
 )
-from genkf.structures import GKPair, UDecomposition, gcs_complex, gcs_from_spinor, gcs_symplectic
+from genkf.structures import (
+    GKPair,
+    UDecomposition,
+    gcs_complex,
+    gcs_from_spinor,
+    gcs_symplectic,
+    standard_complex,
+)
 from genkf.fields import (
     ConnVariation,
     EndFormField,
@@ -663,6 +670,55 @@ def test_dbar_flat_and_constant():
     assert dbar_residual(g, conn, j) < 1e-12
 
 
+def dbar_residual_per_section(grid, conn, j):
+    """dbar_residual with each section e_i on its own and the zeroth-order
+    part rebuilt by per-mu einsums in every application."""
+    lbar = j.minus_i_eigenbasis()
+    n2 = 2 * grid.n
+    r = conn.rank
+
+    def op(a, s):
+        v = lbar[:n2, a]
+        eta = lbar[n2:, a]
+        out = np.zeros_like(s)
+        for mu in range(n2):
+            if v[mu] != 0:
+                out += v[mu] * (
+                    _diff(grid, s, mu)
+                    + np.einsum("...ij,...j->...i", conn.A[mu], s)
+                )
+            if eta[mu] != 0:
+                out += eta[mu] * np.einsum("...ij,...j->...i", conn.V[mu], s)
+        return out
+
+    worst = 0.0
+    for wave in (np.zeros(n2, dtype=int), *np.eye(n2, dtype=int)):
+        scalar = np.exp(1j * grid.phase(wave))
+        for i in range(r):
+            s = np.zeros((*grid.sizes, r), dtype=np.complex128)
+            s[..., i] = scalar
+            ops = [op(a, s) for a in range(n2)]
+            for a in range(n2):
+                for b in range(a + 1, n2):
+                    res = op(a, ops[b]) - op(b, ops[a])
+                    worst = max(worst, float(np.max(np.abs(res))))
+    return worst
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_dbar_matches_per_section_reference(n, size, r):
+    # one zeroth-order field per direction, applied to the identity field of
+    # all r sections, against each section and per-mu einsums apart
+    rng = np.random.default_rng([n, r, 12])
+    g = make_grid(n, size)
+    for j in (standard_complex(n), gcs_symplectic(std_omega(n))):
+        for conn in (GenConnection.zero(g, r), random_conn(g, r, rng, amp=0.3)):
+            got, want = dbar_residual(g, conn, j), dbar_residual_per_section(g, conn, j)
+            assert abs(got - want) <= 1e-13 * max(1.0, want)
+        assert dbar_residual(g, GenConnection.zero(g, r), j) < 1e-12
+
+
 def test_dbar_detects_nonholomorphic():
     g = make_grid()
     j = gcs_complex(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -926,7 +982,7 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
             assert cov == 0 and curv == strength
         else:
             assert cov == 2 * n2
-            assert curv == strength + cov + 2 * n2 * (n2 - 1)
+            assert curv == strength + cov + n2 * (n2 - 1)
 
 
 @st.composite
@@ -1003,7 +1059,9 @@ def full_covariant_d(conn, data):
     return out
 
 
-def full_curvature(conn, psi_data):
+def full_curvature(conn, psi_data, ordered=False):
+    """The curvature as full-array formulas; ordered=True sums the quadratic
+    term over ordered pairs mu != nu with the 1/2, as written in the law."""
     grid, r = conn.grid, conn.rank
     t = blade_tables(grid.n)
     n2 = 2 * grid.n
@@ -1034,10 +1092,11 @@ def full_curvature(conn, psi_data):
         vpsi += times(ipsi[mu], V[mu])
     out += full_covariant_d(conn, vpsi)
     for mu in range(n2):
-        for nu in range(n2):
+        for nu in range(n2) if ordered else range(mu + 1, n2):
             if mu != nu:
                 comm = _small_matmul(V[mu], V[nu]) - _small_matmul(V[nu], V[mu])
-                out += 0.5 * times(interior(mu, ipsi[nu]), comm)
+                term = times(interior(mu, ipsi[nu]), comm)
+                out += 0.5 * term if ordered else term
     return out
 
 
@@ -1113,6 +1172,10 @@ def test_field_operators_match_full_array_formulas_bitwise(n, r, seed, zero, neg
     assert same_bits(covariant_d(conn, a).data, full_covariant_d(conn, a.data))
     got = curvature(conn, psi, validate=False).data
     assert same_bits(got, full_curvature(conn, psi.data))
+    # the unordered quadratic sum rests on [V^mu, V^nu] and i_mu i_nu both
+    # being antisymmetric in (mu, nu): the ordered half-sum agrees
+    ordered = full_curvature(conn, psi.data, ordered=True)
+    assert max_abs(got - ordered) <= 1e-13 * max(1.0, max_abs(ordered))
     var_shape = (2 * n, *g.sizes, r, r)
     a1, a2 = (
         ConnVariation(*(complex_with_zeros(rng, var_shape, zero, neg) for _ in range(2)))
