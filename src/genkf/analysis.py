@@ -357,6 +357,7 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
     psi = FormField.constant(
         grid, exp_two_form(GradedForm.from_two_form_matrix((c + 1j) * om))
     )
+    validate_spinor_field(grid, psi)
     fcurv = curvature(conn, psi)
     lam = lambda_from(chern_from(fcurv, psi), psi, conn.rank)
     _, eh_norm = eh_residual_from(mean_curvature_from(fcurv, psi), psi, lam)
@@ -446,7 +447,7 @@ def _line_map(init, psi, weight, k0):
         for s in range(nd):
             u = np.zeros((nd, *grid.sizes))
             u[s][mask] = 1.0
-            f = curvature(_shifted(init, u), psi, validate=False)
+            f = curvature(_shifted(init, u), psi)
             resp = weight * (_line_k(f, psi) - k0)
             if np.any(resp[~reach]):
                 raise RuntimeError(
@@ -488,9 +489,10 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     and applied as sums of shifted products.  The coefficients come from
     impulse probes about init: one origin impulse per field when the spinor
     field is constant, else one probe per field and colour of a greedy
-    distance-2 colouring of the grid; no grid size is refused.  The
-    curvature of init is computed once and gives lam and the right-hand
-    side.  lam defaults to the chern-normalized value (any other target is
+    distance-2 colouring of the grid; no grid size is refused.  psi is
+    validated here, once, before the curvature of init, which is computed
+    once and gives lam and the right-hand side; the probes take psi as it
+    is.  lam defaults to the chern-normalized value (any other target is
     unreachable).  Returns the updated connection and a FlowTrace; raises
     ValueError if the rank is not one or the starting residual is not
     finite, RuntimeError if the step size collapses below 1e-12 before the
@@ -499,10 +501,10 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     grid = init.grid
     if init.rank != 1:
         raise ValueError(f"solver handles rank-1 connections only, got rank {init.rank}")
-    psi = validate_spinor_field(grid, psi)
+    validate_spinor_field(grid, psi)
     n2 = 2 * grid.n
     nd = 2 * n2
-    f = curvature(init, psi, validate=False)
+    f = curvature(init, psi)
     lam = lambda_from(chern_from(f, psi), psi, 1) if lam is None else float(lam)
     weight = np.sqrt(vol_density(grid, psi) * grid.cell_volume)
     k0 = _line_k(f, psi)

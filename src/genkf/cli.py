@@ -88,15 +88,18 @@ def _curvature_numbers(cfg):
     """Validate the document's spinor, then compute the curvature F of its
     connection and what is read off it.
 
-    F is computed once per command; the mean curvature k, the chern pair,
-    lambda (unless the document fixes it) and the EH residual norm all derive
-    from it.  Returns (f, k, chern, lam, norm); raises ValueError naming the
-    document keys at fault when any of them is not finite, and LambdaNotReal
-    (named by main) when lambda is not real.
+    This is the one validation of the document's psi in verify, curvature
+    and report, ahead of any curvature.  F is computed once per command;
+    the mean curvature k, the chern pair, lambda (unless the document fixes
+    it) and the EH residual norm are read off it by the *_from functions.
+    Returns (f, k, chern, lam, norm); raises ValueError naming the document
+    keys at fault when any of them is not finite, and LambdaNotReal (named
+    by main) when lambda is not real.
     """
-    psi = validate_spinor_field(cfg.grid, cfg.psi)
+    psi = cfg.psi
+    validate_spinor_field(cfg.grid, psi)
     keys = _CONNECTION_KEYS
-    f = curvature(cfg.conn, psi, validate=False)
+    f = curvature(cfg.conn, psi)
     k = mean_curvature_from(f, psi)
     chern = chern_from(f, psi)
     lam = cfg.lam if cfg.lam is not None else lambda_from(chern, psi, cfg.rank)
@@ -170,10 +173,9 @@ def cmd_solve(cfg, args) -> int:
             f"solve handles rank-1 bundles only (got rank {cfg.rank}); "
             "higher-rank existence is out of scope"
         )
-    psi = validate_spinor_field(cfg.grid, cfg.psi)
     tol = 1e-8 if args.tol is None else args.tol
     conn, trace = solve_eh_line(
-        cfg.conn, psi, max_iter=args.max_iter, tol=tol, lam=cfg.lam
+        cfg.conn, cfg.psi, max_iter=args.max_iter, tol=tol, lam=cfg.lam
     )
     lam = trace.lam
     final = float(trace.residual_history[-1])

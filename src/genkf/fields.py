@@ -34,20 +34,16 @@ __all__ = [
     "bfield_act",
     "canonical_line_connection",
     "chern_from",
-    "chern_pair",
     "connection_derivative",
     "covariant_d",
     "curvature",
     "d_field",
     "dbar_residual",
-    "eh_residual",
     "eh_residual_from",
     "gm_metric",
     "gm_symplectic",
     "lambda_from",
-    "lambda_from_chern",
     "lie_derivative",
-    "mean_curvature",
     "mean_curvature_from",
     "moment_value",
     "mukai_field",
@@ -61,6 +57,7 @@ __all__ = [
 ]
 
 MAX_GRID_N = 2
+MIN_GRID_SIZE = 8
 
 
 class TorusGrid:
@@ -76,8 +73,8 @@ class TorusGrid:
         if len(sizes) != 2 * n:
             raise ValueError(f"need 2n = {2 * n} sizes, got {len(sizes)}")
         for s in sizes:
-            if s < 8 or s % 2:
-                raise ValueError(f"grid sizes must be even and >= 8, got {s}")
+            if s < MIN_GRID_SIZE or s % 2:
+                raise ValueError(f"grid sizes must be even and >= {MIN_GRID_SIZE}, got {s}")
         if periods is None:
             periods = (1.0,) * (2 * n)
         periods = tuple(float(p) for p in periods)
@@ -307,16 +304,6 @@ def _like(f, data):
     return FormField(f.grid, data)
 
 
-def _as_form_field(grid: TorusGrid, psi) -> FormField:
-    if isinstance(psi, GradedForm):
-        return FormField.constant(grid, psi)
-    if isinstance(psi, FormField):
-        if psi.grid is not grid and psi.grid.sizes != grid.sizes:
-            raise ValueError("grid mismatch")
-        return psi
-    raise TypeError(f"expected a form field or a constant form, got {type(psi)}")
-
-
 # ---------------------------------------------------------------------------
 # exterior and Lie derivatives
 
@@ -376,14 +363,9 @@ def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
 # spinor-field validation
 
 
-def _pair_density(grid, psi: FormField) -> np.ndarray:
-    return mukai_field(psi, psi.conjugate())
-
-
-def vol_density(grid: TorusGrid, psi) -> np.ndarray:
+def vol_density(grid: TorusGrid, psi: FormField) -> np.ndarray:
     """Positive density i^{-n} <psi, psibar>_s; aborts on a degenerate point."""
-    psi = _as_form_field(grid, psi)
-    val = (1j ** (-grid.n)) * _pair_density(grid, psi)
+    val = (1j ** (-grid.n)) * mukai_field(psi, psi.conjugate())
     peak = float(np.max(np.abs(val)))
     if peak == 0.0:
         raise ValueError("degenerate spinor field: pairing vanishes identically")
@@ -406,9 +388,8 @@ def sample_points(grid: TorusGrid):
     return out
 
 
-def validate_spinor_field(grid: TorusGrid, psi):
+def validate_spinor_field(grid: TorusGrid, psi: FormField) -> None:
     """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type spinor."""
-    psi = _as_form_field(grid, psi)
     vol_density(grid, psi)
     scale = float(np.max(np.abs(psi.data)))
     closed_tol = max(1e-10, 10.0 * max(grid.spacings) ** 2) * max(1.0, scale)
@@ -421,15 +402,19 @@ def validate_spinor_field(grid: TorusGrid, psi):
             raise ValueError(f"spinor at {point} is not pure nondegenerate: {cls}")
         if cls.type_number != 0:
             raise ValueError(f"spinor at {point} is not of symplectic type: {cls}")
-    return psi
 
 
 # ---------------------------------------------------------------------------
 # curvature pipeline
 
 
-def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
+def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     """F_A . psi + d^A(V . psi) + (1/2)[V . V] . psi.
+
+    psi is taken as it is: it is validated (validate_spinor_field) once,
+    where it is built or enters a command, never here.  Numbers are read
+    off the result by mean_curvature_from, chern_from, lambda_from and
+    eh_residual_from.
 
     This is the gauge-covariant part of D^2 for D = d + A^ + sum_mu V^mu i_mu:
     on a d-closed psi and a section s, D^2(psi (x) s) = F_A(psi) s +
@@ -443,9 +428,6 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
     (y + p) - p, which is not y bit for bit.
     """
     grid = conn.grid
-    psi = _as_form_field(grid, psi)
-    if validate:
-        validate_spinor_field(grid, psi)
     t = blade_tables(grid.n)
     r = conn.rank
     n2 = 2 * grid.n
@@ -483,20 +465,13 @@ def curvature(conn: GenConnection, psi, validate: bool = True) -> EndFormField:
     return EndFormField(grid, r, out)
 
 
-def mean_curvature_from(f: EndFormField, psi) -> np.ndarray:
+def mean_curvature_from(f: EndFormField, psi: FormField) -> np.ndarray:
     """Hermitian part of the psi-line coefficient of the curvature f, (*sizes, r, r)."""
-    psi = _as_form_field(f.grid, psi)
     psibar = psi.conjugate()
     num = mukai_field(f, psibar)  # (*sizes, r, r)
     den = mukai_field(psi, psibar)  # (*sizes)
     k = num / den[..., None, None]
     return (k + np.swapaxes(k, -1, -2).conj()) / 2.0
-
-
-def mean_curvature(conn: GenConnection, psi) -> np.ndarray:
-    """mean_curvature_from of the curvature of conn on psi."""
-    psi = _as_form_field(conn.grid, psi)
-    return mean_curvature_from(curvature(conn, psi), psi)
 
 
 def u_window_defect(f: EndFormField, psi: FormField, points) -> float:
@@ -535,12 +510,6 @@ def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):
     dens = np.einsum("...ij,...ji->...", res, np.swapaxes(res, -1, -2).conj()).real
     norm = float(np.sqrt(grid.integrate(vol * dens)))
     return res, norm
-
-
-def eh_residual(conn: GenConnection, psi, lam: float):
-    """eh_residual_from of the mean curvature of conn on psi."""
-    psi = _as_form_field(conn.grid, psi)
-    return eh_residual_from(mean_curvature(conn, psi), psi, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +571,10 @@ def trace_field(f: EndFormField) -> FormField:
 # Chern pairing and the topological lambda
 
 
-def chern_from(f: EndFormField, psi) -> complex:
+def chern_from(f: EndFormField, psi: FormField) -> complex:
     """Integral of <tr f, psibar>_s for the curvature f on psi."""
     grid = f.grid
-    psi = _as_form_field(grid, psi)
     return complex(grid.integrate(mukai_field(trace_field(f), psi.conjugate())))
-
-
-def chern_pair(conn: GenConnection, psi) -> complex:
-    """chern_from of the curvature of conn on psi."""
-    psi = _as_form_field(conn.grid, psi)
-    return chern_from(curvature(conn, psi), psi)
 
 
 class LambdaNotReal(ValueError):
@@ -626,17 +588,11 @@ class LambdaNotReal(ValueError):
 def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
     """The topological lambda: the chern pair over rank times the total pairing."""
     grid = psi.grid
-    denom = rank * complex(grid.integrate(_pair_density(grid, psi)))
+    denom = rank * complex(grid.integrate(mukai_field(psi, psi.conjugate())))
     lam = chern / denom
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
         raise LambdaNotReal(f"lambda is not real: {lam}")
     return float(lam.real)
-
-
-def lambda_from_chern(conn: GenConnection, psi) -> float:
-    """lambda_from of the chern pair of conn on psi."""
-    psi = _as_form_field(conn.grid, psi)
-    return lambda_from(chern_pair(conn, psi), psi, conn.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -654,23 +610,17 @@ def _variation_act(grid, var, psi_data, rank):
     return out
 
 
-def moment_value(
-    grid: TorusGrid, conn: GenConnection, xi, psi, validate: bool = True
-) -> float:
+def moment_value(grid: TorusGrid, conn: GenConnection, xi, psi: FormField) -> float:
     """Integral of Im i^{-n} tr <xi psi, curvature(psibar)>_s.
 
-    validate=False skips validate_spinor_field on psi; the caller must have
-    validated that same spinor field already.
+    As for curvature, psi is taken as it is; the caller validates it.
     """
-    psi = _as_form_field(grid, psi)
-    if validate:
-        validate_spinor_field(grid, psi)
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (*grid.sizes, conn.rank, conn.rank):
         raise ValueError(f"xi shape {xi.shape}")
     if not is_skew(xi, np.swapaxes(xi, -1, -2).conj()):
         raise ValueError("xi must be skew-Hermitian")
-    fbar = curvature(conn, psi.conjugate(), validate=False)
+    fbar = curvature(conn, psi.conjugate())
     xipsi = EndFormField(
         grid, conn.rank, np.einsum("c...,...ij->c...ij", psi.data, xi)
     )
@@ -692,9 +642,10 @@ def connection_derivative(conn: GenConnection, xi) -> ConnVariation:
     return ConnVariation(da, dv)
 
 
-def gm_symplectic(grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, psi) -> float:
+def gm_symplectic(
+    grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, psi: FormField
+) -> float:
     """Integral of Im i^{-n} tr <a1 . psi, a2 . psibar>_s."""
-    psi = _as_form_field(grid, psi)
     rank = a1.A.shape[-1]
     s1 = EndFormField(grid, rank, _variation_act(grid, a1, psi.data, rank))
     s2 = EndFormField(
@@ -706,10 +657,9 @@ def gm_symplectic(grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, psi) ->
 
 
 def gm_metric(
-    grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, pair: GKPair, psi
+    grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, pair: GKPair, psi: FormField
 ) -> float:
     """Positive metric -integral tr <G a1, a2> vol on skew-Hermitian variations."""
-    psi = _as_form_field(grid, psi)
     m = pair.metric_matrix()
     e1 = np.concatenate([a1.V, a1.A], axis=0)  # (4n, *sizes, r, r)
     e2 = np.concatenate([a2.V, a2.A], axis=0)
@@ -770,7 +720,7 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
 
 
 def canonical_line_connection(
-    grid: TorusGrid, phi: FormField, psi, diagnostics: bool = False
+    grid: TorusGrid, phi: FormField, psi: FormField, diagnostics: bool = False
 ):
     """Abelian connection i(-J eta + (1/2) J d log rho) from d phi = eta . phi.
 
@@ -780,8 +730,6 @@ def canonical_line_connection(
     """
     n = grid.n
     t = blade_tables(n)
-    phi = _as_form_field(grid, phi)
-    psi = _as_form_field(grid, psi)
     psi0 = psi.value_at((0,) * (2 * n))
     if np.max(np.abs(psi.data - FormField.constant(grid, psi0).data)) > 1e-12:
         raise ValueError("psi must be a constant field")
@@ -806,7 +754,7 @@ def canonical_line_connection(
     if worst > 1e-8 * max(1.0, float(np.max(np.abs(target)))):
         raise ValueError(f"d phi is not of the form eta . phi (residual {worst:.3e})")
 
-    ratio = mukai_field(phi, phi.conjugate()) / _pair_density(grid, psi)
+    ratio = mukai_field(phi, phi.conjugate()) / mukai_field(psi, psi.conjugate())
     peak = float(np.max(np.abs(ratio)))
     if peak == 0.0 or np.min(np.abs(ratio)) < 1e-10 * peak:
         raise ValueError("pairing density of phi degenerates")

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import _backend as _k
 from .multivector import blade_tables, exp_two_form, is_skew
-from .fields import MAX_GRID_N, FormField, GenConnection, TorusGrid
+from .fields import MAX_GRID_N, MIN_GRID_SIZE, FormField, GenConnection, TorusGrid
 from .structures import OMEGA_BLOCK
 
 _DEFAULT_SIZE = 32
@@ -159,6 +159,12 @@ def _as_real(value, what):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SpecError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _as_list(value, length, what, kind):
+    if not isinstance(value, list) or len(value) != length:
+        raise SpecError(f"{what} must be a list of {length} {kind}, got {value!r}")
+    return value
 
 
 def _as_matrix(value, shape, what):
@@ -314,14 +320,7 @@ def _check_no_overflow(part, rank, what):
 def _check_addressable(n, sizes, rank, grid_key, rank_key):
     """Reject sizes and rank whose endomorphism-form fields, 16 * 4^n *
     prod(sizes) * r^2 bytes, no numpy array can index; this runs before the
-    first allocation.  Sizes that are not integers >= 1 are left to
-    TorusGrid, which names the fault."""
-    try:
-        sizes = [int(s) for s in sizes]
-    except (TypeError, ValueError):
-        return
-    if min(sizes, default=0) < 1:
-        return
+    first allocation, on sizes already parsed as positive integers."""
     limit = np.iinfo(np.intp).max
     rank1_bytes = 16 * 4**n * math.prod(sizes)
     if rank1_bytes * rank * rank <= limit:
@@ -359,11 +358,16 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     if not isinstance(gspec, dict) or set(gspec) - {"sizes", "periods"}:
         raise SpecError("grid must be {'sizes': [...], 'periods': [...]}")
     if grid_size is not None:
-        sizes = (grid_size,) * (2 * n)
+        sizes = (_as_int(grid_size, "--grid", MIN_GRID_SIZE),) * (2 * n)
+    elif "sizes" in gspec:
+        sizes = _as_list(gspec["sizes"], 2 * n, "grid.sizes", "integers")
+        sizes = [_as_int(s, f"grid.sizes[{i}]", MIN_GRID_SIZE) for i, s in enumerate(sizes)]
     else:
-        sizes = gspec.get("sizes")
-    if sizes is None:
-        sizes = (_DEFAULT_SIZE if n == 1 else 8,) * (2 * n)
+        sizes = (_DEFAULT_SIZE if n == 1 else MIN_GRID_SIZE,) * (2 * n)
+    periods = gspec.get("periods")
+    if periods is not None:
+        periods = _as_list(periods, 2 * n, "grid.periods", "numbers")
+        periods = [_as_real(p, f"grid.periods[{i}]") for i, p in enumerate(periods)]
 
     bspec = doc.get("bundle", {})
     if not isinstance(bspec, dict) or set(bspec) - {"rank"}:
@@ -381,7 +385,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         "bundle.rank" if rank is None else "--rank",
     )
     try:
-        grid = TorusGrid(n, tuple(sizes), gspec.get("periods"))
+        grid = TorusGrid(n, tuple(sizes), periods)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad grid: {exc}") from None
 

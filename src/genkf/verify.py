@@ -54,12 +54,12 @@ from .fields import (
     gm_symplectic,
     lambda_from,
     lie_derivative,
-    mean_curvature,
     mean_curvature_from,
     moment_value,
     shift_connection,
     trace_field,
     u_window_defect,
+    validate_spinor_field,
     vol_density,
 )
 from .analysis import cohiggs_residual, solve_eh_line, symbol_exactness
@@ -374,9 +374,10 @@ def _field_checks(rng, cfg, curv):
     # bfield_act shifts A and so nabla_V in D^2(psi (x) s) = F_A(psi) s +
     # psi (x) nabla_V s, hence the curvature obeys
     # F_{b.A}(e^b psi) = e^b F_A(psi) + (sum_{mu nu} V^mu V^nu b_{nu mu}) e^b psi;
-    # psi_b is new, so its curvature validates it
+    # psi_b is new, so it is validated before its curvature
     conn_b = bfield_act(bmat, conn)
     psi_b = b_transform_field(bmat, psi)
+    validate_spinor_field(grid, psi_b)
     lhs = curvature(conn_b, psi_b)
     rhs = b_transform_field(bmat, fcurv)
     delta = np.einsum("m...ij,n...jk,nm->...ik", conn.V, conn.V, bmat)
@@ -405,11 +406,11 @@ def _field_checks(rng, cfg, curv):
     )
 
     no_v = GenConnection(grid, conn.rank, conn.A, np.zeros_like(conn.V))
-    err = _rel(abs(chern_from(curvature(no_v, psi, validate=False), psi) - c0), abs(c0))
+    err = _rel(abs(chern_from(curvature(no_v, psi), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-v-independence", 1e-10, err))
 
     other = _rand_conn(rng, grid, conn.rank)
-    err = _rel(abs(chern_from(curvature(other, psi, validate=False), psi) - c0), abs(c0))
+    err = _rel(abs(chern_from(curvature(other, psi), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-connection-independence", 1e-10, err))
 
     vol = vol_density(grid, psi)
@@ -449,7 +450,7 @@ def _field_checks(rng, cfg, curv):
     rows.append(_row("fields/gm-metric-symmetric-positive", 1e-10, err))
 
     xi = _rand_xi(rng, grid, conn.rank)
-    mv = moment_value(grid, conn, xi, psi, validate=False)
+    mv = moment_value(grid, conn, xi, psi)
     pairing = np.einsum("...ij,...ji->...", xi, kmean)
     want = -grid.integrate(vol * pairing.imag)
     rows.append(
@@ -458,7 +459,7 @@ def _field_checks(rng, cfg, curv):
 
     step = 1e-4
     plus, minus = (
-        moment_value(grid, shift_connection(conn, a1, s), xi, psi, validate=False)
+        moment_value(grid, shift_connection(conn, a1, s), xi, psi)
         for s in (step, -step)
     )
     deriv = (plus - minus) / (2.0 * step)
@@ -491,7 +492,8 @@ def _line_oracle_check(rng):
         a[mu, ..., 0, 0] = 1j * _trig(rng, grid)
         vmat[mu, ..., 0, 0] = 1j * v[mu]
     conn = GenConnection(grid, 1, a, vmat)
-    got = mean_curvature(conn, psi)[..., 0, 0]
+    validate_spinor_field(grid, psi)
+    got = mean_curvature_from(curvature(conn, psi), psi)[..., 0, 0]
 
     om_field = FormField.constant(grid, GradedForm.from_two_form_matrix(om))
     lvo = lie_derivative(grid, v, om_field)
@@ -571,7 +573,8 @@ def _analysis_checks(rng, cfg, seed):
     conn = GenConnection(grid, rr, a, v)
     res, _ = cohiggs_residual(conn, om, 0.0)
     psi = FormField.constant(grid, exp_two_form(1j * om))
-    k = mean_curvature(conn, psi)
+    validate_spinor_field(grid, psi)
+    k = mean_curvature_from(curvature(conn, psi), psi)
     rows.append(
         _row(
             "analysis/cohiggs-pipeline-match",
@@ -600,7 +603,8 @@ def run_suite(cfg, curv, seed=0):
     The caller validates cfg.psi first and passes curv, the document's
     (F, mean curvature, chern pair, lambda, EH norm) checked for finiteness
     (cli._curvature_numbers); curvatures and moment values on cfg.psi here
-    skip validation.
+    take it as it is.  Each spinor the suite builds itself is validated
+    before its first curvature.
     """
     rng = np.random.default_rng([seed, 101])
     psi0 = cfg.psi.value_at((0,) * (2 * cfg.n))

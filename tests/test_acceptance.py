@@ -41,16 +41,16 @@ from genkf.fields import (
     TorusGrid,
     b_transform_field,
     bfield_act,
-    chern_pair,
+    chern_from,
     connection_derivative,
     curvature,
     d_field,
-    eh_residual,
+    eh_residual_from,
     gm_metric,
     gm_symplectic,
-    lambda_from_chern,
+    lambda_from,
     lie_derivative,
-    mean_curvature,
+    mean_curvature_from,
     moment_value,
     shift_connection,
     trace_field,
@@ -269,13 +269,14 @@ def test_criterion_3_covariance_and_eh_b_invariance():
     pred = np.einsum("c...,...ij->c...ij", psi.data, delta)
     law_err = max_abs(lhs.data - rhs.data - pred) / scale
 
-    lam = lambda_from_chern(conn, psi)
-    _, norm0 = eh_residual(conn, psi, lam)
-    _, norm_b = eh_residual(conn_b, psi_b, lam)
+    f0 = curvature(conn, psi)
+    k0, k_b = mean_curvature_from(f0, psi), mean_curvature_from(curvature(conn_b, psi_b), psi_b)
+    lam = lambda_from(chern_from(f0, psi), psi, conn.rank)
+    _, norm0 = eh_residual_from(k0, psi, lam)
+    _, norm_b = eh_residual_from(k_b, psi_b, lam)
     inv_err = abs(norm_b - norm0) / max(1.0, norm0)
 
-    k0 = mean_curvature(conn, psi)
-    k_err = max_abs(mean_curvature(conn_b, psi_b) - k0) / max(1.0, max_abs(k0))
+    k_err = max_abs(k_b - k0) / max(1.0, max_abs(k0))
 
     dt = time.perf_counter() - t0
     worst = max(square_err, law_err, inv_err, k_err)
@@ -300,7 +301,7 @@ def test_criterion_4_specializations():
     # ordinary Hermitian-Yang-Mills: b = 0, V = 0
     conn = rand_conn(grid, 2, rng, with_v=False)
     psi = psi_const(grid)
-    got = mean_curvature(conn, psi)
+    got = mean_curvature_from(curvature(conn, psi), psi)
     lamf = 0.5 * np.einsum(
         "mn...ij,nm->...ij", conn.field_strength(), np.linalg.inv(std_omega(1))
     )
@@ -318,7 +319,7 @@ def test_criterion_4_specializations():
         a[mu, ..., 0, 0] = 1j * trig_scalar(grid, rng)
         vmat[mu, ..., 0, 0] = 1j * v[mu]
     line_conn = GenConnection(grid, 1, a, vmat)
-    got = mean_curvature(line_conn, psi_c)[..., 0, 0]
+    got = mean_curvature_from(curvature(line_conn, psi_c), psi_c)[..., 0, 0]
     om_field = FormField.constant(grid, GradedForm.from_two_form_matrix(std_omega(1)))
     lvo = lie_derivative(grid, v, om_field)
     lvo_mat = np.zeros((2, 2, *grid.sizes), dtype=np.complex128)
@@ -341,7 +342,8 @@ def test_criterion_4_specializations():
         vc[mu] += z[mu] * w[None, None] - np.conj(z[mu]) * w.conj().T[None, None]
     ch_conn = GenConnection(grid, r, ac, vc)
     res, _ = cohiggs_residual(ch_conn, std_omega(1), 0.0)
-    k = mean_curvature(ch_conn, psi_const(grid))
+    psi = psi_const(grid)
+    k = mean_curvature_from(curvature(ch_conn, psi), psi)
     errs["cohiggs"] = max_abs(res - k) / max(1.0, max_abs(k))
 
     dt = time.perf_counter() - t0
@@ -359,18 +361,19 @@ def test_criterion_5_chern_lambda_suite():
     conn = rand_conn(grid, 2, rng)
     t0 = time.perf_counter()
 
-    tr = trace_field(curvature(conn, psi))
+    f = curvature(conn, psi)
+    tr = trace_field(f)
     closed_err = max_abs(d_field(tr).data) / max(1.0, max_abs(tr.data))
 
-    c0 = chern_pair(conn, psi)
+    c0 = chern_from(f, psi)
     no_v = GenConnection(grid, 2, conn.A, np.zeros_like(conn.V))
-    v_err = abs(chern_pair(no_v, psi) - c0) / max(1.0, abs(c0))
+    v_err = abs(chern_from(curvature(no_v, psi), psi) - c0) / max(1.0, abs(c0))
     other = rand_conn(grid, 2, rng)
-    conn_err = abs(chern_pair(other, psi) - c0) / max(1.0, abs(c0))
+    conn_err = abs(chern_from(curvature(other, psi), psi) - c0) / max(1.0, abs(c0))
 
-    flat_lam = lambda_from_chern(GenConnection.zero(grid, 1), psi)
-    lam = lambda_from_chern(conn, psi)
-    k = mean_curvature(conn, psi)
+    flat_lam = lambda_from(chern_from(curvature(GenConnection.zero(grid, 1), psi), psi), psi, 1)
+    lam = lambda_from(c0, psi, conn.rank)
+    k = mean_curvature_from(f, psi)
     vol = vol_density(grid, psi)
     drift = grid.integrate(vol * (np.einsum("...ii->...", k).real - 2 * lam))
     lam_err = max(abs(flat_lam), abs(float(drift)) / max(1.0, abs(lam)))
@@ -437,7 +440,7 @@ def test_criterion_6_moment_suite():
     deriv_err = abs(deriv - want) / max(1.0, abs(want))
 
     mv = moment_value(grid, conn, xi, psi)
-    k = mean_curvature(conn, psi)
+    k = mean_curvature_from(curvature(conn, psi), psi)
     vol = vol_density(grid, psi)
     ident_err = abs(
         mv + grid.integrate(vol * np.einsum("...ij,...ji->...", xi, k).imag)
@@ -487,16 +490,16 @@ def test_criterion_8_solver():
     grid = TorusGrid(1, (32, 32))
     psi = psi_const(grid)
     init = rand_conn(grid, 1, rng)
-    lam = lambda_from_chern(init, psi)
+    lam = lambda_from(chern_from(curvature(init, psi), psi), psi, init.rank)
     t0 = time.perf_counter()
 
     out, trace = solve_eh_line(init, psi, max_iter=10000, tol=1e-8)
-    _, final_norm = eh_residual(out, psi, lam)
+    _, final_norm = eh_residual_from(mean_curvature_from(curvature(out, psi), psi), psi, lam)
 
     # Fourier-projection oracle: per-mode least squares on the impulse
     # responses of the linearized residual map
     base = GenConnection.zero(grid, 1)
-    kbase = mean_curvature(base, psi)[..., 0, 0].real
+    kbase = mean_curvature_from(curvature(base, psi), psi)[..., 0, 0].real
     resp = np.empty((4, *grid.sizes))
     for s in range(4):
         u = np.zeros((4, *grid.sizes))
@@ -507,9 +510,9 @@ def test_criterion_8_solver():
             base.A + 1j * u[:2][..., None, None],
             base.V + 1j * u[2:][..., None, None],
         )
-        resp[s] = mean_curvature(pert, psi)[..., 0, 0].real - kbase
+        resp[s] = mean_curvature_from(curvature(pert, psi), psi)[..., 0, 0].real - kbase
     mhat = np.fft.fftn(resp, axes=(1, 2))
-    rho = mean_curvature(init, psi)[..., 0, 0].real - lam
+    rho = mean_curvature_from(curvature(init, psi), psi)[..., 0, 0].real - lam
     rhat = np.fft.fftn(rho)
     den = np.sum(np.abs(mhat) ** 2, axis=0)
     live = den > 1e-20 * den.max()

@@ -41,11 +41,12 @@ from genkf.fields import (
     FormField,
     GenConnection,
     TorusGrid,
+    chern_from,
     curvature,
-    eh_residual,
-    lambda_from_chern,
+    eh_residual_from,
+    lambda_from,
     lie_derivative,
-    mean_curvature,
+    mean_curvature_from,
     vol_density,
 )
 from genkf.multivector import (
@@ -456,10 +457,11 @@ def test_cohiggs_matches_curvature_pipeline():
         a[mu] = 1j * trig_scalar(grid, rng)[..., None, None] * np.eye(2)
     conn = GenConnection(grid, 2, a, v)
     res, norm = cohiggs_residual(conn, std_omega(1), 0.0)
-    k_pipe = mean_curvature(conn, psi_const(grid))
+    psi = psi_const(grid)
+    k_pipe = mean_curvature_from(curvature(conn, psi), psi)
     scale = max(1.0, float(np.max(np.abs(k_pipe))))
     assert np.max(np.abs(res - k_pipe)) < 1e-10 * scale
-    _, norm_pipe = eh_residual(conn, psi_const(grid), 0.0)
+    _, norm_pipe = eh_residual_from(k_pipe, psi, 0.0)
     assert abs(norm - norm_pipe) < 1e-12 * max(1.0, norm_pipe)
 
 
@@ -475,7 +477,7 @@ def test_cohiggs_block_weights_match_pipeline():
     conn = GenConnection(grid, 2, np.zeros_like(v), v)
     res, _ = cohiggs_residual(conn, om, 0.0)
     psi = FormField.constant(grid, exp_two_form(GradedForm.from_two_form_matrix(1j * om)))
-    k_pipe = mean_curvature(conn, psi)
+    k_pipe = mean_curvature_from(curvature(conn, psi), psi)
     scale = max(1.0, float(np.max(np.abs(k_pipe))))
     assert np.max(np.abs(res - k_pipe)) < 1e-10 * scale
 
@@ -588,8 +590,8 @@ def test_solve_curvature_perturbation_converges():
     hist = np.asarray(trace.residual_history)
     assert hist[-1] <= 1e-10
     assert np.all(np.diff(hist) <= 1e-14 * hist[0])
-    lam = lambda_from_chern(out, psi)
-    _, norm = eh_residual(out, psi, lam)
+    lam = lambda_from(chern_from(curvature(out, psi), psi), psi, out.rank)
+    _, norm = eh_residual_from(mean_curvature_from(curvature(out, psi), psi), psi, lam)
     assert norm < 1e-8
     # a converged solution is a fixed point of the flow
     out2, trace2 = solve_eh_line(out, psi)
@@ -602,11 +604,11 @@ def test_solve_matches_fourier_oracle():
     rng = np.random.default_rng(5214)
     psi = psi_const(grid)
     init = line_conn(grid, rng, with_v=True)
-    lam = lambda_from_chern(init, psi)
+    lam = lambda_from(chern_from(curvature(init, psi), psi), psi, init.rank)
 
     # impulse responses of the linearized residual map, one per direction
     base = GenConnection.zero(grid, 1)
-    kbase = mean_curvature(base, psi)[..., 0, 0].real
+    kbase = mean_curvature_from(curvature(base, psi), psi)[..., 0, 0].real
     resp = np.empty((4, *grid.sizes))
     for s in range(4):
         u = np.zeros((4, *grid.sizes))
@@ -616,9 +618,9 @@ def test_solve_matches_fourier_oracle():
             base.A + 1j * u[:2][..., None, None],
             base.V + 1j * u[2:][..., None, None],
         )
-        resp[s] = mean_curvature(pert, psi)[..., 0, 0].real - kbase
+        resp[s] = mean_curvature_from(curvature(pert, psi), psi)[..., 0, 0].real - kbase
     mhat = np.fft.fftn(resp, axes=(1, 2))
-    rho = mean_curvature(init, psi)[..., 0, 0].real - lam
+    rho = mean_curvature_from(curvature(init, psi), psi)[..., 0, 0].real - lam
     rhat = np.fft.fftn(rho)
     den = np.sum(np.abs(mhat) ** 2, axis=0)
     live = den > 1e-20 * den.max()
@@ -631,7 +633,7 @@ def test_solve_matches_fourier_oracle():
         init.A + 1j * delta[:2][..., None, None],
         init.V + 1j * delta[2:][..., None, None],
     )
-    _, oracle_norm = eh_residual(oracle, psi, lam)
+    _, oracle_norm = eh_residual_from(mean_curvature_from(curvature(oracle, psi), psi), psi, lam)
     assert oracle_norm < 1e-6
 
     out, trace = solve_eh_line(init, psi, tol=1e-10)
@@ -650,7 +652,7 @@ def test_solve_b_field_line_identity():
     init = line_conn(grid, rng, with_v=True)
     out, trace = solve_eh_line(init, psi, tol=1e-10)
     assert trace.converged
-    lam = lambda_from_chern(out, psi)
+    lam = lambda_from(chern_from(curvature(out, psi), psi), psi, out.rank)
     om = std_omega(1)
     om_field = FormField.constant(
         grid, GradedForm.from_two_form_matrix(om.astype(np.complex128))
@@ -675,8 +677,8 @@ def test_solve_varying_spinor_coloured_probes():
     out, trace = solve_eh_line(init, psi, tol=1e-9, max_iter=4000)
     assert trace.converged
     assert trace.iterations > 0
-    lam = lambda_from_chern(out, psi)
-    _, norm = eh_residual(out, psi, lam)
+    lam = lambda_from(chern_from(curvature(out, psi), psi), psi, out.rank)
+    _, norm = eh_residual_from(mean_curvature_from(curvature(out, psi), psi), psi, lam)
     assert norm < 1e-8
 
 
@@ -738,7 +740,7 @@ def map_inputs(n, size, constant):
         cfg = build_config(varying_b_doc(n, size), seed=3)
         grid, psi, init = cfg.grid, cfg.psi, cfg.conn
     weight = np.sqrt(vol_density(grid, psi) * grid.cell_volume)
-    k0 = _line_k(curvature(init, psi, validate=False), psi)
+    k0 = _line_k(curvature(init, psi), psi)
     return init, psi, weight, k0
 
 
@@ -747,7 +749,7 @@ def probe_one(init, psi, weight, k0, s, point):
     grid = init.grid
     u = np.zeros((4 * grid.n, *grid.sizes))
     u[(s,) + tuple(point)] = 1.0
-    return weight * (_line_k(curvature(_shifted(init, u), psi, validate=False), psi) - k0)
+    return weight * (_line_k(curvature(_shifted(init, u), psi), psi) - k0)
 
 
 @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant"])
@@ -757,9 +759,9 @@ def test_line_map_matches_dense_probes_bitwise(monkeypatch, size, constant):
     grid = init.grid
     probes = []
 
-    def counted(conn, psi, validate=True):
+    def counted(conn, psi):
         probes.append(conn)
-        return curvature(conn, psi, validate=validate)
+        return curvature(conn, psi)
 
     monkeypatch.setattr(analysis, "curvature", counted)
     offsets, coef = _line_map(init, psi, weight, k0)
@@ -863,7 +865,8 @@ def test_solve_varying_b_beyond_old_point_cap(n, size, bound):
     elapsed = time.perf_counter() - start
     assert trace.converged and trace.iterations > 0
     assert trace.residual_history[-1] <= 1e-8
-    assert trace.lam == lambda_from_chern(cfg.conn, cfg.psi)
-    _, norm = eh_residual(out, cfg.psi, trace.lam)
+    psi = cfg.psi
+    assert trace.lam == lambda_from(chern_from(curvature(cfg.conn, psi), psi), psi, 1)
+    _, norm = eh_residual_from(mean_curvature_from(curvature(out, psi), psi), psi, trace.lam)
     assert norm < 1e-7
     assert elapsed < bound

@@ -209,9 +209,10 @@ from genkf.fields import (  # noqa: E402
     GenConnection,
     TorusGrid,
     connection_derivative,
+    curvature,
     gm_symplectic,
     lie_derivative,
-    mean_curvature,
+    mean_curvature_from,
     moment_value,
     shift_connection,
 )
@@ -295,7 +296,7 @@ def test_line_eh_scale_rederived():
         a[mu, ..., 0, 0] = 1j * _trig(grid, rng)
         v[mu, ..., 0, 0] = 1j * v_field[mu]
     conn = GenConnection(grid, 1, a, v)
-    k = mean_curvature(conn, psi)[..., 0, 0].real
+    k = mean_curvature_from(curvature(conn, psi), psi)[..., 0, 0].real
 
     om_field = FormField.constant(
         grid, GradedForm.from_two_form_matrix(STD_OMEGA_1.astype(complex))
@@ -325,7 +326,7 @@ def test_cohiggs_constants_rederived():
     for mu in range(2):
         v[mu] = z[mu] * w - np.conj(z[mu]) * w.conj().T
     conn_w = GenConnection(grid, 2, np.zeros_like(v), v)
-    k_w = mean_curvature(conn_w, psi)
+    k_w = mean_curvature_from(curvature(conn_w, psi), psi)
     comm = w @ w.conj().T - w.conj().T @ w
     derived_scale = (k_w[0, 0, 0, 0] / comm[0, 0]).real
     assert np.max(np.abs(k_w[0, 0] - derived_scale * comm)) < 1e-10
@@ -333,7 +334,7 @@ def test_cohiggs_constants_rederived():
 
     # F sign from the curvature half: V = 0, nonabelian A
     conn_a = _grid_conn(grid, 2, rng, with_v=False)
-    k_a = mean_curvature(conn_a, psi)
+    k_a = mean_curvature_from(curvature(conn_a, psi), psi)
     lam = 0.5 * np.einsum(
         "mn...ij,nm->...ij",
         conn_a.field_strength(),

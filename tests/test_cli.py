@@ -259,9 +259,9 @@ def count_curvature(monkeypatch):
     calls = []
     real = fields.curvature
 
-    def counted(conn, psi, validate=True):
+    def counted(conn, psi):
         calls.append((conn.A.tobytes(), conn.V.tobytes(), psi.data.tobytes()))
-        return real(conn, psi, validate=validate)
+        return real(conn, psi)
 
     for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
         monkeypatch.setattr(f"{mod}.curvature", counted)
@@ -321,25 +321,32 @@ def test_structure_checks_decompose_the_spinor_structure_once(monkeypatch, n):
     assert built == [gcs_from_spinor(psi0).J.tobytes()]
 
 
+def record_validations(monkeypatch, events):
+    """Append ("validate", psi bytes) to events at every spinor validation."""
+    real = fields.validate_spinor_field
+
+    def validate(grid, psi):
+        events.append(("validate", psi.data.tobytes()))
+        return real(grid, psi)
+
+    for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
+        monkeypatch.setattr(f"{mod}.validate_spinor_field", validate)
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_suite_validates_the_document_spinor_first_and_once(
     tmp_path, capsys, monkeypatch, command
 ):
     # the command validates psi before any curvature; its F and the suite's
-    # own curvatures and moment values on psi skip the check
+    # own curvatures and moment values take psi as it is
     events = []
-    real_validate, real_curvature = fields.validate_spinor_field, fields.curvature
+    real_curvature = fields.curvature
 
-    def validate(grid, psi):
-        events.append(("validate", psi.data.tobytes()))
-        return real_validate(grid, psi)
-
-    def counted(conn, psi, validate=True):
+    def counted(conn, psi):
         events.append(("curvature", psi.data.tobytes()))
-        return real_curvature(conn, psi, validate=validate)
+        return real_curvature(conn, psi)
 
-    for mod in ("genkf.fields", "genkf.cli", "genkf.analysis"):
-        monkeypatch.setattr(f"{mod}.validate_spinor_field", validate)
+    record_validations(monkeypatch, events)
     for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
         monkeypatch.setattr(f"{mod}.curvature", counted)
     path = write_doc(tmp_path, _RANK2_DOC)
@@ -351,6 +358,16 @@ def test_suite_validates_the_document_spinor_first_and_once(
     assert events.count(("validate", psi)) == 1
     # the command's F, then the suite's no_v and other
     assert events.count(("curvature", psi)) == 3
+
+
+def test_solve_validates_the_document_spinor_once(tmp_path, capsys, monkeypatch):
+    # solve_eh_line validates psi; the command does not validate it again
+    events = []
+    record_validations(monkeypatch, events)
+    path = write_doc(tmp_path, {"connection": {"A": {"random": {"amp": 0.1}}}})
+    psi = build_config(load_document(path), grid_size=16, seed=0).psi.data.tobytes()
+    assert main(["solve", "--grid", "16", "--input", path]) == 0
+    assert events == [("validate", psi)]
 
 
 def test_solve_command_computes_each_curvature_once(tmp_path, capsys, monkeypatch):
@@ -484,6 +501,33 @@ def test_unindexable_grid_exits_2_before_any_array(tmp_path, capsys, monkeypatch
     for target in ("TorusGrid", "_build_psi", "_init_component"):
         monkeypatch.setattr(f"genkf.specio.{target}", no_array)
     assert main(["verify", "--input", write_doc(tmp_path, doc), *argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "grid, argv, message",
+    [
+        ({"sizes": [16.7, 16]}, [], "grid.sizes[0] must be an integer, got 16.7"),
+        ({"sizes": ["16", "16"]}, [], "grid.sizes[0] must be an integer, got '16'"),
+        ({"sizes": [True, 16]}, [], "grid.sizes[0] must be an integer, got True"),
+        ({"sizes": [16, 4]}, [], "grid.sizes[1] must be at least 8, got 4"),
+        ({"sizes": 16}, [], "grid.sizes must be a list of 2 integers, got 16"),
+        ({"sizes": [16]}, [], "grid.sizes must be a list of 2 integers, got [16]"),
+        ({"periods": ["2.0", 1]}, [], "grid.periods[0] must be a number, got '2.0'"),
+        ({"periods": [True, 1]}, [], "grid.periods[0] must be a number, got True"),
+        ({"periods": 1.0}, [], "grid.periods must be a list of 2 numbers, got 1.0"),
+        ({}, ["--grid", "4"], "--grid must be at least 8, got 4"),
+        ({}, ["--grid", "-3037000500"], "--grid must be at least 8, got -3037000500"),
+    ],
+    ids=[
+        "size-float", "size-strings", "size-bool", "size-small", "sizes-scalar",
+        "sizes-short", "period-string", "period-bool", "periods-scalar",
+        "flag-small", "flag-negative",
+    ],
+)
+def test_grid_key_exits_2_naming_its_key(tmp_path, capsys, grid, argv, message):
+    args = ["curvature", "--input", write_doc(tmp_path, {"grid": grid}), *argv]
+    assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 

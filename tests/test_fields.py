@@ -40,20 +40,16 @@ from genkf.fields import (
     bfield_act,
     canonical_line_connection,
     chern_from,
-    chern_pair,
     connection_derivative,
     covariant_d,
     curvature,
     d_field,
     dbar_residual,
-    eh_residual,
     eh_residual_from,
     gm_metric,
     gm_symplectic,
     lambda_from,
-    lambda_from_chern,
     lie_derivative,
-    mean_curvature,
     mean_curvature_from,
     moment_value,
     mukai_field,
@@ -421,7 +417,8 @@ def test_bfield_act_trivial_cases():
 
 def test_mean_curvature_zero_conn():
     g = make_grid()
-    assert max_abs(mean_curvature(GenConnection.zero(g, 2), psi_const(g))) == 0.0
+    psi = psi_const(g)
+    assert max_abs(mean_curvature_from(curvature(GenConnection.zero(g, 2), psi), psi)) == 0.0
 
 
 def test_mean_curvature_hym_oracle():
@@ -430,7 +427,7 @@ def test_mean_curvature_hym_oracle():
     r = 2
     conn = random_conn(g, r, RNG, with_v=False)
     psi = psi_const(g)
-    got = mean_curvature(conn, psi)
+    got = mean_curvature_from(curvature(conn, psi), psi)
 
     om_inv = np.linalg.inv(std_omega(1))
     fmat = conn.field_strength()  # (2n, 2n, *sizes, r, r)
@@ -453,7 +450,7 @@ def test_mean_curvature_line_bundle_oracle():
     conn_v[0, ..., 0, 0] = 1j * v[0]
     conn_v[1, ..., 0, 0] = 1j * v[1]
     conn = GenConnection(g, 1, conn_a, conn_v)
-    got = mean_curvature(conn, psi)[..., 0, 0]
+    got = mean_curvature_from(curvature(conn, psi), psi)[..., 0, 0]
 
     om_inv = np.linalg.inv(std_omega(1))
     fmat = conn.field_strength()[..., 0, 0]
@@ -482,7 +479,7 @@ def test_mean_curvature_cohiggs_oracle():
     for mu in range(2):
         vfield[mu] += z[mu] * w[None, None] - np.conj(z[mu]) * w.conj().T[None, None]
     conn = GenConnection(g, r, np.zeros_like(vfield), vfield)
-    got = mean_curvature(conn, psi)
+    got = mean_curvature_from(curvature(conn, psi), psi)
     want = constants.COHIGGS_SCALE * (w @ w.conj().T - w.conj().T @ w)
     assert max_abs(got - want[None, None]) < 1e-12
     comm = w @ w.conj().T - w.conj().T @ w
@@ -492,17 +489,18 @@ def test_mean_curvature_cohiggs_oracle():
 def test_eh_residual_flat_and_gauge():
     g = make_grid()
     psi = psi_const(g)
-    field, norm = eh_residual(GenConnection.zero(g, 2), psi, 0.0)
+    flat = curvature(GenConnection.zero(g, 2), psi)
+    field, norm = eh_residual_from(mean_curvature_from(flat, psi), psi, 0.0)
     assert norm == 0.0 and max_abs(field) == 0.0
 
     conn = random_conn(g, 2, RNG)
-    _, n0 = eh_residual(conn, psi, 0.1)
+    _, n0 = eh_residual_from(mean_curvature_from(curvature(conn, psi), psi), psi, 0.1)
     u = np.linalg.qr(RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))[0]
     conn_g = GenConnection(
         g, 2, np.einsum("ij,m...jk,kl->m...il", u, conn.A, u.conj().T),
         np.einsum("ij,m...jk,kl->m...il", u, conn.V, u.conj().T),
     )
-    _, n1 = eh_residual(conn_g, psi, 0.1)
+    _, n1 = eh_residual_from(mean_curvature_from(curvature(conn_g, psi), psi), psi, 0.1)
     assert abs(n0 - n1) < 1e-12 * max(1.0, n0)
 
 
@@ -512,8 +510,10 @@ def test_eh_b_invariance():
     bmat = np.array([[0.0, 0.45], [-0.45, 0.0]])
     for r in (1, 2):
         conn = random_conn(g, r, RNG)
-        _, n0 = eh_residual(conn, psi, 0.07)
-        _, n1 = eh_residual(bfield_act(bmat, conn), b_transform_field(bmat, psi), 0.07)
+        _, n0 = eh_residual_from(mean_curvature_from(curvature(conn, psi), psi), psi, 0.07)
+        psi_b = b_transform_field(bmat, psi)
+        f_b = curvature(bfield_act(bmat, conn), psi_b)
+        _, n1 = eh_residual_from(mean_curvature_from(f_b, psi_b), psi_b, 0.07)
         assert abs(n0 - n1) < 1e-10 * max(1.0, n0)
 
 
@@ -524,9 +524,9 @@ def test_eh_b_invariance():
 def test_chern_trivial_flat():
     g = make_grid()
     psi = psi_const(g)
-    conn = GenConnection.zero(g, 1)
-    assert abs(chern_pair(conn, psi)) < 1e-13
-    assert abs(lambda_from_chern(conn, psi)) < 1e-13
+    chern = chern_from(curvature(GenConnection.zero(g, 1), psi), psi)
+    assert abs(chern) < 1e-13
+    assert abs(lambda_from(chern, psi, 1)) < 1e-13
 
 
 def test_chern_v_independence():
@@ -534,8 +534,8 @@ def test_chern_v_independence():
     psi = psi_const(g, c=0.2)
     conn = random_conn(g, 2, RNG)
     conn_no_v = GenConnection(g, 2, conn.A, np.zeros_like(conn.V))
-    c1 = chern_pair(conn, psi)
-    c2 = chern_pair(conn_no_v, psi)
+    c1 = chern_from(curvature(conn, psi), psi)
+    c2 = chern_from(curvature(conn_no_v, psi), psi)
     assert abs(c1 - c2) < 1e-10 * max(1.0, abs(c1))
 
 
@@ -548,7 +548,8 @@ def test_chern_gauge_independence():
         g, 2, np.einsum("ij,m...jk,kl->m...il", u, conn.A, u.conj().T),
         np.einsum("ij,m...jk,kl->m...il", u, conn.V, u.conj().T),
     )
-    assert abs(chern_pair(conn, psi) - chern_pair(conn_g, psi)) < 1e-10
+    c1 = chern_from(curvature(conn, psi), psi)
+    assert abs(c1 - chern_from(curvature(conn_g, psi), psi)) < 1e-10
 
 
 def test_trace_curvature_closed():
@@ -618,26 +619,24 @@ def test_moment_equals_mean_curvature_pairing():
     conn = random_conn(g, 2, RNG)
     xi = random_xi(g, 2, RNG)
     mv = moment_value(g, conn, xi, psi)
-    k = mean_curvature(conn, psi)
+    k = mean_curvature_from(curvature(conn, psi), psi)
     vol = vol_density(g, psi)
     integrand = np.einsum("...ij,...ji->...", xi, k)
     want = -g.integrate(vol * integrand.imag)
     assert abs(mv - want) < 1e-10 * max(1.0, abs(mv))
 
 
-def test_moment_value_skips_validation_bitwise_and_validates_by_default():
+def test_moment_value_and_curvature_take_a_non_closed_psi_as_it_is():
+    # validation is the caller's: neither function checks psi
     g = make_grid()
-    psi = psi_const(g, c=0.25)
+    bad = nonclosed_psi(g)
+    with pytest.raises(ValueError, match="closed"):
+        validate_spinor_field(g, bad)
     for r in (1, 2):
         conn = random_conn(g, r, RNG)
         xi = random_xi(g, r, RNG)
-        got = moment_value(g, conn, xi, psi, validate=False)
-        want = moment_value(g, conn, xi, psi)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
-        bad = nonclosed_psi(g)
-        with pytest.raises(ValueError, match="closed"):
-            moment_value(g, conn, xi, bad)
-        assert np.isfinite(moment_value(g, conn, xi, bad, validate=False))
+        assert np.isfinite(moment_value(g, conn, xi, bad))
+        assert np.all(np.isfinite(curvature(conn, bad).data))
 
 
 def test_moment_derivative_identity():
@@ -935,15 +934,17 @@ def test_derived_quantities_from_curvature_match_wrappers_bitwise(n, size, r):
     g = make_grid(n, size)
     conn = random_conn(g, r, rng, amp=0.3)
     psi = psi_const(g, c=0.4)
+    # one F shared by every *_from reading gives the bits of a fresh F per reading
     f = curvature(conn, psi)
     k = mean_curvature_from(f, psi)
     chern = chern_from(f, psi)
     lam = lambda_from(chern, psi, r)
     res, norm = eh_residual_from(k, psi, lam)
-    assert np.array_equal(k, mean_curvature(conn, psi))
-    assert chern == chern_pair(conn, psi)
-    assert lam == lambda_from_chern(conn, psi)
-    want_res, want_norm = eh_residual(conn, psi, lam)
+    assert np.array_equal(k, mean_curvature_from(curvature(conn, psi), psi))
+    assert chern == chern_from(curvature(conn, psi), psi)
+    assert lam == lambda_from(chern_from(curvature(conn, psi), psi), psi, r)
+    fresh_k = mean_curvature_from(curvature(conn, psi), psi)
+    want_res, want_norm = eh_residual_from(fresh_k, psi, lam)
     assert np.array_equal(res, want_res) and norm == want_norm
 
 
@@ -970,7 +971,7 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
         for run in (
             conn.field_strength,
             lambda: covariant_d(conn, a),
-            lambda: curvature(conn, psi, validate=False),
+            lambda: curvature(conn, psi),
         ):
             shapes.clear()
             run()
@@ -1170,7 +1171,7 @@ def test_field_operators_match_full_array_formulas_bitwise(n, r, seed, zero, neg
     assert same_bits(d_field(psi).data, full_d(g, psi.data))
     assert same_bits(d_field(a).data, full_d(g, a.data))
     assert same_bits(covariant_d(conn, a).data, full_covariant_d(conn, a.data))
-    got = curvature(conn, psi, validate=False).data
+    got = curvature(conn, psi).data
     assert same_bits(got, full_curvature(conn, psi.data))
     # the unordered quadratic sum rests on [V^mu, V^nu] and i_mu i_nu both
     # being antisymmetric in (mu, nu): the ordered half-sum agrees

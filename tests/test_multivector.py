@@ -530,7 +530,7 @@ def _a_part(a):
 
 
 def _xi(xi):
-    return moment_value(_GRID, GenConnection.zero(_GRID, 2), xi, _PSI, validate=False)
+    return moment_value(_GRID, GenConnection.zero(_GRID, 2), xi, _PSI)
 
 
 def _basis(m):
