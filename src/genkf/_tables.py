@@ -51,7 +51,6 @@ class BladeTables:
     # wedge COO, sorted by output blade k
     wedge_i: np.ndarray
     wedge_j: np.ndarray
-    wedge_k: np.ndarray
     wedge_s: np.ndarray
     wedge_starts: np.ndarray  # segment starts into the COO arrays
     wedge_cols: np.ndarray    # output blade per segment
@@ -129,7 +128,6 @@ def blade_tables(n: int) -> BladeTables:
         invol=invol,
         wedge_i=wedge_i,
         wedge_j=wedge_j,
-        wedge_k=wedge_k,
         wedge_s=wedge_s,
         wedge_starts=starts.astype(np.int64),
         wedge_cols=cols.astype(np.int64),

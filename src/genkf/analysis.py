@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _backend as _k
 from . import constants
 from ._tables import blade_tables
 from .fields import (
@@ -21,15 +22,14 @@ from .fields import (
     curvature,
     dbar_residual,
     eh_residual_from,
+    exp_two_form_field,
     lambda_from,
     lie_derivative,
     mean_curvature_from,
     validate_spinor_field,
     vol_density,
 )
-from .multivector import (
-    GenVector, GradedForm, exp_two_form, mukai_pair, real_two_form_matrix, wedge
-)
+from .multivector import GenVector, GradedForm, real_two_form_matrix, two_form_blades
 from .structures import OMEGA_BLOCK, clifford_matrix, gk_validate, spinor_line, standard_complex
 
 __all__ = [
@@ -124,56 +124,42 @@ def _symbol_matrices(n, r, j1, j2, theta):
     sets in bitmask order); higher pieces continue the realified pattern.
     """
     t = blade_tables(n)
-    basis = _skew_basis(r)
+    basis = np.array(_skew_basis(r))
     rr = r * r
-    psi = spinor_line(j2)
-    psibar = psi.conjugate()
-    den = mukai_pair(psi, psibar)
+    psi = spinor_line(j2).coeffs
+    psibar = np.conj(psi)
     kb = j1.minus_i_eigenbasis()
     coords = kb.conj().T @ ((np.eye(4 * n) + 1j * j1.J) / 2.0)  # (2n, 4n)
-    degsel = [np.where(t.deg == j)[0] for j in range(2 * n + 1)]
+    degsel = [np.flatnonzero(t.deg == j) for j in range(2 * n + 1)]
+    c2 = degsel[2].size
 
-    def deg1(cvec):
-        co = np.zeros(t.size, dtype=np.complex128)
-        for a in range(2 * n):
-            co[1 << a] = cvec[a]
-        return GradedForm(n, co)
-
-    thf = deg1(coords @ theta)
-
-    def wedge_rows(j, form):
-        return wedge(thf, form).coeffs[degsel[j + 1]]
+    # theta-flat wedged onto every blade (the first t.size columns) and onto
+    # the one-form coords[:, k] of each generalized direction e_k
+    thf = np.zeros(t.size, dtype=np.complex128)
+    thf[degsel[1]] = coords @ theta
+    forms = np.zeros((t.size, t.size + 4 * n), dtype=np.complex128)
+    forms[:, : t.size] = np.eye(t.size)
+    forms[degsel[1], t.size :] = coords
+    wedged = _k.wedge_batch(t, thf, forms)
 
     # line coefficients of theta . e_k . psi, one per generalized direction
-    mth = clifford_matrix(theta, n)
-    cline = np.empty(4 * n, dtype=np.complex128)
-    wvecs = np.empty((4 * n, degsel[2].size), dtype=np.complex128)
-    for k in range(4 * n):
-        e = np.zeros(4 * n)
-        e[k] = 1.0
-        acted = mth @ (clifford_matrix(e, n) @ psi.coeffs)
-        cline[k] = mukai_pair(GradedForm(n, acted), psibar) / den
-        wvecs[k] = wedge_rows(1, deg1(coords[:, k]))
+    eye = np.eye(4 * n)
+    ek_psi = _k.clifford_batch(t, eye[: 2 * n], eye[2 * n :], psi[:, None])
+    acted = clifford_matrix(theta, n) @ ek_psi
+    cline = _k.mukai_batch(t, acted, psibar[:, None]) / _k.mukai_batch(t, psi, psibar)
 
-    c2 = degsel[2].size
-    m0 = np.zeros((4 * n * rr, rr))
+    # column k * rr + m of B^0 -> B^1 and B^1 -> B^2 is direction e_k with basis[m]
+    m0 = np.kron(theta[:, None], np.eye(rr))
     m1 = np.zeros((rr + 2 * c2 * rr, 4 * n * rr))
-    for k in range(4 * n):
-        m0[k * rr : (k + 1) * rr] = theta[k] * np.eye(rr)
-        for m in range(rr):
-            col = k * rr + m
-            m1[m, col] = cline[k].imag
-            y = np.einsum("i,ab->iab", wvecs[k], basis[m]).ravel()
-            m1[rr : rr + c2 * rr, col] = y.real
-            m1[rr + c2 * rr :, col] = y.imag
+    m = np.arange(rr)[:, None]
+    m1[m, rr * np.arange(4 * n) + m] = cline.imag
+    y = np.einsum("ik,mab->iabkm", wedged[degsel[2], t.size :], basis)
+    y = y.reshape(c2 * rr, 4 * n * rr)
+    m1[rr : rr + c2 * rr] = y.real
+    m1[rr + c2 * rr :] = y.imag
 
     def realified(j):
-        src = degsel[j]
-        wc = np.zeros((degsel[j + 1].size, src.size), dtype=np.complex128)
-        for col, idx in enumerate(src):
-            e = np.zeros(t.size, dtype=np.complex128)
-            e[idx] = 1.0
-            wc[:, col] = wedge_rows(j, GradedForm(n, e))
+        wc = wedged[np.ix_(degsel[j + 1], degsel[j])]
         re = np.kron(wc.real, np.eye(rr))
         im = np.kron(wc.imag, np.eye(rr))
         return np.block([[re, -im], [im, re]])
@@ -319,8 +305,7 @@ def cohiggs_residual(conn, omega, lam):
         total = total + w @ wh - wh @ w
     k = constants.COHIGGS_SCALE * total
     k = (k + np.swapaxes(k, -1, -2).conj()) / 2.0
-    psi = FormField.constant(grid, exp_two_form(GradedForm.from_two_form_matrix(1j * om)))
-    return eh_residual_from(k, psi, lam)
+    return eh_residual_from(k, exp_two_form_field(grid, 1j * om), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -340,23 +325,14 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
     if conn.rank != 1:
         raise ValueError(f"soliton check needs a rank-1 connection, got rank {conn.rank}")
     _, om = _positive_blocks(omega, n)
-    t = blade_tables(n)
-    om_field = FormField.constant(
-        grid, GradedForm.from_two_form_matrix(om.astype(np.complex128))
-    )
+    om_field = FormField.constant(grid, GradedForm(n, two_form_blades(om)))
     lv = lie_derivative(grid, conn.V[..., 0, 0].imag, om_field).data
-    f = conn.field_strength()[..., 0, 0]
-    res = np.zeros((t.size, *grid.sizes), dtype=np.complex128)
-    for mu in range(2 * n):
-        for nu in range(mu + 1, 2 * n):
-            res[(1 << mu) | (1 << nu)] = f[mu, nu]
+    res = two_form_blades(conn.field_strength()[..., 0, 0])
     res += c * 1j * lv - 1j * om_field.data
     val = float(np.sqrt(grid.integrate(np.sum(np.abs(res) ** 2, axis=0))))
     if not diagnostics:
         return val
-    psi = FormField.constant(
-        grid, exp_two_form(GradedForm.from_two_form_matrix((c + 1j) * om))
-    )
+    psi = exp_two_form_field(grid, (c + 1j) * om)
     validate_spinor_field(grid, psi)
     fcurv = curvature(conn, psi)
     lam = lambda_from(chern_from(fcurv, psi), psi, conn.rank)
@@ -490,18 +466,17 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     impulse probes about init: one origin impulse per field when the spinor
     field is constant, else one probe per field and colour of a greedy
     distance-2 colouring of the grid; no grid size is refused.  psi is
-    validated here, once, before the curvature of init, which is computed
-    once and gives lam and the right-hand side; the probes take psi as it
-    is.  lam defaults to the chern-normalized value (any other target is
-    unreachable).  Returns the updated connection and a FlowTrace; raises
-    ValueError if the rank is not one or the starting residual is not
-    finite, RuntimeError if the step size collapses below 1e-12 before the
-    tolerance is met.
+    taken as it is, as in every fields function: the caller validates it
+    (validate_spinor_field).  The curvature of init is computed once and
+    gives lam and the right-hand side.  lam defaults to the
+    chern-normalized value (any other target is unreachable).  Returns the
+    updated connection and a FlowTrace; raises ValueError if the rank is not
+    one or the starting residual is not finite, RuntimeError if the step
+    size collapses below 1e-12 before the tolerance is met.
     """
     grid = init.grid
     if init.rank != 1:
         raise ValueError(f"solver handles rank-1 connections only, got rank {init.rank}")
-    validate_spinor_field(grid, psi)
     n2 = 2 * grid.n
     nd = 2 * n2
     f = curvature(init, psi)

@@ -173,6 +173,7 @@ def cmd_solve(cfg, args) -> int:
             f"solve handles rank-1 bundles only (got rank {cfg.rank}); "
             "higher-rank existence is out of scope"
         )
+    validate_spinor_field(cfg.grid, cfg.psi)  # its one validation in solve
     tol = 1e-8 if args.tol is None else args.tol
     conn, trace = solve_eh_line(
         cfg.conn, cfg.psi, max_iter=args.max_iter, tol=tol, lam=cfg.lam

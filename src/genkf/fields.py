@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _backend as _k
 from ._tables import blade_tables
-from .multivector import GradedForm, exp_two_form, is_skew, real_two_form_matrix
+from .multivector import GradedForm, exp_blades, is_skew, real_two_form_matrix, two_form_blades
 from .structures import GCStructure, GKPair, UDecomposition, classify_spinor, gcs_from_spinor
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "d_field",
     "dbar_residual",
     "eh_residual_from",
+    "exp_two_form_field",
     "gm_metric",
     "gm_symplectic",
     "lambda_from",
@@ -530,13 +531,22 @@ def bfield_act(b, conn: GenConnection) -> GenConnection:
     return GenConnection(conn.grid, conn.rank, conn.A - shift, conn.V.copy())
 
 
+def exp_two_form_field(grid: TorusGrid, b) -> FormField:
+    """e^b for a complex two-form b[mu, nu], constant (2n, 2n) or varying
+    (2n, 2n, *sizes): at each point the bits of exp_two_form(b(x))."""
+    coeffs = exp_blades(blade_tables(grid.n), two_form_blades(b))
+    if coeffs.ndim == 1:
+        return FormField.constant(grid, GradedForm(grid.n, coeffs))
+    return FormField(grid, coeffs)
+
+
 def b_transform_field(b, f):
     """Pointwise e^b wedge on a (form or endomorphism-form) field."""
     grid = f.grid
     t = blade_tables(grid.n)
-    eb = exp_two_form(real_two_form_matrix(b, grid.n, "b matrix"))
+    eb = exp_blades(t, two_form_blades(real_two_form_matrix(b, grid.n, "b matrix")))
     # one e^b against every point of f: the kernel broadcasts it
-    return _like(f, _k.wedge_batch(t, eb.coeffs, f.data))
+    return _like(f, _k.wedge_batch(t, eb, f.data))
 
 
 # ---------------------------------------------------------------------------

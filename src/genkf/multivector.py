@@ -24,10 +24,12 @@ __all__ = [
     "clifford_act",
     "mukai_pair",
     "exp_two_form",
+    "exp_blades",
     "b_transform",
     "neutral_pairing",
     "neutral_pairing_matrix",
     "two_form_matrix",
+    "two_form_blades",
     "is_skew",
     "real_two_form_matrix",
 ]
@@ -84,12 +86,7 @@ class GradedForm:
             raise ValueError(f"need a (2n, 2n) matrix, got shape {m.shape}")
         if not is_skew(m, m.T):
             raise ValueError("two-form matrix must be antisymmetric")
-        n = m.shape[0] // 2
-        out = cls.zero(n)
-        for mu in range(2 * n):
-            for nu in range(mu + 1, 2 * n):
-                out.coeffs[(1 << mu) | (1 << nu)] = m[mu, nu]
-        return out
+        return cls(m.shape[0] // 2, two_form_blades(m))
 
     # -- structure ----------------------------------------------------------
 
@@ -229,10 +226,16 @@ def exp_two_form(b) -> GradedForm:
         b = GradedForm.from_two_form_matrix(b)
     if any(d != 2 for d in b.degrees()):
         raise ValueError(f"exp_two_form needs a pure two-form, degrees {b.degrees()}")
-    acc = GradedForm.scalar(b.n, 1.0)
-    term = GradedForm.scalar(b.n, 1.0)
-    for k in range(1, b.n + 1):
-        term = wedge(term, b) * (1.0 / k)
+    return GradedForm(b.n, exp_blades(blade_tables(b.n), b.coeffs))
+
+
+def exp_blades(t, b: np.ndarray) -> np.ndarray:
+    """e^b = sum b^k / k!, k <= n, for two-form coefficients b (size, *batch)."""
+    acc = np.zeros_like(b)
+    acc[0] = 1.0
+    term = acc.copy()
+    for k in range(1, t.n + 1):
+        term = _k.wedge_batch(t, term, b) * (1.0 / k)
         acc = acc + term
     return acc
 
@@ -253,14 +256,28 @@ def neutral_pairing_matrix(n: int) -> np.ndarray:
     return np.block([[zero, eye], [eye, zero]]) / 2.0
 
 
+def _pair_blades(dim: int):
+    """Index arrays mu < nu and the blade of dx^mu ^ dx^nu for each pair."""
+    mu, nu = np.triu_indices(dim, 1)
+    return mu, nu, (1 << mu) | (1 << nu)
+
+
+def two_form_blades(m) -> np.ndarray:
+    """Blade coefficients (4^n, *batch) of a two-form m[mu, nu, *batch]: the
+    entry m[mu, nu], mu < nu, on the blade dx^mu ^ dx^nu, zero elsewhere."""
+    m = np.asarray(m)
+    mu, nu, blade = _pair_blades(m.shape[0])
+    out = np.zeros((1 << m.shape[0], *m.shape[2:]), dtype=np.complex128)
+    out[blade] = m[mu, nu]
+    return out
+
+
 def two_form_matrix(b: GradedForm) -> np.ndarray:
     """Antisymmetric coefficient matrix of the degree-2 part of b."""
+    mu, nu, blade = _pair_blades(2 * b.n)
     m = np.zeros((2 * b.n, 2 * b.n), dtype=np.complex128)
-    for mu in range(2 * b.n):
-        for nu in range(mu + 1, 2 * b.n):
-            c = b.coeffs[(1 << mu) | (1 << nu)]
-            m[mu, nu] = c
-            m[nu, mu] = -c
+    m[mu, nu] = b.coeffs[blade]
+    m[nu, mu] = -b.coeffs[blade]
     if np.max(np.abs(m.imag)) == 0.0:
         return m.real
     return m

@@ -42,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _backend as _k
-from .multivector import blade_tables, exp_two_form, is_skew
-from .fields import MAX_GRID_N, MIN_GRID_SIZE, FormField, GenConnection, TorusGrid
+from .multivector import is_skew
+from .fields import (
+    MAX_GRID_N, MIN_GRID_SIZE, FormField, GenConnection, TorusGrid, exp_two_form_field
+)
 from .structures import OMEGA_BLOCK
 
 _DEFAULT_SIZE = 32
@@ -209,10 +210,10 @@ def _omega_matrix(spec, n):
 
 
 def _b_field(spec, grid):
-    """Antisymmetric two-form coefficients, (2n, 2n, *sizes); None if absent."""
-    if spec is None:
-        return None
+    """Two-form b: (2n, 2n) for a matrix or none, (2n, 2n, *sizes) for entries."""
     n2 = 2 * grid.n
+    if spec is None:
+        return np.zeros((n2, n2))
     if isinstance(spec, dict):
         entries = spec.get("entries")
         if set(spec) != {"entries"} or not isinstance(entries, list):
@@ -232,27 +233,12 @@ def _b_field(spec, grid):
     m = _as_matrix(spec, (n2, n2), "psi.b")
     if not is_skew(m, m.T):
         raise SpecError("psi.b must be antisymmetric")
-    return np.broadcast_to(m[(...,) + (None,) * n2], (n2, n2, *grid.sizes)).copy()
+    return m
 
 
 def _build_psi(grid, bfield, omega):
-    """e^{b + i omega} as a form field; pointwise series when b varies."""
-    n2 = 2 * grid.n
-    if bfield is None or np.max(np.abs(bfield - bfield[(..., *((0,) * n2))][(...,) + (None,) * n2])) == 0.0:
-        b0 = np.zeros((n2, n2)) if bfield is None else bfield[(..., *((0,) * n2))]
-        return FormField.constant(grid, exp_two_form(b0 + 1j * omega))
-    t = blade_tables(grid.n)
-    bdata = np.zeros((t.size, *grid.sizes), dtype=np.complex128)
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            bdata[(1 << i) | (1 << j)] = bfield[i, j] + 1j * omega[i, j]
-    acc = np.zeros_like(bdata)
-    acc[0] = 1.0
-    term = acc.copy()
-    for k in range(1, grid.n + 1):
-        term = _k.wedge_batch(t, term, bdata) * (1.0 / k)
-        acc = acc + term
-    return FormField(grid, acc)
+    """e^{b + i omega} as a form field, constant where b is a matrix."""
+    return exp_two_form_field(grid, bfield + 1j * omega[(...,) + (None,) * (bfield.ndim - 2)])
 
 
 def _basis_matrix(spec, rank, what):
@@ -368,6 +354,15 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     if periods is not None:
         periods = _as_list(periods, 2 * n, "grid.periods", "numbers")
         periods = [_as_real(p, f"grid.periods[{i}]") for i, p in enumerate(periods)]
+        # the grid's phase 2 pi k x / P (x < P), difference factor size / P,
+        # squared spacing and cell volume must be finite and the volume
+        # nonzero; TorusGrid names a period that is not positive
+        for i, (p, s) in enumerate(zip(periods, sizes)):
+            if p > 0 and not all(map(math.isfinite, (2 * math.pi * p, s / p, (p / s) * (p / s)))):
+                raise SpecError(f"grid.periods[{i}] is out of range, got {p!r}")
+        volume = math.prod(p / s for p, s in zip(periods, sizes))
+        if min(periods) > 0 and not 0.0 < volume < math.inf:
+            raise SpecError(f"grid.periods is out of range: cell volume {volume!r}")
 
     bspec = doc.get("bundle", {})
     if not isinstance(bspec, dict) or set(bspec) - {"rank"}:

@@ -16,13 +16,13 @@ conjugate eigenspace.  The spinor line generates the lowest (-in) piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _backend as _k
 from ._tables import blade_tables
-from .multivector import GenVector, GradedForm, is_skew, neutral_pairing, neutral_pairing_matrix
+from .multivector import GradedForm, is_skew, neutral_pairing_matrix
 
 __all__ = [
     "GCStructure",
@@ -152,17 +152,13 @@ class SpinorClass:
     is_pure: bool
     is_nondegenerate: bool
     type_number: int
+    kernel: np.ndarray = field(repr=False, compare=False)  # spinor_kernel(phi)
 
 
 def classify_spinor(phi: GradedForm) -> SpinorClass:
     k = spinor_kernel(phi)
     kdim = k.shape[1]
-    iso = 0.0
-    for i in range(kdim):
-        for j in range(kdim):
-            e1 = GenVector.from_array(k[:, i])
-            e2 = GenVector.from_array(k[:, j])
-            iso = max(iso, abs(neutral_pairing(e1, e2)))
+    iso = float(np.max(np.abs(k.T @ neutral_pairing_matrix(phi.n) @ k), initial=0.0))
     pure = kdim == 2 * phi.n and iso < _ISOTROPY_TOL
     if kdim:
         stacked = np.hstack([k, np.conj(k)])
@@ -173,7 +169,7 @@ def classify_spinor(phi: GradedForm) -> SpinorClass:
     t = blade_tables(phi.n)
     live = np.abs(phi.coeffs) > _DEGREE_TOL * np.max(np.abs(phi.coeffs))
     type_number = int(np.min(t.deg[live]))
-    return SpinorClass(kdim, iso, pure, nondeg, type_number)
+    return SpinorClass(kdim, iso, pure, nondeg, type_number, k)
 
 
 def gcs_from_spinor(phi: GradedForm) -> GCStructure:
@@ -186,7 +182,7 @@ def gcs_from_spinor(phi: GradedForm) -> GCStructure:
         )
     if not cls.is_nondegenerate:
         raise ValueError("spinor is degenerate: kernel meets its conjugate")
-    k = spinor_kernel(phi)
+    k = cls.kernel
     basis = np.hstack([k, np.conj(k)])
     eig = np.concatenate(
         [-1j * np.ones(k.shape[1]), 1j * np.ones(k.shape[1])]

@@ -50,6 +50,7 @@ from .fields import (
     d_field,
     dbar_residual,
     eh_residual_from,
+    exp_two_form_field,
     gm_metric,
     gm_symplectic,
     lambda_from,
@@ -484,7 +485,7 @@ def _line_oracle_check(rng):
     grid = TorusGrid(1, (16, 16))
     c = 0.4
     om = OMEGA_BLOCK
-    psi = FormField.constant(grid, exp_two_form((c + 1j) * om))
+    psi = exp_two_form_field(grid, (c + 1j) * om)
     a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
     v = np.stack([_trig(rng, grid), _trig(rng, grid)])
     vmat = np.zeros_like(a)
@@ -572,7 +573,7 @@ def _analysis_checks(rng, cfg, seed):
         v[mu] += z[mu] * w[None, None] - np.conj(z[mu]) * w.conj().T[None, None]
     conn = GenConnection(grid, rr, a, v)
     res, _ = cohiggs_residual(conn, om, 0.0)
-    psi = FormField.constant(grid, exp_two_form(1j * om))
+    psi = exp_two_form_field(grid, 1j * om)
     validate_spinor_field(grid, psi)
     k = mean_curvature_from(curvature(conn, psi), psi)
     rows.append(

@@ -55,6 +55,7 @@ from genkf.multivector import (
     exp_two_form,
     mukai_pair,
     neutral_pairing,
+    wedge,
 )
 from genkf.specio import build_config
 from genkf.structures import (
@@ -283,6 +284,48 @@ def test_symbol_matrices_linear_in_theta(n, r, comps):
     for k, m in enumerate(direct):
         combo = sum(c * mats[k] for c, mats in zip(comps, stacks))
         assert np.abs(m - combo).max() <= 1e-14 * np.abs(m).max()
+
+
+def blades_of_degree(n, j):
+    return [mask for mask in range(4**n) if bin(mask).count("1") == j]
+
+
+def theta_wedge(n, thf, mask):
+    """Coefficients of thf ^ (blade mask) on the blades one degree up."""
+    blade = GradedForm.blade(n, [a for a in range(2 * n) if mask >> a & 1])
+    j = bin(mask).count("1")
+    return wedge(thf, blade).coeffs[blades_of_degree(n, j + 1)]
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
+    # every theta-wedge block of the symbol maps, rebuilt one blade at a time
+    # with GradedForm: B^1 -> B^2 on the one-forms of the 4n directions, and
+    # the realified blocks B^j -> B^{j+1}, j >= 2
+    rng = np.random.default_rng(4100 + 10 * n + r)
+    j1, j2 = std_pair(n)
+    rr = r * r
+    basis = np.array(_skew_basis(r))
+    coords = j1.minus_i_eigenbasis().conj().T @ ((np.eye(4 * n) + 1j * j1.J) / 2.0)
+
+    def one_form(c):
+        return sum((GradedForm.blade(n, (a,), c[a]) for a in range(2 * n)), GradedForm.zero(n))
+
+    for _ in range(3):
+        th = np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])
+        _, mats = _symbol_matrices(n, r, j1, j2, th)
+        thf = one_form(coords @ th)
+        for k in range(4 * n):
+            w = wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
+            for m in range(rr):
+                y = np.outer(w, basis[m].ravel()).ravel()
+                col = mats[1][rr:, k * rr + m]
+                assert np.array_equal(col, np.concatenate([y.real, y.imag]))
+        for j in range(2, 2 * n):
+            wc = np.array([theta_wedge(n, thf, mask) for mask in blades_of_degree(n, j)]).T
+            re, im = np.kron(wc.real, np.eye(rr)), np.kron(wc.imag, np.eye(rr))
+            block = mats[j] if j > 2 else mats[2][:, rr:]
+            assert np.array_equal(block, np.block([[re, -im], [im, re]]))
 
 
 @pytest.mark.parametrize(

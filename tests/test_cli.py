@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genkf import analysis, cli, fields, report
+from genkf import analysis, cli, fields, report, specio
 from genkf.cli import main
 from genkf.multivector import exp_two_form
 from genkf.specio import SpecError, build_config, load_document
@@ -93,6 +93,40 @@ def test_verify_closed_varying_b_passes(tmp_path, capsys):
         },
     }
     assert main(["verify", "--input", write_doc(tmp_path, doc)]) == 0
+
+
+def b_entries(n2):
+    """psi.b entries whose coefficients are a number or trig monomials."""
+    mono = st.fixed_dictionaries({
+        "c": st.floats(-1.0, 1.0),
+        "trig": st.sampled_from(["sin", "cos"]),
+        "k": st.lists(st.integers(-2, 2), min_size=n2, max_size=n2),
+    })
+    index = st.integers(0, n2 - 1)
+    entry = st.fixed_dictionaries(
+        {"i": index, "j": index, "coeff": st.floats(-1.0, 1.0) | st.lists(mono, max_size=2)}
+    )
+    return st.lists(entry.filter(lambda e: e["i"] != e["j"]), max_size=3)
+
+
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([1, 2]), data=st.data())
+def test_document_spinor_is_exp_two_form_at_every_point_bitwise(n, data):
+    # psi.b as a matrix or as entries: every grid point of psi holds the bits
+    # of exp_two_form(b(x) + i omega) computed for that point alone
+    n2 = 2 * n
+    upper = st.lists(st.floats(-2.0, 2.0), min_size=n * (n2 - 1), max_size=n * (n2 - 1))
+    m = np.zeros((n2, n2))
+    m[np.triu_indices(n2, 1)] = data.draw(upper)
+    grid = fields.TorusGrid(n, (8,) * n2)
+    omega = np.kron(np.eye(n), OMEGA_BLOCK)
+    for spec in ((m - m.T).tolist(), {"entries": data.draw(b_entries(n2))}):
+        b = specio._b_field(spec, grid)
+        psi = specio._build_psi(grid, b, omega)
+        for point in np.ndindex(grid.sizes):
+            bx = b if b.ndim == 2 else b[(...,) + point]
+            want = exp_two_form(bx + 1j * omega).coeffs
+            assert psi.data[(slice(None),) + point].tobytes() == want.tobytes()
 
 
 def test_seed_determinism_bytes(tmp_path, capsys):
@@ -356,12 +390,18 @@ def test_suite_validates_the_document_spinor_first_and_once(
     assert main(args + ["--output", str(tmp_path / "out.json")]) == 0
     assert events[0] == ("validate", psi)
     assert events.count(("validate", psi)) == 1
+    # nor is any spinor validated twice: the document's psi, psi_b and the
+    # suite's e^{i omega} and e^{(c + i) omega} once each (solve_eh_line
+    # validated e^{i omega} again)
+    validated = [e for e in events if e[0] == "validate"]
+    assert len(set(validated)) == len(validated) == 4
     # the command's F, then the suite's no_v and other
     assert events.count(("curvature", psi)) == 3
 
 
 def test_solve_validates_the_document_spinor_once(tmp_path, capsys, monkeypatch):
-    # solve_eh_line validates psi; the command does not validate it again
+    # the command validates psi after its rank check; solve_eh_line takes it
+    # as it is
     events = []
     record_validations(monkeypatch, events)
     path = write_doc(tmp_path, {"connection": {"A": {"random": {"amp": 0.1}}}})
@@ -518,11 +558,19 @@ def test_unindexable_grid_exits_2_before_any_array(tmp_path, capsys, monkeypatch
         ({"periods": 1.0}, [], "grid.periods must be a list of 2 numbers, got 1.0"),
         ({}, ["--grid", "4"], "--grid must be at least 8, got 4"),
         ({}, ["--grid", "-3037000500"], "--grid must be at least 8, got -3037000500"),
+        # the phase 2 pi k x / P overflows, size / P overflows, the squared
+        # spacing overflows (an OverflowError traceback), the cell volume
+        # underflows to 0 (a ZeroDivisionError traceback)
+        ({"periods": [1e308, 1]}, [], "grid.periods[0] is out of range"),
+        ({"periods": [1, 1e-320]}, [], "grid.periods[1] is out of range"),
+        ({"periods": [1e200, 1]}, [], "grid.periods[0] is out of range"),
+        ({"periods": [1e-200, 1e-200]}, [], "grid.periods is out of range: cell volume 0.0"),
     ],
     ids=[
         "size-float", "size-strings", "size-bool", "size-small", "sizes-scalar",
         "sizes-short", "period-string", "period-bool", "periods-scalar",
-        "flag-small", "flag-negative",
+        "flag-small", "flag-negative", "period-huge", "period-tiny",
+        "period-spacing-squared", "periods-cell-volume",
     ],
 )
 def test_grid_key_exits_2_naming_its_key(tmp_path, capsys, grid, argv, message):

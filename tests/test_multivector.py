@@ -5,6 +5,8 @@ wedge and interior products are recomputed over tuple-keyed dicts with
 bubble-sort parity, and the small Mukai values are frozen by hand.
 """
 
+import ast
+import pathlib
 import re
 
 import numpy as np
@@ -130,6 +132,30 @@ def test_backend_seam_reexports_numpy_kernels():
     assert genkf.kernel_backend == _backend.BACKEND_NAME == "python"
     for name in ("wedge_batch", "interior_batch", "wedge1_batch", "clifford_batch", "mukai_batch"):
         assert getattr(_backend, name) is getattr(_kernels_py, name)
+
+
+def imported_modules(tree):
+    """Last component of every module name a parsed source file imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "genkf"):  # from . import x, from genkf import x
+                yield from (alias.name for alias in node.names)
+            else:
+                yield node.module.split(".")[-1]
+
+
+def test_only_the_algebra_layers_import_the_kernels():
+    # the blade kernels are reached through _backend by multivector,
+    # structures, fields and analysis alone (and the package re-exports the
+    # backend's name); specio, verify, cli and report build on those layers
+    importers = {"_backend": set(), "_kernels_py": set()}
+    for path in pathlib.Path(genkf.__file__).parent.glob("*.py"):
+        for name in imported_modules(ast.parse(path.read_text())):
+            importers.get(name, set()).add(path.stem)
+    assert importers["_backend"] <= {"__init__", "multivector", "structures", "fields", "analysis"}
+    assert importers["_kernels_py"] == {"_backend"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,6 +8,7 @@ construction routes (block formula vs kernel of the spinor) must agree.
 import numpy as np
 import pytest
 
+from genkf import structures
 from genkf.multivector import (
     GenVector,
     GradedForm,
@@ -149,6 +150,28 @@ def test_kernel_isotropy_random():
                 e1 = GenVector.from_array(k[:, i])
                 e2 = GenVector.from_array(k[:, j])
                 assert abs(neutral_pairing(e1, e2)) < 1e-10
+
+
+def test_structure_from_spinor_reuses_the_classified_kernel(monkeypatch):
+    # gcs_from_spinor takes the kernel classify_spinor computed (one SVD),
+    # and its Gram-product isotropy defect is the pairwise maximum
+    calls = []
+    real = structures.spinor_kernel
+    monkeypatch.setattr(structures, "spinor_kernel", lambda phi: calls.append(1) or real(phi))
+    for n in (1, 2):
+        psi = psi_from_omega(random_omega(n), random_omega(n))
+        cls = classify_spinor(psi)
+        k = real(psi)
+        assert np.array_equal(cls.kernel, k)
+        pairwise = max(
+            abs(neutral_pairing(GenVector.from_array(a), GenVector.from_array(b)))
+            for a in k.T
+            for b in k.T
+        )
+        assert abs(cls.isotropy_defect - pairwise) <= 1e-15
+        calls.clear()
+        gcs_from_spinor(psi)
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
