@@ -114,7 +114,36 @@ def _theta_covector(theta, n):
     return arr.astype(float)
 
 
-def _symbol_matrices(n, r, j1, j2, theta):
+@dataclass(frozen=True)
+class _SymbolSetup:
+    """The theta-independent data of the symbol maps of one pair (j1, j2)."""
+
+    t: object  # blade tables
+    degsel: list  # blade indices of each degree
+    psibar: np.ndarray  # conjugate of the spinor line of j2
+    norm: complex  # Mukai pairing of the line with its conjugate
+    coords: np.ndarray  # (2n, 4n) Hermitian coordinates of j1
+    ek_psi: np.ndarray  # (4^n, 4n) Clifford action of each direction on psi
+
+
+def _symbol_setup(n, j1, j2):
+    """Assemble the parts of the symbol maps that do not depend on theta."""
+    t = blade_tables(n)
+    psi = spinor_line(j2).coeffs
+    psibar = np.conj(psi)
+    kb = j1.minus_i_eigenbasis()
+    eye = np.eye(4 * n)
+    return _SymbolSetup(
+        t=t,
+        degsel=[np.flatnonzero(t.deg == j) for j in range(2 * n + 1)],
+        psibar=psibar,
+        norm=_k.mukai_batch(t, psi, psibar),
+        coords=kb.conj().T @ ((eye + 1j * j1.J) / 2.0),
+        ek_psi=_k.clifford_batch(t, eye[: 2 * n], eye[2 * n :], psi[:, None]),
+    )
+
+
+def _symbol_maps(setup, r, theta):
     """Real matrices of the symbol complex at the covector theta.
 
     Layout: B^0 is the skew basis; B^1 stacks one skew block per generalized
@@ -123,14 +152,10 @@ def _symbol_matrices(n, r, j1, j2, theta):
     antiholomorphic basis of j1 (real parts, then imaginary parts, letter
     sets in bitmask order); higher pieces continue the realified pattern.
     """
-    t = blade_tables(n)
+    t, degsel, coords = setup.t, setup.degsel, setup.coords
+    n = t.n
     basis = np.array(_skew_basis(r))
     rr = r * r
-    psi = spinor_line(j2).coeffs
-    psibar = np.conj(psi)
-    kb = j1.minus_i_eigenbasis()
-    coords = kb.conj().T @ ((np.eye(4 * n) + 1j * j1.J) / 2.0)  # (2n, 4n)
-    degsel = [np.flatnonzero(t.deg == j) for j in range(2 * n + 1)]
     c2 = degsel[2].size
 
     # theta-flat wedged onto every blade (the first t.size columns) and onto
@@ -143,10 +168,8 @@ def _symbol_matrices(n, r, j1, j2, theta):
     wedged = _k.wedge_batch(t, thf, forms)
 
     # line coefficients of theta . e_k . psi, one per generalized direction
-    eye = np.eye(4 * n)
-    ek_psi = _k.clifford_batch(t, eye[: 2 * n], eye[2 * n :], psi[:, None])
-    acted = clifford_matrix(theta, n) @ ek_psi
-    cline = _k.mukai_batch(t, acted, psibar[:, None]) / _k.mukai_batch(t, psi, psibar)
+    acted = clifford_matrix(theta, n) @ setup.ek_psi
+    cline = _k.mukai_batch(t, acted, setup.psibar[:, None]) / setup.norm
 
     # column k * rr + m of B^0 -> B^1 and B^1 -> B^2 is direction e_k with basis[m]
     m0 = np.kron(theta[:, None], np.eye(rr))
@@ -179,6 +202,11 @@ def _symbol_matrices(n, r, j1, j2, theta):
     return dims, mats
 
 
+def _symbol_matrices(n, r, j1, j2, theta):
+    """Real matrices of the symbol complex of (j1, j2) at the covector theta."""
+    return _symbol_maps(_symbol_setup(n, j1, j2), r, theta)
+
+
 def _random_covectors(rng, n, trials):
     """(trials, 2n) random cotangent components; near-zero draws are redrawn."""
     out = np.empty((trials, 2 * n))
@@ -190,21 +218,88 @@ def _random_covectors(rng, n, trials):
     return out
 
 
+def _diagonal_blocks(stack):
+    """Independent diagonal blocks of every map sum_a theta_a stack[a].
+
+    Each such map vanishes outside the union sparsity pattern of the stack,
+    so the connected components of that pattern's row-column graph permute
+    it into block-diagonal form; rows and columns outside every component
+    are zero.  Blocks whose stack slices are bitwise equal are the same
+    matrix at every theta.  Returns the classes of equal blocks, in order of
+    first row, each a list of (rows, cols) index arrays, representative first.
+    """
+    pattern = np.any(stack != 0.0, axis=0)
+    live = np.flatnonzero(pattern.any(axis=1))
+    link = pattern[live]
+    # boolean products: numpy's own loop, no BLAS threads (and their buffers)
+    reach = link @ link.T
+    while True:  # transitive closure by squaring: log2(diameter) steps
+        grown = reach @ reach
+        if (grown == reach).all():
+            break
+        reach = grown
+    classes = {}
+    for first in np.flatnonzero(reach.argmax(axis=1) == np.arange(live.size)):
+        rows = live[reach[first]]
+        cols = np.flatnonzero(pattern[rows].any(axis=0))
+        key = (rows.size, cols.size, stack[:, rows[:, None], cols].tobytes())
+        classes.setdefault(key, []).append((rows, cols))
+    return list(classes.values())
+
+
+def _rank_plan(classes):
+    """One (rows (k, p), cols (k, q), copies (k,)) entry per block shape,
+    listing the representative of each class of that shape."""
+    shapes = {}
+    for cls in classes:
+        rows, cols = cls[0]
+        reps = shapes.setdefault((rows.size, cols.size), ([], [], []))
+        reps[0].append(rows)
+        reps[1].append(cols)
+        reps[2].append(len(cls))
+    return [tuple(np.array(x) for x in reps) for reps in shapes.values()]
+
+
+def _blocked_ranks(mats, plan):
+    """Rank of each map in mats (T, rows, cols) from its distinct blocks.
+
+    A map's singular values are those of its blocks, so the rank counts, once
+    per copy, the block singular values above _RANK_TOL times the largest
+    over all blocks.
+    """
+    svals = [
+        np.linalg.svd(mats[:, rows[:, :, None], cols[:, None, :]], compute_uv=False)
+        for rows, cols, _ in plan
+    ]
+    top = np.zeros(len(mats))
+    for s in svals:
+        top = np.maximum(top, s[:, :, 0].max(axis=1))
+    return sum(
+        np.sum(s > _RANK_TOL * top[:, None, None], axis=2) @ copies
+        for s, (_, _, copies) in zip(svals, plan)
+    )
+
+
 def _trial_ranks(n, r, j1, j2, covecs):
     """Dims of the symbol complex and the rank of each map at each covector.
 
     The symbol maps are linear in theta, so they are assembled once per
-    covector basis element and each direction's maps are combinations of
-    those stacks; the directions are rank-tested in blocks of _TRIAL_BLOCK.
+    covector basis element, from theta-independent data built once, and each
+    direction's maps are combinations of those stacks; the directions are
+    tested in blocks of _TRIAL_BLOCK.  Consecutive maps must compose to zero
+    on the full matrices.  Ranks come from the independent diagonal blocks
+    of each map (_diagonal_blocks, found once from the stacks): each
+    distinct block is SVD'd once per direction, blocks of one shape in one
+    batched call, and counted once per copy.
     Returns (dims, ranks) with ranks shaped (len(covecs), number of maps).
     """
-    basis = [
-        _symbol_matrices(n, r, j1, j2, np.eye(4 * n)[2 * n + a]) for a in range(2 * n)
-    ]
+    setup = _symbol_setup(n, j1, j2)
+    basis = [_symbol_maps(setup, r, np.eye(4 * n)[2 * n + a]) for a in range(2 * n)]
     dims = basis[0][0]
     stacks = [np.stack(maps) for maps in zip(*(mats for _, mats in basis))]
     if sum((-1) ** i * d for i, d in enumerate(dims)) != 0:
         raise RuntimeError(f"symbol complex dimensions do not alternate to zero: {dims}")
+    plans = [_rank_plan(_diagonal_blocks(s)) for s in stacks]
 
     ranks = np.empty((len(covecs), len(stacks)), dtype=int)
     for lo in range(0, len(covecs), _TRIAL_BLOCK):
@@ -220,9 +315,8 @@ def _trial_ranks(n, r, j1, j2, covecs):
                     f"consecutive symbol maps fail to compose to zero at trial "
                     f"{lo + bad[0]} (defect {defect[bad[0]]:.3e})"
                 )
-        for k, m in enumerate(mats):
-            s = np.linalg.svd(m, compute_uv=False)
-            ranks[lo : lo + len(block), k] = np.sum(s > _RANK_TOL * s[:, :1], axis=1)
+        for k, (m, plan) in enumerate(zip(mats, plans)):
+            ranks[lo : lo + len(block), k] = _blocked_ranks(m, plan)
     return tuple(dims), ranks
 
 
@@ -231,7 +325,9 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
 
     Repeats the rank check for `trials` extra random cotangent directions;
     the reported dims and ranks belong to the given theta, while `exact`
-    holds only if every junction passed for every direction tried.
+    holds only if every junction passed for every direction tried.  The
+    theta-independent parts of the maps are built once per call, and each
+    map is ranked through its independent diagonal blocks (_trial_ranks).
     """
     n = int(n)
     r = int(r)

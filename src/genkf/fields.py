@@ -390,15 +390,25 @@ def sample_points(grid: TorusGrid):
 
 
 def validate_spinor_field(grid: TorusGrid, psi: FormField) -> None:
-    """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type spinor."""
+    """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type spinor.
+
+    The type is checked at sample_points, once per distinct value (compared by
+    bytes); an error names the first failing point in sample_points order.
+    """
     vol_density(grid, psi)
     scale = float(np.max(np.abs(psi.data)))
     closed_tol = max(1e-10, 10.0 * max(grid.spacings) ** 2) * max(1.0, scale)
     dnorm = float(np.max(np.abs(d_field(psi).data)))
     if dnorm > closed_tol:
         raise ValueError(f"spinor field is not d-closed (|d psi| = {dnorm:.3e})")
+    seen = set()  # sample values already classified, keyed by their bytes
     for point in sample_points(grid):
-        cls = classify_spinor(psi.value_at(point))
+        value = psi.value_at(point)
+        key = value.coeffs.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        cls = classify_spinor(value)
         if not (cls.is_pure and cls.is_nondegenerate):
             raise ValueError(f"spinor at {point} is not pure nondegenerate: {cls}")
         if cls.type_number != 0:

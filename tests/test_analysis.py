@@ -28,8 +28,11 @@ from genkf.analysis import (
     _shifted,
     _stencil_colouring,
     _stencil_offsets,
+    _diagonal_blocks,
     _random_covectors,
+    _symbol_maps,
     _symbol_matrices,
+    _symbol_setup,
     _skew_basis,
     _trial_ranks,
     cohiggs_residual,
@@ -59,6 +62,7 @@ from genkf.multivector import (
 )
 from genkf.specio import build_config
 from genkf.structures import (
+    OMEGA_BLOCK,
     GKPair,
     gcs_b_transform,
     gcs_complex,
@@ -192,13 +196,14 @@ def test_symbol_kernel_reconstructs_endomorphism_times_theta():
             assert np.max(np.abs(mats_k - want)) < 1e-8
 
 
-def test_symbol_exactness_b_transformed_pair():
+def b_transformed_pair():
     b = np.array([[0.0, 0.4], [-0.4, 0.0]])
     j1, j2 = std_pair(1)
-    rep = symbol_exactness(
-        1, 2, gcs_b_transform(b, j1), gcs_b_transform(b, j2),
-        cov_theta(1, [0.9, 0.4]), trials=5,
-    )
+    return gcs_b_transform(b, j1), gcs_b_transform(b, j2)
+
+
+def test_symbol_exactness_b_transformed_pair():
+    rep = symbol_exactness(1, 2, *b_transformed_pair(), cov_theta(1, [0.9, 0.4]), trials=5)
     assert rep.dims == (4, 16, 12)
     assert rep.ranks == (4, 12)
     assert all(rep.exact)
@@ -231,14 +236,18 @@ def test_symbol_rejects_degenerate_inputs():
         symbol_exactness(1, 1, j1, j2, cov_theta(1, [1.0, 0.0]), trials=-3)
 
 
-def direct_ranks(n, r, j1, j2, covec):
-    """Reference: assemble the complex at one covector and rank each map."""
-    _, mats = _symbol_matrices(n, r, j1, j2, np.concatenate([np.zeros(2 * n), covec]))
-    ranks = []
-    for m in mats:
-        s = np.linalg.svd(m, compute_uv=False)
-        ranks.append(0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-8 * s[0])))
-    return ranks
+def direct_ranks(n, r, j1, j2, covecs):
+    """Reference: assemble the complex at each covector and rank each full map."""
+    setup = _symbol_setup(n, j1, j2)
+    out = []
+    for covec in covecs:
+        _, mats = analysis._symbol_maps(setup, r, np.concatenate([np.zeros(2 * n), covec]))
+        ranks = []
+        for m in mats:
+            s = np.linalg.svd(m, compute_uv=False)
+            ranks.append(0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-8 * s[0])))
+        out.append(ranks)
+    return np.array(out)
 
 
 def reference_directions(covec, trials, seed):
@@ -340,7 +349,7 @@ def test_block_ranks_match_direct_assembly(trials):
     assert np.array_equal(np.vstack([th, drawn]), covecs)
 
     dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
-    want = np.array([direct_ranks(n, r, j1, j2, c) for c in covecs])
+    want = direct_ranks(n, r, j1, j2, covecs)
     assert ranks.shape == (trials + 1, len(dims) - 1)
     assert np.array_equal(ranks, want)
 
@@ -353,6 +362,125 @@ def test_block_ranks_match_direct_assembly(trials):
     assert rep.dims == dims
     assert rep.ranks == tuple(want[0])
     assert rep.exact == want_exact
+
+
+def basis_stacks_of(n, r, j1, j2):
+    setup = _symbol_setup(n, j1, j2)
+    maps = [_symbol_maps(setup, r, np.eye(4 * n)[2 * n + a])[1] for a in range(2 * n)]
+    return [np.stack(mats) for mats in zip(*maps)]
+
+
+def weighted_pair(weights):
+    j1, _ = std_pair(len(weights))
+    return j1, gcs_symplectic(np.kron(np.diag(weights), OMEGA_BLOCK))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_blocked_ranks_match_full_matrix_ranks(n, r):
+    j1, j2 = std_pair(n)
+    covecs = _random_covectors(np.random.default_rng(90 + 10 * n + r), n, 500)
+    dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
+    assert np.array_equal(ranks, direct_ranks(n, r, j1, j2, covecs))
+
+
+@pytest.mark.parametrize(
+    "n, r, pair",
+    [(1, 2, b_transformed_pair()), (2, 2, weighted_pair([0.5, 3.0])), (1, 3, weighted_pair([2.5]))],
+)
+def test_blocked_ranks_match_full_matrix_ranks_on_other_pairs(n, r, pair):
+    j1, j2 = pair
+    covecs = _random_covectors(np.random.default_rng(17), n, 200)
+    _, ranks = _trial_ranks(n, r, j1, j2, covecs)
+    assert np.array_equal(ranks, direct_ranks(n, r, j1, j2, covecs))
+
+
+@pytest.mark.parametrize(
+    "n, r, pair",
+    [(1, 1, None), (1, 3, None), (2, 2, None), (2, 3, None),
+     (1, 2, b_transformed_pair()), (2, 2, weighted_pair([0.5, 3.0]))],
+)
+def test_diagonal_blocks_cover_each_map(n, r, pair):
+    # at random theta the map vanishes outside its blocks, every copy holds its
+    # representative's data bit for bit, and the blocks' singular values (one
+    # set per copy, padded with zeros) are the full map's
+    j1, j2 = std_pair(n) if pair is None else pair
+    rng = np.random.default_rng(300 + 10 * n + r)
+    for stack in basis_stacks_of(n, r, j1, j2):
+        classes = _diagonal_blocks(stack)
+        rep_shapes = set()
+        for cls in classes:
+            (rows0, cols0) = cls[0]
+            rep_shapes.add((rows0.size, cols0.size))
+            for rows, cols in cls[1:]:
+                assert np.array_equal(
+                    stack[:, rows[:, None], cols].view(np.uint64),
+                    stack[:, rows0[:, None], cols0].view(np.uint64),
+                )
+        for _ in range(3):
+            m = np.einsum("a,aij->ij", rng.normal(size=2 * n), stack)
+            outside = np.ones(m.shape, dtype=bool)
+            svals = []
+            for cls in classes:
+                for rows, cols in cls:
+                    outside[np.ix_(rows, cols)] = False
+                    svals.append(np.linalg.svd(m[np.ix_(rows, cols)], compute_uv=False))
+            assert not np.any(m[outside])
+            full = np.linalg.svd(m, compute_uv=False)
+            union = np.concatenate(svals)
+            union = np.sort(np.concatenate([union, np.zeros(full.size - union.size)]))
+            assert np.abs(union - np.sort(full)).max() <= 1e-13 * full[0]
+
+
+def test_blocked_rank_tolerance_is_relative_to_the_whole_map():
+    # two 1 x 1 blocks, 1 and 1e-10: the small one is below _RANK_TOL times
+    # the map's largest singular value, though not below its own
+    stack = np.zeros((1, 2, 2))
+    stack[0] = np.diag([1.0, 1e-10])
+    plan = analysis._rank_plan(_diagonal_blocks(stack))
+    assert analysis._blocked_ranks(stack, plan).tolist() == [1]
+
+
+def test_blocked_ranks_see_a_defective_copy(monkeypatch):
+    # the last map at n = 2 is four equal 2 x 4 blocks; one non-first copy
+    # gets its first row in place of its second at every theta, which keeps
+    # both compositions at zero, keeps the block's pattern and drops the full
+    # map's rank by one, so only a bitwise key can keep the copy apart
+    n, r = 2, 2
+    j1, j2 = std_pair(n)
+    classes = _diagonal_blocks(basis_stacks_of(n, r, j1, j2)[-1])
+    dup = next(cls for cls in classes if len(cls) > 1)
+    rows, cols = dup[1]
+    original = analysis._symbol_maps
+
+    def perturbed(setup, r_, theta):
+        dims, mats = original(setup, r_, theta)
+        mats[-1][rows[1], cols] = mats[-1][rows[0], cols]
+        return dims, mats
+
+    covecs = _random_covectors(np.random.default_rng(8), n, 40)
+    clean = direct_ranks(n, r, j1, j2, covecs)
+    monkeypatch.setattr(analysis, "_symbol_maps", perturbed)
+    _, ranks = _trial_ranks(n, r, j1, j2, covecs)
+    want = direct_ranks(n, r, j1, j2, covecs)
+    assert np.all(want[:, -1] == clean[:, -1] - 1)
+    assert np.array_equal(ranks, want)
+
+
+def test_distinct_blocks_do_not_grow_with_rank():
+    # at n = 2 the rank-2 and rank-3 maps split into the same distinct blocks
+    # (only the number of copies grows), so the rank test's SVD work per
+    # direction does not grow with r
+    j1, j2 = std_pair(2)
+    per_rank = []
+    for r in (2, 3):
+        per_rank.append(
+            [
+                [(cls[0][0].size, cls[0][1].size) for cls in _diagonal_blocks(stack)]
+                for stack in basis_stacks_of(2, r, j1, j2)
+            ]
+        )
+    assert per_rank[0] == per_rank[1]
 
 
 def test_random_covectors_redraw_near_zero():
@@ -373,15 +501,15 @@ def test_symbol_composition_check_is_live(monkeypatch):
     # reaches every random direction
     n, r = 2, 2
     j1, j2 = std_pair(n)
-    original = analysis._symbol_matrices
+    original = analysis._symbol_maps
 
-    def perturbed(n_, r_, j1_, j2_, theta):
-        dims, mats = original(n_, r_, j1_, j2_, theta)
-        if theta[4 * n_ - 1] == 1.0:
+    def perturbed(setup, r_, theta):
+        dims, mats = original(setup, r_, theta)
+        if theta[4 * n - 1] == 1.0:
             mats[1] = mats[1] + 1e-3
         return dims, mats
 
-    monkeypatch.setattr(analysis, "_symbol_matrices", perturbed)
+    monkeypatch.setattr(analysis, "_symbol_maps", perturbed)
     with pytest.raises(RuntimeError, match="compose to zero at trial 1 "):
         symbol_exactness(n, r, j1, j2, cov_theta(n, [1.0, 0.0, 0.0, 0.0]), trials=40)
 
@@ -402,7 +530,9 @@ def test_symbol_assembly_cost_independent_of_trials(monkeypatch):
         counts.clear()
         assert all(symbol_exactness(2, 2, j1, j2, th, trials=trials).exact)
         per_trials.append(dict(counts))
-    assert per_trials[0]["clifford_matrix"] > 0 and per_trials[0]["spinor_line"] > 0
+    # one spinor line (2n Clifford matrices) per call, then one Clifford
+    # matrix per covector basis element
+    assert per_trials[0] == {"clifford_matrix": 8, "spinor_line": 1}
     assert per_trials[0] == per_trials[1]
 
 

@@ -7,6 +7,8 @@ conjugation identities.  Identities that are exact in the discrete model
 tolerance; genuinely discretized statements carry O(h^2) tolerances.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -759,6 +761,49 @@ def test_validate_rejects_degenerate_point():
         validate_spinor_field(g, FormField(g, data))
     with pytest.raises(ValueError):
         vol_density(g, FormField(g, data))
+
+
+def test_validate_classifies_each_distinct_sample_value_once(monkeypatch):
+    # sample values are told apart by their bytes: a -0.0 where the other
+    # points hold +0.0 is classified on its own, although it is == to them
+    calls = []
+    real = fields.classify_spinor
+
+    def counted(phi):
+        calls.append(phi.coeffs.tobytes())
+        return real(phi)
+
+    monkeypatch.setattr(fields, "classify_spinor", counted)
+    g = make_grid(2, 8)
+    psi = psi_const(g)
+    validate_spinor_field(g, psi)
+    assert len(calls) == 1
+
+    data = psi.data.copy()
+    c = int(np.flatnonzero(data[(slice(None), 0, 0, 0, 0)] == 0)[0])
+    data[c, 4, 0, 0, 0] = complex(-0.0, 0.0)
+    calls.clear()
+    validate_spinor_field(g, FormField(g, data))
+    assert len(calls) == 2
+
+    # a value failing the type test is named at its first sample point:
+    # (0, 8) and (8, 8) hold it, (0, 0) and (8, 0) hold the constant value
+    g = make_grid()
+    data = psi_const(g).data.copy()
+    data[0, 0, 8] *= 1.0 + 2.0**-52  # one ulp off the constant value
+    data[:, 8, 8] = data[:, 0, 8]
+    bad = data[:, 0, 8].tobytes()
+
+    def failing(phi):
+        calls.append(phi.coeffs.tobytes())
+        cls = real(phi)
+        return dataclasses.replace(cls, type_number=2) if calls[-1] == bad else cls
+
+    monkeypatch.setattr(fields, "classify_spinor", failing)
+    calls.clear()
+    with pytest.raises(ValueError, match=r"spinor at \(0, 8\) is not of symplectic type"):
+        validate_spinor_field(g, FormField(g, data))
+    assert len(calls) == 2
 
 
 def test_vol_density_positive():
