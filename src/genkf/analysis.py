@@ -445,30 +445,9 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
 
 
 def _stencil_offsets(n2):
-    """The cross stencil {0, +-e_nu} as (4n + 1, 2n) integer offsets."""
+    """The cross stencil {+-e_mu} as (4n, 2n) integer offsets, +e_mu first."""
     eye = np.eye(n2, dtype=int)
-    return np.vstack([np.zeros((1, n2), dtype=int), eye, -eye])
-
-
-def _stencil_colouring(sizes, offsets):
-    """Greedy distance-2 colouring of the periodic grid, (*sizes) ints.
-
-    Points whose stencils p + offsets overlap get different colours, so the
-    responses to one impulse per point of a colour never share a point.
-    """
-    clash = np.unique((offsets[:, None] - offsets[None]).reshape(-1, len(sizes)), axis=0)
-    points = np.indices(sizes).reshape(len(sizes), -1)
-    near = np.ravel_multi_index(
-        tuple(points[:, :, None] + clash.T[:, None, :]), sizes, mode="wrap"
-    )
-    colour = np.full(points.shape[1], -1)
-    for p, row in enumerate(near):
-        taken = set(colour[row].tolist())
-        c = 0
-        while c in taken:
-            c += 1
-        colour[p] = c
-    return colour.reshape(sizes)
+    return np.vstack([eye, -eye])
 
 
 def _line_k(f, psi):
@@ -487,49 +466,48 @@ def _shifted(conn, u):
     )
 
 
-def _line_map(init, psi, weight, k0):
-    """Stencil coefficients of u -> weight * (k(init + i u) - k0), k0 = k(init).
+def _line_map(psi, weight):
+    """Stencil coefficients of the linear part of u -> weight * k(conn + i u).
 
-    coef[s, o, p] is the response at p + offsets[o] to a unit impulse in
-    component field s at p; the map is affine at rank 1 and each impulse
-    moves k only on its stencil.  A constant spinor makes the map commute
-    with translations, so one origin impulse per field fills every point;
-    otherwise one probe per field and colour of _stencil_colouring does.
-    Raises RuntimeError if a response reaches beyond the probed stencils.
+    coef[s, o, q] is the response at p = q + offsets[o] to a unit impulse in
+    component field s at q.  At rank 1 every commutator vanishes, so
+    k = Re <F(psi), psibar> / <psi, psibar> with F(psi) = sum_{mu != nu}
+    D_mu A_nu dx^mu ^ dx^nu ^ psi + sum_mu dx^mu ^ D_mu (sum_nu V^nu i_nu psi),
+    and D_mu, the central difference, reaches q from p = q -+ e_mu with
+    weight +-1/(2 h_mu).  An impulse in A_nu meets psi at p, one in V^nu
+    meets i_nu psi at q:
+        A_nu: +-Re(i <dx^mu ^ dx^nu ^ psi(p), psibar(p)> / <psi, psibar>(p))
+        V^nu: +-Re(i <dx^mu ^ i_nu psi(q), psibar(p)> / <psi, psibar>(p))
+    each divided by 2 h_mu and multiplied by weight(p).  The connection
+    enters nowhere, and no impulse moves k at its own point.
     """
-    grid = init.grid
+    grid = psi.grid
+    t = blade_tables(grid.n)
     n2 = 2 * grid.n
-    nd = 2 * n2
-    axes = tuple(range(n2))
+    axes = tuple(range(-n2, 0))
     offsets = _stencil_offsets(n2)
-    origin = (slice(None),) + (0,) * n2
-    flat = float(np.max(np.abs(psi.data - psi.data[origin].reshape((-1,) + (1,) * n2))))
-    constant = flat <= 1e-12 * float(np.max(np.abs(psi.data)))
-    if constant:
-        colour = np.full(grid.sizes, -1)
-        colour[(0,) * n2] = 0
-    else:
-        colour = _stencil_colouring(grid.sizes, offsets)
-    coef = np.zeros((nd, len(offsets), *grid.sizes))
-    for c in range(int(colour.max()) + 1):
-        mask = colour == c
-        reach = np.zeros(grid.sizes, dtype=bool)
-        for off in offsets:
-            reach |= np.roll(mask, tuple(off), axis=axes)
-        for s in range(nd):
-            u = np.zeros((nd, *grid.sizes))
-            u[s][mask] = 1.0
-            f = curvature(_shifted(init, u), psi)
-            resp = weight * (_line_k(f, psi) - k0)
-            if np.any(resp[~reach]):
-                raise RuntimeError(
-                    f"the residual response to component field {s} reaches "
-                    "beyond the stencil {0, +-e_nu}"
-                )
-            for o, off in enumerate(offsets):
-                coef[s, o][mask] = np.roll(resp, tuple(-off), axis=axes)[mask]
-    if constant:  # the origin's coefficients hold at every point
-        coef[...] = coef[(...,) + (slice(0, 1),) * n2]
+    eye = np.eye(n2)
+    psibar = np.conj(psi.data)
+    scale = weight / _k.mukai_batch(t, psi.data, psibar)
+    coef = np.empty((2 * n2, len(offsets), *grid.sizes))
+    for nu in range(n2):
+        # what impulses in A_nu and V^nu meet: dx^nu ^ psi and i_nu psi
+        met = np.stack(
+            [_k.wedge1_batch(t, eye[nu], psi.data), _k.interior_batch(t, eye[nu], psi.data)],
+            axis=1,
+        )
+        for mu in range(n2):
+            wedged = _k.wedge1_batch(t, eye[mu], met)  # dx^mu ^ met
+            a_at_p = _k.mukai_batch(t, wedged[:, 0], psibar) * scale
+            for o in (mu, n2 + mu):
+                back = tuple(-offsets[o])  # rolls a field at p = q + offset to q
+                pbar = np.roll(psibar, back, axis=axes)
+                pair = np.stack([
+                    np.roll(a_at_p, back, axis=axes),
+                    _k.mukai_batch(t, wedged[:, 1], pbar) * np.roll(scale, back, axis=axes),
+                ])
+                # at offset +-e_mu the response is -+Re(i z) = +-Im z
+                coef[[nu, n2 + nu], o] = offsets[o, mu] * pair.imag / (2.0 * grid.spacings[mu])
     return offsets, coef
 
 
@@ -557,14 +535,13 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     For rank one the residual is exactly affine in the 4n real component
     fields of (A, V), so the normal equations are solved matrix-free by
     conjugate directions on the volume-weighted least-squares system.  The
-    linear map is stored as coefficients over the cross stencil {0, +-e_nu}
-    and applied as sums of shifted products.  The coefficients come from
-    impulse probes about init: one origin impulse per field when the spinor
-    field is constant, else one probe per field and colour of a greedy
-    distance-2 colouring of the grid; no grid size is refused.  psi is
-    taken as it is, as in every fields function: the caller validates it
-    (validate_spinor_field).  The curvature of init is computed once and
-    gives lam and the right-hand side.  lam defaults to the
+    linear map is stored as coefficients over the cross stencil {+-e_nu},
+    assembled in closed form from the blades of psi (_line_map; the
+    connection does not enter it), and applied as sums of shifted products;
+    no grid size is refused.  psi is taken as it is, as in every fields
+    function: the caller validates it (validate_spinor_field).  The
+    curvature of init is computed once and gives lam and the right-hand
+    side.  lam defaults to the
     chern-normalized value (any other target is unreachable).  Returns the
     updated connection and a FlowTrace; raises ValueError if the rank is not
     one or the starting residual is not finite, RuntimeError if the step
@@ -590,7 +567,7 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     if hist[0] <= tol:
         return init, FlowTrace(0, np.array(hist), 0.0, True, lam)
 
-    offsets, coef = _line_map(init, psi, weight, k0)
+    offsets, coef = _line_map(psi, weight)
 
     x = np.zeros((nd, *grid.sizes))
     resid = rhs.copy()

@@ -82,14 +82,27 @@ def _deliver(doc, args, stdout_fallback=False):
 
 
 _CONNECTION_KEYS = "connection.A or connection.V"
+_PSI_KEYS = "psi.b or psi.omega"
+
+
+def _validate_psi(cfg):
+    """The one validation of the document's psi in every command that takes
+    it, ahead of any curvature; an invalid psi is named by its keys."""
+    try:
+        validate_spinor_field(cfg.grid, cfg.psi)
+    except ValueError as exc:
+        msg = str(exc)
+        if "d-closed" in msg:
+            msg = f"psi not d-closed ({msg})"
+        raise ValueError(f"{_PSI_KEYS} gives an invalid spinor: {msg}") from None
 
 
 def _curvature_numbers(cfg):
     """Validate the document's spinor, then compute the curvature F of its
     connection and what is read off it.
 
-    This is the one validation of the document's psi in verify, curvature
-    and report, ahead of any curvature.  F is computed once per command;
+    verify, curvature and report validate psi here (_validate_psi), ahead
+    of any curvature.  F is computed once per command;
     the mean curvature k, the chern pair, lambda (unless the document fixes
     it) and the EH residual norm are read off it by the *_from functions.
     Returns (f, k, chern, lam, norm); raises ValueError naming the document
@@ -97,7 +110,7 @@ def _curvature_numbers(cfg):
     by main) when lambda is not real.
     """
     psi = cfg.psi
-    validate_spinor_field(cfg.grid, psi)
+    _validate_psi(cfg)
     keys = _CONNECTION_KEYS
     f = curvature(cfg.conn, psi)
     k = mean_curvature_from(f, psi)
@@ -173,7 +186,7 @@ def cmd_solve(cfg, args) -> int:
             f"solve handles rank-1 bundles only (got rank {cfg.rank}); "
             "higher-rank existence is out of scope"
         )
-    validate_spinor_field(cfg.grid, cfg.psi)  # its one validation in solve
+    _validate_psi(cfg)
     tol = 1e-8 if args.tol is None else args.tol
     conn, trace = solve_eh_line(
         cfg.conn, cfg.psi, max_iter=args.max_iter, tol=tol, lam=cfg.lam
@@ -277,8 +290,6 @@ def main(argv=None) -> int:
             # the document's chern pair gives every lambda_from in a
             # command: roundoff of a huge curvature of its connection
             msg = f"{_CONNECTION_KEYS} is too large: {msg}"
-        elif "d-closed" in msg:
-            msg = f"psi not d-closed ({msg})"
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

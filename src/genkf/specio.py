@@ -281,7 +281,10 @@ def _init_component(spec, grid, rank, rng, what):
             field = grid.random_trig(rng, amp, modes, modes)
             out[mu] = field[..., None, None] * _random_skew(rng, rank)
         return out
-    for term in spec["terms"]:
+    terms = spec["terms"]
+    if not isinstance(terms, list):
+        raise SpecError(f"{what} terms must be a list of terms, got {terms!r}")
+    for term in terms:
         if not isinstance(term, dict) or set(term) - {"mu", "coeff", "basis"}:
             raise SpecError(f"{what} terms need keys mu, coeff, basis")
         mu = _as_int(term.get("mu"), f"{what} direction", 0)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genkf import analysis, cli, fields, report, specio
+from genkf import cli, fields, report, specio
 from genkf.cli import main
 from genkf.multivector import exp_two_form
 from genkf.specio import SpecError, build_config, load_document
@@ -76,7 +76,9 @@ def test_verify_nonclosed_b_exits_2(tmp_path, capsys):
         },
     }
     assert main(["verify", "--input", write_doc(tmp_path, doc)]) == 2
-    assert "psi not d-closed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: psi.b or psi.omega gives an invalid spinor")
+    assert "psi not d-closed" in err
 
 
 def test_verify_closed_varying_b_passes(tmp_path, capsys):
@@ -411,17 +413,15 @@ def test_solve_validates_the_document_spinor_once(tmp_path, capsys, monkeypatch)
 
 
 def test_solve_command_computes_each_curvature_once(tmp_path, capsys, monkeypatch):
-    # one curvature of the document's connection, then one per field and colour
+    # one curvature, of the document's connection; the solver's map is
+    # assembled from psi alone
     calls = count_curvature(monkeypatch)
     doc = {
         "psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": [{"c": 0.2, "trig": "sin", "k": [1, 0]}]}]}},
         "connection": {"A": {"random": {"amp": 0.1}}},
     }
     assert main(["solve", "--grid", "16", "--input", write_doc(tmp_path, doc)]) == 0
-    offsets = analysis._stencil_offsets(2)
-    colours = int(analysis._stencil_colouring((16, 16), offsets).max()) + 1
-    assert len(calls) == 1 + 4 * colours
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 1
 
 
 def test_report_combined(tmp_path, capsys):
@@ -576,6 +576,30 @@ def test_unindexable_grid_exits_2_before_any_array(tmp_path, capsys, monkeypatch
 def test_grid_key_exits_2_naming_its_key(tmp_path, capsys, grid, argv, message):
     args = ["curvature", "--input", write_doc(tmp_path, {"grid": grid}), *argv]
     assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["curvature", "solve"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"connection": {"A": {"terms": 5}}}, "connection A terms must be a list of terms, got 5"),
+        (
+            {"psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": 1e300}]}}},
+            "psi.b or psi.omega gives an invalid spinor: spinor at (0, 0) is not pure",
+        ),
+        (
+            {"psi": {"b": [[0, 1e308], [-1e308, 0]]}},
+            "psi.b or psi.omega gives an invalid spinor: spinor at (0, 0) is not pure",
+        ),
+    ],
+    ids=["terms-int", "psi-b-entries-huge", "psi-b-matrix-huge"],
+)
+def test_document_key_exits_2_naming_its_key(tmp_path, capsys, command, doc, message):
+    # the spinor is validated in one place for every command that takes it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main([command, "--grid", "8", "--input", write_doc(tmp_path, doc)])
+    assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
