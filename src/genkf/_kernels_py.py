@@ -3,9 +3,11 @@
 Every function takes coefficient arrays of shape (size, *batch) complex128
 and vector/covector component arrays of shape (dim, *batch): the same
 layout as ``GradedForm.coeffs`` (no batch axes) and the field data
-(batch axes = grid axes, then any matrix axes).  Trailing batch axes
-broadcast as numpy's do, so a (size, 1, 1) form or a (dim,) vector acts
-at every point.  The layers reach the kernels through ``_backend``.
+(batch axes = any (r, r) matrix axes, then the grid axes).  Batch axes
+are padded on the left and broadcast as numpy's do, so a (size, 1, 1) form
+or a (dim,) vector acts at every point, and a (size, *sizes) form acts on
+every matrix entry of a (size, r, r, *sizes) field.  The layers reach the
+kernels through ``_backend``.
 """
 
 from __future__ import annotations
@@ -43,12 +45,19 @@ def wedge_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _axis_steps(t, comps, a, src, dst):
-    """sum_mu (sign comps[mu]) a[src[mu]], each term scattered to dst[mu]."""
+    """sum_mu (sign comps[mu]) a[src[mu]], each term scattered to dst[mu].
+
+    A constant vector (comps of shape (dim,)) skips its zero components:
+    on a finite a their terms are +-0, which change no bit of an
+    accumulator started at +0 (it never becomes -0 when rounding to nearest).
+    """
     nb = _batch_ndim(comps, a)
     a = _lift(a, nb)
     shape = np.broadcast_shapes(comps.shape[1:], a.shape[1:])
     out = np.zeros((t.size,) + shape, dtype=np.result_type(comps, a))
     for mu in range(t.dim):
+        if comps.ndim == 1 and comps[mu] == 0:
+            continue
         out[dst[mu]] += _column(t.axis_s[mu], nb) * comps[mu] * a[src[mu]]
     return out
 

@@ -18,6 +18,7 @@ from ._tables import blade_tables
 from .fields import (
     FormField,
     GenConnection,
+    _small_matmul,
     chern_from,
     curvature,
     dbar_residual,
@@ -393,14 +394,14 @@ def cohiggs_residual(conn, omega, lam):
     if defect > _COHIGGS_DBAR_TOL:
         raise ValueError(f"connection is not co-Higgs (dbar defect {defect:.3e})")
     f = conn.field_strength()
-    contracted = 0.5 * np.einsum("mn...ij,nm->...ij", f, np.linalg.inv(om))
+    contracted = 0.5 * np.einsum("mnij...,nm->ij...", f, np.linalg.inv(om))
     total = constants.COHIGGS_F_SIGN * 1j * contracted
     for i in range(n):
         w = np.sqrt(weights[i] / 2.0) * (conn.V[2 * i] - 1j * conn.V[2 * i + 1])
-        wh = np.swapaxes(w, -1, -2).conj()
-        total = total + w @ wh - wh @ w
+        wh = np.swapaxes(w, 0, 1).conj()
+        total = total + _small_matmul(w, wh, 2 * n) - _small_matmul(wh, w, 2 * n)
     k = constants.COHIGGS_SCALE * total
-    k = (k + np.swapaxes(k, -1, -2).conj()) / 2.0
+    k = (k + np.swapaxes(k, 0, 1).conj()) / 2.0
     return eh_residual_from(k, exp_two_form_field(grid, 1j * om), lam)
 
 
@@ -422,8 +423,8 @@ def kr_soliton_check(conn, omega, c, diagnostics=False):
         raise ValueError(f"soliton check needs a rank-1 connection, got rank {conn.rank}")
     _, om = _positive_blocks(omega, n)
     om_field = FormField.constant(grid, GradedForm(n, two_form_blades(om)))
-    lv = lie_derivative(grid, conn.V[..., 0, 0].imag, om_field).data
-    res = two_form_blades(conn.field_strength()[..., 0, 0])
+    lv = lie_derivative(grid, conn.V[:, 0, 0].imag, om_field).data
+    res = two_form_blades(conn.field_strength()[:, :, 0, 0])
     res += c * 1j * lv - 1j * om_field.data
     val = float(np.sqrt(grid.integrate(np.sum(np.abs(res) ** 2, axis=0))))
     if not diagnostics:
@@ -452,7 +453,7 @@ def _stencil_offsets(n2):
 
 def _line_k(f, psi):
     """Real rank-1 mean curvature of the curvature field f on psi."""
-    return mean_curvature_from(f, psi)[..., 0, 0].real
+    return mean_curvature_from(f, psi)[0, 0].real
 
 
 def _shifted(conn, u):
@@ -461,8 +462,8 @@ def _shifted(conn, u):
     return GenConnection(
         conn.grid,
         1,
-        conn.A + 1j * u[:n2][..., None, None],
-        conn.V + 1j * u[n2:][..., None, None],
+        conn.A + 1j * u[:n2, None, None],
+        conn.V + 1j * u[n2:, None, None],
     )
 
 

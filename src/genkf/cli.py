@@ -28,7 +28,6 @@ from .fields import (
     LambdaNotReal,
     chern_from,
     curvature,
-    d_field,
     dbar_residual,
     eh_residual_from,
     lambda_from,
@@ -87,9 +86,10 @@ _PSI_KEYS = "psi.b or psi.omega"
 
 def _validate_psi(cfg):
     """The one validation of the document's psi in every command that takes
-    it, ahead of any curvature; an invalid psi is named by its keys."""
+    it, ahead of any curvature; an invalid psi is named by its keys.
+    Returns max |d psi|, which the validation computes."""
     try:
-        validate_spinor_field(cfg.grid, cfg.psi)
+        return validate_spinor_field(cfg.grid, cfg.psi)
     except ValueError as exc:
         msg = str(exc)
         if "d-closed" in msg:
@@ -105,12 +105,13 @@ def _curvature_numbers(cfg):
     of any curvature.  F is computed once per command;
     the mean curvature k, the chern pair, lambda (unless the document fixes
     it) and the EH residual norm are read off it by the *_from functions.
-    Returns (f, k, chern, lam, norm); raises ValueError naming the document
-    keys at fault when any of them is not finite, and LambdaNotReal (named
-    by main) when lambda is not real.
+    Returns (f, k, chern, lam, norm, closed), closed being the validation's
+    max |d psi|; raises ValueError naming the document keys at fault when
+    any of the others is not finite, and LambdaNotReal (named by main) when
+    lambda is not real.
     """
     psi = cfg.psi
-    _validate_psi(cfg)
+    closed = _validate_psi(cfg)
     keys = _CONNECTION_KEYS
     f = curvature(cfg.conn, psi)
     k = mean_curvature_from(f, psi)
@@ -128,7 +129,7 @@ def _curvature_numbers(cfg):
             f"{keys} is too large: the curvature or a number read off it "
             "(mean curvature, chern pair, lambda, EH residual) is not finite"
         )
-    return f, k, chern, lam, norm
+    return f, k, chern, lam, norm, closed
 
 
 def _verify_body(cfg, curv, seed):
@@ -152,8 +153,7 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_curvature(cfg, args) -> int:
     grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
-    f, k, chern, lam, norm = _curvature_numbers(cfg)
-    closed = float(np.max(np.abs(d_field(psi).data)))
+    f, k, chern, lam, norm, closed = _curvature_numbers(cfg)
     window = u_window_defect(f, psi, sample_points(grid))
     dbar = dbar_residual(grid, conn, standard_complex(grid.n))
 
@@ -173,7 +173,8 @@ def cmd_curvature(cfg, args) -> int:
             "psi_closedness": closed,
             "u_window_defect": window,
             "dbar_defect": dbar,
-            "mean_curvature": report.complex_field(k),
+            # the report keeps the matrix axes last: (*sizes, r, r)
+            "mean_curvature": report.complex_field(np.moveaxis(k, (0, 1), (-2, -1))),
         },
     )
     _deliver(doc, args)
@@ -209,8 +210,8 @@ def cmd_solve(cfg, args) -> int:
             "final_residual": final,
             "residual_history": trace.residual_history,
             "connection": {
-                "A": report.complex_field(conn.A),
-                "V": report.complex_field(conn.V),
+                "A": report.complex_field(np.moveaxis(conn.A, (1, 2), (-2, -1))),
+                "V": report.complex_field(np.moveaxis(conn.V, (1, 2), (-2, -1))),
             },
         },
     )
@@ -250,7 +251,7 @@ def cmd_symbols(cfg, args) -> int:
 
 def cmd_report(cfg, args) -> int:
     curv = _curvature_numbers(cfg)
-    _, _, chern, lam, norm = curv
+    _, _, chern, lam, norm, _ = curv
     verify = _verify_body(cfg, curv, args.seed)
     symbols = _symbols_body(cfg, args)
     del symbols["theta"]  # the combined report leaves theta out

@@ -5,12 +5,17 @@ so shift operators commute exactly: d compose d = 0, grid sums of exact
 forms vanish, and every identity whose continuum proof only uses
 constant-coefficient algebra plus d^2 = 0 holds here to roundoff.  The
 base is always a torus with one global chart and a trivialized bundle;
-fields are plain arrays with the blade index first.
+fields are plain arrays with the blade index first, then any (r, r) matrix
+axes, then the 2n grid axes.  Grid axes trail, so each matrix entry is a
+contiguous block, and a form's (4^n, *sizes) data broadcasts against an
+endomorphism's (4^n, r, r, *sizes) by numpy's own rule.
 
 Shapes:
     FormField.data       (4^n, *sizes)
-    EndFormField.data    (4^n, *sizes, r, r)
-    GenConnection.A/.V   (2n,  *sizes, r, r)   skew-Hermitian per point
+    EndFormField.data    (4^n, r, r, *sizes)
+    GenConnection.A/.V   (2n, r, r, *sizes)    skew-Hermitian per point
+    ConnVariation.A/.V   (2n, r, r, *sizes)
+    endomorphism fields  (r, r, *sizes)        mean curvature, xi
     scalar densities     (*sizes)
 """
 
@@ -162,13 +167,14 @@ class FormField:
 
 
 class EndFormField:
-    """Endomorphism-valued form field; blade index first, matrix axes last."""
+    """Endomorphism-valued form field: blade index, then the (r, r) matrix
+    axes, then the grid axes."""
 
     __slots__ = ("grid", "rank", "data")
 
     def __init__(self, grid: TorusGrid, rank: int, data):
         data = np.asarray(data, dtype=np.complex128)
-        want = (4**grid.n, *grid.sizes, rank, rank)
+        want = (4**grid.n, rank, rank, *grid.sizes)
         if data.shape != want:
             raise ValueError(f"end-form field shape {data.shape}, expected {want}")
         self.grid = grid
@@ -179,14 +185,12 @@ class EndFormField:
         return EndFormField(self.grid, self.rank, np.conj(self.data))
 
 
-def _check_skew(arr, grid, what):
+def _check_skew(arr, grid, rank, what):
     arr = np.asarray(arr, dtype=np.complex128)
-    n2 = 2 * grid.n
-    if arr.ndim != n2 + 3 or arr.shape[: n2 + 1] != (n2, *grid.sizes):
-        raise ValueError(f"{what} must have shape (2n, *sizes, r, r), got {arr.shape}")
-    if arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"{what} matrix axes must be square")
-    adjoint = np.swapaxes(arr, -1, -2).conj()
+    want = (2 * grid.n, rank, rank, *grid.sizes)
+    if arr.shape != want:
+        raise ValueError(f"{what} shape {arr.shape}, expected (2n, r, r, *sizes) = {want}")
+    adjoint = np.swapaxes(arr, 1, 2).conj()
     if not is_skew(arr, adjoint):
         defect = np.max(np.abs(arr + adjoint))
         raise ValueError(f"{what} is not skew-Hermitian (defect {defect:.3e})")
@@ -201,30 +205,25 @@ class GenConnection:
     def __init__(self, grid: TorusGrid, rank: int, A, V):
         self.grid = grid
         self.rank = int(rank)
-        self.A = _check_skew(A, grid, "A")
-        self.V = _check_skew(V, grid, "V")
-        if self.A.shape[-1] != self.rank or self.V.shape[-1] != self.rank:
-            raise ValueError("rank does not match matrix axes")
+        self.A = _check_skew(A, grid, self.rank, "A")
+        self.V = _check_skew(V, grid, self.rank, "V")
 
     @classmethod
     def zero(cls, grid: TorusGrid, rank: int) -> "GenConnection":
-        shape = (2 * grid.n, *grid.sizes, rank, rank)
+        shape = (2 * grid.n, rank, rank, *grid.sizes)
         return cls(grid, rank, np.zeros(shape, dtype=np.complex128),
                    np.zeros(shape, dtype=np.complex128))
 
     def field_strength(self) -> np.ndarray:
-        """F[mu, nu] = D_mu A_nu - D_nu A_mu + [A_mu, A_nu], shape (2n, 2n, *sizes, r, r)."""
+        """F[mu, nu] = D_mu A_nu - D_nu A_mu + [A_mu, A_nu], shape (2n, 2n, r, r, *sizes)."""
         n2 = 2 * self.grid.n
-        out = np.zeros((n2, n2, *self.grid.sizes, self.rank, self.rank),
+        out = np.zeros((n2, n2, self.rank, self.rank, *self.grid.sizes),
                        dtype=np.complex128)
         for mu in range(n2):
             for nu in range(mu + 1, n2):
-                f = (
-                    _diff(self.grid, self.A[nu], mu)
-                    - _diff(self.grid, self.A[mu], nu)
-                    + _small_matmul(self.A[mu], self.A[nu])
-                    - _small_matmul(self.A[nu], self.A[mu])
-                )
+                f = _diff(self.grid, self.A[nu], mu) - _diff(self.grid, self.A[mu], nu)
+                f += _small_matmul(self.A[mu], self.A[nu], n2)
+                f -= _small_matmul(self.A[nu], self.A[mu], n2)
                 out[mu, nu] = f
                 out[nu, mu] = -f
         return out
@@ -250,14 +249,13 @@ def shift_connection(conn: GenConnection, var: ConnVariation, t: float) -> GenCo
 # low-level plumbing
 
 
-def _diff(grid: TorusGrid, arr: np.ndarray, mu: int, axis: int | None = None):
-    """Central difference along grid axis mu; spatial axes lead unless told.
+def _diff(grid: TorusGrid, arr: np.ndarray, mu: int):
+    """Central difference along grid axis mu; the 2n grid axes trail.
 
     (arr[i+1] - arr[i-1]) / 2h, periodic: interior slab and wrap faces apart.
     """
-    if axis is None:
-        axis = mu
     out = np.empty_like(arr)
+    axis = mu - 2 * grid.n
     a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(a[2:], a[:-2], out=o[1:-1])
     np.subtract(a[1], a[-1], out=o[0])
@@ -266,26 +264,36 @@ def _diff(grid: TorusGrid, arr: np.ndarray, mu: int, axis: int | None = None):
     return out
 
 
-def _small_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y over trailing (r, r) axes, leading axes broadcast.
+def _small_matmul(x: np.ndarray, y: np.ndarray, ngrid: int) -> np.ndarray:
+    """x @ y over the (r, r) axes just before the ngrid trailing grid axes;
+    leading axes broadcast.
 
     numpy's matmul loops over every small matrix; here each of the r^2
-    output entries is a sum of r elementwise products of strided views, so
-    the loop runs r^3 times whatever the grid size.  At r = 1 there is no
-    loop to save, and matmul is kept: its scalar products commute exactly,
-    so rank-1 commutators vanish bit for bit.
+    output entries is one contiguous block, the sum of r elementwise
+    products of contiguous blocks, so the loop runs r^3 times whatever the
+    grid size.  At r = 1 the length-1 matrix axes move to the end by a free
+    reshape and matmul is kept, with the bits it gives there: its scalar
+    products commute exactly, so rank-1 commutators vanish bit for bit.
     """
-    r = x.shape[-1]
+    r = x.shape[-ngrid - 1]
     if r == 1:
-        return np.matmul(x, y)
+        return np.matmul(_matrices_last(x, ngrid), _matrices_last(y, ngrid)).reshape(
+            np.broadcast_shapes(x.shape, y.shape)
+        )
+    grid = (slice(None),) * ngrid
     out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
     for i in range(r):
         for k in range(r):
-            acc = x[..., i, 0] * y[..., 0, k]
+            o = out[(..., i, k) + grid]
+            np.multiply(x[(..., i, 0) + grid], y[(..., 0, k) + grid], out=o)
             for j in range(1, r):
-                acc += x[..., i, j] * y[..., j, k]
-            out[..., i, k] = acc
+                o += x[(..., i, j) + grid] * y[(..., j, k) + grid]
     return out
+
+
+def _matrices_last(x: np.ndarray, ngrid: int) -> np.ndarray:
+    """A (..., 1, 1, *grid) array as (..., *grid, 1, 1): a reshape, no copy."""
+    return x.reshape(x.shape[: -ngrid - 2] + x.shape[-ngrid:] + (1, 1))
 
 
 def _signed(sign, sub):
@@ -315,8 +323,7 @@ def d_field(f):
     t = blade_tables(grid.n)
     out = np.zeros_like(f.data)
     for mu in range(2 * grid.n):
-        # blade axis first, spatial axes 1..2n
-        diff = _diff(grid, f.data[t.axis_lo[mu]], mu, axis=1 + mu)
+        diff = _diff(grid, f.data[t.axis_lo[mu]], mu)
         out[t.axis_hi[mu]] += _signed(t.axis_s[mu], diff)
     return _like(f, out)
 
@@ -350,12 +357,14 @@ def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
     if a.rank == 1:
         return da
     grid = conn.grid
+    n2 = 2 * grid.n
     t = blade_tables(grid.n)
     out = da.data
-    for mu in range(2 * grid.n):
-        amu = conn.A[mu][None]  # broadcast over the blade axis
+    for mu in range(n2):
+        amu = conn.A[mu]  # broadcasts over the blade axis
         sub = a.data[t.axis_lo[mu]]
-        comm = _small_matmul(amu, sub) - _small_matmul(sub, amu)
+        comm = _small_matmul(amu, sub, n2)
+        comm -= _small_matmul(sub, amu, n2)
         out[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
     return EndFormField(grid, a.rank, out)
 
@@ -389,8 +398,9 @@ def sample_points(grid: TorusGrid):
     return out
 
 
-def validate_spinor_field(grid: TorusGrid, psi: FormField) -> None:
-    """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type spinor.
+def validate_spinor_field(grid: TorusGrid, psi: FormField) -> float:
+    """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type
+    spinor, and returns max |d psi|.
 
     The type is checked at sample_points, once per distinct value (compared by
     bytes); an error names the first failing point in sample_points order.
@@ -413,6 +423,7 @@ def validate_spinor_field(grid: TorusGrid, psi: FormField) -> None:
             raise ValueError(f"spinor at {point} is not pure nondegenerate: {cls}")
         if cls.type_number != 0:
             raise ValueError(f"spinor at {point} is not of symplectic type: {cls}")
+    return dnorm
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +453,25 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     t = blade_tables(grid.n)
     r = conn.rank
     n2 = 2 * grid.n
-    out = np.zeros((t.size, *grid.sizes, r, r), dtype=np.complex128)
+    out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
+    # psi's blades against (r, r, *sizes) matrices: (k, 1, 1, *sizes) broadcasts
+    blades = psi.data[:, None, None]
 
     # two-form part of the curvature, wedged in
     fmat = conn.field_strength()
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            blade = _signed(t.wedge2_s[mu, nu], psi.data[t.pair_lo[mu, nu]])
-            out[t.pair_hi[mu, nu]] += np.einsum(
-                "c...,...ij->c...ij", blade, fmat[mu, nu]
-            )
+            blade = _signed(t.wedge2_s[mu, nu], blades[t.pair_lo[mu, nu]])
+            out[t.pair_hi[mu, nu]] += blade * fmat[mu, nu]
+    del fmat
 
     # vector part acting by contraction, then the covariant derivative
     vpsi = np.zeros_like(out)
     for mu in range(n2):
-        ipsi = _signed(t.axis_s[mu], psi.data[t.axis_hi[mu]])
-        vpsi[t.axis_lo[mu]] += np.einsum("c...,...ij->c...ij", ipsi, conn.V[mu])
+        ipsi = _signed(t.axis_s[mu], blades[t.axis_hi[mu]])
+        vpsi[t.axis_lo[mu]] += ipsi * conn.V[mu]
     out += covariant_d(conn, EndFormField(grid, r, vpsi)).data
+    del vpsi
     if r == 1:
         return EndFormField(grid, r, out)
 
@@ -468,21 +481,22 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     # gives the same term twice
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            double = _signed(t.interior2_s[mu, nu], psi.data[t.pair_hi[mu, nu]])
+            double = _signed(t.interior2_s[mu, nu], blades[t.pair_hi[mu, nu]])
             vmu, vnu = conn.V[mu], conn.V[nu]
-            comm = _small_matmul(vmu, vnu) - _small_matmul(vnu, vmu)
-            out[t.pair_lo[mu, nu]] += np.einsum("c...,...ij->c...ij", double, comm)
+            comm = _small_matmul(vmu, vnu, n2)
+            comm -= _small_matmul(vnu, vmu, n2)
+            out[t.pair_lo[mu, nu]] += double * comm
 
     return EndFormField(grid, r, out)
 
 
 def mean_curvature_from(f: EndFormField, psi: FormField) -> np.ndarray:
-    """Hermitian part of the psi-line coefficient of the curvature f, (*sizes, r, r)."""
+    """Hermitian part of the psi-line coefficient of the curvature f, (r, r, *sizes)."""
     psibar = psi.conjugate()
-    num = mukai_field(f, psibar)  # (*sizes, r, r)
+    num = mukai_field(f, psibar)  # (r, r, *sizes)
     den = mukai_field(psi, psibar)  # (*sizes)
-    k = num / den[..., None, None]
-    return (k + np.swapaxes(k, -1, -2).conj()) / 2.0
+    k = num / den
+    return (k + np.swapaxes(k, 0, 1).conj()) / 2.0
 
 
 def u_window_defect(f: EndFormField, psi: FormField, points) -> float:
@@ -503,9 +517,10 @@ def u_window_defect(f: EndFormField, psi: FormField, points) -> float:
             continue
         same = left & np.all(values == values[:, at : at + 1], axis=0)
         left &= ~same
-        cols = f.data.reshape(4**n, -1)
+        cols = f.data.reshape(4**n, -1, same.size)  # (blades, r^2, points)
         if not same.all():
-            cols = cols[:, np.repeat(same, cols.shape[1] // same.size)]
+            cols = cols[:, :, same]
+        cols = cols.reshape(4**n, -1)
         dec = UDecomposition(gcs_from_spinor(psi.value_at(point)))
         for k in range(-n, n + 1):
             if k not in (-n, -n + 2):
@@ -516,9 +531,9 @@ def u_window_defect(f: EndFormField, psi: FormField, points) -> float:
 def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):
     """Pointwise K - lambda*id of a mean curvature k, and its vol-weighted L2 norm."""
     grid = psi.grid
-    res = k - lam * np.eye(k.shape[-1])[(None,) * (2 * grid.n)]
+    res = k - lam * np.eye(k.shape[0]).reshape(k.shape[:2] + (1,) * (2 * grid.n))
     vol = vol_density(grid, psi)
-    dens = np.einsum("...ij,...ji->...", res, np.swapaxes(res, -1, -2).conj()).real
+    dens = np.einsum("ij...,ji...->...", res, np.swapaxes(res, 0, 1).conj()).real
     norm = float(np.sqrt(grid.integrate(vol * dens)))
     return res, norm
 
@@ -571,11 +586,11 @@ def mukai_field(f1, f2):
     e1 = isinstance(f1, EndFormField)
     e2 = isinstance(f2, EndFormField)
     if e1 and e2:
-        return np.einsum("c...ij,c...jk->...ik", f1.data, twisted)
+        return np.einsum("cij...,cjk...->ik...", f1.data, twisted)
     if e1:
-        return np.einsum("c...ij,c...->...ij", f1.data, twisted)
+        return np.einsum("cij...,c...->ij...", f1.data, twisted)
     if e2:
-        return np.einsum("c...,c...ij->...ij", f1.data, twisted)
+        return np.einsum("c...,cij...->ij...", f1.data, twisted)
     return np.einsum("c...,c...->...", f1.data, twisted)
 
 
@@ -584,7 +599,7 @@ def mukai_integral(f1, f2):
 
 
 def trace_field(f: EndFormField) -> FormField:
-    return FormField(f.grid, np.trace(f.data, axis1=-2, axis2=-1))
+    return FormField(f.grid, np.trace(f.data, axis1=1, axis2=2))
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +637,21 @@ def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
 def _variation_act(grid, var, psi_data, rank):
     """Clifford action of a connection variation on a (plain) spinor field."""
     t = blade_tables(grid.n)
-    out = np.zeros((t.size, *grid.sizes, rank, rank), dtype=np.complex128)
+    out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
+    blades = psi_data[:, None, None]
     for mu in range(2 * grid.n):
         lo, hi, sign = t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]
-        out[hi] += np.einsum("c...,...ij->c...ij", _signed(sign, psi_data[lo]), var.A[mu])
-        out[lo] += np.einsum("c...,...ij->c...ij", _signed(sign, psi_data[hi]), var.V[mu])
+        out[hi] += _signed(sign, blades[lo]) * var.A[mu]
+        out[lo] += _signed(sign, blades[hi]) * var.V[mu]
     return out
+
+
+def _im_trace_integral(s1: EndFormField, s2: EndFormField) -> float:
+    """Integral of Im i^{-n} tr <s1, s2>_s."""
+    grid = s1.grid
+    paired = mukai_field(s1, s2)
+    integrand = ((1j ** (-grid.n)) * np.einsum("ii...->...", paired)).imag
+    return float(grid.integrate(integrand))
 
 
 def moment_value(grid: TorusGrid, conn: GenConnection, xi, psi: FormField) -> float:
@@ -636,17 +660,13 @@ def moment_value(grid: TorusGrid, conn: GenConnection, xi, psi: FormField) -> fl
     As for curvature, psi is taken as it is; the caller validates it.
     """
     xi = np.asarray(xi, dtype=np.complex128)
-    if xi.shape != (*grid.sizes, conn.rank, conn.rank):
+    if xi.shape != (conn.rank, conn.rank, *grid.sizes):
         raise ValueError(f"xi shape {xi.shape}")
-    if not is_skew(xi, np.swapaxes(xi, -1, -2).conj()):
+    if not is_skew(xi, np.swapaxes(xi, 0, 1).conj()):
         raise ValueError("xi must be skew-Hermitian")
     fbar = curvature(conn, psi.conjugate())
-    xipsi = EndFormField(
-        grid, conn.rank, np.einsum("c...,...ij->c...ij", psi.data, xi)
-    )
-    paired = mukai_field(xipsi, fbar)
-    integrand = ((1j ** (-grid.n)) * np.einsum("...ii->...", paired)).imag
-    return float(grid.integrate(integrand))
+    xipsi = EndFormField(grid, conn.rank, psi.data[:, None, None] * xi)
+    return _im_trace_integral(xipsi, fbar)
 
 
 def connection_derivative(conn: GenConnection, xi) -> ConnVariation:
@@ -657,8 +677,9 @@ def connection_derivative(conn: GenConnection, xi) -> ConnVariation:
     da = np.empty_like(conn.A)
     dv = np.empty_like(conn.V)
     for mu in range(n2):
-        da[mu] = _diff(grid, xi, mu) + conn.A[mu] @ xi - xi @ conn.A[mu]
-        dv[mu] = conn.V[mu] @ xi - xi @ conn.V[mu]
+        amu, vmu = conn.A[mu], conn.V[mu]
+        da[mu] = _diff(grid, xi, mu) + _small_matmul(amu, xi, n2) - _small_matmul(xi, amu, n2)
+        dv[mu] = _small_matmul(vmu, xi, n2) - _small_matmul(xi, vmu, n2)
     return ConnVariation(da, dv)
 
 
@@ -666,14 +687,12 @@ def gm_symplectic(
     grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, psi: FormField
 ) -> float:
     """Integral of Im i^{-n} tr <a1 . psi, a2 . psibar>_s."""
-    rank = a1.A.shape[-1]
+    rank = a1.A.shape[1]
     s1 = EndFormField(grid, rank, _variation_act(grid, a1, psi.data, rank))
     s2 = EndFormField(
         grid, rank, _variation_act(grid, a2, np.conj(psi.data), rank)
     )
-    paired = mukai_field(s1, s2)
-    integrand = ((1j ** (-grid.n)) * np.einsum("...ii->...", paired)).imag
-    return float(grid.integrate(integrand))
+    return _im_trace_integral(s1, s2)
 
 
 def gm_metric(
@@ -681,9 +700,9 @@ def gm_metric(
 ) -> float:
     """Positive metric -integral tr <G a1, a2> vol on skew-Hermitian variations."""
     m = pair.metric_matrix()
-    e1 = np.concatenate([a1.V, a1.A], axis=0)  # (4n, *sizes, r, r)
+    e1 = np.concatenate([a1.V, a1.A], axis=0)  # (4n, r, r, *sizes)
     e2 = np.concatenate([a2.V, a2.A], axis=0)
-    s = np.einsum("jk,j...ab,k...ba->...", m, e1, e2)
+    s = np.einsum("jk,jab...,kba...->...", m, e1, e2)
     vol = vol_density(grid, psi)
     return float(-grid.integrate(vol * s.real))
 
@@ -698,7 +717,7 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
     dbar is the L-bar projection of the generalized derivative: along each
     antiholomorphic basis direction e = v + eta the operator is
     sum_mu v^mu D_mu + m_e, with m_e = sum_mu v^mu A_mu + sum_mu eta_mu V^mu.
-    Each m_e is built once, as one (*sizes, r, r) field; the r sections of a
+    Each m_e is built once, as one (r, r, *sizes) field; the r sections of a
     wave are the columns of the one field exp(i phase) I, so a single matrix
     product applies m_e to all of them.
     """
@@ -709,7 +728,7 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
     r = conn.rank
     zeroth = []
     for a in range(n2):
-        m = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+        m = np.zeros((r, r, *grid.sizes), dtype=np.complex128)
         for mu in range(n2):
             if lbar[mu, a] != 0:
                 m += lbar[mu, a] * conn.A[mu]
@@ -718,7 +737,7 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
         zeroth.append(m)
 
     def op(a, s):
-        out = _small_matmul(zeroth[a], s)
+        out = _small_matmul(zeroth[a], s, n2)
         for mu in range(n2):
             if lbar[mu, a] != 0:
                 out += lbar[mu, a] * _diff(grid, s, mu)
@@ -726,7 +745,7 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
 
     worst = 0.0
     for wave in (np.zeros(n2, dtype=int), *np.eye(n2, dtype=int)):
-        s = np.exp(1j * grid.phase(wave))[..., None, None] * np.eye(r)
+        s = np.multiply.outer(np.eye(r), np.exp(1j * grid.phase(wave)))
         ops = [op(a, s) for a in range(n2)]
         for a in range(n2):
             for b in range(a + 1, n2):
@@ -794,8 +813,8 @@ def canonical_line_connection(
     comps = 1j * np.einsum(
         "jk,k...->j...", jmat, -eta_field + 0.5 * dlog
     )
-    a = comps[2 * n :][..., None, None]
-    v = comps[: 2 * n][..., None, None]
+    a = comps[2 * n :, None, None]
+    v = comps[: 2 * n, None, None]
     conn = GenConnection(grid, 1, np.ascontiguousarray(a), np.ascontiguousarray(v))
     if diagnostics:
         return conn, {"eta": eta_field, "rho": rho, "lsq_residual": worst}

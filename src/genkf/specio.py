@@ -264,9 +264,9 @@ def _random_skew(rng, rank):
 
 
 def _init_component(spec, grid, rank, rng, what):
-    """One half of the connection, shaped (2n, *sizes, rank, rank)."""
+    """One half of the connection, shaped (2n, rank, rank, *sizes)."""
     n2 = 2 * grid.n
-    out = np.zeros((n2, *grid.sizes, rank, rank), dtype=np.complex128)
+    out = np.zeros((n2, rank, rank, *grid.sizes), dtype=np.complex128)
     if spec is None or spec == {}:
         return out
     if not isinstance(spec, dict) or not (set(spec) <= {"terms", "random"}) or len(spec) > 1:
@@ -279,7 +279,7 @@ def _init_component(spec, grid, rank, rng, what):
         modes = _as_int(opts.get("modes", _DEFAULT_MODES), f"{what} modes", 1)
         for mu in range(n2):
             field = grid.random_trig(rng, amp, modes, modes)
-            out[mu] = field[..., None, None] * _random_skew(rng, rank)
+            out[mu] = np.multiply.outer(_random_skew(rng, rank), field)
         return out
     terms = spec["terms"]
     if not isinstance(terms, list):
@@ -292,7 +292,7 @@ def _init_component(spec, grid, rank, rng, what):
             raise SpecError(f"{what} direction {mu} out of range for n = {grid.n}")
         coeff = _eval_expr(term.get("coeff", 0.0), grid, f"{what} coefficient")
         basis = _basis_matrix(term.get("basis"), rank, what)
-        out[mu] += coeff[..., None, None] * basis
+        out[mu] += np.multiply.outer(basis, coeff)
     return out
 
 

@@ -133,7 +133,7 @@ def gcs_symplectic(omega) -> GCStructure:
 
 def spinor_kernel(phi: GradedForm) -> np.ndarray:
     """Column basis of {e : e . phi = 0} in (vec | covec) coordinates."""
-    if phi.norm() == 0.0:
+    if not np.any(phi.coeffs):  # no squares: a huge finite phi must not overflow
         raise ValueError("zero spinor has no kernel structure")
     t = blade_tables(phi.n)
     dim4 = 4 * phi.n
@@ -163,7 +163,7 @@ def classify_spinor(phi: GradedForm) -> SpinorClass:
     if kdim:
         stacked = np.hstack([k, np.conj(k)])
         s = np.linalg.svd(stacked, compute_uv=False)
-        nondeg = pure and s[-1] > _KERNEL_SVD_TOL * s[0]
+        nondeg = pure and bool(s[-1] > _KERNEL_SVD_TOL * s[0])
     else:
         nondeg = False
     t = blade_tables(phi.n)

@@ -109,17 +109,19 @@ def _rand_skew_mat(rng, r):
 
 
 def _rand_xi(rng, grid, r):
-    out = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+    out = np.zeros((r, r, *grid.sizes), dtype=np.complex128)
     for _ in range(2):
-        out += _trig(rng, grid, amp=0.5)[..., None, None] * _rand_skew_mat(rng, r)
+        field = _trig(rng, grid, amp=0.5)
+        out += np.multiply.outer(_rand_skew_mat(rng, r), field)
     return out
 
 
 def _rand_component(rng, grid, r):
     n2 = 2 * grid.n
-    out = np.zeros((n2, *grid.sizes, r, r), dtype=np.complex128)
+    out = np.zeros((n2, r, r, *grid.sizes), dtype=np.complex128)
     for mu in range(n2):
-        out[mu] = _trig(rng, grid)[..., None, None] * _rand_skew_mat(rng, r)
+        field = _trig(rng, grid)
+        out[mu] = np.multiply.outer(_rand_skew_mat(rng, r), field)
     return out
 
 
@@ -303,7 +305,7 @@ def _structure_checks(rng, n, omega, psi0):
 def _field_checks(rng, cfg, curv):
     rows = []
     grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
-    fcurv, kmean, c0 = curv[:3]
+    fcurv, kmean, c0, _, _, closed = curv
     n = grid.n
     t = blade_tables(n)
     scale_psi = float(np.max(np.abs(psi.data)))
@@ -315,7 +317,7 @@ def _field_checks(rng, cfg, curv):
         _row(
             "fields/spinor-d-closed",
             1e-10,
-            _rel(np.max(np.abs(d_field(psi).data)), scale_psi),
+            _rel(closed, scale_psi),
         )
     )
 
@@ -381,8 +383,8 @@ def _field_checks(rng, cfg, curv):
     validate_spinor_field(grid, psi_b)
     lhs = curvature(conn_b, psi_b)
     rhs = b_transform_field(bmat, fcurv)
-    delta = np.einsum("m...ij,n...jk,nm->...ik", conn.V, conn.V, bmat)
-    pred = np.einsum("c...,...ij->c...ij", psi_b.data, delta)
+    delta = np.einsum("mij...,njk...,nm->ik...", conn.V, conn.V, bmat)
+    pred = psi_b.data[:, None, None] * delta
     rows.append(
         _row(
             "fields/curvature-b-covariance",
@@ -415,7 +417,7 @@ def _field_checks(rng, cfg, curv):
     rows.append(_row("fields/chern-connection-independence", 1e-10, err))
 
     vol = vol_density(grid, psi)
-    drift = grid.integrate(vol * (np.einsum("...ii->...", kmean).real - conn.rank * lam))
+    drift = grid.integrate(vol * (np.einsum("ii...->...", kmean).real - conn.rank * lam))
     rows.append(_row("fields/chern-mean-consistency", 1e-10, _rel(abs(drift), abs(lam))))
 
     rows.append(
@@ -423,7 +425,7 @@ def _field_checks(rng, cfg, curv):
             "fields/mean-curvature-hermitian",
             1e-12,
             _rel(
-                np.max(np.abs(kmean - np.swapaxes(kmean, -1, -2).conj())),
+                np.max(np.abs(kmean - np.swapaxes(kmean, 0, 1).conj())),
                 float(np.max(np.abs(kmean))),
             ),
         )
@@ -452,7 +454,7 @@ def _field_checks(rng, cfg, curv):
 
     xi = _rand_xi(rng, grid, conn.rank)
     mv = moment_value(grid, conn, xi, psi)
-    pairing = np.einsum("...ij,...ji->...", xi, kmean)
+    pairing = np.einsum("ij...,ji...->...", xi, kmean)
     want = -grid.integrate(vol * pairing.imag)
     rows.append(
         _row("fields/moment-mean-curvature-pairing", 1e-10, _rel(abs(mv - want), abs(mv)))
@@ -486,22 +488,22 @@ def _line_oracle_check(rng):
     c = 0.4
     om = OMEGA_BLOCK
     psi = exp_two_form_field(grid, (c + 1j) * om)
-    a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
+    a = np.zeros((2, 1, 1, *grid.sizes), dtype=np.complex128)
     v = np.stack([_trig(rng, grid), _trig(rng, grid)])
     vmat = np.zeros_like(a)
     for mu in range(2):
-        a[mu, ..., 0, 0] = 1j * _trig(rng, grid)
-        vmat[mu, ..., 0, 0] = 1j * v[mu]
+        a[mu, 0, 0] = 1j * _trig(rng, grid)
+        vmat[mu, 0, 0] = 1j * v[mu]
     conn = GenConnection(grid, 1, a, vmat)
     validate_spinor_field(grid, psi)
-    got = mean_curvature_from(curvature(conn, psi), psi)[..., 0, 0]
+    got = mean_curvature_from(curvature(conn, psi), psi)[0, 0]
 
     om_field = FormField.constant(grid, GradedForm.from_two_form_matrix(om))
     lvo = lie_derivative(grid, v, om_field)
     lvo_mat = np.zeros((2, 2, *grid.sizes), dtype=np.complex128)
     lvo_mat[0, 1] = lvo.data[3]
     lvo_mat[1, 0] = -lvo.data[3]
-    total = conn.field_strength()[..., 0, 0] + c * 1j * lvo_mat
+    total = conn.field_strength()[:, :, 0, 0] + c * 1j * lvo_mat
     contracted = 0.5 * np.einsum("mn...,nm->...", total, np.linalg.inv(om))
     want = (constants.KAHLER_UPROJ_COEFF * contracted).real
     return _row(
@@ -562,15 +564,15 @@ def _analysis_checks(rng, cfg, seed):
 
     grid = TorusGrid(1, (16, 16))
     rr = 2
-    a = np.zeros((2, *grid.sizes, rr, rr), dtype=np.complex128)
+    a = np.zeros((2, rr, rr, *grid.sizes), dtype=np.complex128)
     for mu in range(2):
-        a[mu] = (1j * _trig(rng, grid))[..., None, None] * np.eye(rr)
+        a[mu] = np.multiply.outer(np.eye(rr), 1j * _trig(rng, grid))
     w = np.array([[0.2, 0.9], [0.1, -0.2]]) + 1j * np.array([[0.0, 0.3], [-0.4, 0.0]])
     om = OMEGA_BLOCK
     v = np.zeros_like(a)
     z = np.array([1.0, 1j]) / np.sqrt(2.0)
     for mu in range(2):
-        v[mu] += z[mu] * w[None, None] - np.conj(z[mu]) * w.conj().T[None, None]
+        v[mu] += (z[mu] * w - np.conj(z[mu]) * w.conj().T).reshape(rr, rr, 1, 1)
     conn = GenConnection(grid, rr, a, v)
     res, _ = cohiggs_residual(conn, om, 0.0)
     psi = exp_two_form_field(grid, 1j * om)
@@ -602,7 +604,8 @@ def run_suite(cfg, curv, seed=0):
     """All checks as report rows; deterministic for a fixed seed.
 
     The caller validates cfg.psi first and passes curv, the document's
-    (F, mean curvature, chern pair, lambda, EH norm) checked for finiteness
+    (F, mean curvature, chern pair, lambda, EH norm) checked for finiteness,
+    and the max |d psi| that the validation computed
     (cli._curvature_numbers); curvatures and moment values on cfg.psi here
     take it as it is.  Each spinor the suite builds itself is validated
     before its first curvature.

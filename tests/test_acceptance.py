@@ -105,21 +105,26 @@ def rand_skew(rng, r):
     return (g - g.conj().T) / 2.0
 
 
+def mat_field(field, m):
+    """The constant matrix m (r, r) times a scalar field: (r, r, *sizes)."""
+    return np.multiply.outer(m, field)
+
+
 def rand_conn(grid, r, rng, amp=0.1, with_v=True):
     n2 = 2 * grid.n
-    a = np.zeros((n2, *grid.sizes, r, r), dtype=np.complex128)
+    a = np.zeros((n2, r, r, *grid.sizes), dtype=np.complex128)
     v = np.zeros_like(a)
     for mu in range(n2):
-        a[mu] = trig_scalar(grid, rng, amp)[..., None, None] * rand_skew(rng, r)
+        a[mu] = mat_field(trig_scalar(grid, rng, amp), rand_skew(rng, r))
         if with_v:
-            v[mu] = trig_scalar(grid, rng, amp)[..., None, None] * rand_skew(rng, r)
+            v[mu] = mat_field(trig_scalar(grid, rng, amp), rand_skew(rng, r))
     return GenConnection(grid, r, a, v)
 
 
 def rand_xi(grid, r, rng, amp=0.5):
-    out = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+    out = np.zeros((r, r, *grid.sizes), dtype=np.complex128)
     for _ in range(2):
-        out += trig_scalar(grid, rng, amp)[..., None, None] * rand_skew(rng, r)
+        out += mat_field(trig_scalar(grid, rng, amp), rand_skew(rng, r))
     return out
 
 
@@ -148,14 +153,16 @@ def generalized_d(conn, phi):
         dx = GradedForm.blade(n, (mu,))
         wedge_mu = np.stack([wedge(dx, e).coeffs for e in units], axis=1)
         int_mu = np.stack([interior(eye[mu], e).coeffs for e in units], axis=1)
-        out = out + np.einsum("ab,b...ij->a...ij", wedge_mu, conn.A[mu] @ phi.data)
-        out = out + np.einsum("ab,b...ij->a...ij", int_mu, conn.V[mu] @ phi.data)
+        a_phi = np.einsum("ij...,cjk...->cik...", conn.A[mu], phi.data)
+        v_phi = np.einsum("ij...,cjk...->cik...", conn.V[mu], phi.data)
+        out = out + np.einsum("ab,b...->a...", wedge_mu, a_phi)
+        out = out + np.einsum("ab,b...->a...", int_mu, v_phi)
     return EndFormField(conn.grid, conn.rank, out)
 
 
 def operator_square(conn, psi):
     """D^2 applied to psi (x) s for the constant frame s = identity."""
-    frame = np.einsum("c...,ij->c...ij", psi.data, np.eye(conn.rank))
+    frame = np.einsum("c...,ij->cij...", psi.data, np.eye(conn.rank))
     phi = EndFormField(conn.grid, conn.rank, frame)
     return generalized_d(conn, generalized_d(conn, phi))
 
@@ -265,8 +272,8 @@ def test_criterion_3_covariance_and_eh_b_invariance():
     rhs = b_transform_field(bmat, curvature(conn, psi_mb))
     scale = max(1.0, max_abs(rhs.data))
     raw_err = max_abs(lhs.data - rhs.data) / scale
-    delta = np.einsum("m...ij,n...jk,nm->...ik", conn.V, conn.V, bmat)
-    pred = np.einsum("c...,...ij->c...ij", psi.data, delta)
+    delta = np.einsum("mij...,njk...,nm->ik...", conn.V, conn.V, bmat)
+    pred = psi.data[:, None, None] * delta
     law_err = max_abs(lhs.data - rhs.data - pred) / scale
 
     f0 = curvature(conn, psi)
@@ -303,43 +310,43 @@ def test_criterion_4_specializations():
     psi = psi_const(grid)
     got = mean_curvature_from(curvature(conn, psi), psi)
     lamf = 0.5 * np.einsum(
-        "mn...ij,nm->...ij", conn.field_strength(), np.linalg.inv(std_omega(1))
+        "mnij...,nm->ij...", conn.field_strength(), np.linalg.inv(std_omega(1))
     )
     want = constants.KAHLER_UPROJ_COEFF * lamf
-    want = (want + np.swapaxes(want, -1, -2).conj()) / 2.0
+    want = (want + np.swapaxes(want, 0, 1).conj()) / 2.0
     errs["hym"] = max_abs(got - want) / max(1.0, max_abs(want))
 
     # abelian line bundle with b = c omega and real vector part
     c = 0.4
     psi_c = psi_const(grid, c=c)
-    a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
+    a = np.zeros((2, 1, 1, *grid.sizes), dtype=np.complex128)
     vmat = np.zeros_like(a)
     v = np.stack([trig_scalar(grid, rng), trig_scalar(grid, rng)])
     for mu in range(2):
-        a[mu, ..., 0, 0] = 1j * trig_scalar(grid, rng)
-        vmat[mu, ..., 0, 0] = 1j * v[mu]
+        a[mu, 0, 0] = 1j * trig_scalar(grid, rng)
+        vmat[mu, 0, 0] = 1j * v[mu]
     line_conn = GenConnection(grid, 1, a, vmat)
-    got = mean_curvature_from(curvature(line_conn, psi_c), psi_c)[..., 0, 0]
+    got = mean_curvature_from(curvature(line_conn, psi_c), psi_c)[0, 0]
     om_field = FormField.constant(grid, GradedForm.from_two_form_matrix(std_omega(1)))
     lvo = lie_derivative(grid, v, om_field)
     lvo_mat = np.zeros((2, 2, *grid.sizes), dtype=np.complex128)
     lvo_mat[0, 1] = lvo.data[3]
     lvo_mat[1, 0] = -lvo.data[3]
-    total = line_conn.field_strength()[..., 0, 0] + c * 1j * lvo_mat
+    total = line_conn.field_strength()[:, :, 0, 0] + c * 1j * lvo_mat
     contracted = 0.5 * np.einsum("mn...,nm->...", total, np.linalg.inv(std_omega(1)))
     want = (constants.KAHLER_UPROJ_COEFF * contracted).real
     errs["line"] = max_abs(got - want) / max(1.0, max_abs(want))
 
     # co-Higgs: central A, constant Higgs frame
     r = 2
-    ac = np.zeros((2, *grid.sizes, r, r), dtype=np.complex128)
+    ac = np.zeros((2, r, r, *grid.sizes), dtype=np.complex128)
     for mu in range(2):
-        ac[mu] = (1j * trig_scalar(grid, rng))[..., None, None] * np.eye(r)
+        ac[mu] = mat_field(1j * trig_scalar(grid, rng), np.eye(r))
     w = np.array([[0.2, 0.9], [0.1, -0.2]]) + 1j * np.array([[0.0, 0.3], [-0.4, 0.0]])
     z = np.array([1.0, 1j]) / np.sqrt(2.0)
     vc = np.zeros_like(ac)
     for mu in range(2):
-        vc[mu] += z[mu] * w[None, None] - np.conj(z[mu]) * w.conj().T[None, None]
+        vc[mu] += (z[mu] * w - np.conj(z[mu]) * w.conj().T)[:, :, None, None]
     ch_conn = GenConnection(grid, r, ac, vc)
     res, _ = cohiggs_residual(ch_conn, std_omega(1), 0.0)
     psi = psi_const(grid)
@@ -375,7 +382,7 @@ def test_criterion_5_chern_lambda_suite():
     lam = lambda_from(c0, psi, conn.rank)
     k = mean_curvature_from(f, psi)
     vol = vol_density(grid, psi)
-    drift = grid.integrate(vol * (np.einsum("...ii->...", k).real - 2 * lam))
+    drift = grid.integrate(vol * (np.einsum("ii...->...", k).real - 2 * lam))
     lam_err = max(abs(flat_lam), abs(float(drift)) / max(1.0, abs(lam)))
 
     dt = time.perf_counter() - t0
@@ -401,11 +408,11 @@ def test_criterion_6_moment_suite():
     t0 = time.perf_counter()
 
     def variation():
-        a = np.zeros((2, *grid.sizes, r, r), dtype=np.complex128)
+        a = np.zeros((2, r, r, *grid.sizes), dtype=np.complex128)
         v = np.zeros_like(a)
         for mu in range(2):
-            a[mu] = trig_scalar(grid, rng)[..., None, None] * rand_skew(rng, r)
-            v[mu] = trig_scalar(grid, rng)[..., None, None] * rand_skew(rng, r)
+            a[mu] = mat_field(trig_scalar(grid, rng), rand_skew(rng, r))
+            v[mu] = mat_field(trig_scalar(grid, rng), rand_skew(rng, r))
         return ConnVariation(a, v)
 
     a1, a2 = variation(), variation()
@@ -443,7 +450,7 @@ def test_criterion_6_moment_suite():
     k = mean_curvature_from(curvature(conn, psi), psi)
     vol = vol_density(grid, psi)
     ident_err = abs(
-        mv + grid.integrate(vol * np.einsum("...ij,...ji->...", xi, k).imag)
+        mv + grid.integrate(vol * np.einsum("ij...,ji...->...", xi, k).imag)
     ) / max(1.0, abs(mv))
 
     dt = time.perf_counter() - t0
@@ -499,7 +506,7 @@ def test_criterion_8_solver():
     # Fourier-projection oracle: per-mode least squares on the impulse
     # responses of the linearized residual map
     base = GenConnection.zero(grid, 1)
-    kbase = mean_curvature_from(curvature(base, psi), psi)[..., 0, 0].real
+    kbase = mean_curvature_from(curvature(base, psi), psi)[0, 0].real
     resp = np.empty((4, *grid.sizes))
     for s in range(4):
         u = np.zeros((4, *grid.sizes))
@@ -507,12 +514,12 @@ def test_criterion_8_solver():
         pert = GenConnection(
             grid,
             1,
-            base.A + 1j * u[:2][..., None, None],
-            base.V + 1j * u[2:][..., None, None],
+            base.A + 1j * u[:2, None, None],
+            base.V + 1j * u[2:, None, None],
         )
-        resp[s] = mean_curvature_from(curvature(pert, psi), psi)[..., 0, 0].real - kbase
+        resp[s] = mean_curvature_from(curvature(pert, psi), psi)[0, 0].real - kbase
     mhat = np.fft.fftn(resp, axes=(1, 2))
-    rho = mean_curvature_from(curvature(init, psi), psi)[..., 0, 0].real - lam
+    rho = mean_curvature_from(curvature(init, psi), psi)[0, 0].real - lam
     rhat = np.fft.fftn(rho)
     den = np.sum(np.abs(mhat) ** 2, axis=0)
     live = den > 1e-20 * den.max()
@@ -522,8 +529,8 @@ def test_criterion_8_solver():
     oracle = GenConnection(
         grid,
         1,
-        init.A + 1j * delta[:2][..., None, None],
-        init.V + 1j * delta[2:][..., None, None],
+        init.A + 1j * delta[:2, None, None],
+        init.V + 1j * delta[2:, None, None],
     )
     oracle_err = max(max_abs(out.A - oracle.A), max_abs(out.V - oracle.V))
 

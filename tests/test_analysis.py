@@ -113,25 +113,31 @@ def trig_scalar(grid, rng, nmodes=3, amp=0.1):
 
 
 def line_conn(grid, rng, amp=0.1, with_v=False):
-    shape = (2 * grid.n, *grid.sizes, 1, 1)
+    shape = (2 * grid.n, 1, 1, *grid.sizes)
     a = np.zeros(shape, dtype=np.complex128)
     v = np.zeros(shape, dtype=np.complex128)
     for mu in range(2 * grid.n):
-        a[mu] = 1j * trig_scalar(grid, rng, amp=amp)[..., None, None]
+        a[mu] = 1j * trig_scalar(grid, rng, amp=amp)[None, None]
         if with_v:
-            v[mu] = 1j * trig_scalar(grid, rng, amp=amp / 2)[..., None, None]
+            v[mu] = 1j * trig_scalar(grid, rng, amp=amp / 2)[None, None]
     return GenConnection(grid, 1, a, v)
 
 
 def higgs_frame_v(grid, mats, weights):
     """V with W-frame components mats[i] on the (2i, 2i+1) coordinate pair."""
     r = mats[0].shape[0]
-    v = np.zeros((2 * grid.n, *grid.sizes, r, r), dtype=np.complex128)
+    v = np.zeros((2 * grid.n, r, r, *grid.sizes), dtype=np.complex128)
+    constant = (r, r) + (1,) * (2 * grid.n)  # one matrix at every point
     for i, (w, c) in enumerate(zip(mats, weights)):
         wh = w.conj().T
-        v[2 * i] = (w - wh) / np.sqrt(2.0 * c)
-        v[2 * i + 1] = 1j * (w + wh) / np.sqrt(2.0 * c)
+        v[2 * i] = ((w - wh) / np.sqrt(2.0 * c)).reshape(constant)
+        v[2 * i + 1] = (1j * (w + wh) / np.sqrt(2.0 * c)).reshape(constant)
     return v
+
+
+def mat_field(field, m):
+    """The constant matrix m (r, r) times a scalar field: (r, r, *sizes)."""
+    return np.multiply.outer(m, field)
 
 
 # hand-counted B^i dimensions and ranks per unit r^2: the complex starts at
@@ -613,7 +619,7 @@ def test_cohiggs_nilpotent_higgs_oracle():
     conn = GenConnection(grid, 2, np.zeros_like(v), v)
     res, norm = cohiggs_residual(conn, std_omega(1), 0.0)
     want = constants.COHIGGS_SCALE * np.diag([1.0, -1.0])
-    assert np.max(np.abs(res - want)) < 1e-12
+    assert np.max(np.abs(res - want[:, :, None, None])) < 1e-12
     assert abs(norm - 1.0) < 1e-12
 
 
@@ -626,7 +632,7 @@ def test_cohiggs_matches_curvature_pipeline():
     v = higgs_frame_v(grid, [w], [1.0])
     a = np.zeros_like(v)
     for mu in range(2):
-        a[mu] = 1j * trig_scalar(grid, rng)[..., None, None] * np.eye(2)
+        a[mu] = 1j * mat_field(trig_scalar(grid, rng), np.eye(2))
     conn = GenConnection(grid, 2, a, v)
     res, norm = cohiggs_residual(conn, std_omega(1), 0.0)
     psi = psi_const(grid)
@@ -661,7 +667,7 @@ def test_cohiggs_normal_higgs_reduces_to_curvature_term():
     v = higgs_frame_v(grid, [w], [1.0])
     a = np.zeros_like(v)
     for mu in range(2):
-        a[mu] = 1j * trig_scalar(grid, rng)[..., None, None] * np.eye(2)
+        a[mu] = 1j * mat_field(trig_scalar(grid, rng), np.eye(2))
     with_v = GenConnection(grid, 2, a, v)
     without = GenConnection(grid, 2, a, np.zeros_like(v))
     res1, _ = cohiggs_residual(with_v, std_omega(1), 0.0)
@@ -674,7 +680,7 @@ def test_cohiggs_rejects_non_cohiggs_connection():
     x = grid.meshes()
     w = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
     v = higgs_frame_v(grid, [w], [1.0])
-    v *= np.sin(2 * np.pi * x[0])[..., None, None]
+    v *= np.sin(2 * np.pi * x[0])
     conn = GenConnection(grid, 2, np.zeros_like(v), v)
     with pytest.raises(ValueError, match="co-Higgs"):
         cohiggs_residual(conn, std_omega(1), 0.0)
@@ -707,10 +713,10 @@ def test_kr_profile_connection_is_eh():
     x = grid.meshes()
     c = 0.25
     f = 0.3 * np.sin(2 * np.pi * x[0])
-    v = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
-    v[0] = 1j * f[..., None, None]
+    v = np.zeros((2, 1, 1, *grid.sizes), dtype=np.complex128)
+    v[0, 0, 0] = 1j * f
     a = np.zeros_like(v)
-    a[1] = -1j * c * f[..., None, None]
+    a[1, 0, 0] = -1j * c * f
     conn = GenConnection(grid, 1, a, v)
     val, diag = kr_soliton_check(conn, std_omega(1), c, diagnostics=True)
     assert abs(val - 1.0) < 1e-12
@@ -725,7 +731,7 @@ def test_kr_c_zero_reduces_to_curvature_distance():
     rng = np.random.default_rng(5212)
     conn = line_conn(grid, rng, with_v=True)
     val = kr_soliton_check(conn, std_omega(1), 0.0)
-    f01 = conn.field_strength()[0, 1][..., 0, 0]
+    f01 = conn.field_strength()[0, 1, 0, 0]
     want = float(np.sqrt(grid.integrate(np.abs(f01 - 1j) ** 2)))
     assert abs(val - want) < 1e-12
 
@@ -780,19 +786,19 @@ def test_solve_matches_fourier_oracle():
 
     # impulse responses of the linearized residual map, one per direction
     base = GenConnection.zero(grid, 1)
-    kbase = mean_curvature_from(curvature(base, psi), psi)[..., 0, 0].real
+    kbase = mean_curvature_from(curvature(base, psi), psi)[0, 0].real
     resp = np.empty((4, *grid.sizes))
     for s in range(4):
         u = np.zeros((4, *grid.sizes))
         u[s, 0, 0] = 1.0
         pert = GenConnection(
             grid, 1,
-            base.A + 1j * u[:2][..., None, None],
-            base.V + 1j * u[2:][..., None, None],
+            base.A + 1j * u[:2, None, None],
+            base.V + 1j * u[2:, None, None],
         )
-        resp[s] = mean_curvature_from(curvature(pert, psi), psi)[..., 0, 0].real - kbase
+        resp[s] = mean_curvature_from(curvature(pert, psi), psi)[0, 0].real - kbase
     mhat = np.fft.fftn(resp, axes=(1, 2))
-    rho = mean_curvature_from(curvature(init, psi), psi)[..., 0, 0].real - lam
+    rho = mean_curvature_from(curvature(init, psi), psi)[0, 0].real - lam
     rhat = np.fft.fftn(rho)
     den = np.sum(np.abs(mhat) ** 2, axis=0)
     live = den > 1e-20 * den.max()
@@ -802,8 +808,8 @@ def test_solve_matches_fourier_oracle():
     delta = np.real(np.fft.ifftn(dhat, axes=(1, 2)))
     oracle = GenConnection(
         grid, 1,
-        init.A + 1j * delta[:2][..., None, None],
-        init.V + 1j * delta[2:][..., None, None],
+        init.A + 1j * delta[:2, None, None],
+        init.V + 1j * delta[2:, None, None],
     )
     _, oracle_norm = eh_residual_from(mean_curvature_from(curvature(oracle, psi), psi), psi, lam)
     assert oracle_norm < 1e-6
@@ -829,8 +835,8 @@ def test_solve_b_field_line_identity():
     om_field = FormField.constant(
         grid, GradedForm.from_two_form_matrix(om.astype(np.complex128))
     )
-    lvo = lie_derivative(grid, out.V[..., 0, 0].imag, om_field)
-    total = out.field_strength()[0, 1][..., 0, 0] + c * 1j * lvo.data[3]
+    lvo = lie_derivative(grid, out.V[:, 0, 0].imag, om_field)
+    total = out.field_strength()[0, 1, 0, 0] + c * 1j * lvo.data[3]
     assert np.max(np.abs(total - constants.LINE_EH_SCALE * lam * 1j)) < 1e-7
 
 
@@ -841,10 +847,8 @@ def test_solve_varying_spinor_coloured_probes():
     data[0] = 1.0
     data[3] = 0.3 * np.sin(2 * np.pi * x[0]) + 1j
     psi = FormField(grid, data)
-    a = np.zeros((2, *grid.sizes, 1, 1), dtype=np.complex128)
-    a[1] = 1j * (0.1 * np.sin(2 * np.pi * x[0]) + 0.05 * np.cos(2 * np.pi * x[1]))[
-        ..., None, None
-    ]
+    a = np.zeros((2, 1, 1, *grid.sizes), dtype=np.complex128)
+    a[1, 0, 0] = 1j * (0.1 * np.sin(2 * np.pi * x[0]) + 0.05 * np.cos(2 * np.pi * x[1]))
     init = GenConnection(grid, 1, a, np.zeros_like(a))
     out, trace = solve_eh_line(init, psi, tol=1e-9, max_iter=4000)
     assert trace.converged
@@ -919,7 +923,7 @@ def map_inputs(n, size, constant):
     if constant:
         grid = make_grid(n, size)
         psi = psi_const(grid, c=0.3)
-        shape = (2 * n, *grid.sizes, 1, 1)
+        shape = (2 * n, 1, 1, *grid.sizes)
         a = np.full(shape, 0.05j) * np.arange(1, 2 * n + 1)[(...,) + (None,) * (2 * n + 2)]
         init = GenConnection(grid, 1, a, np.full(shape, -0.02j))
     else:

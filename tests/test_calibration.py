@@ -243,25 +243,25 @@ def _grid_psi(grid, c=0.0):
 
 
 def _grid_conn(grid, r, rng, with_v=True):
-    shape = (2 * grid.n, *grid.sizes, r, r)
+    shape = (2 * grid.n, r, r, *grid.sizes)
     a = np.zeros(shape, dtype=np.complex128)
     v = np.zeros(shape, dtype=np.complex128)
     for mu in range(2 * grid.n):
         for arr in (a, v) if with_v else (a,):
-            m = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+            m = np.zeros((r, r, *grid.sizes), dtype=np.complex128)
             for i in range(r):
                 for j in range(r):
-                    m[..., i, j] = _trig(grid, rng) + 1j * _trig(grid, rng)
-            arr[mu] = (m - np.swapaxes(m, -1, -2).conj()) / 2.0
+                    m[i, j] = _trig(grid, rng) + 1j * _trig(grid, rng)
+            arr[mu] = (m - np.swapaxes(m, 0, 1).conj()) / 2.0
     return GenConnection(grid, r, a, v)
 
 
 def _skew_field(grid, r, rng):
-    m = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+    m = np.zeros((r, r, *grid.sizes), dtype=np.complex128)
     for i in range(r):
         for j in range(r):
-            m[..., i, j] = _trig(grid, rng) + 1j * _trig(grid, rng)
-    return (m - np.swapaxes(m, -1, -2).conj()) / 2.0
+            m[i, j] = _trig(grid, rng) + 1j * _trig(grid, rng)
+    return (m - np.swapaxes(m, 0, 1).conj()) / 2.0
 
 
 def test_moment_derivative_sign_rederived():
@@ -288,21 +288,21 @@ def test_line_eh_scale_rederived():
     grid = _grid()
     c = 0.4
     psi = _grid_psi(grid, c=c)
-    shape = (2, *grid.sizes, 1, 1)
+    shape = (2, 1, 1, *grid.sizes)
     a = np.zeros(shape, dtype=np.complex128)
     v_field = np.stack([_trig(grid, rng), _trig(grid, rng)])
     v = np.zeros(shape, dtype=np.complex128)
     for mu in range(2):
-        a[mu, ..., 0, 0] = 1j * _trig(grid, rng)
-        v[mu, ..., 0, 0] = 1j * v_field[mu]
+        a[mu, 0, 0] = 1j * _trig(grid, rng)
+        v[mu, 0, 0] = 1j * v_field[mu]
     conn = GenConnection(grid, 1, a, v)
-    k = mean_curvature_from(curvature(conn, psi), psi)[..., 0, 0].real
+    k = mean_curvature_from(curvature(conn, psi), psi)[0, 0].real
 
     om_field = FormField.constant(
         grid, GradedForm.from_two_form_matrix(STD_OMEGA_1.astype(complex))
     )
     lvo = lie_derivative(grid, v_field, om_field)
-    total = conn.field_strength()[..., 0, 0].astype(np.complex128)
+    total = conn.field_strength()[:, :, 0, 0].astype(np.complex128)
     total[0, 1] += c * 1j * lvo.data[3]
     total[1, 0] -= c * 1j * lvo.data[3]
     lam = 0.5 * np.einsum("mn...,nm->...", total, np.linalg.inv(STD_OMEGA_1))
@@ -322,25 +322,25 @@ def test_cohiggs_constants_rederived():
     # scale from the Higgs-field half: A = 0, V from W in the unitary frame
     w = np.array([[0.1 + 0.2j, 0.3 - 0.1j], [-0.2 + 0.05j, -0.1 - 0.2j]])
     z = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    v = np.zeros((2, *grid.sizes, 2, 2), dtype=np.complex128)
+    v = np.zeros((2, 2, 2, *grid.sizes), dtype=np.complex128)
     for mu in range(2):
-        v[mu] = z[mu] * w - np.conj(z[mu]) * w.conj().T
+        v[mu] = (z[mu] * w - np.conj(z[mu]) * w.conj().T)[:, :, None, None]
     conn_w = GenConnection(grid, 2, np.zeros_like(v), v)
     k_w = mean_curvature_from(curvature(conn_w, psi), psi)
     comm = w @ w.conj().T - w.conj().T @ w
     derived_scale = (k_w[0, 0, 0, 0] / comm[0, 0]).real
-    assert np.max(np.abs(k_w[0, 0] - derived_scale * comm)) < 1e-10
+    assert np.max(np.abs(k_w[:, :, 0, 0] - derived_scale * comm)) < 1e-10
     assert abs(derived_scale - constants.COHIGGS_SCALE) < 1e-10
 
     # F sign from the curvature half: V = 0, nonabelian A
     conn_a = _grid_conn(grid, 2, rng, with_v=False)
     k_a = mean_curvature_from(curvature(conn_a, psi), psi)
     lam = 0.5 * np.einsum(
-        "mn...ij,nm->...ij",
+        "mnij...,nm->ij...",
         conn_a.field_strength(),
         np.linalg.inv(STD_OMEGA_1),
     )
-    ref = (1j * lam + np.swapaxes(1j * lam, -1, -2).conj()) / 2.0
+    ref = (1j * lam + np.swapaxes(1j * lam, 0, 1).conj()) / 2.0
     live = np.abs(ref) > 1e-3 * np.max(np.abs(ref))
     derived_sign = (k_a[live] / (derived_scale * ref[live])).real
     assert np.max(np.abs(derived_sign - constants.COHIGGS_F_SIGN)) < 1e-8

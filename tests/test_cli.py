@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,30 @@ def test_curvature_reports_invariants(tmp_path, capsys):
     assert rep["psi_closedness"] < 1e-10
 
 
+@pytest.mark.parametrize("n, rank", [(1, 2), (2, 2), (2, 1)])
+def test_report_fields_keep_matrix_axes_last(tmp_path, capsys, n, rank):
+    # fields hold (r, r, *sizes); the reports dump (*sizes, r, r) row-major
+    doc = {"n": n, "bundle": {"rank": rank}, "connection": {"A": {"random": {}}}}
+    path = write_doc(tmp_path, doc)
+    cfg = build_config(doc, grid_size=8)
+    sizes = [8] * (2 * n)
+    out = tmp_path / "curv.json"
+    assert main(["curvature", "--grid", "8", "--input", path, "--output", str(out)]) == 0
+    dump = json.loads(out.read_text())["mean_curvature"]
+    assert dump["shape"] == sizes + [rank, rank]
+    k = fields.mean_curvature_from(fields.curvature(cfg.conn, cfg.psi), cfg.psi)
+    k_last = np.moveaxis(k, (0, 1), (-2, -1))
+    assert dump["re"] == k_last.real.ravel().tolist()
+    assert dump["im"] == k_last.imag.ravel().tolist()
+    if rank != 1:
+        return
+    out = tmp_path / "solve.json"
+    main(["solve", "--grid", "8", "--input", path, "--output", str(out)])
+    conn = json.loads(out.read_text())["connection"]
+    for key in ("A", "V"):
+        assert conn[key]["shape"] == [2 * n] + sizes + [1, 1]
+
+
 # closed, with psi varying over x0 and x2: b01 = 0.3 sin 2 pi x0,
 # b23 = 0.3 cos 2 pi x2, b02 = 0.2
 _VARYING_B_DOC = {
@@ -315,6 +340,34 @@ def test_curvature_command_computes_curvature_once(tmp_path, capsys, monkeypatch
     args = ["curvature", "--grid", "16", "--input", write_doc(tmp_path, _RANK2_DOC)]
     assert main(args) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["curvature", "verify"])
+def test_command_takes_d_psi_once_from_the_validation(tmp_path, capsys, monkeypatch, command):
+    # validate_spinor_field computes max |d psi|; the curvature report's
+    # psi_closedness and verify's fields/spinor-d-closed row reuse it
+    cfg = build_config(_RANK2_DOC, grid_size=8)
+    doc_psi = cfg.psi.data.tobytes()
+    on_psi = []
+    real = fields.d_field
+
+    def counted(f):
+        if isinstance(f, fields.FormField) and f.data.tobytes() == doc_psi:
+            on_psi.append(command)
+        return real(f)
+
+    for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
+        monkeypatch.setattr(f"{mod}.d_field", counted, raising=False)
+    out = tmp_path / f"{command}.json"
+    args = [command, "--grid", "8", "--input", write_doc(tmp_path, _RANK2_DOC)]
+    assert main(args + ["--output", str(out)]) == 0
+    assert len(on_psi) == 1
+    rep = json.loads(out.read_text())
+    if command == "curvature":
+        assert rep["psi_closedness"] == float(np.max(np.abs(real(cfg.psi).data)))
+    else:
+        row = next(r for r in rep["checks"] if r["check"] == "fields/spinor-d-closed")
+        assert row["pass"]
 
 
 def test_report_computes_no_curvature_beyond_verify(tmp_path, capsys, monkeypatch):
@@ -597,10 +650,31 @@ def test_grid_key_exits_2_naming_its_key(tmp_path, capsys, grid, argv, message):
 )
 def test_document_key_exits_2_naming_its_key(tmp_path, capsys, command, doc, message):
     # the spinor is validated in one place for every command that takes it
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main([command, "--grid", "8", "--input", write_doc(tmp_path, doc)])
+    rc = main([command, "--grid", "8", "--input", write_doc(tmp_path, doc)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", ["curvature", "solve"])
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": 1e300}]}}},
+        {"psi": {"b": [[0, 1e308], [-1e308, 0]]}},
+    ],
+    ids=["psi-b-entries-huge", "psi-b-matrix-huge"],
+)
+def test_huge_finite_b_exits_2_without_a_numpy_warning(tmp_path, capsys, command, doc):
+    # e^b is finite but its squares overflow: the spinor's zero test takes no
+    # norm, and the classification prints as plain Python booleans
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--grid", "8", "--input", write_doc(tmp_path, doc)])
+    assert rc == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "is_nondegenerate=False" in err and "np.False_" not in err
 
 
 @pytest.mark.parametrize("key", ["A", "V"])
@@ -798,7 +872,7 @@ def test_document_terms_and_constant_b(tmp_path):
     cfg = build_config(load_document(write_doc(tmp_path, doc)))
     x0 = cfg.grid.axis_coord(0)
     want = 0.2 * np.sin(2.0 * np.pi * x0)
-    got = cfg.conn.A[0, :, 0, 0, 0]
+    got = cfg.conn.A[0, 0, 0, :, 0]
     assert np.max(np.abs(got - 1j * want)) < 1e-14
     assert np.max(np.abs(cfg.conn.V)) == 0.0
     b = np.array(doc["psi"]["b"])
@@ -815,7 +889,7 @@ def test_document_random_rank2_is_skew(tmp_path):
     cfg = build_config(doc, seed=5)
     assert cfg.conn.rank == 2
     assert np.max(np.abs(cfg.conn.A)) > 0.0
-    herm = cfg.conn.A + np.swapaxes(cfg.conn.A, -1, -2).conj()
+    herm = cfg.conn.A + np.swapaxes(cfg.conn.A, 1, 2).conj()
     assert np.max(np.abs(herm)) < 1e-12
     again = build_config(doc, seed=5)
     assert np.array_equal(cfg.conn.A, again.conn.A)

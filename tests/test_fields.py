@@ -8,6 +8,7 @@ tolerance; genuinely discretized statements carry O(h^2) tolerances.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from genkf.multivector import (
     GradedForm,
     b_transform,
     exp_two_form,
+    interior,
     mukai_pair,
     wedge,
 )
@@ -110,17 +112,20 @@ def random_skew(rng, r):
     return (m - m.conj().T) / 2
 
 
+def mat_field(field, m):
+    """The constant matrix m (r, r) times a scalar field: (r, r, *sizes)."""
+    return np.multiply.outer(m, field)
+
+
 def random_conn(grid, r, rng, amp=0.1, with_v=True):
-    shape = (2 * grid.n, *grid.sizes, r, r)
+    shape = (2 * grid.n, r, r, *grid.sizes)
     a = np.zeros(shape, dtype=np.complex128)
     v = np.zeros(shape, dtype=np.complex128)
     for mu in range(2 * grid.n):
         for _ in range(2):
-            a[mu] += trig_scalar(grid, rng, amp=amp)[..., None, None] * random_skew(rng, r)
+            a[mu] += mat_field(trig_scalar(grid, rng, amp=amp), random_skew(rng, r))
             if with_v:
-                v[mu] += trig_scalar(grid, rng, amp=amp)[..., None, None] * random_skew(
-                    rng, r
-                )
+                v[mu] += mat_field(trig_scalar(grid, rng, amp=amp), random_skew(rng, r))
     return GenConnection(grid, r, a, v)
 
 
@@ -130,9 +135,9 @@ def random_variation(grid, r, rng, amp=0.1):
 
 
 def random_xi(grid, r, rng, amp=0.5):
-    out = np.zeros((*grid.sizes, r, r), dtype=np.complex128)
+    out = np.zeros((r, r, *grid.sizes), dtype=np.complex128)
     for _ in range(2):
-        out += trig_scalar(grid, rng, amp=amp)[..., None, None] * random_skew(rng, r)
+        out += mat_field(trig_scalar(grid, rng, amp=amp), random_skew(rng, r))
     return out
 
 
@@ -268,7 +273,7 @@ def test_lie_commutes_with_d():
 def test_covariant_d_abelian_reduces():
     g = make_grid()
     conn = random_conn(g, 1, RNG)
-    a = EndFormField(g, 1, random_form_field(g, RNG).data[..., None, None])
+    a = EndFormField(g, 1, random_form_field(g, RNG).data[:, None, None])
     got = covariant_d(conn, a)
     want = d_field(a)
     assert max_abs(got.data - want.data) < 1e-13
@@ -277,8 +282,8 @@ def test_covariant_d_abelian_reduces():
 def test_covariant_d_zero_connection():
     g = make_grid()
     conn = GenConnection.zero(g, 2)
-    data = np.zeros((4, *g.sizes, 2, 2), dtype=np.complex128)
-    data[0] = trig_scalar(g, RNG)[..., None, None] * random_skew(RNG, 2)
+    data = np.zeros((4, 2, 2, *g.sizes), dtype=np.complex128)
+    data[0] = mat_field(trig_scalar(g, RNG), random_skew(RNG, 2))
     a = EndFormField(g, 2, data)
     assert max_abs(covariant_d(conn, a).data - d_field(a).data) < 1e-14
 
@@ -287,22 +292,137 @@ def test_covariant_d_gauge_covariance():
     g = make_grid()
     r = 2
     conn = random_conn(g, r, RNG)
-    data = np.zeros((4, *g.sizes, r, r), dtype=np.complex128)
+    data = np.zeros((4, r, r, *g.sizes), dtype=np.complex128)
     for comp in range(4):
-        data[comp] = trig_scalar(g, RNG)[..., None, None] * random_skew(RNG, r)
+        data[comp] = mat_field(trig_scalar(g, RNG), random_skew(RNG, r))
     a = EndFormField(g, r, data)
     # constant unitary gauge transform
     u = np.linalg.qr(RNG.normal(size=(r, r)) + 1j * RNG.normal(size=(r, r)))[0]
     conn_g = GenConnection(
-        g, r, np.einsum("ij,m...jk,kl->m...il", u, conn.A, u.conj().T),
-        np.einsum("ij,m...jk,kl->m...il", u, conn.V, u.conj().T),
+        g, r, np.einsum("ij,mjk...,kl->mil...", u, conn.A, u.conj().T),
+        np.einsum("ij,mjk...,kl->mil...", u, conn.V, u.conj().T),
     )
-    a_g = EndFormField(g, r, np.einsum("ij,c...jk,kl->c...il", u, a.data, u.conj().T))
+    a_g = EndFormField(g, r, np.einsum("ij,cjk...,kl->cil...", u, a.data, u.conj().T))
     lhs = covariant_d(conn_g, a_g).data
     rhs = np.einsum(
-        "ij,c...jk,kl->c...il", u, covariant_d(conn, a).data, u.conj().T
+        "ij,cjk...,kl->cil...", u, covariant_d(conn, a).data, u.conj().T
     )
     assert max_abs(lhs - rhs) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the (blade, r, r, *sizes) layout against per-point matrices in the old
+# (blade, *sizes, r, r) order
+
+
+def matrices_last(x, lead):
+    """x with its (r, r) axes, at lead and lead + 1, moved to the end."""
+    return np.moveaxis(x, (lead, lead + 1), (-2, -1))
+
+
+def blade_matrices(n):
+    """dx^mu ^ and i_mu as (4^n, 4^n) matrices, column b the image of blade b."""
+    units = [GradedForm(n, col) for col in np.eye(4**n)]
+    eye = np.eye(2 * n)
+    wedges = [
+        np.stack([wedge(GradedForm.blade(n, (mu,)), e).coeffs for e in units], axis=1)
+        for mu in range(2 * n)
+    ]
+    interiors = [
+        np.stack([interior(eye[mu], e).coeffs for e in units], axis=1) for mu in range(2 * n)
+    ]
+    return wedges, interiors
+
+
+def old_order_operators(conn, a_data, psi_data):
+    """field_strength, covariant_d and curvature in the old axis order, each
+    small matrix product a per-point np.matmul; returned in the new order."""
+    grid, n2 = conn.grid, 2 * conn.grid.n
+    wedges, interiors = blade_matrices(grid.n)
+    A, V = matrices_last(conn.A, 1), matrices_last(conn.V, 1)  # (2n, *sizes, r, r)
+
+    def diff(x, mu, axis):
+        return (np.roll(x, -1, axis=axis) - np.roll(x, 1, axis=axis)) / (2 * grid.spacings[mu])
+
+    def apply(m, x):  # a blade matrix on a blade-first array
+        return np.einsum("ab,b...->a...", m, x)
+
+    def cov_d(x):  # x (blades, *sizes, r, r)
+        out = np.zeros_like(x)
+        for mu in range(n2):
+            out += apply(wedges[mu], diff(x, mu, 1 + mu) + (A[mu] @ x - x @ A[mu]))
+        return out
+
+    fs = np.zeros((n2, n2) + A.shape[1:], dtype=np.complex128)
+    for mu in range(n2):
+        for nu in range(n2):
+            fs[mu, nu] = diff(A[nu], mu, mu) - diff(A[mu], nu, nu) + A[mu] @ A[nu] - A[nu] @ A[mu]
+    curv = np.zeros((psi_data.shape[0],) + A.shape[1:], dtype=np.complex128)
+    vpsi = np.zeros_like(curv)
+    for mu in range(n2):
+        vpsi += apply(interiors[mu], psi_data)[..., None, None] * V[mu]
+        for nu in range(mu + 1, n2):
+            pair = apply(wedges[mu] @ wedges[nu], psi_data)[..., None, None]
+            double = apply(interiors[mu] @ interiors[nu], psi_data)[..., None, None]
+            curv += pair * fs[mu, nu] + double * (V[mu] @ V[nu] - V[nu] @ V[mu])
+    curv += cov_d(vpsi)
+    back = (-2, -1)
+    return (
+        np.moveaxis(fs, back, (2, 3)),
+        np.moveaxis(cov_d(matrices_last(a_data, 1)), back, (1, 2)),
+        np.moveaxis(curv, back, (1, 2)),
+    )
+
+
+@pytest.mark.parametrize("n, size", [(1, 10), (2, 8)])
+@pytest.mark.parametrize("r", [2, 3])
+def test_operators_match_per_point_matmul_in_the_old_order(n, size, r):
+    rng = np.random.default_rng([n, r, 17])
+    g = make_grid(n, size)
+    conn = random_conn(g, r, rng, amp=0.3)
+    shape = (4**n, r, r, *g.sizes)
+    a = EndFormField(g, r, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    psi = b_transform_field(0.3 * std_omega(n), psi_const(g, c=0.2))
+    psi = FormField(g, psi.data * np.exp(1j * trig_scalar(g, rng)))  # varying, complex
+    want_fs, want_cov, want_curv = old_order_operators(conn, a.data, psi.data)
+    for got, want in (
+        (conn.field_strength(), want_fs),
+        (covariant_d(conn, a).data, want_cov),
+        (curvature(conn, psi).data, want_curv),
+    ):
+        assert got.shape == want.shape
+        assert max_abs(got - want) <= 1e-15 * max_abs(want)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rank_one_commutators_are_exact_zeros(n):
+    # the length-1 matrix axes give scalar products, which commute exactly:
+    # every [A_mu, a] is +-0 and covariant_d at rank 1 is d, bit for bit
+    rng = np.random.default_rng([n, 18])
+    g = make_grid(n, 8)
+    conn = random_conn(g, 1, rng, amp=0.3)
+    t = blade_tables(n)
+    shape = (4**n, 1, 1, *g.sizes)
+    a = EndFormField(g, 1, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for mu in range(2 * n):
+        sub = a.data[t.axis_lo[mu]]
+        comm = _small_matmul(conn.A[mu], sub, 2 * n) - _small_matmul(sub, conn.A[mu], 2 * n)
+        assert comm.shape == sub.shape and not np.any(comm)
+    got = covariant_d(conn, a).data
+    assert got.tobytes() == d_field(a).data.tobytes()
+
+
+def test_containers_reject_the_old_layout():
+    g = make_grid(1, 16)
+    old_end = np.zeros((4, 16, 16, 2, 2), dtype=np.complex128)
+    with pytest.raises(ValueError, match=re.escape("expected (4, 2, 2, 16, 16)")):
+        EndFormField(g, 2, old_end)
+    old_conn = np.zeros((2, 16, 16, 2, 2), dtype=np.complex128)
+    named = "A shape (2, 16, 16, 2, 2), expected (2n, r, r, *sizes) = (2, 2, 2, 16, 16)"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        GenConnection(g, 2, old_conn, np.zeros((2, 2, 2, 16, 16)))
+    with pytest.raises(ValueError, match=re.escape("V shape (2, 16, 16, 1, 1)")):
+        GenConnection(g, 1, np.zeros((2, 1, 1, 16, 16)), np.zeros((2, 16, 16, 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +441,8 @@ def test_curvature_abelian_wedge_oracle():
     g = make_grid()
     x = g.meshes()
     a2 = np.sin(2 * np.pi * x[0])
-    conn_a = np.zeros((2, *g.sizes, 1, 1), dtype=np.complex128)
-    conn_a[1, ..., 0, 0] = 1j * a2
+    conn_a = np.zeros((2, 1, 1, *g.sizes), dtype=np.complex128)
+    conn_a[1, 0, 0] = 1j * a2
     conn = GenConnection(g, 1, conn_a, np.zeros_like(conn_a))
     psi = psi_const(g)
     got = curvature(conn, psi)
@@ -330,7 +450,7 @@ def test_curvature_abelian_wedge_oracle():
     d1a2 = (np.roll(a2, -1, axis=0) - np.roll(a2, 1, axis=0)) / (2 * g.spacings[0])
     psi0 = exp_two_form(GradedForm.from_two_form_matrix(1j * std_omega(1)))
     base = wedge(GradedForm.blade(1, (0, 1), 1.0), psi0)
-    want = np.einsum("c,...->c...", base.coeffs, 1j * d1a2)[..., None, None]
+    want = np.einsum("c,...->c...", base.coeffs, 1j * d1a2)[:, None, None]
     assert max_abs(got.data - want) < 1e-12
 
 
@@ -338,19 +458,19 @@ def test_curvature_line_lie_identity():
     # r=1, V = i v, b = 0: curvature equals F_A^psi + i L_v psi
     g = make_grid()
     psi = psi_const(g)
-    conn_a = np.zeros((2, *g.sizes, 1, 1), dtype=np.complex128)
+    conn_a = np.zeros((2, 1, 1, *g.sizes), dtype=np.complex128)
     for mu in range(2):
-        conn_a[mu, ..., 0, 0] = 1j * trig_scalar(g, RNG)
+        conn_a[mu, 0, 0] = 1j * trig_scalar(g, RNG)
     v = np.stack([trig_scalar(g, RNG), trig_scalar(g, RNG)])
     conn_v = np.zeros_like(conn_a)
-    conn_v[0, ..., 0, 0] = 1j * v[0]
-    conn_v[1, ..., 0, 0] = 1j * v[1]
+    conn_v[0, 0, 0] = 1j * v[0]
+    conn_v[1, 0, 0] = 1j * v[1]
     conn = GenConnection(g, 1, conn_a, conn_v)
     got = curvature(conn, psi)
 
     fa = curvature(GenConnection(g, 1, conn_a, np.zeros_like(conn_a)), psi)
     lie = lie_derivative(g, v, psi)
-    want = fa.data + 1j * lie.data[..., None, None]
+    want = fa.data + 1j * lie.data[:, None, None]
     assert max_abs(got.data - want) < 1e-12
 
 
@@ -397,8 +517,8 @@ def test_curvature_covariance_constant_b_nonabelian_defect():
     rhs = b_transform_field(bmat, curvature(conn, psi))
     raw = max_abs(lhs.data - rhs.data)
     assert raw > 1e-3  # the defect is genuinely there
-    delta = np.einsum("m...ij,n...jk,nm->...ik", conn.V, conn.V, bmat)
-    pred = np.einsum("c...,...ij->c...ij", psi_b.data, delta)
+    delta = np.einsum("mij...,njk...,nm->ik...", conn.V, conn.V, bmat)
+    pred = psi_b.data[:, None, None] * delta
     assert max_abs(lhs.data - rhs.data - pred) < 1e-10 * max(1.0, max_abs(rhs.data))
 
 
@@ -433,9 +553,9 @@ def test_mean_curvature_hym_oracle():
 
     om_inv = np.linalg.inv(std_omega(1))
     fmat = conn.field_strength()  # (2n, 2n, *sizes, r, r)
-    lam = 0.5 * np.einsum("mn...ij,nm->...ij", fmat, om_inv)
+    lam = 0.5 * np.einsum("mnij...,nm->ij...", fmat, om_inv)
     want = constants.KAHLER_UPROJ_COEFF * lam
-    want = (want + np.swapaxes(want, -1, -2).conj()) / 2
+    want = (want + np.swapaxes(want, 0, 1).conj()) / 2
     assert max_abs(got - want) < 1e-10
 
 
@@ -444,18 +564,18 @@ def test_mean_curvature_line_bundle_oracle():
     g = make_grid()
     c = 0.4
     psi = psi_const(g, c=c)
-    conn_a = np.zeros((2, *g.sizes, 1, 1), dtype=np.complex128)
+    conn_a = np.zeros((2, 1, 1, *g.sizes), dtype=np.complex128)
     for mu in range(2):
-        conn_a[mu, ..., 0, 0] = 1j * trig_scalar(g, RNG)
+        conn_a[mu, 0, 0] = 1j * trig_scalar(g, RNG)
     v = np.stack([trig_scalar(g, RNG), trig_scalar(g, RNG)])
     conn_v = np.zeros_like(conn_a)
-    conn_v[0, ..., 0, 0] = 1j * v[0]
-    conn_v[1, ..., 0, 0] = 1j * v[1]
+    conn_v[0, 0, 0] = 1j * v[0]
+    conn_v[1, 0, 0] = 1j * v[1]
     conn = GenConnection(g, 1, conn_a, conn_v)
-    got = mean_curvature_from(curvature(conn, psi), psi)[..., 0, 0]
+    got = mean_curvature_from(curvature(conn, psi), psi)[0, 0]
 
     om_inv = np.linalg.inv(std_omega(1))
-    fmat = conn.field_strength()[..., 0, 0]
+    fmat = conn.field_strength()[:, :, 0, 0]
     om_field = FormField.constant(g, GradedForm.from_two_form_matrix(std_omega(1)))
     lvo = lie_derivative(g, v, om_field)
     lvo_mat = np.zeros((2, 2, *g.sizes), dtype=np.complex128)
@@ -477,13 +597,13 @@ def test_mean_curvature_cohiggs_oracle():
     z = np.array([1.0, 1j]) / np.sqrt(2.0)
     h = 1j * (z @ om @ z.conj())
     z = z / np.sqrt(h.real)
-    vfield = np.zeros((2, *g.sizes, r, r), dtype=np.complex128)
+    vfield = np.zeros((2, r, r, *g.sizes), dtype=np.complex128)
     for mu in range(2):
-        vfield[mu] += z[mu] * w[None, None] - np.conj(z[mu]) * w.conj().T[None, None]
+        vfield[mu] += (z[mu] * w - np.conj(z[mu]) * w.conj().T)[:, :, None, None]
     conn = GenConnection(g, r, np.zeros_like(vfield), vfield)
     got = mean_curvature_from(curvature(conn, psi), psi)
     want = constants.COHIGGS_SCALE * (w @ w.conj().T - w.conj().T @ w)
-    assert max_abs(got - want[None, None]) < 1e-12
+    assert max_abs(got - want[:, :, None, None]) < 1e-12
     comm = w @ w.conj().T - w.conj().T @ w
     assert max_abs(comm - np.diag([1.0, -1.0])) < 1e-14
 
@@ -499,8 +619,8 @@ def test_eh_residual_flat_and_gauge():
     _, n0 = eh_residual_from(mean_curvature_from(curvature(conn, psi), psi), psi, 0.1)
     u = np.linalg.qr(RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))[0]
     conn_g = GenConnection(
-        g, 2, np.einsum("ij,m...jk,kl->m...il", u, conn.A, u.conj().T),
-        np.einsum("ij,m...jk,kl->m...il", u, conn.V, u.conj().T),
+        g, 2, np.einsum("ij,mjk...,kl->mil...", u, conn.A, u.conj().T),
+        np.einsum("ij,mjk...,kl->mil...", u, conn.V, u.conj().T),
     )
     _, n1 = eh_residual_from(mean_curvature_from(curvature(conn_g, psi), psi), psi, 0.1)
     assert abs(n0 - n1) < 1e-12 * max(1.0, n0)
@@ -547,8 +667,8 @@ def test_chern_gauge_independence():
     conn = random_conn(g, 2, RNG)
     u = np.linalg.qr(RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)))[0]
     conn_g = GenConnection(
-        g, 2, np.einsum("ij,m...jk,kl->m...il", u, conn.A, u.conj().T),
-        np.einsum("ij,m...jk,kl->m...il", u, conn.V, u.conj().T),
+        g, 2, np.einsum("ij,mjk...,kl->mil...", u, conn.A, u.conj().T),
+        np.einsum("ij,mjk...,kl->mil...", u, conn.V, u.conj().T),
     )
     c1 = chern_from(curvature(conn, psi), psi)
     assert abs(c1 - chern_from(curvature(conn_g, psi), psi)) < 1e-10
@@ -609,7 +729,7 @@ def test_moment_trivial_cases():
     g = make_grid()
     psi = psi_const(g)
     conn = random_conn(g, 2, RNG)
-    zero_xi = np.zeros((*g.sizes, 2, 2), dtype=np.complex128)
+    zero_xi = np.zeros((2, 2, *g.sizes), dtype=np.complex128)
     assert moment_value(g, conn, zero_xi, psi) == 0.0
     flat = GenConnection.zero(g, 2)
     assert abs(moment_value(g, flat, random_xi(g, 2, RNG), psi)) < 1e-13
@@ -623,7 +743,7 @@ def test_moment_equals_mean_curvature_pairing():
     mv = moment_value(g, conn, xi, psi)
     k = mean_curvature_from(curvature(conn, psi), psi)
     vol = vol_density(g, psi)
-    integrand = np.einsum("...ij,...ji->...", xi, k)
+    integrand = np.einsum("ij...,ji...->...", xi, k)
     want = -g.integrate(vol * integrand.imag)
     assert abs(mv - want) < 1e-10 * max(1.0, abs(mv))
 
@@ -664,7 +784,7 @@ def test_dbar_flat_and_constant():
     g = make_grid()
     j = gcs_complex(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert dbar_residual(g, GenConnection.zero(g, 1), j) < 1e-12
-    vconst = np.zeros((2, *g.sizes, 1, 1), dtype=np.complex128)
+    vconst = np.zeros((2, 1, 1, *g.sizes), dtype=np.complex128)
     vconst[0] += 0.3j
     vconst[1] += 0.1j
     conn = GenConnection(g, 1, np.zeros_like(vconst), vconst)
@@ -686,18 +806,18 @@ def dbar_residual_per_section(grid, conn, j):
             if v[mu] != 0:
                 out += v[mu] * (
                     _diff(grid, s, mu)
-                    + np.einsum("...ij,...j->...i", conn.A[mu], s)
+                    + np.einsum("ij...,j...->i...", conn.A[mu], s)
                 )
             if eta[mu] != 0:
-                out += eta[mu] * np.einsum("...ij,...j->...i", conn.V[mu], s)
+                out += eta[mu] * np.einsum("ij...,j...->i...", conn.V[mu], s)
         return out
 
     worst = 0.0
     for wave in (np.zeros(n2, dtype=int), *np.eye(n2, dtype=int)):
         scalar = np.exp(1j * grid.phase(wave))
         for i in range(r):
-            s = np.zeros((*grid.sizes, r), dtype=np.complex128)
-            s[..., i] = scalar
+            s = np.zeros((r, *grid.sizes), dtype=np.complex128)
+            s[i] = scalar
             ops = [op(a, s) for a in range(n2)]
             for a in range(n2):
                 for b in range(a + 1, n2):
@@ -723,8 +843,8 @@ def test_dbar_matches_per_section_reference(n, size, r):
 def test_dbar_detects_nonholomorphic():
     g = make_grid()
     j = gcs_complex(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    v = np.zeros((2, *g.sizes, 1, 1), dtype=np.complex128)
-    v[0, ..., 0, 0] = 1j * trig_scalar(g, RNG, amp=1.0)
+    v = np.zeros((2, 1, 1, *g.sizes), dtype=np.complex128)
+    v[0, 0, 0] = 1j * trig_scalar(g, RNG, amp=1.0)
     conn = GenConnection(g, 1, np.zeros_like(v), v)
     assert dbar_residual(g, conn, j) > 1e-3
 
@@ -893,8 +1013,8 @@ def test_canonical_connection_twisted_profile_is_fine():
 
 def test_connection_validation():
     g = make_grid()
-    a = np.zeros((2, *g.sizes, 2, 2), dtype=np.complex128)
-    a[0, ..., 0, 1] = 1.0  # not skew-Hermitian
+    a = np.zeros((2, 2, 2, *g.sizes), dtype=np.complex128)
+    a[0, 0, 1] = 1.0  # not skew-Hermitian
     with pytest.raises(ValueError):
         GenConnection(g, 2, a, np.zeros_like(a))
     with pytest.raises(ValueError):
@@ -928,7 +1048,7 @@ def test_b_transform_field_equals_broadcast_wedge_bitwise(n, rank):
     # wedge with e^b copied to every grid point
     rng = np.random.default_rng(8 + n)
     g = make_grid(n, 8)
-    shape = (4**n, *g.sizes) + (() if rank is None else (rank, rank))
+    shape = (4**n,) + (() if rank is None else (rank, rank)) + g.sizes
     data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     f = FormField(g, data) if rank is None else EndFormField(g, rank, data)
     m = rng.normal(size=(2 * n, 2 * n))
@@ -952,7 +1072,7 @@ def test_basis_scatter_matches_kernel_bitwise(n, r):
     # signed zeros included
     t = blade_tables(n)
     rng = np.random.default_rng([n, r])
-    shape = (t.size,) + (3,) * (2 * n) + (r, r)
+    shape = (t.size, r, r) + (3,) * (2 * n)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     data[rng.random(shape) < 0.2] = 0.0
     data.real[rng.random(shape) < 0.1] = -0.0
@@ -1000,9 +1120,9 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
     shapes = []
     real = fields._small_matmul
 
-    def counted(x, y):
-        shapes.append(x.shape[-1])
-        return real(x, y)
+    def counted(x, y, ngrid):
+        shapes.append(x.shape[-ngrid - 1])
+        return real(x, y, ngrid)
 
     monkeypatch.setattr("genkf.fields._small_matmul", counted)
     n2 = 2 * n
@@ -1011,7 +1131,7 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
     rng = np.random.default_rng([n, 3])
     for r in (1, 2):
         conn = random_conn(g, r, rng)
-        a = EndFormField(g, r, complex_with_zeros(rng, (4**n, *g.sizes, r, r)))
+        a = EndFormField(g, r, complex_with_zeros(rng, (4**n, r, r, *g.sizes)))
         counts = []
         for run in (
             conn.field_strength,
@@ -1033,30 +1153,43 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
 
 @st.composite
 def matrix_pairs(draw):
-    """Two complex (..., r, r) stacks, r = 1..3, with broadcastable leading shapes."""
+    """Two complex (*lead, r, r, *grid) stacks, r = 1..3, ngrid = 1 or 2 grid
+    axes, with broadcastable leading and grid shapes."""
     r = draw(st.integers(1, 3))
-    leads = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3))
+    ngrid = draw(st.integers(1, 2))
+    leads = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
+    grids = draw(
+        hnp.mutually_broadcastable_shapes(
+            num_shapes=2, min_dims=ngrid, max_dims=ngrid, max_side=3
+        )
+    )
     entries = st.floats(-1e3, 1e3, allow_subnormal=False)
     out = []
-    for lead in leads.input_shapes:
-        re = draw(hnp.arrays(np.float64, lead + (r, r), elements=entries))
-        im = draw(hnp.arrays(np.float64, lead + (r, r), elements=entries))
+    for lead, grid in zip(leads.input_shapes, grids.input_shapes):
+        re = draw(hnp.arrays(np.float64, lead + (r, r) + grid, elements=entries))
+        im = draw(hnp.arrays(np.float64, lead + (r, r) + grid, elements=entries))
         out.append(re + 1j * im)
-    return out
+    return ngrid, out
 
 
 @settings(max_examples=200, deadline=None)
-@given(pair=matrix_pairs())
-def test_small_matmul_matches_matmul(pair):
-    x, y = pair
-    got = _small_matmul(x, y)
-    want = np.matmul(x, y)
+@given(drawn=matrix_pairs())
+def test_small_matmul_matches_matmul(drawn):
+    # against numpy's matmul with the matrix axes moved last, and back
+    ngrid, (x, y) = drawn
+    rows, cols = -ngrid - 2, -ngrid - 1
+
+    def last(m):
+        return np.moveaxis(m, (rows, cols), (-2, -1))
+
+    got = _small_matmul(x, y, ngrid)
+    want = np.moveaxis(np.matmul(last(x), last(y)), (-2, -1), (rows, cols))
     assert got.shape == want.shape and got.dtype == np.complex128
-    scale = float(np.max(np.abs(x) @ np.abs(y), initial=0.0))
+    scale = float(np.max(np.abs(last(x)) @ np.abs(last(y)), initial=0.0))
     assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-15 * scale
-    if x.shape[-1] == 1:
+    if x.shape[rows] == 1:
         assert np.array_equal(got, want)
-        assert not np.any(_small_matmul(x, y) - _small_matmul(y, x))
+        assert not np.any(_small_matmul(x, y, ngrid) - _small_matmul(y, x, ngrid))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,8 +1212,9 @@ def full_step(t, mu, data, src, dst):
     return out
 
 
-def roll_diff(grid, arr, mu, axis=None):
-    axis = mu if axis is None else axis
+def roll_diff(grid, arr, mu):
+    """Central difference along grid axis mu; the 2n grid axes trail."""
+    axis = mu - 2 * grid.n
     return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
         2.0 * grid.spacings[mu]
     )
@@ -1090,17 +1224,18 @@ def full_d(grid, data):
     t = blade_tables(grid.n)
     out = np.zeros_like(data)
     for mu in range(2 * grid.n):
-        diff = roll_diff(grid, data, mu, axis=1 + mu)
+        diff = roll_diff(grid, data, mu)
         out += full_step(t, mu, diff, t.axis_lo, t.axis_hi)
     return out
 
 
 def full_covariant_d(conn, data):
     t = blade_tables(conn.grid.n)
+    n2 = 2 * conn.grid.n
     out = full_d(conn.grid, data)
-    for mu in range(2 * conn.grid.n):
+    for mu in range(n2):
         amu = conn.A[mu][None]
-        comm = _small_matmul(amu, data) - _small_matmul(data, amu)
+        comm = _small_matmul(amu, data, n2) - _small_matmul(data, amu, n2)
         out += full_step(t, mu, comm, t.axis_lo, t.axis_hi)
     return out
 
@@ -1120,16 +1255,16 @@ def full_curvature(conn, psi_data, ordered=False):
         return full_step(t, mu, data, t.axis_hi, t.axis_lo)
 
     def times(blade, mat):
-        return np.einsum("c...,...ij->c...ij", blade, mat)
+        return blade[:, None, None] * mat
 
-    out = np.zeros((t.size, *grid.sizes, r, r), dtype=np.complex128)
+    out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
     for mu in range(n2):
         for nu in range(mu + 1, n2):
             fmn = (
                 roll_diff(grid, A[nu], mu)
                 - roll_diff(grid, A[mu], nu)
-                + _small_matmul(A[mu], A[nu])
-                - _small_matmul(A[nu], A[mu])
+                + _small_matmul(A[mu], A[nu], n2)
+                - _small_matmul(A[nu], A[mu], n2)
             )
             out += times(wedge(mu, wedge(nu, psi_data)), fmn)
     ipsi = [interior(mu, psi_data) for mu in range(n2)]
@@ -1140,7 +1275,7 @@ def full_curvature(conn, psi_data, ordered=False):
     for mu in range(n2):
         for nu in range(n2) if ordered else range(mu + 1, n2):
             if mu != nu:
-                comm = _small_matmul(V[mu], V[nu]) - _small_matmul(V[nu], V[mu])
+                comm = _small_matmul(V[mu], V[nu], n2) - _small_matmul(V[nu], V[mu], n2)
                 term = times(interior(mu, ipsi[nu]), comm)
                 out += 0.5 * term if ordered else term
     return out
@@ -1148,32 +1283,32 @@ def full_curvature(conn, psi_data, ordered=False):
 
 def full_variation_act(grid, var, psi_data, rank):
     t = blade_tables(grid.n)
-    out = np.zeros((t.size, *grid.sizes, rank, rank), dtype=np.complex128)
+    out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
     for mu in range(2 * grid.n):
         wedged = full_step(t, mu, psi_data, t.axis_lo, t.axis_hi)
-        out += np.einsum("c...,...ij->c...ij", wedged, var.A[mu])
+        out += wedged[:, None, None] * var.A[mu]
         contracted = full_step(t, mu, psi_data, t.axis_hi, t.axis_lo)
-        out += np.einsum("c...,...ij->c...ij", contracted, var.V[mu])
+        out += contracted[:, None, None] * var.V[mu]
     return out
 
 
 def full_gm_symplectic(grid, a1, a2, psi):
-    rank = a1.A.shape[-1]
+    rank = a1.A.shape[1]
     s1 = EndFormField(grid, rank, full_variation_act(grid, a1, psi.data, rank))
     s2 = EndFormField(grid, rank, full_variation_act(grid, a2, np.conj(psi.data), rank))
     paired = mukai_field(s1, s2)
-    integrand = ((1j ** (-grid.n)) * np.einsum("...ii->...", paired)).imag
+    integrand = ((1j ** (-grid.n)) * np.einsum("ii...->...", paired)).imag
     return float(grid.integrate(integrand))
 
 
 def skew_with_zeros(rng, grid, r, zero, neg):
-    """Skew-Hermitian (2n, *sizes, r, r) field, zero at some points and with
+    """Skew-Hermitian (2n, r, r, *sizes) field, zero at some points and with
     -0 on some diagonal real parts."""
-    shape = (2 * grid.n, *grid.sizes, r, r)
+    shape = (2 * grid.n, r, r, *grid.sizes)
     m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    a = m - np.swapaxes(m, -1, -2).conj()
-    a[rng.random(shape[:-2]) < zero] = 0.0
-    eye = (..., np.arange(r), np.arange(r))
+    a = m - np.swapaxes(m, 1, 2).conj()
+    np.moveaxis(a, (1, 2), (-2, -1))[rng.random((shape[0], *grid.sizes)) < zero] = 0.0
+    eye = (slice(None), np.arange(r), np.arange(r))
     diag = a.real[eye]  # exact zeros: the matrices are skew-Hermitian
     a.real[eye] = np.where(rng.random(diag.shape) < neg, -0.0, diag)
     return a
@@ -1210,7 +1345,7 @@ def test_field_operators_match_full_array_formulas_bitwise(n, r, seed, zero, neg
     g = TorusGrid(n, sizes, periods=rng.uniform(0.5, 2.0, 2 * n))
     shape = (4**n, *g.sizes)
     psi = FormField(g, complex_with_zeros(rng, shape, zero, neg))
-    a = EndFormField(g, r, complex_with_zeros(rng, shape + (r, r), zero, neg))
+    a = EndFormField(g, r, complex_with_zeros(rng, (4**n, r, r, *g.sizes), zero, neg))
     skews = [skew_with_zeros(rng, g, r, zero, neg) for _ in range(2)]
     conn = GenConnection(g, r, *skews)
     assert same_bits(d_field(psi).data, full_d(g, psi.data))
@@ -1222,7 +1357,7 @@ def test_field_operators_match_full_array_formulas_bitwise(n, r, seed, zero, neg
     # being antisymmetric in (mu, nu): the ordered half-sum agrees
     ordered = full_curvature(conn, psi.data, ordered=True)
     assert max_abs(got - ordered) <= 1e-13 * max(1.0, max_abs(ordered))
-    var_shape = (2 * n, *g.sizes, r, r)
+    var_shape = (2 * n, r, r, *g.sizes)
     a1, a2 = (
         ConnVariation(*(complex_with_zeros(rng, var_shape, zero, neg) for _ in range(2)))
         for _ in range(2)
@@ -1240,14 +1375,13 @@ def test_diff_matches_roll_formula_bitwise(n):
     g = TorusGrid(n, (8,) * (2 * n), periods=np.linspace(0.7, 1.9, 2 * n))
     rng = np.random.default_rng(n)
     t = blade_tables(n)
-    data = complex_with_zeros(rng, (t.size, *g.sizes, 2, 2))
-    spatial = data[1, ..., 0, 1]  # spatial axes first, strided
+    data = complex_with_zeros(rng, (t.size, 2, 2, *g.sizes))
+    strided = np.moveaxis(data, 0, -1)[0, 1, ..., 1]  # grid axes only, strided
     real = rng.standard_normal(g.sizes)
     real[rng.random(g.sizes) < 0.2] = -0.0
     for mu in range(2 * n):
-        got = _diff(g, data, mu, axis=1 + mu)
-        assert same_bits(got, roll_diff(g, data, mu, axis=1 + mu))
-        assert same_bits(_diff(g, spatial, mu), roll_diff(g, spatial, mu))
+        assert same_bits(_diff(g, data, mu), roll_diff(g, data, mu))
+        assert same_bits(_diff(g, strided, mu), roll_diff(g, strided, mu))
         assert same_bits(_diff(g, real, mu), roll_diff(g, real, mu))
 
 

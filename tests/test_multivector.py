@@ -204,6 +204,46 @@ def test_kernels_on_blade_first_batches_match_single_forms_bitwise(n):
             assert point.tobytes() == want[key].tobytes(), (key, p)
 
 
+def every_axis_step(t, comps, a, src, dst):
+    """sum over every mu of (sign comps[mu]) a[src[mu]] scattered to dst[mu],
+    zero components included, into a +0 array (the kernels' full sum)."""
+    nb = max(comps.ndim, a.ndim) - 1
+    a = a.reshape(a.shape[:1] + (1,) * (nb + 1 - a.ndim) + a.shape[1:])
+    comps = comps.reshape(comps.shape[:1] + (1,) * (nb + 1 - comps.ndim) + comps.shape[1:])
+    shape = np.broadcast_shapes(comps.shape[1:], a.shape[1:])
+    out = np.zeros((t.size,) + shape, dtype=np.complex128)
+    for mu in range(t.dim):
+        sign = t.axis_s[mu].reshape((-1,) + (1,) * nb)
+        out[dst[mu]] += sign * comps[mu] * a[src[mu]]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_vector_steps_skip_zero_components_bitwise(n):
+    # a (dim,) vector or covector skips its zero components; the +-0 terms
+    # it leaves out change no bit, -0.0 entries of the field included
+    t = blade_tables(n)
+    rng = np.random.default_rng([n, 19])
+    shape = (t.size, 2, 2, 3, 3)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a[rng.random(shape) < 0.2] = 0.0
+    a.real[rng.random(shape) < 0.2] = -0.0
+    a.imag[rng.random(shape) < 0.2] = -0.0
+    sparse = np.zeros(t.dim, dtype=np.complex128)
+    sparse[1] = 2.5 - 0.5j
+    sparse[-1] = -1.0
+    batched = np.broadcast_to(np.eye(t.dim)[0].reshape((t.dim, 1, 1, 1, 1)), (t.dim, 2, 2, 3, 3))
+    comps = [*np.eye(t.dim), sparse, np.zeros(t.dim), batched]
+    for kernel, src, dst in (
+        (_backend.wedge1_batch, t.axis_lo, t.axis_hi),
+        (_backend.interior_batch, t.axis_hi, t.axis_lo),
+    ):
+        for c in comps:
+            got = kernel(t, c, a)
+            want = every_axis_step(t, c, a, src, dst)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_wedge_basis_blades():
     # dx1 ^ dx2 = +blade{0,1}; dx2 ^ dx1 = -blade{0,1}
     n = 2
@@ -573,9 +613,15 @@ _SKEW_SITES = {
     ),
     "gcs-symplectic": (3 * OMEGA_BLOCK, gcs_symplectic, "omega matrix must be antisymmetric"),
     "connection-part": (
-        np.broadcast_to(_SKEW2, (2, 8, 8, 2, 2)), _a_part, "A is not skew-Hermitian"
+        np.broadcast_to(_SKEW2[:, :, None, None], (2, 2, 2, 8, 8)),
+        _a_part,
+        "A is not skew-Hermitian",
     ),
-    "moment-xi": (np.broadcast_to(_SKEW2, (8, 8, 2, 2)), _xi, "xi must be skew-Hermitian"),
+    "moment-xi": (
+        np.broadcast_to(_SKEW2[:, :, None, None], (2, 2, 8, 8)),
+        _xi,
+        "xi must be skew-Hermitian",
+    ),
     "b-matrix": (
         3 * OMEGA_BLOCK,
         lambda b: bfield_act(b, GenConnection.zero(_GRID, 1)),
