@@ -32,7 +32,6 @@ from .fields import (
     eh_residual_from,
     lambda_from,
     mean_curvature_from,
-    sample_points,
     u_window_defect,
     validate_spinor_field,
 )
@@ -152,10 +151,9 @@ def cmd_verify(cfg, args) -> int:
 
 
 def cmd_curvature(cfg, args) -> int:
-    grid, conn, psi = cfg.grid, cfg.conn, cfg.psi
     f, k, chern, lam, norm, closed = _curvature_numbers(cfg)
-    window = u_window_defect(f, psi, sample_points(grid))
-    dbar = dbar_residual(grid, conn, standard_complex(grid.n))
+    window = u_window_defect(f, cfg.b, cfg.omega)
+    dbar = dbar_residual(cfg.grid, cfg.conn, standard_complex(cfg.n))
 
     print(f"lambda = {lam:.12g}")
     print(f"eh residual = {norm:.6e}")

@@ -21,6 +21,8 @@ Shapes:
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import _backend as _k
@@ -55,7 +57,6 @@ __all__ = [
     "mukai_field",
     "mukai_integral",
     "shift_connection",
-    "sample_points",
     "trace_field",
     "u_window_defect",
     "validate_spinor_field",
@@ -307,6 +308,27 @@ def _signed(sign, sub):
     return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
 
 
+def _wedge_two_form(t, two, data, out):
+    """out += (sum_{mu < nu} two[mu, nu] dx^mu ^ dx^nu) ^ data, returned; a constant
+    (2n, 2n) two-form skips its zero entries, +-0 terms on finite data (see _signed)."""
+    for mu in range(t.dim):
+        for nu in range(mu + 1, t.dim):
+            if two.ndim == 2 and two[mu, nu] == 0:
+                continue
+            blade = _signed(t.wedge2_s[mu, nu], data[t.pair_lo[mu, nu]])
+            out[t.pair_hi[mu, nu]] += blade * two[mu, nu]
+    return out
+
+
+def _exp_wedge(t, b, data):
+    """e^b ^ data = sum_j b^j / j! ^ data, each term (b / j) ^ the last."""
+    out = term = data
+    for j in range(1, t.n + 1):
+        term = _wedge_two_form(t, b / j, term, np.zeros_like(term))
+        out = out + term
+    return out
+
+
 def _like(f, data):
     if isinstance(f, EndFormField):
         return EndFormField(f.grid, f.rank, data)
@@ -389,21 +411,17 @@ def vol_density(grid: TorusGrid, psi: FormField) -> np.ndarray:
     return val.real
 
 
-def sample_points(grid: TorusGrid):
+def _sample_points(grid: TorusGrid):
     """The 2^{2n} grid points whose coordinates are each 0 or half the size."""
-    picks = [(0, s // 2) for s in grid.sizes]
-    out = [()]
-    for choices in picks:
-        out = [p + (c,) for p in out for c in choices]
-    return out
+    return list(itertools.product(*[(0, s // 2) for s in grid.sizes]))
 
 
 def validate_spinor_field(grid: TorusGrid, psi: FormField) -> float:
     """Checks psi is a d-closed, pointwise pure nondegenerate symplectic-type
     spinor, and returns max |d psi|.
 
-    The type is checked at sample_points, once per distinct value (compared by
-    bytes); an error names the first failing point in sample_points order.
+    The type is checked at _sample_points, once per distinct value (compared
+    by bytes); an error names the first failing point in _sample_points order.
     """
     vol_density(grid, psi)
     scale = float(np.max(np.abs(psi.data)))
@@ -412,7 +430,7 @@ def validate_spinor_field(grid: TorusGrid, psi: FormField) -> float:
     if dnorm > closed_tol:
         raise ValueError(f"spinor field is not d-closed (|d psi| = {dnorm:.3e})")
     seen = set()  # sample values already classified, keyed by their bytes
-    for point in sample_points(grid):
+    for point in _sample_points(grid):
         value = psi.value_at(point)
         key = value.coeffs.tobytes()
         if key in seen:
@@ -458,12 +476,7 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     blades = psi.data[:, None, None]
 
     # two-form part of the curvature, wedged in
-    fmat = conn.field_strength()
-    for mu in range(n2):
-        for nu in range(mu + 1, n2):
-            blade = _signed(t.wedge2_s[mu, nu], blades[t.pair_lo[mu, nu]])
-            out[t.pair_hi[mu, nu]] += blade * fmat[mu, nu]
-    del fmat
+    _wedge_two_form(t, conn.field_strength(), blades, out)
 
     # vector part acting by contraction, then the covariant derivative
     vpsi = np.zeros_like(out)
@@ -499,33 +512,21 @@ def mean_curvature_from(f: EndFormField, psi: FormField) -> np.ndarray:
     return (k + np.swapaxes(k, 0, 1).conj()) / 2.0
 
 
-def u_window_defect(f: EndFormField, psi: FormField, points) -> float:
-    """Largest |P_k f| / max|f| over the U^k pieces of psi, k not in {-n, -n + 2}.
-
-    psi is decomposed at each of `points` in turn, and that decomposition
-    serves every grid point where psi has exactly the same value and that no
-    earlier point served; a constant psi takes one, applied to a view of f.
+def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
+    """Largest |P_k g| / max|g| over the U^k pieces of e^{i omega}, k not in
+    {-n, -n + 2}, for the curvature f on psi = e^b e^{i omega} and g = e^{-b} ^ f;
+    b is (2n, 2n) or varying (2n, 2n, *sizes).  e^{b(x)} ^ carries each U^k of
+    e^{i omega} onto psi(x)'s, so one decomposition checks every grid point.
     """
     n = f.grid.n
-    fscale = float(np.max(np.abs(f.data))) + 1e-30
-    values = psi.data.reshape(4**n, -1)
-    left = np.ones(values.shape[1], dtype=bool)
-    window = 0.0
-    for point in points:
-        at = np.ravel_multi_index(point, f.grid.sizes)
-        if not left[at]:
-            continue
-        same = left & np.all(values == values[:, at : at + 1], axis=0)
-        left &= ~same
-        cols = f.data.reshape(4**n, -1, same.size)  # (blades, r^2, points)
-        if not same.all():
-            cols = cols[:, :, same]
-        cols = cols.reshape(4**n, -1)
-        dec = UDecomposition(gcs_from_spinor(psi.value_at(point)))
-        for k in range(-n, n + 1):
-            if k not in (-n, -n + 2):
-                window = max(window, float(np.max(np.abs(dec.projector(k) @ cols))) / fscale)
-    return window
+    t = blade_tables(n)
+    g = _exp_wedge(t, -b, f.data) if np.any(b) else f.data  # at b = 0, f's own array
+    gscale = float(np.max(np.abs(g))) + 1e-30
+    cols = g.reshape(4**n, -1)  # (blades, r^2 * points)
+    eiw = GradedForm(n, exp_blades(t, two_form_blades(1j * omega)))
+    dec = UDecomposition(gcs_from_spinor(eiw))
+    outside = [k for k in range(-n, n + 1) if k not in (-n, -n + 2)]
+    return max(float(np.max(np.abs(dec.projector(k) @ cols))) for k in outside) / gscale
 
 
 def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):
@@ -774,7 +775,7 @@ def canonical_line_connection(
         raise ValueError("psi must be a constant field")
     jmat = gcs_from_spinor(psi0).J
 
-    for point in sample_points(grid):
+    for point in _sample_points(grid):
         cls = classify_spinor(phi.value_at(point))
         if not (cls.is_pure and cls.is_nondegenerate):
             raise ValueError(f"phi at {point} is not pure nondegenerate: {cls}")

@@ -60,11 +60,13 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs, built from one document."""
+    """Everything a command needs, built from one document; psi is
+    e^{b + i omega}, b (2n, 2n) or varying (2n, 2n, *sizes), omega (2n, 2n)."""
 
     n: int
     grid: TorusGrid
     rank: int
+    b: np.ndarray
     omega: np.ndarray
     psi: FormField
     conn: GenConnection
@@ -391,7 +393,8 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     if not isinstance(pspec, dict) or set(pspec) - {"b", "omega"}:
         raise SpecError("psi must be {'b': ..., 'omega': ...}")
     omega = _omega_matrix(pspec.get("omega"), n)
-    psi = _build_psi(grid, _b_field(pspec.get("b"), grid), omega)
+    bfield = _b_field(pspec.get("b"), grid)
+    psi = _build_psi(grid, bfield, omega)
 
     cspec = doc.get("connection", {"A": {"random": {}}, "V": None})
     if not isinstance(cspec, dict) or set(cspec) - {"A", "V"}:
@@ -408,6 +411,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         n=n,
         grid=grid,
         rank=r,
+        b=bfield,
         omega=omega,
         psi=psi,
         conn=conn,

@@ -287,32 +287,79 @@ _VARYING_B_DOC = {
 }
 
 
-@pytest.mark.parametrize(
-    "doc, decompositions",
-    [
-        ({key: _VARYING_B_DOC[key] for key in ("n", "grid", "bundle", "connection")}, 1),
-        # the 16 sample points see 4 distinct values of psi: b01 is 0 or
-        # sin(pi) != 0 in floating point, b23 is +-0.3
-        (_VARYING_B_DOC, 4),
-    ],
-    ids=["constant-psi", "varying-psi"],
-)
-def test_curvature_u_window_decomposes_psi_at_each_sampled_value(
-    tmp_path, capsys, monkeypatch, doc, decompositions
-):
-    # a varying psi is decomposed where it is sampled, not only at the origin
+def count_decompositions(monkeypatch):
+    """Record the structure J of every UDecomposition built, as bytes."""
     built = []
     real_init = UDecomposition.__init__
 
     def counted(self, j):
-        built.append(j)
+        built.append(j.J.tobytes())
         real_init(self, j)
 
     monkeypatch.setattr(UDecomposition, "__init__", counted)
+    return built
+
+
+# solve-n1-varb's document: psi varies along both axes
+_VARYING_B_N1_DOC = {
+    "n": 1,
+    "grid": {"sizes": [24, 24]},
+    "psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": [
+        {"c": 0.2, "trig": "sin", "k": [1, 0]},
+        {"c": 0.1, "trig": "cos", "k": [0, 2]},
+    ]}]}},
+    "connection": {"A": {"random": {"amp": 0.1, "modes": 2}}},
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {key: _VARYING_B_DOC[key] for key in ("n", "grid", "bundle", "connection")},
+        {**_VARYING_B_DOC, "psi": {"b": [[0, 0.3, 0.2, 0], [-0.3, 0, 0, -0.1],
+                                         [-0.2, 0, 0, 0.4], [0, 0.1, -0.4, 0]]}},
+        _VARYING_B_DOC,
+    ],
+    ids=["constant-psi", "constant-b", "varying-b"],
+)
+def test_curvature_u_window_decomposes_e_i_omega_once(tmp_path, capsys, monkeypatch, doc):
+    # psi = e^b e^{i omega} with omega constant: one decomposition, of
+    # e^{i omega}, serves every grid point whatever b is
+    built = count_decompositions(monkeypatch)
     out = tmp_path / "curv.json"
     assert main(["curvature", "--input", write_doc(tmp_path, doc), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["u_window_defect"] <= 1e-10
-    assert len(built) == decompositions
+    omega = np.kron(np.eye(2), OMEGA_BLOCK)
+    assert built == [gcs_from_spinor(exp_two_form(1j * omega)).J.tobytes()]
+
+
+@pytest.mark.parametrize(
+    "doc, point", [(_VARYING_B_N1_DOC, (11, 11)), (_VARYING_B_DOC, (3, 3, 3, 3))], ids=["n1", "n2"]
+)
+def test_u_window_sees_a_defect_at_an_unsampled_point(doc, point):
+    # 1e-6 max|F| put into psi(x)'s U^{-n+1} at one point off the 0-or-half
+    # sample points; a check that decomposed psi only at sampled values
+    # read 2.2e-16 (n1) and 7.7e-16 (n2) here
+    cfg = build_config(doc)
+    n = cfg.n
+    f = fields.curvature(cfg.conn, cfg.psi)
+    assert fields.u_window_defect(f, cfg.b, cfg.omega) < 1e-14
+    u = UDecomposition(gcs_from_spinor(cfg.psi.value_at(point))).projector(-n + 1)
+    u = u @ np.random.default_rng(0).standard_normal(4**n)
+    f.data[(slice(None), 0, 0) + point] += 1e-6 * np.max(np.abs(f.data)) * u / np.max(np.abs(u))
+    assert 0.9e-6 < fields.u_window_defect(f, cfg.b, cfg.omega) < 1.2e-6
+
+
+def test_moment_derivative_row_holds_on_a_huge_connection(tmp_path, capsys):
+    # F is quadratic in (A, V), so the row's central difference is exact at
+    # its unit step; at a 1e-4 step this document read 2.4e-6 against 1e-6
+    doc = {"connection": {"A": {"random": {"amp": 1e5}}, "V": {"random": {"amp": 1e5}}}}
+    out = tmp_path / "verify.json"
+    main(["verify", "--grid", "8", "--rank", "2", "--input", write_doc(tmp_path, doc),
+          "--output", str(out)])
+    rows = json.loads(out.read_text())["checks"]
+    row = next(r for r in rows if r["check"] == "fields/moment-derivative")
+    assert row["pass"] and row["tolerance"] == 1e-6
 
 
 def count_curvature(monkeypatch):
@@ -395,14 +442,7 @@ def test_field_checks_compute_each_curvature_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_structure_checks_decompose_the_spinor_structure_once(monkeypatch, n):
-    built = []
-    real_init = UDecomposition.__init__
-
-    def counted(self, j):
-        built.append(j.J.tobytes())
-        real_init(self, j)
-
-    monkeypatch.setattr(UDecomposition, "__init__", counted)
+    built = count_decompositions(monkeypatch)
     omega = np.kron(np.eye(n), OMEGA_BLOCK)
     psi0 = exp_two_form(1j * omega)
     rows = _structure_checks(np.random.default_rng(0), n, omega, psi0)

@@ -21,9 +21,11 @@ from genkf._tables import blade_tables
 from genkf.multivector import (
     GradedForm,
     b_transform,
+    exp_blades,
     exp_two_form,
     interior,
     mukai_pair,
+    two_form_blades,
     wedge,
 )
 from genkf.structures import (
@@ -65,6 +67,7 @@ from genkf.fields import (
 )
 from genkf.fields import (
     _diff,
+    _exp_wedge,
     _signed,
     _small_matmul,
     _variation_act,
@@ -488,6 +491,25 @@ def test_curvature_u_grading(n):
         if k in (-n, -n + 2):
             continue
         assert max_abs(comp) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("varying", [False, True], ids=["constant-b", "varying-b"])
+def test_exp_wedge_series_is_the_wedge_with_exp_b(n, varying):
+    # e^{-b} ^ F as the series of _wedge_two_form, which u_window_defect
+    # takes, against the general kernel fed the blades of e^{-b}
+    rng = np.random.default_rng([n, varying])
+    g = make_grid(n, 8)
+    t = blade_tables(n)
+    shape = (t.size, 2, 2) + g.sizes
+    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = rng.standard_normal((2 * n, 2 * n) + (g.sizes if varying else ()))
+    b = m - np.swapaxes(m, 0, 1)
+    if not varying:
+        b[0, -1] = b[-1, 0] = 0.0  # a zero entry, which the series skips
+    want = _backend.wedge_batch(t, exp_blades(t, two_form_blades(-b)), data)
+    got = _exp_wedge(t, -b, data)
+    assert max_abs(got - want) <= 1e-15 * max_abs(want)
 
 
 def test_curvature_covariance_constant_b_abelian():
