@@ -40,6 +40,7 @@ __all__ = [
     "cohiggs_residual",
     "kr_soliton_check",
     "solve_eh_line",
+    "RoundoffFloor",
 ]
 
 _RANK_TOL = 1e-8
@@ -530,6 +531,10 @@ def _adjoint(offsets, coef, y):
     return out
 
 
+class RoundoffFloor(RuntimeError):
+    """The solver stalled with tol below |rhs| * eps, which the connection's size sets."""
+
+
 def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     """Drive the rank-one Einstein-Hermitian residual to zero.
 
@@ -542,11 +547,11 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
     no grid size is refused.  psi is taken as it is, as in every fields
     function: the caller validates it (validate_spinor_field).  The
     curvature of init is computed once and gives lam and the right-hand
-    side.  lam defaults to the
-    chern-normalized value (any other target is unreachable).  Returns the
-    updated connection and a FlowTrace; raises ValueError if the rank is not
-    one or the starting residual is not finite, RuntimeError if the step
-    size collapses below 1e-12 before the tolerance is met.
+    side.  lam defaults to the chern-normalized value (any other target is
+    unreachable).  Returns the updated connection and a FlowTrace; raises
+    ValueError if the rank is not one or the starting residual is not
+    finite, RuntimeError if the step size collapses below 1e-12 before the
+    tolerance is met (RoundoffFloor when tol lies below |rhs| * eps).
     """
     grid = init.grid
     if init.rank != 1:
@@ -588,10 +593,13 @@ def solve_eh_line(init, psi, max_iter=10000, tol=1e-8, lam=None):
             )
         alpha = gamma / qq
         if alpha * float(np.abs(p).max()) < 1e-12 * max(1.0, float(np.abs(x).max())):
-            raise RuntimeError(
-                f"step size collapsed below 1e-12 at iteration {iterations}, "
-                f"residual {hist[-1]:.3e}"
-            )
+            msg = f"step size collapsed below 1e-12 at iteration {iterations}, "
+            msg += f"residual {hist[-1]:.3e}"
+            floor = hist[0] * np.finfo(float).eps
+            if floor > tol:
+                msg = f"tol {tol:.3g} is below the roundoff floor |rhs|*eps = {floor:.3e}; {msg}"
+                raise RoundoffFloor(msg)
+            raise RuntimeError(msg)
         x += alpha * p
         resid -= alpha * q
         rn = float(np.sqrt(np.sum(resid * resid)))

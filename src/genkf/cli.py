@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import report, specio
-from .analysis import solve_eh_line, symbol_exactness
+from .analysis import RoundoffFloor, solve_eh_line, symbol_exactness
 from .fields import (
     LambdaNotReal,
     chern_from,
@@ -283,17 +283,16 @@ def main(argv=None) -> int:
         doc = specio.load_document(args.input)
         cfg = specio.build_config(doc, grid_size=args.grid, rank=args.rank, seed=args.seed)
         return _COMMANDS[args.command](cfg, args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RuntimeError) as exc:
         msg = str(exc)
         if isinstance(exc, LambdaNotReal):
             # the document's chern pair gives every lambda_from in a
             # command: roundoff of a huge curvature of its connection
             msg = f"{_CONNECTION_KEYS} is too large: {msg}"
+        elif isinstance(exc, RoundoffFloor):
+            msg = f"--tol is too small for the size of {_CONNECTION_KEYS}: {msg}"
         print(f"error: {msg}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ Shapes:
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -94,17 +95,11 @@ class TorusGrid:
 
     @property
     def npoints(self) -> int:
-        out = 1
-        for s in self.sizes:
-            out *= s
-        return out
+        return math.prod(self.sizes)
 
     @property
     def cell_volume(self) -> float:
-        out = 1.0
-        for h in self.spacings:
-            out *= h
-        return out
+        return math.prod(self.spacings)
 
     def axis_coord(self, mu: int) -> np.ndarray:
         return np.arange(self.sizes[mu]) * self.spacings[mu]
@@ -517,16 +512,24 @@ def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
     {-n, -n + 2}, for the curvature f on psi = e^b e^{i omega} and g = e^{-b} ^ f;
     b is (2n, 2n) or varying (2n, 2n, *sizes).  e^{b(x)} ^ carries each U^k of
     e^{i omega} onto psi(x)'s, so one decomposition checks every grid point.
+    Each row of P_k g is multiply-added over P_k's nonzero entries on g's
+    (blades, r^2 * points) view, one row at a time: no BLAS on full-grid arrays.
     """
     n = f.grid.n
     t = blade_tables(n)
     g = _exp_wedge(t, -b, f.data) if np.any(b) else f.data  # at b = 0, f's own array
-    gscale = float(np.max(np.abs(g))) + 1e-30
     cols = g.reshape(4**n, -1)  # (blades, r^2 * points)
     eiw = GradedForm(n, exp_blades(t, two_form_blades(1j * omega)))
     dec = UDecomposition(gcs_from_spinor(eiw))
-    outside = [k for k in range(-n, n + 1) if k not in (-n, -n + 2)]
-    return max(float(np.max(np.abs(dec.projector(k) @ cols))) for k in outside) / gscale
+    proj = np.concatenate([dec.projector(k) for k in range(-n, n + 1) if k not in (-n, -n + 2)])
+    worst = 0.0
+    for p in proj[np.any(proj, axis=1)]:  # every row of every P_k that is not all zero
+        nz = np.flatnonzero(p)
+        row = p[nz[0]] * cols[nz[0]]
+        for j in nz[1:]:
+            row += p[j] * cols[j]
+        worst = max(worst, float(np.max(np.abs(row))))
+    return worst / (float(np.max(np.abs(g))) + 1e-30)
 
 
 def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):

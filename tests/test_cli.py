@@ -181,6 +181,18 @@ def test_solve_budget_exhaustion_exits_1(tmp_path, capsys):
     assert doc["residual_history"][1] < doc["residual_history"][0]
 
 
+def test_solve_names_the_roundoff_floor_tol_and_connection(tmp_path, capsys):
+    # |rhs| grows with the connection: at amp 1e8 the roundoff floor
+    # |rhs| * eps is above the default --tol 1e-8, where the step collapses
+    path = write_doc(tmp_path, {"connection": {"A": {"random": {"amp": 1e8}}}})
+    assert main(["solve", "--grid", "16", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert "--tol" in err and "connection.A" in err and "tol 1e-08 is below" in err
+    floor = float(err.split("roundoff floor |rhs|*eps = ")[1].split(";")[0])
+    assert 1e-8 < floor < 1e-7
+    assert main(["solve", "--grid", "16", "--input", path, "--tol", "1e-6"]) == 0
+
+
 # ---------------------------------------------------------------------------
 # symbols
 
@@ -348,6 +360,34 @@ def test_u_window_sees_a_defect_at_an_unsampled_point(doc, point):
     u = u @ np.random.default_rng(0).standard_normal(4**n)
     f.data[(slice(None), 0, 0) + point] += 1e-6 * np.max(np.abs(f.data)) * u / np.max(np.abs(u))
     assert 0.9e-6 < fields.u_window_defect(f, cfg.b, cfg.omega) < 1.2e-6
+
+
+_CPU_WALL_CHILD = """
+import json, resource, sys, time
+from genkf import cli
+time.sleep(0.2)  # the BLAS workers that importing numpy woke go idle
+before, start = resource.getrusage(resource.RUSAGE_SELF), time.monotonic()
+code = cli.main(sys.argv[1:])
+wall, after = time.monotonic() - start, resource.getrusage(resource.RUSAGE_SELF)
+cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
+print(json.dumps({"code": code, "cpu": cpu, "wall": wall}))
+"""
+
+
+def test_curvature_command_runs_on_one_thread(tmp_path):
+    # CPU time beyond wall time is time on a second thread: a BLAS product
+    # over the whole grid spun OpenBLAS's worker for ~0.13 s on this
+    # document.  Timed around cli.main only, since importing numpy spins
+    # too; load on the machine only lowers CPU time against wall time.
+    random = {"random": {"amp": 0.1, "modes": 2}}
+    doc = {"n": 2, "grid": {"sizes": [10] * 4}, "bundle": {"rank": 2},
+           "connection": {"A": random, "V": random}}
+    argv = ["curvature", "--input", write_doc(tmp_path, doc), "--output", str(tmp_path / "c.json")]
+    proc = subprocess.run([sys.executable, "-c", _CPU_WALL_CHILD, *argv],
+                          capture_output=True, text=True)
+    rec = json.loads(proc.stdout.splitlines()[-1])
+    assert rec["code"] == 0
+    assert rec["cpu"] - rec["wall"] <= 0.05, rec
 
 
 def test_moment_derivative_row_holds_on_a_huge_connection(tmp_path, capsys):

@@ -512,6 +512,40 @@ def test_exp_wedge_series_is_the_wedge_with_exp_b(n, varying):
     assert max_abs(got - want) <= 1e-15 * max_abs(want)
 
 
+def dense_u_window(f, b, omega):
+    # the U-window check as one projector product per k over the whole grid
+    n = f.grid.n
+    t = blade_tables(n)
+    g = _exp_wedge(t, -b, f.data) if np.any(b) else f.data
+    cols = g.reshape(4**n, -1)
+    dec = UDecomposition(gcs_from_spinor(GradedForm(n, exp_blades(t, two_form_blades(1j * omega)))))
+    outside = [k for k in range(-n, n + 1) if k not in (-n, -n + 2)]
+    return max(max_abs(dec.projector(k) @ cols) for k in outside) / (max_abs(g) + 1e-30)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("bkind", ["zero-b", "constant-b", "varying-b"])
+def test_u_window_defect_matches_dense_projector_products(n, rank, bkind):
+    # a generic omega, not the standard block, so every P_k is dense
+    rng = np.random.default_rng([n, rank, len(bkind)])
+    g = make_grid(n, 16 if n == 1 else 8)
+    m = rng.standard_normal((2 * n, 2 * n))
+    omega = std_omega(n) + 0.5 * (m - m.T)
+    assert abs(np.linalg.det(omega)) > 1e-2
+    if n == 2:
+        dec = UDecomposition(gcs_from_spinor(exp_two_form(GradedForm.from_two_form_matrix(1j * omega))))
+        for k in (-1, 1, 2):
+            assert np.count_nonzero(dec.projector(k)) == 128
+    shape = (4**n, rank, rank) + g.sizes
+    f = EndFormField(g, rank, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    m = rng.standard_normal((2 * n, 2 * n) + (g.sizes if bkind == "varying-b" else ()))
+    b = 0.3 * (m - np.swapaxes(m, 0, 1)) * (bkind != "zero-b")
+    want = dense_u_window(f, b, omega)
+    assert want > 0.1  # a random field is far outside the window
+    assert abs(fields.u_window_defect(f, b, omega) - want) <= 1e-15 * want
+
+
 def test_curvature_covariance_constant_b_abelian():
     # for r = 1 the transformed curvature matches e^b of the original exactly
     g = make_grid(1, 32)
@@ -741,6 +775,29 @@ def test_gm_metric_positive():
     b1 = random_variation(g, 2, RNG)
     b2 = random_variation(g, 2, RNG)
     assert abs(gm_metric(g, b1, b2, pair, psi) - gm_metric(g, b2, b1, pair, psi)) < 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_gm_structures_are_kahler_at_b_zero(n, r):
+    # J1 acts as its (4n, 4n) matrix on the stacked (V, A) of gm_metric:
+    # omega_GM(a, J a) = g_GM(J a, J a) and g_GM(J a, J c) = g_GM(a, c)
+    g = make_grid(n, 16 if n == 1 else 8)
+    psi = psi_const(g)
+    pair = GKPair(standard_complex(n), gcs_symplectic(std_omega(n)))
+    rng = np.random.default_rng([n, r])
+
+    def rotate(a):
+        e = np.einsum("jk,k...->j...", pair.J1.J, np.concatenate([a.V, a.A]))
+        return ConnVariation(e[2 * n :], e[: 2 * n])
+
+    for _ in range(4):
+        a, c = random_variation(g, r, rng), random_variation(g, r, rng)
+        ja, jc = rotate(a), rotate(c)
+        norm = gm_metric(g, ja, ja, pair, psi)
+        assert abs(gm_symplectic(g, a, ja, psi) - norm) <= 1e-14 * norm
+        scale = np.sqrt(gm_metric(g, a, a, pair, psi) * gm_metric(g, c, c, pair, psi))
+        assert abs(gm_metric(g, ja, jc, pair, psi) - gm_metric(g, a, c, pair, psi)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
