@@ -29,7 +29,14 @@ import numpy as np
 from . import _backend as _k
 from ._tables import blade_tables
 from .multivector import GradedForm, exp_blades, is_skew, real_two_form_matrix, two_form_blades
-from .structures import GCStructure, GKPair, UDecomposition, classify_spinor, gcs_from_spinor
+from .structures import (
+    GCStructure,
+    GKPair,
+    UDecomposition,
+    classify_spinor,
+    gcs_from_spinor,
+    gcs_symplectic,
+)
 
 __all__ = [
     "ConnVariation",
@@ -303,23 +310,42 @@ def _signed(sign, sub):
     return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
 
 
-def _wedge_two_form(t, two, data, out):
-    """out += (sum_{mu < nu} two[mu, nu] dx^mu ^ dx^nu) ^ data, returned; a constant
-    (2n, 2n) two-form skips its zero entries, +-0 terms on finite data (see _signed)."""
+def _live_rows(live, src, dst, sign):
+    """The rows of a (source, target, sign) blade table whose source blade is live.
+
+    A dead source blade is all +0, so its row would only add +-0 terms to
+    an accumulator started at +0: no bit of a finite result moves when it
+    is skipped (see _signed).
+    """
+    keep = live[src]
+    return src[keep], dst[keep], sign[keep]
+
+
+def _blades_live(data):
+    """(4^n,) mask of the blades of a field that hold any nonzero entry."""
+    return np.any(data.reshape(data.shape[0], -1), axis=1)
+
+
+def _wedge_two_form(t, two, data, out, live):
+    """out += (sum_{mu < nu} two[mu, nu] dx^mu ^ dx^nu) ^ data, returned, over
+    data's live blades; a constant (2n, 2n) two-form skips its zero entries,
+    +-0 terms on finite data (see _signed)."""
     for mu in range(t.dim):
         for nu in range(mu + 1, t.dim):
             if two.ndim == 2 and two[mu, nu] == 0:
                 continue
-            blade = _signed(t.wedge2_s[mu, nu], data[t.pair_lo[mu, nu]])
-            out[t.pair_hi[mu, nu]] += blade * two[mu, nu]
+            lo, hi, sign = _live_rows(live, t.pair_lo[mu, nu], t.pair_hi[mu, nu],
+                                      t.wedge2_s[mu, nu])
+            out[hi] += _signed(sign, data[lo]) * two[mu, nu]
     return out
 
 
 def _exp_wedge(t, b, data):
     """e^b ^ data = sum_j b^j / j! ^ data, each term (b / j) ^ the last."""
     out = term = data
+    every = np.ones(t.size, dtype=bool)
     for j in range(1, t.n + 1):
-        term = _wedge_two_form(t, b / j, term, np.zeros_like(term))
+        term = _wedge_two_form(t, b / j, term, np.zeros_like(term), every)
         out = out + term
     return out
 
@@ -336,13 +362,17 @@ def _like(f, data):
 
 def d_field(f):
     """Discrete exterior derivative, sum_mu dx^mu ^ D_mu."""
-    grid = f.grid
+    return _like(f, _d_live(f.grid, f.data, np.ones(4**f.grid.n, dtype=bool)))
+
+
+def _d_live(grid, data, live):
+    """d_field's blades of sum_mu dx^mu ^ D_mu data, over data's live blades."""
     t = blade_tables(grid.n)
-    out = np.zeros_like(f.data)
+    out = np.zeros_like(data)
     for mu in range(2 * grid.n):
-        diff = _diff(grid, f.data[t.axis_lo[mu]], mu)
-        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], diff)
-    return _like(f, out)
+        lo, hi, sign = _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu])
+        out[hi] += _signed(sign, _diff(grid, data[lo], mu))
+    return out
 
 
 def lie_derivative(grid: TorusGrid, v, f: FormField) -> FormField:
@@ -370,20 +400,25 @@ def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
     """
     if a.rank != conn.rank:
         raise ValueError("rank mismatch")
-    da = d_field(a)
-    if a.rank == 1:
-        return da
-    grid = conn.grid
-    n2 = 2 * grid.n
-    t = blade_tables(grid.n)
-    out = da.data
+    every = np.ones(4**conn.grid.n, dtype=bool)
+    return EndFormField(conn.grid, a.rank, _covariant_d_live(conn, a.data, every))
+
+
+def _covariant_d_live(conn, data, live):
+    """covariant_d's blades of d^A data, over data's live blades."""
+    out = _d_live(conn.grid, data, live)
+    if conn.rank == 1:
+        return out
+    n2 = 2 * conn.grid.n
+    t = blade_tables(conn.grid.n)
     for mu in range(n2):
         amu = conn.A[mu]  # broadcasts over the blade axis
-        sub = a.data[t.axis_lo[mu]]
+        lo, hi, sign = _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu])
+        sub = data[lo]
         comm = _small_matmul(amu, sub, n2)
         comm -= _small_matmul(sub, amu, n2)
-        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
-    return EndFormField(grid, a.rank, out)
+        out[hi] += _signed(sign, comm)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +496,13 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     skips [A_mu, .]: each commutator is an exact +0, and so is the term.
     field_strength keeps its [A_mu, A_nu]: there the commutator enters as
     (y + p) - p, which is not y bit for bit.
+
+    Every table loop visits only the rows whose source blade is live: the
+    blades where psi holds a nonzero entry (an even form, so at most half;
+    4 of 16 for e^{i omega} at n = 2), and for d^A(V . psi) the blades the
+    contraction reaches from them.  A skipped row would add +-0 to an
+    accumulator started at +0, so F is bit for bit the all-blade loops'
+    on finite input (see _live_rows).
     """
     grid = conn.grid
     t = blade_tables(grid.n)
@@ -469,16 +511,19 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
     # psi's blades against (r, r, *sizes) matrices: (k, 1, 1, *sizes) broadcasts
     blades = psi.data[:, None, None]
+    live = _blades_live(psi.data)
 
     # two-form part of the curvature, wedged in
-    _wedge_two_form(t, conn.field_strength(), blades, out)
+    _wedge_two_form(t, conn.field_strength(), blades, out, live)
 
     # vector part acting by contraction, then the covariant derivative
     vpsi = np.zeros_like(out)
+    vlive = np.zeros_like(live)
     for mu in range(n2):
-        ipsi = _signed(t.axis_s[mu], blades[t.axis_hi[mu]])
-        vpsi[t.axis_lo[mu]] += ipsi * conn.V[mu]
-    out += covariant_d(conn, EndFormField(grid, r, vpsi)).data
+        hi, lo, sign = _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu])
+        vpsi[lo] += _signed(sign, blades[hi]) * conn.V[mu]
+        vlive[lo] = True
+    out += _covariant_d_live(conn, vpsi, vlive)
     del vpsi
     if r == 1:
         return EndFormField(grid, r, out)
@@ -489,11 +534,12 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     # gives the same term twice
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            double = _signed(t.interior2_s[mu, nu], blades[t.pair_hi[mu, nu]])
+            hi, lo, sign = _live_rows(live, t.pair_hi[mu, nu], t.pair_lo[mu, nu],
+                                      t.interior2_s[mu, nu])
             vmu, vnu = conn.V[mu], conn.V[nu]
             comm = _small_matmul(vmu, vnu, n2)
             comm -= _small_matmul(vnu, vmu, n2)
-            out[t.pair_lo[mu, nu]] += double * comm
+            out[lo] += _signed(sign, blades[hi]) * comm
 
     return EndFormField(grid, r, out)
 
@@ -512,15 +558,18 @@ def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
     {-n, -n + 2}, for the curvature f on psi = e^b e^{i omega} and g = e^{-b} ^ f;
     b is (2n, 2n) or varying (2n, 2n, *sizes).  e^{b(x)} ^ carries each U^k of
     e^{i omega} onto psi(x)'s, so one decomposition checks every grid point.
-    Each row of P_k g is multiply-added over P_k's nonzero entries on g's
-    (blades, r^2 * points) view, one row at a time: no BLAS on full-grid arrays.
+    The U^k are those of gcs_symplectic(omega), the exact structure whose
+    spinor line is e^{i omega}; its projectors are read off J's entries, so
+    for the standard omega they are exactly sparse (48 nonzero entries in
+    the outside rows at n = 2).  Each row of P_k g is multiply-added over
+    P_k's nonzero entries on g's (blades, r^2 * points) view, one row at a
+    time: no BLAS on full-grid arrays.
     """
     n = f.grid.n
     t = blade_tables(n)
     g = _exp_wedge(t, -b, f.data) if np.any(b) else f.data  # at b = 0, f's own array
     cols = g.reshape(4**n, -1)  # (blades, r^2 * points)
-    eiw = GradedForm(n, exp_blades(t, two_form_blades(1j * omega)))
-    dec = UDecomposition(gcs_from_spinor(eiw))
+    dec = UDecomposition(gcs_symplectic(omega))
     proj = np.concatenate([dec.projector(k) for k in range(-n, n + 1) if k not in (-n, -n + 2)])
     worst = 0.0
     for p in proj[np.any(proj, axis=1)]:  # every row of every P_k that is not all zero
@@ -639,13 +688,16 @@ def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
 
 
 def _variation_act(grid, var, psi_data, rank):
-    """Clifford action of a connection variation on a (plain) spinor field."""
+    """Clifford action of a connection variation on a (plain) spinor field,
+    over the spinor's live blades as in curvature."""
     t = blade_tables(grid.n)
     out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
     blades = psi_data[:, None, None]
+    live = _blades_live(psi_data)
     for mu in range(2 * grid.n):
-        lo, hi, sign = t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]
+        lo, hi, sign = _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu])
         out[hi] += _signed(sign, blades[lo]) * var.A[mu]
+        hi, lo, sign = _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu])
         out[lo] += _signed(sign, blades[hi]) * var.V[mu]
     return out
 

@@ -8,10 +8,15 @@ are implemented and must agree (tested as a dual route).
 The spin representation of J acts on forms with spectrum {ik}, k = -n..n;
 the k-th eigenspace is built here from the invariant operator
 
-    op_J = (i/2) sum_i c(e^i) c(e_i) - i n Id
+    op_J = (i/2) sum_a c(Q^{-1} e_a) c(P_L e_a) - i n Id
 
-with {e_i} any basis of L and {e^i} the pairing-dual basis of the
-conjugate eigenspace.  The spinor line generates the lowest (-in) piece.
+over the standard basis {e_a} of R^{4n}, with Q the neutral pairing (so
+Q^{-1} e_a is e_a's pairing dual) and P_L = (1 + iJ)/2 the projection onto
+L along its conjugate.  The sum is basis-free, so it equals the sum over
+any basis of L and its dual in the conjugate eigenspace; written in the
+standard basis it reads J's own entries, and a J of small dyadic entries
+gives exact operators and projectors.  The spinor line generates the
+lowest (-in) piece.
 """
 
 from __future__ import annotations
@@ -226,22 +231,26 @@ def gcs_b_transform(b, j: GCStructure) -> GCStructure:
 
 
 class UDecomposition:
-    """Eigenspace decomposition of forms under the spin action of J."""
+    """Eigenspace decomposition of forms under the spin action of J.
+
+    The operator is op_J of the module docstring, read off J's entries in
+    the standard basis: no eigenbasis, no Gram inverse.  For the standard
+    symplectic structure gcs_symplectic(omega) every entry of op_J and of
+    each projector is exact, and the projectors are sparse: at n = 2 they
+    have 16/16/12/16/16 nonzeros, each of magnitude 1/4, 1/2 or 1.
+    """
 
     __slots__ = ("structure", "operator", "_projectors")
 
     def __init__(self, j: GCStructure):
         self.structure = j
         n = j.n
-        q = neutral_pairing_matrix(n)
-        k = j.minus_i_eigenbasis()
-        f = np.conj(k)
-        gram = k.T @ q @ f
-        dual = f @ np.linalg.inv(gram)
+        dual = 4.0 * neutral_pairing_matrix(n)  # Q^{-1} = 4 Q: column a is e_a's dual
+        onto_l = (np.eye(4 * n) + 1j * j.J) / 2.0
         size = blade_tables(n).size
         op = np.zeros((size, size), dtype=np.complex128)
-        for i in range(k.shape[1]):
-            op += clifford_matrix(dual[:, i], n) @ clifford_matrix(k[:, i], n)
+        for a in range(4 * n):
+            op += clifford_matrix(dual[:, a], n) @ clifford_matrix(onto_l[:, a], n)
         self.operator = 0.5j * op - 1j * n * np.eye(size)
         self._projectors = {}
 

@@ -18,7 +18,7 @@ from genkf import cli, fields, report, specio
 from genkf.cli import main
 from genkf.multivector import exp_two_form
 from genkf.specio import SpecError, build_config, load_document
-from genkf.structures import OMEGA_BLOCK, UDecomposition, gcs_from_spinor
+from genkf.structures import OMEGA_BLOCK, UDecomposition, gcs_from_spinor, gcs_symplectic
 from genkf.verify import _field_checks, _structure_checks
 
 
@@ -336,13 +336,14 @@ _VARYING_B_N1_DOC = {
 )
 def test_curvature_u_window_decomposes_e_i_omega_once(tmp_path, capsys, monkeypatch, doc):
     # psi = e^b e^{i omega} with omega constant: one decomposition, of
-    # e^{i omega}, serves every grid point whatever b is
+    # e^{i omega}'s exact structure gcs_symplectic(omega), serves every grid
+    # point whatever b is
     built = count_decompositions(monkeypatch)
     out = tmp_path / "curv.json"
     assert main(["curvature", "--input", write_doc(tmp_path, doc), "--output", str(out)]) == 0
     assert json.loads(out.read_text())["u_window_defect"] <= 1e-10
     omega = np.kron(np.eye(2), OMEGA_BLOCK)
-    assert built == [gcs_from_spinor(exp_two_form(1j * omega)).J.tobytes()]
+    assert built == [gcs_symplectic(omega).J.tobytes()]
 
 
 @pytest.mark.parametrize(

@@ -1493,3 +1493,80 @@ def test_pair_tables_compose_two_axis_steps(n):
                 assert not np.any(lo & both) and np.array_equal(hi, lo | both)
             else:
                 assert not np.any(t.wedge2_s[mu, nu]) and not np.any(t.interior2_s[mu, nu])
+
+
+def all_blade_d(grid, data):
+    """d over every blade, as d_field summed before the live-blade tables."""
+    t = blade_tables(grid.n)
+    out = np.zeros_like(data)
+    for mu in range(2 * grid.n):
+        diff = _diff(grid, data[t.axis_lo[mu]], mu)
+        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], diff)
+    return out
+
+
+def all_blade_curvature(conn, psi_data):
+    """curvature's loops over every row of every blade table."""
+    grid, r = conn.grid, conn.rank
+    t = blade_tables(grid.n)
+    n2 = 2 * grid.n
+    out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
+    blades = psi_data[:, None, None]
+    two = conn.field_strength()
+    for mu in range(n2):
+        for nu in range(mu + 1, n2):
+            blade = _signed(t.wedge2_s[mu, nu], blades[t.pair_lo[mu, nu]])
+            out[t.pair_hi[mu, nu]] += blade * two[mu, nu]
+    vpsi = np.zeros_like(out)
+    for mu in range(n2):
+        vpsi[t.axis_lo[mu]] += _signed(t.axis_s[mu], blades[t.axis_hi[mu]]) * conn.V[mu]
+    dv = all_blade_d(grid, vpsi)
+    if r > 1:
+        for mu in range(n2):
+            sub = vpsi[t.axis_lo[mu]]
+            comm = _small_matmul(conn.A[mu], sub, n2)
+            comm -= _small_matmul(sub, conn.A[mu], n2)
+            dv[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
+    out += dv
+    if r == 1:
+        return out
+    for mu in range(n2):
+        for nu in range(mu + 1, n2):
+            double = _signed(t.interior2_s[mu, nu], blades[t.pair_hi[mu, nu]])
+            comm = _small_matmul(conn.V[mu], conn.V[nu], n2)
+            comm -= _small_matmul(conn.V[nu], conn.V[mu], n2)
+            out[t.pair_lo[mu, nu]] += double * comm
+    return out
+
+
+def all_blade_variation_act(grid, var, psi_data, rank):
+    t = blade_tables(grid.n)
+    out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
+    blades = psi_data[:, None, None]
+    for mu in range(2 * grid.n):
+        lo, hi, sign = t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]
+        out[hi] += _signed(sign, blades[lo]) * var.A[mu]
+        out[lo] += _signed(sign, blades[hi]) * var.V[mu]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("bkind", ["constant-psi", "constant-b", "varying-b"])
+def test_live_blade_loops_match_every_blade_loops_bitwise(n, r, bkind):
+    # psi = e^{b + i omega} is even, so curvature and _variation_act skip at
+    # least half the table rows; the rows skipped only added +-0
+    rng = np.random.default_rng([n, r, len(bkind)])
+    g = make_grid(n, 16 if n == 1 else 8)
+    m = rng.standard_normal((2 * n, 2 * n) + (g.sizes if bkind == "varying-b" else ()))
+    b = 0.3 * (m - np.swapaxes(m, 0, 1)) * (bkind != "constant-psi")
+    omega = std_omega(n).reshape((2 * n, 2 * n) + (1,) * (b.ndim - 2))
+    psi = fields.exp_two_form_field(g, b + 1j * omega)
+    live = np.any(psi.data.reshape(4**n, -1), axis=1)
+    assert np.count_nonzero(live) <= 4**n // 2
+    conn = random_conn(g, r, rng)
+    var = random_variation(g, r, rng)
+    for spinor in (psi, psi.conjugate()):
+        assert same_bits(curvature(conn, spinor).data, all_blade_curvature(conn, spinor.data))
+        got = _variation_act(g, var, spinor.data, r)
+        assert same_bits(got, all_blade_variation_act(g, var, spinor.data, r))
