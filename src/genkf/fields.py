@@ -623,8 +623,14 @@ def b_transform_field(b, f):
     grid = f.grid
     t = blade_tables(grid.n)
     eb = exp_blades(t, two_form_blades(real_two_form_matrix(b, grid.n, "b matrix")))
-    # one e^b against every point of f: the kernel broadcasts it
-    return _like(f, _k.wedge_batch(t, eb, f.data))
+    # one multiply-add per wedge-table pair, in table order, over e^b's
+    # nonzero blades (e^b is even): no (pairs, *batch) product is built.
+    # A skipped pair adds only +-0 to a finite accumulator (see _signed).
+    coef = eb[t.wedge_i] * t.wedge_s
+    out = np.zeros(f.data.shape, dtype=np.result_type(eb, f.data))
+    for p in np.flatnonzero(coef):
+        out[t.wedge_i[p] | t.wedge_j[p]] += coef[p] * f.data[t.wedge_j[p]]
+    return _like(f, out)
 
 
 # ---------------------------------------------------------------------------
@@ -634,17 +640,18 @@ def b_transform_field(b, f):
 def mukai_field(f1, f2):
     """Pointwise Mukai pairing; endomorphism slots compose by matrix product."""
     t = blade_tables(f1.grid.n)
-    idx = (slice(None),) + (None,) * (f2.data.ndim - 1)
-    twisted = t.mukai_s[idx] * f2.data[t.mukai_comp]
+    # mukai_comp[c] = top ^ c is the reversal, so f2's partner blades are a
+    # view and the signs enter the contraction as a third operand
+    rev = f2.data[::-1]
     e1 = isinstance(f1, EndFormField)
     e2 = isinstance(f2, EndFormField)
     if e1 and e2:
-        return np.einsum("cij...,cjk...->ik...", f1.data, twisted)
+        return np.einsum("cij...,c,cjk...->ik...", f1.data, t.mukai_s, rev)
     if e1:
-        return np.einsum("cij...,c...->ij...", f1.data, twisted)
+        return np.einsum("cij...,c,c...->ij...", f1.data, t.mukai_s, rev)
     if e2:
-        return np.einsum("c...,cij...->ij...", f1.data, twisted)
-    return np.einsum("c...,c...->...", f1.data, twisted)
+        return np.einsum("c...,c,cij...->ij...", f1.data, t.mukai_s, rev)
+    return np.einsum("c...,c,c...->...", f1.data, t.mukai_s, rev)
 
 
 def mukai_integral(f1, f2):

@@ -327,6 +327,9 @@ def _field_checks(rng, cfg, curv):
         s = grid.integrate((df[1 << mu] * g + f * dg[1 << mu]).real)
         err = max(err, abs(float(s)))
     rows.append(_row("fields/derivative-skew-sum", 1e-12, err))
+    # each full-size array is freed once its rows are written, so the suite
+    # holds at most one group's temporaries at a time
+    del fdata, df, gdata, dg
 
     rand_data = np.stack([_trig(rng, grid) for _ in range(t.size)]).astype(
         np.complex128
@@ -362,6 +365,7 @@ def _field_checks(rng, cfg, curv):
             _rel(np.max(np.abs(back.data - ff.data)), scale),
         )
     )
+    del rand_data, ff, dff, back
 
     fscale = float(np.max(np.abs(fcurv.data))) + 1e-30
     # draw the five sample points this check once took, so every later row stays
@@ -387,12 +391,14 @@ def _field_checks(rng, cfg, curv):
             _rel(np.max(np.abs(lhs.data - rhs.data - pred)), fscale),
         )
     )
+    del rhs, pred, conn_b
 
     _, norm0 = eh_residual_from(kmean, psi, lam)
     _, norm_b = eh_residual_from(mean_curvature_from(lhs, psi_b), psi_b, lam)
     rows.append(
         _row("fields/eh-norm-b-invariance", 1e-10, _rel(abs(norm_b - norm0), norm0))
     )
+    del psi_b, lhs
 
     tr = trace_field(fcurv)
     rows.append(
@@ -402,6 +408,7 @@ def _field_checks(rng, cfg, curv):
             _rel(np.max(np.abs(d_field(tr).data)), float(np.max(np.abs(tr.data)))),
         )
     )
+    del tr
 
     no_v = GenConnection(grid, conn.rank, conn.A, np.zeros_like(conn.V))
     err = _rel(abs(chern_from(curvature(no_v, psi), psi) - c0), abs(c0))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,27 @@ def test_verify_matrix_passes_every_check(tmp_path, capsys, n, rank):
     doc = json.loads(out.read_text())
     assert doc["config"]["sizes"] == [grid] * (2 * n)
     assert doc["passed"] is True and len(doc["checks"]) == 41
+
+
+def test_verify_rank2_peak_stays_under_ten_field_sizes(tmp_path, capsys):
+    # numpy reports its buffers to tracemalloc, so the traced peak of a
+    # verify run is deterministic; a rank-r field is 16 * 4^n * prod(sizes)
+    # * r^2 bytes, and the suite frees each group's arrays once its rows are
+    # written
+    rand = {"random": {"amp": 0.1, "modes": 2}}
+    doc = {"n": 2, "grid": {"sizes": [8] * 4}, "bundle": {"rank": 2},
+           "connection": {"A": rand, "V": rand}}
+    path = write_doc(tmp_path, doc)
+    field = 16 * 4**2 * 8**4 * 2**2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["verify", "--input", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert "41/41 checks passed" in capsys.readouterr().out
+    assert peak <= 10 * field
 
 
 def test_verify_report_schema(tmp_path, capsys):

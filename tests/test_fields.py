@@ -9,6 +9,7 @@ tolerance; genuinely discretized statements carry O(h^2) tolerances.
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1120,26 +1121,89 @@ def test_b_transform_field_matches_pointwise():
     assert max_abs(out.value_at(p).coeffs - want.coeffs) < 1e-13
 
 
+def random_field(grid, rng, rank):
+    """A form field (rank None) or a rank-r endomorphism field of random data."""
+    shape = (4**grid.n,) + (() if rank is None else (rank, rank)) + grid.sizes
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return FormField(grid, data) if rank is None else EndFormField(grid, rank, data)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("rank", [None, 2])
-def test_b_transform_field_equals_broadcast_wedge_bitwise(n, rank):
-    # one e^b against every point of the field gives the bits of the same
-    # wedge with e^b copied to every grid point
+def test_b_transform_field_is_table_order_multiply_adds(n, rank):
+    # a constant e^b is applied as out[i|j] += (e^b[i] s) f[j], one pair of
+    # the wedge table at a time in table order: bit for bit a sequential sum
+    # over every pair (the pairs it skips add only +-0).  The general kernel
+    # with e^b copied to every point sums the same products, but reduceat
+    # sums segments of 8 or more terms pairwise, so it agrees to roundoff.
     rng = np.random.default_rng(8 + n)
     g = make_grid(n, 8)
-    shape = (4**n,) + (() if rank is None else (rank, rank)) + g.sizes
-    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    f = FormField(g, data) if rank is None else EndFormField(g, rank, data)
+    f = random_field(g, rng, rank)
     m = rng.normal(size=(2 * n, 2 * n))
     bmat = m - m.T
     eb = exp_two_form(GradedForm.from_two_form_matrix(bmat)).coeffs
     t = blade_tables(n)
-    copies = np.broadcast_to(eb.reshape((t.size,) + (1,) * (data.ndim - 1)), data.shape)
-    want = _backend.wedge_batch(t, copies.copy(), data)
     got = b_transform_field(bmat, f)
     assert type(got) is type(f)
-    assert got.data.shape == want.shape
-    assert got.data.tobytes() == want.tobytes()
+    assert got.data.shape == f.data.shape
+
+    sequential = np.zeros_like(f.data)
+    for i, j, s in zip(t.wedge_i, t.wedge_j, t.wedge_s):
+        sequential[i | j] += (eb[i] * s) * f.data[j]
+    assert got.data.tobytes() == sequential.tobytes()
+
+    copies = np.broadcast_to(eb.reshape((t.size,) + (1,) * (f.data.ndim - 1)), f.data.shape)
+    kernel = _backend.wedge_batch(t, copies.copy(), f.data)
+    assert np.max(np.abs(got.data - kernel)) <= 1e-13 * np.max(np.abs(kernel))
+
+
+def test_b_transform_field_peaks_near_one_field():
+    # the multiply-adds build no (pairs, *sizes) product: the traced peak
+    # is the result plus one blade's temporary
+    rng = np.random.default_rng(5)
+    g = make_grid(2, 8)
+    f = random_field(g, rng, None)
+    bmat = np.kron(np.eye(2), np.array([[0.0, 0.3], [-0.3, 0.0]]))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        b_transform_field(bmat, f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * f.data.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mukai_partner_blade_is_the_reversal(n):
+    # mukai_field reads f2's partner blades as the view f2.data[::-1]
+    t = blade_tables(n)
+    assert np.array_equal(t.mukai_comp, np.arange(t.size)[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("end1, end2", [(False, False), (False, True), (True, False), (True, True)])
+def test_mukai_field_equals_gathered_signed_einsum_bitwise(n, r, end1, end2):
+    # the reversed view with the signs as a third einsum operand gives the
+    # bits of the gathered, signed copy contracted by a two-operand einsum
+    rng = np.random.default_rng([n, r, end1, end2])
+    g = make_grid(n, 8)
+    f1 = random_field(g, rng, r if end1 else None)
+    f2 = random_field(g, rng, r if end2 else None)
+    t = blade_tables(n)
+    idx = (slice(None),) + (None,) * (f2.data.ndim - 1)
+    twisted = t.mukai_s[idx] * f2.data[t.mukai_comp]
+    spec = {
+        (False, False): "c...,c...->...",
+        (False, True): "c...,cij...->ij...",
+        (True, False): "cij...,c...->ij...",
+        (True, True): "cij...,cjk...->ik...",
+    }[end1, end2]
+    want = np.einsum(spec, f1.data, twisted)
+    got = mukai_field(f1, f2)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
