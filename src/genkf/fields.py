@@ -224,9 +224,7 @@ class GenConnection:
                        dtype=np.complex128)
         for mu in range(n2):
             for nu in range(mu + 1, n2):
-                f = _diff(self.grid, self.A[nu], mu) - _diff(self.grid, self.A[mu], nu)
-                f += _small_matmul(self.A[mu], self.A[nu], n2)
-                f -= _small_matmul(self.A[nu], self.A[mu], n2)
+                f = _strength_pair(self, mu, nu)
                 out[mu, nu] = f
                 out[nu, mu] = -f
         return out
@@ -299,26 +297,30 @@ def _matrices_last(x: np.ndarray, ngrid: int) -> np.ndarray:
     return x.reshape(x.shape[: -ngrid - 2] + x.shape[-ngrid:] + (1, 1))
 
 
-def _signed(sign, sub):
-    """sign * sub, one sign per blade; a coordinate step is out[dst] += this.
-
-    Each step (dx^mu ^, i_mu or a pair) maps its source blades one to one,
-    so sub holds those only.  Other blades would get an exact +-0, which
-    changes no bit of an accumulator started at +0 (never -0 when rounding
-    to nearest).
-    """
-    return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
+def _strength_pair(conn, mu, nu):
+    """F_{mu nu} = D_mu A_nu - D_nu A_mu + [A_mu, A_nu], (r, r, *sizes): the
+    one definition of field_strength's entries, which curvature builds one
+    pair at a time."""
+    grid, a, n2 = conn.grid, conn.A, 2 * conn.grid.n
+    f = _diff(grid, a[nu], mu) - _diff(grid, a[mu], nu)
+    f += _small_matmul(a[mu], a[nu], n2)
+    f -= _small_matmul(a[nu], a[mu], n2)
+    return f
 
 
 def _live_rows(live, src, dst, sign):
-    """The rows of a (source, target, sign) blade table whose source blade is live.
+    """The (source, target, sign) rows of a blade table whose source blade is
+    live, as Python numbers; each row is applied as out[target] += (sign *
+    data[source]) * coeff, one row at a time on basic-index views.
 
-    A dead source blade is all +0, so its row would only add +-0 terms to
-    an accumulator started at +0: no bit of a finite result moves when it
-    is skipped (see _signed).
+    Each table (dx^mu ^, i_mu or a pair) maps its rows one to one, so a
+    step's rows touch distinct targets and their order moves no bit.  A dead
+    source blade is all +0, so its row would only add +-0 terms to an
+    accumulator started at +0, which changes no bit of it (never -0 when
+    rounding to nearest): no bit of a finite result moves when it is skipped.
     """
     keep = live[src]
-    return src[keep], dst[keep], sign[keep]
+    return list(zip(src[keep].tolist(), dst[keep].tolist(), sign[keep].tolist()))
 
 
 def _blades_live(data):
@@ -326,27 +328,33 @@ def _blades_live(data):
     return np.any(data.reshape(data.shape[0], -1), axis=1)
 
 
+def _wedge_pair(t, mu, nu, coeff, data, out, live):
+    """out += coeff dx^mu ^ dx^nu ^ data over data's live blades, row by row."""
+    for l, h, s in _live_rows(live, t.pair_lo[mu, nu], t.pair_hi[mu, nu], t.wedge2_s[mu, nu]):
+        out[h] += (s * data[l]) * coeff
+
+
 def _wedge_two_form(t, two, data, out, live):
     """out += (sum_{mu < nu} two[mu, nu] dx^mu ^ dx^nu) ^ data, returned, over
     data's live blades; a constant (2n, 2n) two-form skips its zero entries,
-    +-0 terms on finite data (see _signed)."""
+    +-0 terms on finite data (see _live_rows)."""
     for mu in range(t.dim):
         for nu in range(mu + 1, t.dim):
             if two.ndim == 2 and two[mu, nu] == 0:
                 continue
-            lo, hi, sign = _live_rows(live, t.pair_lo[mu, nu], t.pair_hi[mu, nu],
-                                      t.wedge2_s[mu, nu])
-            out[hi] += _signed(sign, data[lo]) * two[mu, nu]
+            _wedge_pair(t, mu, nu, two[mu, nu], data, out, live)
     return out
 
 
 def _exp_wedge(t, b, data):
-    """e^b ^ data = sum_j b^j / j! ^ data, each term (b / j) ^ the last."""
-    out = term = data
+    """e^b ^ data = sum_j b^j / j! ^ data, each term (b / j) ^ the last,
+    added in order into one copy of data."""
+    out = data.copy()
+    term = data
     every = np.ones(t.size, dtype=bool)
     for j in range(1, t.n + 1):
         term = _wedge_two_form(t, b / j, term, np.zeros_like(term), every)
-        out = out + term
+        out += term
     return out
 
 
@@ -361,17 +369,39 @@ def _like(f, data):
 
 
 def d_field(f):
-    """Discrete exterior derivative, sum_mu dx^mu ^ D_mu."""
-    return _like(f, _d_live(f.grid, f.data, np.ones(4**f.grid.n, dtype=bool)))
+    """Discrete exterior derivative, sum_mu dx^mu ^ D_mu, summed per target
+    blade straight into the result (see _d_live)."""
+    every = np.ones(4**f.grid.n, dtype=bool)
+    return _like(f, _d_live(f.grid, f.data, every, np.zeros_like(f.data)))
 
 
-def _d_live(grid, data, live):
-    """d_field's blades of sum_mu dx^mu ^ D_mu data, over data's live blades."""
+def _d_live(grid, data, live, out, a=None):
+    """out += sum_mu dx^mu ^ (D_mu data + [a_mu, data]) over data's live
+    blades, returned; a = None is d alone.
+
+    One target blade h at a time: its D_mu terms for mu = 0..2n-1, then its
+    commutators for mu = 0..2n-1, are summed into one buffer started at +0,
+    and out[h] += buffer.  Each blade gets the bits it would get if d^A
+    data were summed as a field of its own and then added to out, yet no
+    temporary is larger than one blade.
+    """
     t = blade_tables(grid.n)
-    out = np.zeros_like(data)
-    for mu in range(2 * grid.n):
-        lo, hi, sign = _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu])
-        out[hi] += _signed(sign, _diff(grid, data[lo], mu))
+    n2 = 2 * grid.n
+    steps = {}  # target blade -> its (mu, source, sign) rows, mu ascending
+    for mu in range(n2):
+        for l, h, s in _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]):
+            steps.setdefault(h, []).append((mu, l, s))
+    buf = np.empty_like(data[0])
+    for h, rows in steps.items():
+        buf.fill(0.0)
+        for mu, l, s in rows:
+            buf += s * _diff(grid, data[l], mu)
+        if a is not None:
+            for mu, l, s in rows:
+                comm = _small_matmul(a[mu], data[l], n2)
+                comm -= _small_matmul(data[l], a[mu], n2)
+                buf += s * comm
+        out[h] += buf
     return out
 
 
@@ -390,35 +420,20 @@ def lie_derivative(grid: TorusGrid, v, f: FormField) -> FormField:
 
 
 def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
-    """d a + sum_mu dx^mu ^ [A_mu, a].
+    """d a + sum_mu dx^mu ^ [A_mu, a], summed per target blade straight into
+    the result (see _d_live).
 
     At rank 1 this is d a, bit for bit: _small_matmul is np.matmul there,
     whose scalar products commute exactly, so each commutator is p - p =
     +0 for finite p, and adding +-0 changes no bit of an accumulator
-    started at +0 (see _signed).  The one difference is where a product
+    started at +0 (see _live_rows).  The one difference is where a product
     overflows: the commutator was inf - inf = NaN there, and is now left out.
     """
     if a.rank != conn.rank:
         raise ValueError("rank mismatch")
     every = np.ones(4**conn.grid.n, dtype=bool)
-    return EndFormField(conn.grid, a.rank, _covariant_d_live(conn, a.data, every))
-
-
-def _covariant_d_live(conn, data, live):
-    """covariant_d's blades of d^A data, over data's live blades."""
-    out = _d_live(conn.grid, data, live)
-    if conn.rank == 1:
-        return out
-    n2 = 2 * conn.grid.n
-    t = blade_tables(conn.grid.n)
-    for mu in range(n2):
-        amu = conn.A[mu]  # broadcasts over the blade axis
-        lo, hi, sign = _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu])
-        sub = data[lo]
-        comm = _small_matmul(amu, sub, n2)
-        comm -= _small_matmul(sub, amu, n2)
-        out[hi] += _signed(sign, comm)
-    return out
+    out = _d_live(conn.grid, a.data, every, np.zeros_like(a.data), conn.A if a.rank > 1 else None)
+    return EndFormField(conn.grid, a.rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -503,27 +518,36 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     contraction reaches from them.  A skipped row would add +-0 to an
     accumulator started at +0, so F is bit for bit the all-blade loops'
     on finite input (see _live_rows).
+
+    Besides the result only V . psi is a full-size array: each F_{mu nu} is
+    built just before its wedge rows and dropped after them, every table
+    loop goes one row at a time, and d^A(V . psi) is summed per target
+    blade into out (see _d_live).  The bits are those of the whole-field
+    form: F_A . psi over field_strength's F, plus d^A(V . psi) summed as a
+    field of its own, plus the [V . V] term, each summed in table order.
     """
     grid = conn.grid
     t = blade_tables(grid.n)
     r = conn.rank
     n2 = 2 * grid.n
     out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
-    # psi's blades against (r, r, *sizes) matrices: (k, 1, 1, *sizes) broadcasts
+    # psi's blades against (r, r, *sizes) matrices: (1, 1, *sizes) broadcasts
     blades = psi.data[:, None, None]
     live = _blades_live(psi.data)
 
-    # two-form part of the curvature, wedged in
-    _wedge_two_form(t, conn.field_strength(), blades, out, live)
+    # two-form part of the curvature, wedged in one F_{mu nu} at a time
+    for mu in range(n2):
+        for nu in range(mu + 1, n2):
+            _wedge_pair(t, mu, nu, _strength_pair(conn, mu, nu), blades, out, live)
 
     # vector part acting by contraction, then the covariant derivative
     vpsi = np.zeros_like(out)
     vlive = np.zeros_like(live)
     for mu in range(n2):
-        hi, lo, sign = _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu])
-        vpsi[lo] += _signed(sign, blades[hi]) * conn.V[mu]
-        vlive[lo] = True
-    out += _covariant_d_live(conn, vpsi, vlive)
+        for h, l, s in _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu]):
+            vpsi[l] += (s * blades[h]) * conn.V[mu]
+            vlive[l] = True
+    _d_live(grid, vpsi, vlive, out, conn.A if r > 1 else None)
     del vpsi
     if r == 1:
         return EndFormField(grid, r, out)
@@ -534,12 +558,12 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     # gives the same term twice
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            hi, lo, sign = _live_rows(live, t.pair_hi[mu, nu], t.pair_lo[mu, nu],
-                                      t.interior2_s[mu, nu])
             vmu, vnu = conn.V[mu], conn.V[nu]
             comm = _small_matmul(vmu, vnu, n2)
             comm -= _small_matmul(vnu, vmu, n2)
-            out[lo] += _signed(sign, blades[hi]) * comm
+            for h, l, s in _live_rows(live, t.pair_hi[mu, nu], t.pair_lo[mu, nu],
+                                      t.interior2_s[mu, nu]):
+                out[l] += (s * blades[h]) * comm
 
     return EndFormField(grid, r, out)
 
@@ -625,7 +649,7 @@ def b_transform_field(b, f):
     eb = exp_blades(t, two_form_blades(real_two_form_matrix(b, grid.n, "b matrix")))
     # one multiply-add per wedge-table pair, in table order, over e^b's
     # nonzero blades (e^b is even): no (pairs, *batch) product is built.
-    # A skipped pair adds only +-0 to a finite accumulator (see _signed).
+    # A skipped pair adds only +-0 to a finite accumulator (see _live_rows).
     coef = eb[t.wedge_i] * t.wedge_s
     out = np.zeros(f.data.shape, dtype=np.result_type(eb, f.data))
     for p in np.flatnonzero(coef):
@@ -702,10 +726,10 @@ def _variation_act(grid, var, psi_data, rank):
     blades = psi_data[:, None, None]
     live = _blades_live(psi_data)
     for mu in range(2 * grid.n):
-        lo, hi, sign = _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu])
-        out[hi] += _signed(sign, blades[lo]) * var.A[mu]
-        hi, lo, sign = _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu])
-        out[lo] += _signed(sign, blades[hi]) * var.V[mu]
+        for l, h, s in _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]):
+            out[h] += (s * blades[l]) * var.A[mu]
+        for h, l, s in _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu]):
+            out[l] += (s * blades[h]) * var.V[mu]
     return out
 
 

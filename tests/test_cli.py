@@ -73,6 +73,25 @@ def test_verify_rank2_peak_stays_under_ten_field_sizes(tmp_path, capsys):
     assert peak <= 10 * field
 
 
+def test_curvature_rank2_peak_stays_under_three_and_a_half_field_sizes(tmp_path, capsys):
+    # curvature() holds its result, V . psi and (r, r, *sizes) temporaries;
+    # the command adds the mean curvature and the U-window check
+    rand = {"random": {"amp": 0.1, "modes": 2}}
+    doc = {"n": 2, "grid": {"sizes": [8] * 4}, "bundle": {"rank": 2},
+           "connection": {"A": rand, "V": rand}}
+    path = write_doc(tmp_path, doc)
+    field = 16 * 4**2 * 8**4 * 2**2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["curvature", "--input", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= 3.5 * field
+
+
 def test_verify_report_schema(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--grid", "16", "--output", str(out)]) == 0

@@ -69,7 +69,6 @@ from genkf.fields import (
 from genkf.fields import (
     _diff,
     _exp_wedge,
-    _signed,
     _small_matmul,
     _variation_act,
 )
@@ -79,6 +78,12 @@ RNG = np.random.default_rng(660301)
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _signed(sign, sub):
+    """sign * sub, one sign per blade: a batched coordinate step is
+    out[dst] += this over all of a table's rows at once."""
+    return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
 
 
 def std_omega(n):
@@ -1272,6 +1277,15 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
     g = make_grid(n, 8)
     psi = psi_const(g, c=0.3)
     rng = np.random.default_rng([n, 3])
+    # the commutators go one dx^mu ^ table row at a time: every row for
+    # covariant_d, and in curvature the rows of the blades that V . psi
+    # reaches from psi's live blades
+    t = blade_tables(n)
+    live = np.any(psi.data.reshape(4**n, -1), axis=1)
+    vlive = np.zeros_like(live)
+    for mu in range(n2):
+        vlive[t.axis_lo[mu][live[t.axis_hi[mu]]]] = True
+    vrows = sum(np.count_nonzero(vlive[t.axis_lo[mu]]) for mu in range(n2))
     for r in (1, 2):
         conn = random_conn(g, r, rng)
         a = EndFormField(g, r, complex_with_zeros(rng, (4**n, r, r, *g.sizes)))
@@ -1290,8 +1304,8 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
         if r == 1:
             assert cov == 0 and curv == strength
         else:
-            assert cov == 2 * n2
-            assert curv == strength + cov + n2 * (n2 - 1)
+            assert cov == 2 * n2 * 4**n // 2
+            assert curv == strength + 2 * vrows + n2 * (n2 - 1)
 
 
 @st.composite
@@ -1634,3 +1648,86 @@ def test_live_blade_loops_match_every_blade_loops_bitwise(n, r, bkind):
         assert same_bits(curvature(conn, spinor).data, all_blade_curvature(conn, spinor.data))
         got = _variation_act(g, var, spinor.data, r)
         assert same_bits(got, all_blade_variation_act(g, var, spinor.data, r))
+
+
+def batched_field_strength(conn):
+    """field_strength with each F_{mu nu} written out in place, as before
+    the per-pair helper that curvature shares."""
+    n2 = 2 * conn.grid.n
+    out = np.zeros((n2, n2, conn.rank, conn.rank, *conn.grid.sizes), dtype=np.complex128)
+    for mu in range(n2):
+        for nu in range(mu + 1, n2):
+            f = _diff(conn.grid, conn.A[nu], mu) - _diff(conn.grid, conn.A[mu], nu)
+            f += _small_matmul(conn.A[mu], conn.A[nu], n2)
+            f -= _small_matmul(conn.A[nu], conn.A[mu], n2)
+            out[mu, nu] = f
+            out[nu, mu] = -f
+    return out
+
+
+def batched_covariant_d(conn, data):
+    """d^A over every blade as one gather and scatter-add per table: all the
+    d steps, then all the commutators, into a field of its own."""
+    out = all_blade_d(conn.grid, data)
+    if conn.rank == 1:
+        return out
+    t = blade_tables(conn.grid.n)
+    n2 = 2 * conn.grid.n
+    for mu in range(n2):
+        sub = data[t.axis_lo[mu]]
+        comm = _small_matmul(conn.A[mu], sub, n2)
+        comm -= _small_matmul(sub, conn.A[mu], n2)
+        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_per_target_d_and_per_pair_strength_match_batched_loops_bitwise(n, r):
+    # d_field and covariant_d sum each target blade's terms in one buffer,
+    # field_strength builds each F_{mu nu} through the helper curvature
+    # uses; the sums keep the batched loops' order, so the bits are theirs
+    rng = np.random.default_rng([n, r, 22])
+    g = make_grid(n, 16 if n == 1 else 8)
+    conn = random_conn(g, r, rng)
+    form = FormField(g, complex_with_zeros(rng, (4**n, *g.sizes)))
+    end = EndFormField(g, r, complex_with_zeros(rng, (4**n, r, r, *g.sizes)))
+    assert same_bits(d_field(form).data, all_blade_d(g, form.data))
+    assert same_bits(d_field(end).data, all_blade_d(g, end.data))
+    assert same_bits(covariant_d(conn, end).data, batched_covariant_d(conn, end.data))
+    assert same_bits(conn.field_strength(), batched_field_strength(conn))
+
+
+def traced_peak(run):
+    """Peak bytes numpy allocates while run() executes, above what is live
+    before it (numpy reports its buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_curvature_peaks_under_two_and_a_half_fields():
+    # besides the result only V . psi is full size: each F_{mu nu}, each
+    # table row and each target blade of d^A(V . psi) is one (r, r, *sizes)
+    # temporary
+    rng = np.random.default_rng(22)
+    g = make_grid(2, 8)
+    conn = random_conn(g, 2, rng)
+    psi = fields.exp_two_form_field(g, 1j * std_omega(2))
+    field = 16 * 4**2 * 8**4 * 2**2
+    assert traced_peak(lambda: curvature(conn, psi)) <= 2.5 * field
+
+
+def test_u_window_defect_varying_b_peaks_under_three_and_a_half_fields():
+    # e^{-b} ^ F adds each term of the series into one copy of F; the
+    # series holds two terms at n = 2
+    rng = np.random.default_rng(23)
+    g = make_grid(2, 8)
+    f = random_field(g, rng, 2)
+    m = rng.standard_normal((4, 4) + g.sizes)
+    b = 0.3 * (m - np.swapaxes(m, 0, 1))
+    assert traced_peak(lambda: fields.u_window_defect(f, b, std_omega(2))) <= 3.5 * f.data.nbytes
