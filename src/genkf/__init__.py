@@ -7,7 +7,7 @@ Layers, bottom up:
                 eigenspace decompositions, compatible pairs
   fields        periodic grids, form/endomorphism fields, generalized
                 connections, curvature and moment-map functionals
-  analysis      symbol-sequence exactness, co-Higgs and soliton residuals,
+  analysis      symbol-sequence exactness, the co-Higgs residual,
                 the rank-one Einstein-Hermitian solver
   cli           `genkf` command line (verify / curvature / solve / symbols / report)
 """

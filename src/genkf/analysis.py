@@ -2,10 +2,10 @@
 
 Three layers on top of the field calculus: the principal-symbol complex of
 the deformation operator of a generalized Kahler pair (assembled as explicit
-real matrices and checked for exactness by SVD ranks), specialization
-residuals that reduce the mean curvature to classical data (co-Higgs
-bundles, soliton profiles on line bundles), and a matrix-free
-conjugate-direction solver for the rank-one Einstein-Hermitian equation.
+real matrices and checked for exactness by SVD ranks), the co-Higgs
+residual that reduces the mean curvature to classical data, and a
+matrix-free conjugate-direction solver for the rank-one Einstein-Hermitian
+equation.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ from . import _backend as _k
 from . import constants
 from ._tables import blade_tables
 from .fields import (
-    FormField,
     GenConnection,
     _small_matmul,
     chern_from,
@@ -25,12 +24,10 @@ from .fields import (
     eh_residual_from,
     exp_two_form_field,
     lambda_from,
-    lie_derivative,
     mean_curvature_from,
-    validate_spinor_field,
     vol_density,
 )
-from .multivector import GenVector, GradedForm, real_two_form_matrix, two_form_blades
+from .multivector import GenVector, real_two_form_matrix
 from .structures import OMEGA_BLOCK, clifford_matrix, gk_validate, spinor_line, standard_complex
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "FlowTrace",
     "symbol_exactness",
     "cohiggs_residual",
-    "kr_soliton_check",
     "solve_eh_line",
     "RoundoffFloor",
 ]
@@ -202,11 +198,6 @@ def _symbol_maps(setup, r, theta):
             dims.append(mj.shape[0])
             mats.append(mj)
     return dims, mats
-
-
-def _symbol_matrices(n, r, j1, j2, theta):
-    """Real matrices of the symbol complex of (j1, j2) at the covector theta."""
-    return _symbol_maps(_symbol_setup(n, j1, j2), r, theta)
 
 
 def _random_covectors(rng, n, trials):
@@ -404,42 +395,6 @@ def cohiggs_residual(conn, omega, lam):
     k = constants.COHIGGS_SCALE * total
     k = (k + np.swapaxes(k, 0, 1).conj()) / 2.0
     return eh_residual_from(k, exp_two_form_field(grid, 1j * om), lam)
-
-
-# ---------------------------------------------------------------------------
-# soliton distance on line bundles
-
-
-def kr_soliton_check(conn, omega, c, diagnostics=False):
-    """L2 distance of F_A + c i L_v omega from i omega on a line bundle.
-
-    v is the (real) vector part of the connection.  With diagnostics=True
-    also returns the induced line-equation data for the spinor
-    e^{(c + i) omega}: the chern-normalized lambda, the Einstein-Hermitian
-    residual, and the (non-gating) holomorphy defect of the vector part.
-    """
-    grid = conn.grid
-    n = grid.n
-    if conn.rank != 1:
-        raise ValueError(f"soliton check needs a rank-1 connection, got rank {conn.rank}")
-    _, om = _positive_blocks(omega, n)
-    om_field = FormField.constant(grid, GradedForm(n, two_form_blades(om)))
-    lv = lie_derivative(grid, conn.V[:, 0, 0].imag, om_field).data
-    res = two_form_blades(conn.field_strength()[:, :, 0, 0])
-    res += c * 1j * lv - 1j * om_field.data
-    val = float(np.sqrt(grid.integrate(np.sum(np.abs(res) ** 2, axis=0))))
-    if not diagnostics:
-        return val
-    psi = exp_two_form_field(grid, (c + 1j) * om)
-    validate_spinor_field(grid, psi)
-    fcurv = curvature(conn, psi)
-    lam = lambda_from(chern_from(fcurv, psi), psi, conn.rank)
-    _, eh_norm = eh_residual_from(mean_curvature_from(fcurv, psi), psi, lam)
-    return val, {
-        "dbar_residual": dbar_residual(grid, conn, standard_complex(n)),
-        "eh_residual": eh_norm,
-        "lambda": lam,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "canonical_line_connection",
     "chern_from",
     "connection_derivative",
-    "covariant_d",
     "curvature",
     "d_field",
     "dbar_residual",
@@ -63,7 +62,6 @@ __all__ = [
     "mean_curvature_from",
     "moment_value",
     "mukai_field",
-    "mukai_integral",
     "shift_connection",
     "trace_field",
     "u_window_defect",
@@ -183,9 +181,6 @@ class EndFormField:
         self.grid = grid
         self.rank = rank
         self.data = data
-
-    def conjugate(self) -> "EndFormField":
-        return EndFormField(self.grid, self.rank, np.conj(self.data))
 
 
 def _check_skew(arr, grid, rank, what):
@@ -419,23 +414,6 @@ def lie_derivative(grid: TorusGrid, v, f: FormField) -> FormField:
     return FormField(grid, term1 + term2)
 
 
-def covariant_d(conn: GenConnection, a: EndFormField) -> EndFormField:
-    """d a + sum_mu dx^mu ^ [A_mu, a], summed per target blade straight into
-    the result (see _d_live).
-
-    At rank 1 this is d a, bit for bit: _small_matmul is np.matmul there,
-    whose scalar products commute exactly, so each commutator is p - p =
-    +0 for finite p, and adding +-0 changes no bit of an accumulator
-    started at +0 (see _live_rows).  The one difference is where a product
-    overflows: the commutator was inf - inf = NaN there, and is now left out.
-    """
-    if a.rank != conn.rank:
-        raise ValueError("rank mismatch")
-    every = np.ones(4**conn.grid.n, dtype=bool)
-    out = _d_live(conn.grid, a.data, every, np.zeros_like(a.data), conn.A if a.rank > 1 else None)
-    return EndFormField(conn.grid, a.rank, out)
-
-
 # ---------------------------------------------------------------------------
 # spinor-field validation
 
@@ -448,10 +426,10 @@ def vol_density(grid: TorusGrid, psi: FormField) -> np.ndarray:
         raise ValueError("degenerate spinor field: pairing vanishes identically")
     bad = np.abs(val) <= 1e-10 * peak
     if np.any(bad):
-        point = np.unravel_index(int(np.argmax(bad)), grid.sizes)
+        point = tuple(map(int, np.unravel_index(int(np.argmax(bad)), grid.sizes)))
         raise ValueError(f"degenerate spinor at grid point {point}")
     if np.max(np.abs(val.imag)) > 1e-10 * peak or np.min(val.real) <= 0:
-        point = np.unravel_index(int(np.argmin(val.real)), grid.sizes)
+        point = tuple(map(int, np.unravel_index(int(np.argmin(val.real)), grid.sizes)))
         raise ValueError(f"spinor volume density not positive at {point}")
     return val.real
 
@@ -507,10 +485,12 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     (1/2) sum_{mu != nu} [V^mu, V^nu] i_mu i_nu is summed over mu < nu
     without the 1/2, one commutator per unordered pair.
 
-    At rank 1 the quadratic [V^mu, V^nu] term is skipped, as covariant_d
-    skips [A_mu, .]: each commutator is an exact +0, and so is the term.
-    field_strength keeps its [A_mu, A_nu]: there the commutator enters as
-    (y + p) - p, which is not y bit for bit.
+    At rank 1 d^A(V . psi) leaves out its [A_mu, .] and the quadratic
+    [V^mu, V^nu] term is skipped: _small_matmul is np.matmul there, whose
+    scalar products commute exactly, so each commutator is p - p = +0 for
+    finite p, and adding +-0 changes no bit of an accumulator started at +0
+    (see _live_rows).  field_strength keeps its [A_mu, A_nu]: there the
+    commutator enters as (y + p) - p, which is not y bit for bit.
 
     Every table loop visits only the rows whose source blade is live: the
     blades where psi holds a nonzero entry (an even form, so at most half;
@@ -676,10 +656,6 @@ def mukai_field(f1, f2):
     if e2:
         return np.einsum("c...,c,cij...->ij...", f1.data, t.mukai_s, rev)
     return np.einsum("c...,c,c...->...", f1.data, t.mukai_s, rev)
-
-
-def mukai_integral(f1, f2):
-    return complex(f1.grid.integrate(mukai_field(f1, f2)))
 
 
 def trace_field(f: EndFormField) -> FormField:

@@ -28,7 +28,6 @@ __all__ = [
     "b_transform",
     "neutral_pairing",
     "neutral_pairing_matrix",
-    "two_form_matrix",
     "two_form_blades",
     "is_skew",
     "real_two_form_matrix",
@@ -127,9 +126,6 @@ class GradedForm:
         self._check_same(other)
         return GradedForm(self.n, self.coeffs - other.coeffs)
 
-    def __neg__(self):
-        return GradedForm(self.n, -self.coeffs)
-
     def __mul__(self, scalar):
         return GradedForm(self.n, self.coeffs * scalar)
 
@@ -164,23 +160,6 @@ class GenVector:
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.vec, self.covec])
-
-    def conjugate(self) -> "GenVector":
-        return GenVector(np.conj(self.vec), np.conj(self.covec))
-
-    def act(self, form: GradedForm) -> GradedForm:
-        return clifford_act(self, form)
-
-    def __add__(self, other):
-        return GenVector(self.vec + other.vec, self.covec + other.covec)
-
-    def __sub__(self, other):
-        return GenVector(self.vec - other.vec, self.covec - other.covec)
-
-    def __mul__(self, scalar):
-        return GenVector(self.vec * scalar, self.covec * scalar)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"GenVector(n={self.n})"
@@ -256,31 +235,14 @@ def neutral_pairing_matrix(n: int) -> np.ndarray:
     return np.block([[zero, eye], [eye, zero]]) / 2.0
 
 
-def _pair_blades(dim: int):
-    """Index arrays mu < nu and the blade of dx^mu ^ dx^nu for each pair."""
-    mu, nu = np.triu_indices(dim, 1)
-    return mu, nu, (1 << mu) | (1 << nu)
-
-
 def two_form_blades(m) -> np.ndarray:
     """Blade coefficients (4^n, *batch) of a two-form m[mu, nu, *batch]: the
     entry m[mu, nu], mu < nu, on the blade dx^mu ^ dx^nu, zero elsewhere."""
     m = np.asarray(m)
-    mu, nu, blade = _pair_blades(m.shape[0])
+    mu, nu = np.triu_indices(m.shape[0], 1)
     out = np.zeros((1 << m.shape[0], *m.shape[2:]), dtype=np.complex128)
-    out[blade] = m[mu, nu]
+    out[(1 << mu) | (1 << nu)] = m[mu, nu]
     return out
-
-
-def two_form_matrix(b: GradedForm) -> np.ndarray:
-    """Antisymmetric coefficient matrix of the degree-2 part of b."""
-    mu, nu, blade = _pair_blades(2 * b.n)
-    m = np.zeros((2 * b.n, 2 * b.n), dtype=np.complex128)
-    m[mu, nu] = b.coeffs[blade]
-    m[nu, mu] = -b.coeffs[blade]
-    if np.max(np.abs(m.imag)) == 0.0:
-        return m.real
-    return m
 
 
 def is_skew(m, adjoint) -> bool:

@@ -46,7 +46,7 @@ from .multivector import is_skew
 from .fields import (
     MAX_GRID_N, MIN_GRID_SIZE, FormField, GenConnection, TorusGrid, exp_two_form_field
 )
-from .structures import OMEGA_BLOCK
+from .structures import OMEGA_BLOCK, gcs_symplectic, gk_validate, standard_complex
 
 _DEFAULT_SIZE = 32
 _DEFAULT_AMP = 0.1
@@ -203,11 +203,23 @@ def _eval_expr(expr, grid, what):
 
 
 def _omega_matrix(spec, n):
+    """omega, checked to form a generalized Kahler pair with the standard
+    complex structure (the pair symbols and verify take) before psi is built."""
     if spec is None:
         return np.kron(np.eye(n), OMEGA_BLOCK)
     m = _as_matrix(spec, (2 * n, 2 * n), "psi.omega")
     if not is_skew(m, m.T):
         raise SpecError("psi.omega must be antisymmetric")
+    try:  # no inverse, one past the float range, or one too large for J^2 = -1
+        with np.errstate(all="raise", under="ignore"):
+            pair = gk_validate(standard_complex(n), gcs_symplectic(m))
+    except (ArithmeticError, ValueError) as exc:
+        raise SpecError(f"psi.omega is singular: {exc}") from None
+    if not pair["valid"]:
+        raise SpecError(
+            "psi.omega does not form a generalized Kahler pair with the "
+            f"standard complex structure: {pair}"
+        )
     return m
 
 

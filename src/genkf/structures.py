@@ -68,11 +68,6 @@ def clifford_matrix(e, n: int) -> np.ndarray:
     return _k.clifford_batch(t, e[: t.dim], e[t.dim :], eye)
 
 
-def _column_space(p: np.ndarray, rank: int) -> np.ndarray:
-    u, s, _ = np.linalg.svd(p)
-    return u[:, :rank]
-
-
 class GCStructure:
     """Almost generalized complex structure: J^2 = -1, pairing-orthogonal."""
 
@@ -101,7 +96,7 @@ class GCStructure:
     def minus_i_eigenbasis(self) -> np.ndarray:
         """Orthonormal column basis of the -i eigenspace L."""
         p = (np.eye(4 * self.n) + 1j * self.J) / 2.0
-        return _column_space(p, 2 * self.n)
+        return np.linalg.svd(p)[0][:, : 2 * self.n]
 
     def __repr__(self):
         return f"GCStructure(n={self.n})"
@@ -275,10 +270,6 @@ class UDecomposition:
         return GradedForm(self.structure.n, self.projector(k) @ form.coeffs)
 
 
-def u_project(j: GCStructure, k: int, form: GradedForm) -> GradedForm:
-    return UDecomposition(j).project(k, form)
-
-
 class GKPair:
     """Commuting pair of structures with positive definite mixed metric."""
 
@@ -301,28 +292,6 @@ class GKPair:
     def metric_matrix(self) -> np.ndarray:
         """Gram matrix of <G e, e'>; symmetric positive definite."""
         return self.g_hat().T @ neutral_pairing_matrix(self.n)
-
-    def c_plus(self) -> np.ndarray:
-        g = self.g_hat()
-        return _column_space((np.eye(4 * self.n) + g) / 2.0, 2 * self.n)
-
-    def c_minus(self) -> np.ndarray:
-        g = self.g_hat()
-        return _column_space((np.eye(4 * self.n) - g) / 2.0, 2 * self.n)
-
-    def _ell(self, sign: float) -> np.ndarray:
-        p1 = (np.eye(4 * self.n) + 1j * self.J1.J) / 2.0
-        pc = (np.eye(4 * self.n) + sign * self.g_hat()) / 2.0
-        prod = pc @ p1
-        u, s, _ = np.linalg.svd(prod)
-        rank = int(np.sum(s > 0.5))
-        return u[:, :rank]
-
-    def ell_plus(self) -> np.ndarray:
-        return self._ell(1.0)
-
-    def ell_minus(self) -> np.ndarray:
-        return self._ell(-1.0)
 
     def __repr__(self):
         return f"GKPair(n={self.n})"

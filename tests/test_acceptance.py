@@ -31,7 +31,6 @@ from genkf.structures import (
     gcs_symplectic,
     gk_validate,
     spinor_line,
-    u_project,
 )
 from genkf.fields import (
     ConnVariation,
@@ -229,7 +228,7 @@ def test_criterion_2_structure_suite():
             a = rand_form(rng, n)
             total = GradedForm.zero(n)
             for k in range(-n, n + 1):
-                total = total + u_project(js, k, a)
+                total = total + UDecomposition(js).project(k, a)
             worst = max(worst, (total - a).norm() / max(1.0, a.norm()))
 
         rep = gk_validate(jc, js)

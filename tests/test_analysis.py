@@ -3,8 +3,8 @@ and the abelian Einstein-Hermitian solver.
 
 Oracles here are independent of the implementation: dimension and rank
 tables counted by hand from the letter bookkeeping, hand-evaluated
-commutators for the Higgs bracket, cohomological floors for the soliton
-distance, and a Fourier-diagonal least-squares solution assembled from
+commutators for the Higgs bracket, the exact cancellation of a soliton
+profile, and a Fourier-diagonal least-squares solution assembled from
 impulse responses of the curvature map.
 """
 
@@ -30,12 +30,10 @@ from genkf.analysis import (
     _diagonal_blocks,
     _random_covectors,
     _symbol_maps,
-    _symbol_matrices,
     _symbol_setup,
     _skew_basis,
     _trial_ranks,
     cohiggs_residual,
-    kr_soliton_check,
     solve_eh_line,
     symbol_exactness,
 )
@@ -173,7 +171,7 @@ def test_symbol_maps_compose_to_zero():
     for n, r in ((1, 2), (2, 1), (2, 2)):
         j1, j2 = std_pair(n)
         th = np.concatenate([np.zeros(2 * n), RNG.normal(size=2 * n)])
-        dims, mats = _symbol_matrices(n, r, j1, j2, th)
+        dims, mats = _symbol_maps(_symbol_setup(n, j1, j2), r, th)
         assert [m.shape[1] for m in mats] == dims[:-1]
         assert [m.shape[0] for m in mats] == dims[1:]
         for m_in, m_out in zip(mats, mats[1:]):
@@ -187,7 +185,7 @@ def test_symbol_kernel_reconstructs_endomorphism_times_theta():
         j1, j2 = std_pair(n)
         comps = RNG.normal(size=2 * n)
         th = np.concatenate([np.zeros(2 * n), comps])
-        _, mats = _symbol_matrices(n, r, j1, j2, th)
+        _, mats = _symbol_maps(_symbol_setup(n, j1, j2), r, th)
         basis = _skew_basis(r)
         s1 = mats[1]
         _, sv, vh = np.linalg.svd(s1)
@@ -274,7 +272,7 @@ def basis_stacks(n, r):
     if (n, r) not in _BASIS_STACKS:
         j1, j2 = std_pair(n)
         _BASIS_STACKS[n, r] = [
-            _symbol_matrices(n, r, j1, j2, np.eye(4 * n)[2 * n + a])[1]
+            _symbol_maps(_symbol_setup(n, j1, j2), r, np.eye(4 * n)[2 * n + a])[1]
             for a in range(2 * n)
         ]
     return _BASIS_STACKS[n, r]
@@ -293,7 +291,7 @@ def test_symbol_matrices_linear_in_theta(n, r, comps):
     comps = np.array(comps[: 2 * n])
     assume(np.abs(comps).max() > 1e-100)
     j1, j2 = std_pair(n)
-    _, direct = _symbol_matrices(n, r, j1, j2, np.concatenate([np.zeros(2 * n), comps]))
+    _, direct = _symbol_maps(_symbol_setup(n, j1, j2), r, np.concatenate([np.zeros(2 * n), comps]))
     stacks = basis_stacks(n, r)
     for k, m in enumerate(direct):
         combo = sum(c * mats[k] for c, mats in zip(comps, stacks))
@@ -327,7 +325,7 @@ def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
 
     for _ in range(3):
         th = np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])
-        _, mats = _symbol_matrices(n, r, j1, j2, th)
+        _, mats = _symbol_maps(_symbol_setup(n, j1, j2), r, th)
         thf = one_form(coords @ th)
         for k in range(4 * n):
             w = wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
@@ -696,19 +694,13 @@ def test_cohiggs_rejects_bad_omega():
 
 
 # ---------------------------------------------------------------------------
-# soliton distance
-
-
-def test_kr_flat_connection_floor():
-    # nothing exact can reach i*omega: the flat distance is |i omega| = 1
-    grid = make_grid()
-    val = kr_soliton_check(GenConnection.zero(grid, 1), std_omega(1), 0.3)
-    assert abs(val - 1.0) < 1e-14
+# Kahler-Ricci soliton profiles on line bundles
 
 
 def test_kr_profile_connection_is_eh():
     # v = f(x0) d_0 with A tuned to g' = -c f' cancels F + c i L_v omega
-    # exactly; the result sits at the floor but solves the line equation
+    # exactly: a soliton profile, which solves the line equation for the
+    # spinor e^{(c + i) omega} with lambda = 0
     grid = make_grid()
     x = grid.meshes()
     c = 0.25
@@ -718,28 +710,17 @@ def test_kr_profile_connection_is_eh():
     a = np.zeros_like(v)
     a[1, 0, 0] = -1j * c * f
     conn = GenConnection(grid, 1, a, v)
-    val, diag = kr_soliton_check(conn, std_omega(1), c, diagnostics=True)
-    assert abs(val - 1.0) < 1e-12
-    assert diag["eh_residual"] < 1e-8
-    assert abs(diag["lambda"]) < 1e-10
-    # the profile is not holomorphic; the defect is reported, not gated
-    assert diag["dbar_residual"] > 1e-3
-
-
-def test_kr_c_zero_reduces_to_curvature_distance():
-    grid = make_grid()
-    rng = np.random.default_rng(5212)
-    conn = line_conn(grid, rng, with_v=True)
-    val = kr_soliton_check(conn, std_omega(1), 0.0)
-    f01 = conn.field_strength()[0, 1, 0, 0]
-    want = float(np.sqrt(grid.integrate(np.abs(f01 - 1j) ** 2)))
-    assert abs(val - want) < 1e-12
-
-
-def test_kr_rejects_higher_rank():
-    grid = make_grid()
-    with pytest.raises(ValueError, match="rank"):
-        kr_soliton_check(GenConnection.zero(grid, 2), std_omega(1), 0.1)
+    om = std_omega(1)
+    om_field = FormField.constant(grid, GradedForm.from_two_form_matrix(om))
+    lv = lie_derivative(grid, conn.V[:, 0, 0].imag, om_field).data
+    soliton = conn.field_strength()[0, 1, 0, 0] + c * 1j * lv[0b11]
+    assert np.max(np.abs(soliton)) < 1e-12
+    psi = psi_const(grid, c)
+    fcurv = curvature(conn, psi)
+    lam = lambda_from(chern_from(fcurv, psi), psi, 1)
+    _, eh_norm = eh_residual_from(mean_curvature_from(fcurv, psi), psi, lam)
+    assert eh_norm < 1e-8
+    assert abs(lam) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -540,7 +540,7 @@ def record_validations(monkeypatch, events):
         events.append(("validate", psi.data.tobytes()))
         return real(grid, psi)
 
-    for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
+    for mod in ("genkf.fields", "genkf.cli", "genkf.verify"):
         monkeypatch.setattr(f"{mod}.validate_spinor_field", validate)
 
 
@@ -754,25 +754,69 @@ def test_grid_key_exits_2_naming_its_key(tmp_path, capsys, grid, argv, message):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("command", ["curvature", "solve"])
+_NOT_A_PAIR = "psi.omega does not form a generalized Kahler pair with the standard complex"
+_COMMANDS = ["verify", "curvature", "solve", "symbols", "report"]
+
+# id: (document, message, commands); an omega that does not pair with the
+# standard complex structure is refused by every command, psi.b only by
+# those that take the spinor
+_KEY_DOCS = {
+    "terms-int": (
+        {"connection": {"A": {"terms": 5}}},
+        "connection A terms must be a list of terms, got 5",
+        ["curvature", "solve"],
+    ),
+    "psi-b-entries-huge": (
+        {"psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": 1e300}]}}},
+        "psi.b or psi.omega gives an invalid spinor: spinor at (0, 0) is not pure",
+        ["curvature", "solve"],
+    ),
+    "psi-b-matrix-huge": (
+        {"psi": {"b": [[0, 1e308], [-1e308, 0]]}},
+        "psi.b or psi.omega gives an invalid spinor: spinor at (0, 0) is not pure",
+        ["curvature", "solve"],
+    ),
+    "omega-zero": (
+        {"psi": {"omega": [[0, 0], [0, 0]]}},
+        "psi.omega is singular: Singular matrix",
+        _COMMANDS,
+    ),
+    "omega-negative": ({"psi": {"omega": [[0, -1], [1, 0]]}}, _NOT_A_PAIR, _COMMANDS),
+    "omega-tiny": ({"psi": {"omega": [[0, 1e-9], [-1e-9, 0]]}}, _NOT_A_PAIR, _COMMANDS),
+    "omega-inverse-overflows": (
+        {"psi": {"omega": [[0, 1e-310], [-1e-310, 0]]}},
+        "psi.omega is singular",
+        _COMMANDS,
+    ),
+    "omega-n2-not-commuting": (
+        {"n": 2, "psi": {"omega": [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]}},
+        _NOT_A_PAIR,
+        _COMMANDS,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "doc, message",
+    "command, doc, message",
     [
-        ({"connection": {"A": {"terms": 5}}}, "connection A terms must be a list of terms, got 5"),
-        (
-            {"psi": {"b": {"entries": [{"i": 0, "j": 1, "coeff": 1e300}]}}},
-            "psi.b or psi.omega gives an invalid spinor: spinor at (0, 0) is not pure",
-        ),
-        (
-            {"psi": {"b": [[0, 1e308], [-1e308, 0]]}},
-            "psi.b or psi.omega gives an invalid spinor: spinor at (0, 0) is not pure",
-        ),
+        pytest.param(command, doc, message, id=f"{key}-{command}")
+        for key, (doc, message, commands) in _KEY_DOCS.items()
+        for command in commands
     ],
-    ids=["terms-int", "psi-b-entries-huge", "psi-b-matrix-huge"],
 )
-def test_document_key_exits_2_naming_its_key(tmp_path, capsys, command, doc, message):
-    # the spinor is validated in one place for every command that takes it
-    rc = main([command, "--grid", "8", "--input", write_doc(tmp_path, doc)])
+def test_document_key_exits_2_naming_its_key(
+    tmp_path, capsys, monkeypatch, command, doc, message
+):
+    # the spinor is validated in one place for every command that takes it,
+    # omega in build_config: both ahead of any curvature
+    def no_curvature(*args, **kwargs):
+        raise AssertionError("curvature reached with an invalid document")
+
+    for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
+        monkeypatch.setattr(f"{mod}.curvature", no_curvature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
+        rc = main([command, "--grid", "8", "--input", write_doc(tmp_path, doc)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 

@@ -48,7 +48,6 @@ from genkf.fields import (
     canonical_line_connection,
     chern_from,
     connection_derivative,
-    covariant_d,
     curvature,
     d_field,
     dbar_residual,
@@ -60,7 +59,6 @@ from genkf.fields import (
     mean_curvature_from,
     moment_value,
     mukai_field,
-    mukai_integral,
     shift_connection,
     trace_field,
     validate_spinor_field,
@@ -279,13 +277,27 @@ def test_lie_commutes_with_d():
 # covariant derivative
 
 
+def d_live(grid, data, a=None):
+    """fields._d_live over every blade into a fresh zero array: d^A data."""
+    every = np.ones(data.shape[0], dtype=bool)
+    return fields._d_live(grid, data, every, np.zeros_like(data), a)
+
+
+def covariant_d(conn, a):
+    """d^A of an end-form field as curvature takes it of V . psi: its
+    [A_mu, .] left out at rank 1."""
+    data = d_live(conn.grid, a.data, conn.A if a.rank > 1 else None)
+    return EndFormField(conn.grid, a.rank, data)
+
+
 def test_covariant_d_abelian_reduces():
+    # at rank 1 the commutators [A_mu, a], taken, change d a by at most roundoff
     g = make_grid()
     conn = random_conn(g, 1, RNG)
     a = EndFormField(g, 1, random_form_field(g, RNG).data[:, None, None])
-    got = covariant_d(conn, a)
+    got = d_live(g, a.data, conn.A)
     want = d_field(a)
-    assert max_abs(got.data - want.data) < 1e-13
+    assert max_abs(got - want.data) < 1e-13
 
 
 def test_covariant_d_zero_connection():
@@ -406,7 +418,8 @@ def test_operators_match_per_point_matmul_in_the_old_order(n, size, r):
 @pytest.mark.parametrize("n", [1, 2])
 def test_rank_one_commutators_are_exact_zeros(n):
     # the length-1 matrix axes give scalar products, which commute exactly:
-    # every [A_mu, a] is +-0 and covariant_d at rank 1 is d, bit for bit
+    # every [A_mu, a] is +-0 and d^A at rank 1 is d, bit for bit, so
+    # curvature may leave the commutators out
     rng = np.random.default_rng([n, 18])
     g = make_grid(n, 8)
     conn = random_conn(g, 1, rng, amp=0.3)
@@ -417,7 +430,7 @@ def test_rank_one_commutators_are_exact_zeros(n):
         sub = a.data[t.axis_lo[mu]]
         comm = _small_matmul(conn.A[mu], sub, 2 * n) - _small_matmul(sub, conn.A[mu], 2 * n)
         assert comm.shape == sub.shape and not np.any(comm)
-    got = covariant_d(conn, a).data
+    got = d_live(g, a.data, conn.A)
     assert got.tobytes() == d_field(a).data.tobytes()
 
 
@@ -753,8 +766,8 @@ def test_mukai_integral_stokes_identity():
     g = make_grid()
     f1 = random_form_field(g, RNG)
     f2 = random_form_field(g, RNG)
-    lhs = mukai_integral(d_field(f1), f2)
-    rhs = mukai_integral(f1, d_field(f2))
+    lhs = g.integrate(mukai_field(d_field(f1), f2))
+    rhs = g.integrate(mukai_field(f1, d_field(f2)))
     assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
@@ -964,7 +977,7 @@ def test_validate_rejects_degenerate_point():
     data = np.einsum("c,...->c...", base, scale.astype(np.complex128))
     with pytest.raises(ValueError, match="degenerate"):
         validate_spinor_field(g, FormField(g, data))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degenerate spinor at grid point \(8, 8\)"):
         vol_density(g, FormField(g, data))
 
 
@@ -1016,6 +1029,15 @@ def test_vol_density_positive():
     vol = vol_density(g, psi_const(g, c=0.3))
     assert np.all(vol > 0)
     assert max_abs(vol - 2.0) < 1e-12  # i^{-1}<psi, psibar>_s = 2 at n=1
+
+
+def test_vol_density_names_a_negative_point_in_plain_integers():
+    # e^{-i omega} pairs to -2 with its conjugate at n = 1: the point is
+    # printed as Python integers, not as numpy scalars
+    g = make_grid()
+    psi = FormField.constant(g, exp_two_form(GradedForm.from_two_form_matrix(-1j * std_omega(1))))
+    with pytest.raises(ValueError, match=r"not positive at \(0, 0\)$"):
+        vol_density(g, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 import genkf
 from genkf import _backend, _kernels_py
 from genkf._tables import blade_tables
-from genkf.analysis import kr_soliton_check
+from genkf.analysis import cohiggs_residual
 from genkf.fields import FormField, GenConnection, TorusGrid, bfield_act, moment_value
 from genkf.multivector import (
     GenVector,
@@ -30,7 +30,6 @@ from genkf.multivector import (
     mukai_pair,
     neutral_pairing,
     neutral_pairing_matrix,
-    two_form_matrix,
     wedge,
 )
 from genkf.specio import build_config
@@ -156,6 +155,48 @@ def test_only_the_algebra_layers_import_the_kernels():
             importers.get(name, set()).add(path.stem)
     assert importers["_backend"] <= {"__init__", "multivector", "structures", "fields", "analysis"}
     assert importers["_kernels_py"] == {"_backend"}
+
+
+# names no command reaches yet, kept on purpose: one reason each
+_UNLOADED_ON_PURPOSE = {
+    "canonical_line_connection": "ROADMAP item 10 gives it a caller and settles its J",
+    "kernel_backend": "the package's backend name, read by perfbench/child.py",
+}
+
+
+def test_every_library_name_is_loaded_outside_its_definition():
+    # a module-level function or class, or an __all__ name, that no code in
+    # src/genkf loads (as a name, an attribute, or the source of an `import
+    # ... as`) outside its own definition is dead: it gets a caller or goes
+    defined, loaded = set(), set()
+    for path in pathlib.Path(genkf.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                defined.add(own)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                defined.update(ast.literal_eval(node.value))
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                elif isinstance(sub, ast.alias) and sub.asname:
+                    name = sub.name
+                else:
+                    continue
+                if name != own:
+                    loaded.add(name)
+    dead = {
+        name for name in defined - loaded
+        if not (name.startswith("__") and name.endswith("__"))
+    }
+    unexplained = sorted(dead - set(_UNLOADED_ON_PURPOSE))
+    assert not unexplained, f"no code loads {unexplained}"
+    assert set(_UNLOADED_ON_PURPOSE) <= dead  # an entry that gains a caller leaves the list
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -477,15 +518,6 @@ def test_b_transform_composes():
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) < 1e-12
 
 
-def test_two_form_matrix_roundtrip():
-    n = 2
-    b = random_two_form(n)
-    m = two_form_matrix(b)
-    assert np.allclose(m, -m.T)
-    back = GradedForm.from_two_form_matrix(m)
-    assert np.max(np.abs(back.coeffs - b.coeffs)) < 1e-14
-
-
 # ---------------------------------------------------------------------------
 # algebra properties on drawn values, n = 1..3 (no grid fields)
 
@@ -629,7 +661,7 @@ _SKEW_SITES = {
     ),
     "omega-blocks": (
         3 * OMEGA_BLOCK,
-        lambda om: kr_soliton_check(GenConnection.zero(_GRID, 1), om, 0.0),
+        lambda om: cohiggs_residual(GenConnection.zero(_GRID, 1), om, 0.0),
         "omega must be antisymmetric",
     ),
     "psi-omega": (

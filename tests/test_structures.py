@@ -363,20 +363,6 @@ def test_kaehler_pair_valid(n):
     assert rep["valid"]
 
 
-def test_gk_pair_eigenspace_dims():
-    pair = kaehler_pair(1)
-    assert pair.c_plus().shape[1] == 2
-    assert pair.c_minus().shape[1] == 2
-    lp, lm = pair.ell_plus(), pair.ell_minus()
-    assert lp.shape[1] == 1 and lm.shape[1] == 1
-    # ell_pm sit inside the -i eigenspaces of both structures
-    for basis, sign in ((lp, 1.0), (lm, -1.0)):
-        vec = basis[:, 0]
-        assert np.linalg.norm(pair.J1.J @ vec + 1j * vec) < 1e-10
-        ghat = pair.g_hat()
-        assert np.linalg.norm(ghat @ vec - sign * vec) < 1e-10
-
-
 def test_gk_pair_b_transform_stays_valid():
     pair = kaehler_pair(1)
     bmat = random_omega(1)
