@@ -4,7 +4,7 @@ Basis blades of the full exterior algebra are indexed by bitmasks
 S in [0, 4^n): bit mu set means dx^{mu+1} is a factor, and the blade is
 the ascending product dx^{s1} ^ ... ^ dx^{sk}, s1 < ... < sk.
 
-The kernels in _kernels_py and the coordinate wedge/interior in fields
+The kernels in _backend and the coordinate wedge/interior in fields
 index coefficient arrays through the frozen integer tables built here.
 Every such array has the blade axis first, (size, *batch), so a table
 selects along axis 0.
@@ -58,6 +58,9 @@ class BladeTables:
     axis_lo: np.ndarray   # (dim, size//2) blades without bit mu
     axis_hi: np.ndarray   # (dim, size//2) same blades with bit mu set
     axis_s: np.ndarray    # (dim, size//2) sign (-1)^{# factors below mu}
+    # the same dx^mu ^ rows grouped by target blade: d_rows[h] holds
+    # (mu, source, sign) for each bit mu of h, mu ascending, as Python numbers
+    d_rows: tuple
     # per-pair tables, (dim, dim, size//4): blades without bits mu and nu <->
     # the same blades with both set; the diagonal is the zero map (sign 0)
     pair_lo: np.ndarray
@@ -104,6 +107,8 @@ def blade_tables(n: int) -> BladeTables:
     axis_lo = np.array([blades[(blades >> mu) & 1 == 0] for mu in range(dim)])
     axis_hi = axis_lo | (1 << np.arange(dim))[:, None]
     axis_s = np.take_along_axis(step, axis_lo, axis=1)
+    d_rows = tuple(tuple((mu, h ^ 1 << mu, float(step[mu, h ^ 1 << mu]))
+                         for mu in range(dim) if h >> mu & 1) for h in range(size))
 
     shape = (dim, dim, size // 4)
     pair_lo, pair_hi = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
@@ -134,6 +139,7 @@ def blade_tables(n: int) -> BladeTables:
         axis_lo=axis_lo,
         axis_hi=axis_hi,
         axis_s=axis_s,
+        d_rows=d_rows,
         pair_lo=pair_lo,
         pair_hi=pair_hi,
         wedge2_s=wedge2_s,

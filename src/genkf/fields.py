@@ -318,41 +318,6 @@ def _live_rows(live, src, dst, sign):
     return list(zip(src[keep].tolist(), dst[keep].tolist(), sign[keep].tolist()))
 
 
-def _blades_live(data):
-    """(4^n,) mask of the blades of a field that hold any nonzero entry."""
-    return np.any(data.reshape(data.shape[0], -1), axis=1)
-
-
-def _wedge_pair(t, mu, nu, coeff, data, out, live):
-    """out += coeff dx^mu ^ dx^nu ^ data over data's live blades, row by row."""
-    for l, h, s in _live_rows(live, t.pair_lo[mu, nu], t.pair_hi[mu, nu], t.wedge2_s[mu, nu]):
-        out[h] += (s * data[l]) * coeff
-
-
-def _wedge_two_form(t, two, data, out, live):
-    """out += (sum_{mu < nu} two[mu, nu] dx^mu ^ dx^nu) ^ data, returned, over
-    data's live blades; a constant (2n, 2n) two-form skips its zero entries,
-    +-0 terms on finite data (see _live_rows)."""
-    for mu in range(t.dim):
-        for nu in range(mu + 1, t.dim):
-            if two.ndim == 2 and two[mu, nu] == 0:
-                continue
-            _wedge_pair(t, mu, nu, two[mu, nu], data, out, live)
-    return out
-
-
-def _exp_wedge(t, b, data):
-    """e^b ^ data = sum_j b^j / j! ^ data, each term (b / j) ^ the last,
-    added in order into one copy of data."""
-    out = data.copy()
-    term = data
-    every = np.ones(t.size, dtype=bool)
-    for j in range(1, t.n + 1):
-        term = _wedge_two_form(t, b / j, term, np.zeros_like(term), every)
-        out += term
-    return out
-
-
 def _like(f, data):
     if isinstance(f, EndFormField):
         return EndFormField(f.grid, f.rank, data)
@@ -374,20 +339,19 @@ def _d_live(grid, data, live, out, a=None):
     """out += sum_mu dx^mu ^ (D_mu data + [a_mu, data]) over data's live
     blades, returned; a = None is d alone.
 
-    One target blade h at a time: its D_mu terms for mu = 0..2n-1, then its
-    commutators for mu = 0..2n-1, are summed into one buffer started at +0,
-    and out[h] += buffer.  Each blade gets the bits it would get if d^A
-    data were summed as a field of its own and then added to out, yet no
-    temporary is larger than one blade.
+    One target blade h at a time (its rows in t.d_rows): its D_mu terms for
+    mu = 0..2n-1, then its commutators for mu = 0..2n-1, are summed into one
+    buffer started at +0, and out[h] += buffer.  Each blade gets the bits it
+    would get if d^A data were summed as a field of its own and then added
+    to out, yet no temporary is larger than one blade.
     """
-    t = blade_tables(grid.n)
     n2 = 2 * grid.n
-    steps = {}  # target blade -> its (mu, source, sign) rows, mu ascending
-    for mu in range(n2):
-        for l, h, s in _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]):
-            steps.setdefault(h, []).append((mu, l, s))
+    live = live.tolist()
     buf = np.empty_like(data[0])
-    for h, rows in steps.items():
+    for h, rows in enumerate(blade_tables(grid.n).d_rows):
+        rows = [row for row in rows if live[row[1]]]
+        if not rows:
+            continue
         buf.fill(0.0)
         for mu, l, s in rows:
             buf += s * _diff(grid, data[l], mu)
@@ -513,12 +477,14 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
     # psi's blades against (r, r, *sizes) matrices: (1, 1, *sizes) broadcasts
     blades = psi.data[:, None, None]
-    live = _blades_live(psi.data)
+    live = _k._blades_live(psi.data)
 
     # two-form part of the curvature, wedged in one F_{mu nu} at a time
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            _wedge_pair(t, mu, nu, _strength_pair(conn, mu, nu), blades, out, live)
+            f = _strength_pair(conn, mu, nu)
+            for l, h, s in _live_rows(live, t.pair_lo[mu, nu], t.pair_hi[mu, nu], t.wedge2_s[mu, nu]):
+                out[h] += (s * blades[l]) * f
 
     # vector part acting by contraction, then the covariant derivative
     vpsi = np.zeros_like(out)
@@ -570,8 +536,7 @@ def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
     time: no BLAS on full-grid arrays.
     """
     n = f.grid.n
-    t = blade_tables(n)
-    g = _exp_wedge(t, -b, f.data) if np.any(b) else f.data  # at b = 0, f's own array
+    g = b_transform_field(-b, f).data if np.any(b) else f.data  # at b = 0, f's own array
     cols = g.reshape(4**n, -1)  # (blades, r^2 * points)
     dec = UDecomposition(gcs_symplectic(omega))
     proj = np.concatenate([dec.projector(k) for k in range(-n, n + 1) if k not in (-n, -n + 2)])
@@ -623,18 +588,14 @@ def exp_two_form_field(grid: TorusGrid, b) -> FormField:
 
 
 def b_transform_field(b, f):
-    """Pointwise e^b wedge on a (form or endomorphism-form) field."""
-    grid = f.grid
-    t = blade_tables(grid.n)
-    eb = exp_blades(t, two_form_blades(real_two_form_matrix(b, grid.n, "b matrix")))
-    # one multiply-add per wedge-table pair, in table order, over e^b's
-    # nonzero blades (e^b is even): no (pairs, *batch) product is built.
-    # A skipped pair adds only +-0 to a finite accumulator (see _live_rows).
-    coef = eb[t.wedge_i] * t.wedge_s
-    out = np.zeros(f.data.shape, dtype=np.result_type(eb, f.data))
-    for p in np.flatnonzero(coef):
-        out[t.wedge_i[p] | t.wedge_j[p]] += coef[p] * f.data[t.wedge_j[p]]
-    return _like(f, out)
+    """Pointwise e^b ^ on a (form or endomorphism-form) field for a real
+    two-form b, constant (2n, 2n), checked here, or varying (2n, 2n, *sizes),
+    as specio checked it; e^b is applied by the table walk that builds it."""
+    t = blade_tables(f.grid.n)
+    b = np.asarray(b)
+    if b.ndim == 2:
+        b = real_two_form_matrix(b, f.grid.n, "b matrix")
+    return _like(f, _k._wedge_rows(t, exp_blades(t, two_form_blades(b)), f.data))
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +661,7 @@ def _variation_act(grid, var, psi_data, rank):
     t = blade_tables(grid.n)
     out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
     blades = psi_data[:, None, None]
-    live = _blades_live(psi_data)
+    live = _k._blades_live(psi_data)
     for mu in range(2 * grid.n):
         for l, h, s in _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]):
             out[h] += (s * blades[l]) * var.A[mu]

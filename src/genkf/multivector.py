@@ -209,13 +209,15 @@ def exp_two_form(b) -> GradedForm:
 
 
 def exp_blades(t, b: np.ndarray) -> np.ndarray:
-    """e^b = sum b^k / k!, k <= n, for two-form coefficients b (size, *batch)."""
+    """e^b = sum b^k / k!, k <= n, for two-form coefficients b (size, *batch);
+    each term is (the last term ^ b) / k, added in order."""
     acc = np.zeros_like(b)
     acc[0] = 1.0
-    term = acc.copy()
+    term = acc
     for k in range(1, t.n + 1):
-        term = _k.wedge_batch(t, term, b) * (1.0 / k)
-        acc = acc + term
+        term = _k._wedge_rows(t, term, b)
+        term *= 1.0 / k
+        acc += term
     return acc
 
 

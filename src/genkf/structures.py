@@ -77,11 +77,13 @@ class GCStructure:
         J = np.asarray(J, dtype=float)
         if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 4:
             raise ValueError(f"J must be a (4n, 4n) matrix, got {J.shape}")
+        if not np.all(np.isfinite(J)):
+            raise ValueError("J has entries that are not finite")
         self.n = J.shape[0] // 4
         self.J = J
-        if self.square_defect() > _STRUCTURE_TOL:
+        if not self.square_defect() <= _STRUCTURE_TOL:
             raise ValueError(f"J^2 != -1 (defect {self.square_defect():.3e})")
-        if self.orthogonality_defect() > _STRUCTURE_TOL:
+        if not self.orthogonality_defect() <= _STRUCTURE_TOL:
             raise ValueError(
                 f"J does not preserve the pairing (defect {self.orthogonality_defect():.3e})"
             )

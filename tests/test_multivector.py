@@ -6,6 +6,8 @@ bubble-sort parity, and the small Mukai values are frozen by hand.
 """
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import genkf
-from genkf import _backend, _kernels_py
+from genkf import _backend, multivector
 from genkf._tables import blade_tables
 from genkf.analysis import cohiggs_residual
 from genkf.fields import FormField, GenConnection, TorusGrid, bfield_act, moment_value
@@ -127,10 +129,13 @@ def random_two_form(n, rng=RNG, real=True):
 # wedge / interior
 
 
-def test_backend_seam_reexports_numpy_kernels():
+KERNEL_NAMES = ("wedge_batch", "interior_batch", "wedge1_batch", "clifford_batch", "mukai_batch")
+
+
+def test_backend_defines_the_numpy_kernels():
     assert genkf.kernel_backend == _backend.BACKEND_NAME == "python"
-    for name in ("wedge_batch", "interior_batch", "wedge1_batch", "clifford_batch", "mukai_batch"):
-        assert getattr(_backend, name) is getattr(_kernels_py, name)
+    for name in KERNEL_NAMES:
+        assert getattr(_backend, name).__module__ == "genkf._backend"
 
 
 def imported_modules(tree):
@@ -146,15 +151,53 @@ def imported_modules(tree):
 
 
 def test_only_the_algebra_layers_import_the_kernels():
-    # the blade kernels are reached through _backend by multivector,
-    # structures, fields and analysis alone (and the package re-exports the
-    # backend's name); specio, verify, cli and report build on those layers
-    importers = {"_backend": set(), "_kernels_py": set()}
-    for path in pathlib.Path(genkf.__file__).parent.glob("*.py"):
+    # the blade kernels live in _backend, which builds on the blade tables
+    # alone, and are reached by multivector, structures, fields and analysis
+    # (and the package re-exports the backend's name); specio, verify, cli
+    # and report build on those layers
+    package = pathlib.Path(genkf.__file__).parent
+    importers = {}
+    for path in package.glob("*.py"):
         for name in imported_modules(ast.parse(path.read_text())):
-            importers.get(name, set()).add(path.stem)
+            importers.setdefault(name, set()).add(path.stem)
     assert importers["_backend"] <= {"__init__", "multivector", "structures", "fields", "analysis"}
-    assert importers["_kernels_py"] == {"_backend"}
+    backend = ast.parse((package / "_backend.py").read_text())
+    assert set(imported_modules(backend)) == {"__future__", "numpy", "_tables"}
+
+
+def load_tracer():
+    """perfbench/tracer.py, the profiler that wraps the kernels by module name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_the_kernels_of_backend_and_nests_none():
+    # the tracer wraps the five kernels by their names in genkf._backend and
+    # rebinds every genkf name that holds one, _backend's own included; a
+    # kernel that called another public kernel would then show a kernel
+    # span inside its own
+    tracer_module = load_tracer()
+    assert tracer_module.KERNEL_MODULE == "genkf._backend"
+    assert set(tracer_module.KERNEL_NAMES) == set(KERNEL_NAMES)
+    for modname in tracer_module.LAYER_MODULES.values():
+        importlib.import_module(modname)
+    kernels = {name: getattr(_backend, name) for name in KERNEL_NAMES}
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        for name, fn in kernels.items():
+            assert getattr(_backend, name).__wrapped__ is fn
+        e = GenVector(RNG.standard_normal(4), RNG.standard_normal(4))
+        multivector.clifford_act(e, random_form(2))
+    finally:
+        tracer.uninstall()
+    assert all(getattr(_backend, name) is fn for name, fn in kernels.items())
+    names = [tracer.names[i] for i in tracer.span_name]
+    assert names == ["multivector.clifford_act", "kernels.clifford_batch"]
+    assert tracer.span_parent == [-1, 0]
 
 
 # names no command reaches yet, kept on purpose: one reason each

@@ -103,6 +103,15 @@ def test_gcs_rejects_non_square_root():
         GCStructure(np.eye(4))
 
 
+def test_gcs_rejects_a_j_that_is_not_finite():
+    # a NaN defect compares False with any bound, so finiteness is checked
+    # first: inverting a subnormal omega overflows to inf entries
+    with pytest.raises(ValueError, match="not finite"):
+        GCStructure(np.full((4, 4), np.nan))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        gcs_symplectic([[0.0, 1e-310], [-1e-310, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # spinor kernels and classification
 
