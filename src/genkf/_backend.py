@@ -56,13 +56,15 @@ def _wedge_rows(t: BladeTables, a: np.ndarray, f: np.ndarray) -> np.ndarray:
     on finite input the bits of the sequential sum over every row (a skipped
     row adds +-0, see _axis_steps), with no (rows, *batch) product built.
     For sparse operands such as e^b and b; dense small forms take wedge_batch.
+    Rows take one-blade slices, not numpy scalars, whose products may round
+    apart from the (fused) array loop's: a form alone keeps its batch bits.
     """
     keep = _blades_live(a)[t.wedge_i] & _blades_live(f)[t.wedge_j]
     rows = zip(t.wedge_i[keep].tolist(), t.wedge_j[keep].tolist(), t.wedge_s[keep].tolist())
     out = np.zeros((t.size,) + np.broadcast_shapes(a.shape[1:], f.shape[1:]),
                    dtype=np.result_type(a, f))
     for i, j, s in rows:
-        out[i | j] += (a[i] * s) * f[j]
+        out[i | j:(i | j) + 1] += (a[i:i + 1] * s) * f[j:j + 1]
     return out
 
 

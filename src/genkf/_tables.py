@@ -8,13 +8,15 @@ The kernels in _backend and the coordinate wedge/interior in fields
 index coefficient arrays through the frozen integer tables built here.
 Every such array has the blade axis first, (size, *batch), so a table
 selects along axis 0.
+
+Only the wedge table computes a sign (_wedge_sign): the axis, d and Mukai
+tables, and the pair rows of fields._pair_rows, are rows of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -61,12 +63,6 @@ class BladeTables:
     # the same dx^mu ^ rows grouped by target blade: d_rows[h] holds
     # (mu, source, sign) for each bit mu of h, mu ascending, as Python numbers
     d_rows: tuple
-    # per-pair tables, (dim, dim, size//4): blades without bits mu and nu <->
-    # the same blades with both set; the diagonal is the zero map (sign 0)
-    pair_lo: np.ndarray
-    pair_hi: np.ndarray
-    wedge2_s: np.ndarray     # sign of dx^mu ^ dx^nu ^, s_nu(m) s_mu(m|nu)
-    interior2_s: np.ndarray  # sign of i_mu i_nu, s_mu(m) s_nu(m|mu)
     # Mukai pair table: <a,b>_s = sum_i mukai_s[i] * a[i] * b[comp[i]]
     mukai_comp: np.ndarray
     mukai_s: np.ndarray
@@ -100,30 +96,17 @@ def blade_tables(n: int) -> BladeTables:
     wedge_s = np.asarray(ws, dtype=np.float64)[order]
     cols, starts = np.unique(wedge_k, return_index=True)
 
-    # step[mu, m]: sign of dx^mu ^ on blade m, (-1)^{# factors below mu}
-    blades = np.arange(size, dtype=np.int64)
-    step = np.array([[(-1.0) ** _popcount(m & ((1 << mu) - 1)) for m in range(size)]
-                     for mu in range(dim)])
-    axis_lo = np.array([blades[(blades >> mu) & 1 == 0] for mu in range(dim)])
-    axis_hi = axis_lo | (1 << np.arange(dim))[:, None]
-    axis_s = np.take_along_axis(step, axis_lo, axis=1)
-    d_rows = tuple(tuple((mu, h ^ 1 << mu, float(step[mu, h ^ 1 << mu]))
-                         for mu in range(dim) if h >> mu & 1) for h in range(size))
+    # dx^mu's rows: the blades without bit mu, ascending, and dx^mu ^'s sign
+    axis = np.array([np.flatnonzero(wedge_i == 1 << mu) for mu in range(dim)])
+    axis_lo, axis_hi, axis_s = wedge_j[axis], wedge_k[axis], wedge_s[axis]
+    d_rows = [[] for _ in range(size)]
+    for mu in range(dim):
+        for l, h, s in zip(axis_lo[mu].tolist(), axis_hi[mu].tolist(), axis_s[mu].tolist()):
+            d_rows[h].append((mu, l, s))
 
-    shape = (dim, dim, size // 4)
-    pair_lo, pair_hi = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
-    wedge2_s, interior2_s = np.zeros(shape), np.zeros(shape)
-    for mu, nu in permutations(range(dim), 2):
-        lo = blades[(blades >> mu | blades >> nu) & 1 == 0]
-        pair_lo[mu, nu], pair_hi[mu, nu] = lo, lo | 1 << mu | 1 << nu
-        wedge2_s[mu, nu] = step[nu, lo] * step[mu, lo | 1 << nu]
-        interior2_s[mu, nu] = step[mu, lo] * step[nu, lo | 1 << mu]
-
-    comp = np.array([top ^ i for i in range(size)], dtype=np.int64)
-    mukai_s = np.array(
-        [_wedge_sign(i, top ^ i) * invol[top ^ i] for i in range(size)],
-        dtype=np.float64,
-    )
+    # the top segment holds i ^ (top ^ i), i ascending; top ^ i = top - i
+    comp = top - np.arange(size, dtype=np.int64)
+    mukai_s = wedge_s[starts[-1]:] * invol[comp]
 
     return BladeTables(
         n=n,
@@ -139,11 +122,7 @@ def blade_tables(n: int) -> BladeTables:
         axis_lo=axis_lo,
         axis_hi=axis_hi,
         axis_s=axis_s,
-        d_rows=d_rows,
-        pair_lo=pair_lo,
-        pair_hi=pair_hi,
-        wedge2_s=wedge2_s,
-        interior2_s=interior2_s,
+        d_rows=tuple(map(tuple, d_rows)),
         mukai_comp=comp,
         mukai_s=mukai_s,
     )

@@ -303,19 +303,29 @@ def _strength_pair(conn, mu, nu):
     return f
 
 
-def _live_rows(live, src, dst, sign):
-    """The (source, target, sign) rows of a blade table whose source blade is
-    live, as Python numbers; each row is applied as out[target] += (sign *
-    data[source]) * coeff, one row at a time on basic-index views.
+def _add_rows(out, blades, live, src, dst, sign, coeff):
+    """out[target] += (sign * blades[source]) * coeff for each row (source,
+    target, sign) of a blade table whose source blade is live, one row at a
+    time on basic-index views.
 
-    Each table (dx^mu ^, i_mu or a pair) maps its rows one to one, so a
-    step's rows touch distinct targets and their order moves no bit.  A dead
-    source blade is all +0, so its row would only add +-0 terms to an
+    Each table (dx^mu ^, i_mu or a pair's rows) maps its rows one to one, so
+    a step's rows touch distinct targets and their order moves no bit.  A
+    dead source blade holds only +-0, so its row would add +-0 terms to an
     accumulator started at +0, which changes no bit of it (never -0 when
     rounding to nearest): no bit of a finite result moves when it is skipped.
     """
     keep = live[src]
-    return list(zip(src[keep].tolist(), dst[keep].tolist(), sign[keep].tolist()))
+    for l, h, s in zip(src[keep].tolist(), dst[keep].tolist(), sign[keep].tolist()):
+        out[h] += (s * blades[l]) * coeff
+
+
+def _pair_rows(t, mu, nu):
+    """The wedge-table rows (source, target, sign) of dx^mu ^ dx^nu ^, mu < nu;
+    read target to source with negated signs, they are i_mu i_nu."""
+    pair = 1 << mu | 1 << nu
+    rows = t.wedge_i == pair
+    lo = t.wedge_j[rows]
+    return lo, lo | pair, t.wedge_s[rows]
 
 
 def _like(f, data):
@@ -331,22 +341,22 @@ def _like(f, data):
 def d_field(f):
     """Discrete exterior derivative, sum_mu dx^mu ^ D_mu, summed per target
     blade straight into the result (see _d_live)."""
-    every = np.ones(4**f.grid.n, dtype=bool)
-    return _like(f, _d_live(f.grid, f.data, every, np.zeros_like(f.data)))
+    return _like(f, _d_live(f.grid, f.data, np.zeros_like(f.data)))
 
 
-def _d_live(grid, data, live, out, a=None):
+def _d_live(grid, data, out, a=None):
     """out += sum_mu dx^mu ^ (D_mu data + [a_mu, data]) over data's live
-    blades, returned; a = None is d alone.
+    blades, those that hold a nonzero entry, returned; a = None is d alone.
 
     One target blade h at a time (its rows in t.d_rows): its D_mu terms for
     mu = 0..2n-1, then its commutators for mu = 0..2n-1, are summed into one
     buffer started at +0, and out[h] += buffer.  Each blade gets the bits it
     would get if d^A data were summed as a field of its own and then added
-    to out, yet no temporary is larger than one blade.
+    to out, yet no temporary is larger than one blade.  A dead blade's rows
+    only add +-0 (see _add_rows) and are skipped, as is a target with no other.
     """
     n2 = 2 * grid.n
-    live = live.tolist()
+    live = _k._blades_live(data).tolist()
     buf = np.empty_like(data[0])
     for h, rows in enumerate(blade_tables(grid.n).d_rows):
         rows = [row for row in rows if live[row[1]]]
@@ -453,19 +463,19 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     [V^mu, V^nu] term is skipped: _small_matmul is np.matmul there, whose
     scalar products commute exactly, so each commutator is p - p = +0 for
     finite p, and adding +-0 changes no bit of an accumulator started at +0
-    (see _live_rows).  field_strength keeps its [A_mu, A_nu]: there the
+    (see _add_rows).  field_strength keeps its [A_mu, A_nu]: there the
     commutator enters as (y + p) - p, which is not y bit for bit.
 
-    Every table loop visits only the rows whose source blade is live: the
+    Every table walk, over wedge-table rows (_pair_rows, and dx^mu's for
+    i_mu and dx^mu ^), visits only the rows whose source blade is live: the
     blades where psi holds a nonzero entry (an even form, so at most half;
-    4 of 16 for e^{i omega} at n = 2), and for d^A(V . psi) the blades the
-    contraction reaches from them.  A skipped row would add +-0 to an
-    accumulator started at +0, so F is bit for bit the all-blade loops'
-    on finite input (see _live_rows).
+    4 of 16 for e^{i omega} at n = 2), and for d^A(V . psi) those where
+    V . psi does.  A skipped row would add +-0 to an accumulator started at
+    +0, so F is bit for bit the all-blade loops' on finite input.
 
     Besides the result only V . psi is a full-size array: each F_{mu nu} is
     built just before its wedge rows and dropped after them, every table
-    loop goes one row at a time, and d^A(V . psi) is summed per target
+    walk goes one row at a time, and d^A(V . psi) is summed per target
     blade into out (see _d_live).  The bits are those of the whole-field
     form: F_A . psi over field_strength's F, plus d^A(V . psi) summed as a
     field of its own, plus the [V . V] term, each summed in table order.
@@ -483,33 +493,28 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     for mu in range(n2):
         for nu in range(mu + 1, n2):
             f = _strength_pair(conn, mu, nu)
-            for l, h, s in _live_rows(live, t.pair_lo[mu, nu], t.pair_hi[mu, nu], t.wedge2_s[mu, nu]):
-                out[h] += (s * blades[l]) * f
+            lo, hi, s = _pair_rows(t, mu, nu)
+            _add_rows(out, blades, live, lo, hi, s, f)
 
     # vector part acting by contraction, then the covariant derivative
     vpsi = np.zeros_like(out)
-    vlive = np.zeros_like(live)
     for mu in range(n2):
-        for h, l, s in _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu]):
-            vpsi[l] += (s * blades[h]) * conn.V[mu]
-            vlive[l] = True
-    _d_live(grid, vpsi, vlive, out, conn.A if r > 1 else None)
+        _add_rows(vpsi, blades, live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu], conn.V[mu])
+    _d_live(grid, vpsi, out, conn.A if r > 1 else None)
     del vpsi
     if r == 1:
         return EndFormField(grid, r, out)
 
     # quadratic vector term: (1/2) sum_{mu != nu} [V^mu, V^nu] (x) i_mu i_nu,
-    # taken over mu < nu: the commutator and interior2_s are antisymmetric
-    # in (mu, nu) and pair_lo/pair_hi symmetric, so each unordered pair
-    # gives the same term twice
+    # taken over mu < nu: the commutator and i_mu i_nu are antisymmetric in
+    # (mu, nu), so each unordered pair gives the same term twice; i_mu i_nu
+    # walks dx^mu ^ dx^nu's rows target to source with negated signs
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            vmu, vnu = conn.V[mu], conn.V[nu]
-            comm = _small_matmul(vmu, vnu, n2)
-            comm -= _small_matmul(vnu, vmu, n2)
-            for h, l, s in _live_rows(live, t.pair_hi[mu, nu], t.pair_lo[mu, nu],
-                                      t.interior2_s[mu, nu]):
-                out[l] += (s * blades[h]) * comm
+            comm = _small_matmul(conn.V[mu], conn.V[nu], n2)
+            comm -= _small_matmul(conn.V[nu], conn.V[mu], n2)
+            lo, hi, s = _pair_rows(t, mu, nu)
+            _add_rows(out, blades, live, hi, lo, -s, comm)
 
     return EndFormField(grid, r, out)
 
@@ -663,10 +668,8 @@ def _variation_act(grid, var, psi_data, rank):
     blades = psi_data[:, None, None]
     live = _k._blades_live(psi_data)
     for mu in range(2 * grid.n):
-        for l, h, s in _live_rows(live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]):
-            out[h] += (s * blades[l]) * var.A[mu]
-        for h, l, s in _live_rows(live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu]):
-            out[l] += (s * blades[h]) * var.V[mu]
+        _add_rows(out, blades, live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu], var.A[mu])
+        _add_rows(out, blades, live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu], var.V[mu])
     return out
 
 

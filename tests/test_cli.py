@@ -173,6 +173,24 @@ def test_document_spinor_is_exp_two_form_at_every_point_bitwise(n, data):
             assert psi.data[(slice(None),) + point].tobytes() == want.tobytes()
 
 
+def test_constant_b_as_matrix_or_entries_builds_the_same_spinor_bits():
+    # a b at which e^{b + i omega} of a single form once rounded one
+    # coefficient apart from the batched series; given as a psi.b matrix
+    # (one form) or as constant entries (a field), psi has the same bits
+    grid = fields.TorusGrid(2, (8,) * 4)
+    omega = np.kron(np.eye(2), OMEGA_BLOCK)
+    upper = (0.93, 0.42, -0.57, 0.09, 0.41, -0.9)
+    m = np.zeros((4, 4))
+    m[np.triu_indices(4, 1)] = upper
+    pairs = zip(*np.triu_indices(4, 1))
+    entries = [{"i": int(i), "j": int(j), "coeff": c} for (i, j), c in zip(pairs, upper)]
+    const = specio._build_psi(grid, specio._b_field((m - m.T).tolist(), grid), omega)
+    varying = specio._build_psi(grid, specio._b_field({"entries": entries}, grid), omega)
+    want = exp_two_form(m - m.T + 1j * omega).coeffs
+    assert const.data[:, 0, 0, 0, 0].tobytes() == want.tobytes()
+    assert varying.data[:, 0, 0, 0, 0].tobytes() == want.tobytes()
+
+
 def test_seed_determinism_bytes(tmp_path, capsys):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--grid", "16", "--seed", "7", "--output", str(p1)]) == 0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from genkf import _backend, constants, fields
-from genkf._tables import blade_tables
+from genkf._tables import _wedge_sign, blade_tables
 from genkf.multivector import (
     GradedForm,
     b_transform,
@@ -277,9 +277,8 @@ def test_lie_commutes_with_d():
 
 
 def d_live(grid, data, a=None):
-    """fields._d_live over every blade into a fresh zero array: d^A data."""
-    every = np.ones(data.shape[0], dtype=bool)
-    return fields._d_live(grid, data, every, np.zeros_like(data), a)
+    """fields._d_live over data's live blades into a fresh zero array: d^A data."""
+    return fields._d_live(grid, data, np.zeros_like(data), a)
 
 
 def covariant_d(conn, a):
@@ -1566,35 +1565,63 @@ def test_diff_matches_roll_formula_bitwise(n):
         assert same_bits(_diff(g, real, mu), roll_diff(g, real, mu))
 
 
+def below(blades, mu):
+    """(-1)^(number of bits of each blade below bit mu), as floats."""
+    return np.array([(-1.0) ** bin(m & ((1 << mu) - 1)).count("1") for m in blades.tolist()])
+
+
+def axis_matrices(t):
+    """dx^mu ^ and i_mu as signed permutation matrices, one per axis."""
+    wedge1, inter1 = [], []
+    for mu in range(t.dim):
+        m = np.zeros((t.size, t.size))
+        m[t.axis_hi[mu], t.axis_lo[mu]] = t.axis_s[mu]
+        wedge1.append(m)
+        inter1.append(m.T)
+    return wedge1, inter1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_tables_compose_two_axis_steps(n):
-    # dx^mu ^ dx^nu ^ and i_mu i_nu, read off the pair tables, equal the
-    # products of the single-axis signed permutation matrices
+    # curvature's dx^mu ^ dx^nu ^ is the wedge table's rows of that blade,
+    # and its i_mu i_nu the same rows target to source with negated signs:
+    # both equal the products of the single-axis signed permutation matrices
     t = blade_tables(n)
-    quarter = t.size // 4
-
-    def axis_matrix(mu, src, dst):
-        m = np.zeros((t.size, t.size))
-        m[dst[mu], src[mu]] = t.axis_s[mu]
-        return m
-
-    wedge1 = [axis_matrix(mu, t.axis_lo, t.axis_hi) for mu in range(t.dim)]
-    inter1 = [axis_matrix(mu, t.axis_hi, t.axis_lo) for mu in range(t.dim)]
+    wedge1, inter1 = axis_matrices(t)
     for mu in range(t.dim):
-        for nu in range(t.dim):
-            lo, hi = t.pair_lo[mu, nu], t.pair_hi[mu, nu]
+        for nu in range(mu + 1, t.dim):
+            lo, hi, s = fields._pair_rows(t, mu, nu)
+            both = 1 << mu | 1 << nu
+            assert len(set(lo.tolist())) == t.size // 4
+            assert not np.any(lo & both) and np.array_equal(hi, lo | both)
             wedge2 = np.zeros((t.size, t.size))
-            np.add.at(wedge2, (hi, lo), t.wedge2_s[mu, nu])
+            wedge2[hi, lo] = s
             inter2 = np.zeros((t.size, t.size))
-            np.add.at(inter2, (lo, hi), t.interior2_s[mu, nu])
+            inter2[lo, hi] = -s
             assert np.array_equal(wedge2, wedge1[mu] @ wedge1[nu])
             assert np.array_equal(inter2, inter1[mu] @ inter1[nu])
-            if mu != nu:
-                both = 1 << mu | 1 << nu
-                assert len(set(lo.tolist())) == quarter
-                assert not np.any(lo & both) and np.array_equal(hi, lo | both)
-            else:
-                assert not np.any(t.wedge2_s[mu, nu]) and not np.any(t.interior2_s[mu, nu])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_axis_d_and_mukai_tables_match_their_formulas(n):
+    # the tables derived from the wedge table, against the sign formulas
+    # they replace: (-1)^(bits below mu) for dx^mu ^, and the Mukai sign
+    # of a blade and its complement times the complement's involution
+    t = blade_tables(n)
+    blades = np.arange(t.size)
+    for mu in range(t.dim):
+        lo = blades[blades >> mu & 1 == 0]
+        assert np.array_equal(t.axis_lo[mu], lo)
+        assert np.array_equal(t.axis_hi[mu], lo | 1 << mu)
+        assert np.array_equal(t.axis_s[mu], below(lo, mu))
+    for h in range(t.size):
+        want = [(mu, h ^ 1 << mu, float(below(np.array([h ^ 1 << mu]), mu)[0]))
+                for mu in range(t.dim) if h >> mu & 1]
+        assert list(t.d_rows[h]) == want
+    top = t.size - 1
+    assert np.array_equal(t.mukai_comp, top ^ blades)
+    want = [_wedge_sign(i, top ^ i) * t.invol[top ^ i] for i in range(t.size)]
+    assert np.array_equal(t.mukai_s, np.array(want, dtype=np.float64))
 
 
 def all_blade_d(grid, data):
@@ -1607,6 +1634,17 @@ def all_blade_d(grid, data):
     return out
 
 
+def step_pair_table(mu, nu, size):
+    """dx^mu ^ dx^nu ^ and i_mu i_nu as products of two axis steps, apart
+    from the wedge table: the blades without bits mu and nu, the same blades
+    with both, and the two signs."""
+    blades = np.arange(size)
+    lo = blades[(blades >> mu | blades >> nu) & 1 == 0]
+    wedge2 = below(lo, nu) * below(lo | 1 << nu, mu)
+    interior2 = below(lo, mu) * below(lo | 1 << mu, nu)
+    return lo, lo | 1 << mu | 1 << nu, wedge2, interior2
+
+
 def all_blade_curvature(conn, psi_data):
     """curvature's loops over every row of every blade table."""
     grid, r = conn.grid, conn.rank
@@ -1617,8 +1655,8 @@ def all_blade_curvature(conn, psi_data):
     two = conn.field_strength()
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            blade = _signed(t.wedge2_s[mu, nu], blades[t.pair_lo[mu, nu]])
-            out[t.pair_hi[mu, nu]] += blade * two[mu, nu]
+            lo, hi, wedge2, _ = step_pair_table(mu, nu, t.size)
+            out[hi] += _signed(wedge2, blades[lo]) * two[mu, nu]
     vpsi = np.zeros_like(out)
     for mu in range(n2):
         vpsi[t.axis_lo[mu]] += _signed(t.axis_s[mu], blades[t.axis_hi[mu]]) * conn.V[mu]
@@ -1634,10 +1672,10 @@ def all_blade_curvature(conn, psi_data):
         return out
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            double = _signed(t.interior2_s[mu, nu], blades[t.pair_hi[mu, nu]])
+            lo, hi, _, interior2 = step_pair_table(mu, nu, t.size)
             comm = _small_matmul(conn.V[mu], conn.V[nu], n2)
             comm -= _small_matmul(conn.V[nu], conn.V[mu], n2)
-            out[t.pair_lo[mu, nu]] += double * comm
+            out[lo] += _signed(interior2, blades[hi]) * comm
     return out
 
 
@@ -1722,6 +1760,32 @@ def test_per_target_d_and_per_pair_strength_match_batched_loops_bitwise(n, r):
     assert same_bits(conn.field_strength(), batched_field_strength(conn))
 
 
+@pytest.mark.parametrize("kind, calls", [("0-form", 4), ("e^{i omega}", 8)])
+def test_d_field_differentiates_only_live_blades(monkeypatch, kind, calls):
+    # d of a 0-form takes 2n = 4 differences at n = 2; a form on the blades
+    # of e^{i omega} (1, dx^0 dx^1, dx^2 dx^3, top) takes 4 + 2 + 2 + 0: a
+    # dead blade is never differentiated, and the bits stay those of the
+    # loops over every blade
+    rng = np.random.default_rng(25)
+    g = make_grid(2, 8)
+    if kind == "0-form":
+        blades = np.zeros((16, 1, 1, 1, 1))
+        blades[0] = 1.0
+    else:
+        blades = fields.exp_two_form_field(g, 1j * std_omega(2)).data
+    f = FormField(g, blades * complex_with_zeros(rng, g.sizes))
+    seen = []
+
+    def counted(grid, arr, mu):
+        seen.append(mu)
+        return _diff(grid, arr, mu)
+
+    monkeypatch.setattr(fields, "_diff", counted)
+    got = d_field(f).data
+    assert len(seen) == calls
+    assert same_bits(got, all_blade_d(g, f.data))
+
+
 def traced_peak(run):
     """Peak bytes numpy allocates while run() executes, above what is live
     before it (numpy reports its buffers to tracemalloc)."""
@@ -1734,15 +1798,20 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-def test_curvature_peaks_under_two_and_a_half_fields():
+@pytest.mark.parametrize("r, varying", [(1, False), (2, False), (2, True)],
+                         ids=["rank-1", "rank-2", "rank-2-varying-b"])
+def test_curvature_peaks_under_two_and_a_half_fields(r, varying):
     # besides the result only V . psi is full size: each F_{mu nu}, each
     # table row and each target blade of d^A(V . psi) is one (r, r, *sizes)
     # temporary
     rng = np.random.default_rng(22)
     g = make_grid(2, 8)
-    conn = random_conn(g, 2, rng)
-    psi = fields.exp_two_form_field(g, 1j * std_omega(2))
-    field = 16 * 4**2 * 8**4 * 2**2
+    conn = random_conn(g, r, rng)
+    m = rng.standard_normal((4, 4) + (g.sizes if varying else ()))
+    b = 0.3 * (m - np.swapaxes(m, 0, 1)) * varying
+    omega = std_omega(2).reshape((4, 4) + (1,) * (b.ndim - 2))
+    psi = fields.exp_two_form_field(g, b + 1j * omega)
+    field = 16 * 4**2 * 8**4 * r**2
     assert traced_peak(lambda: curvature(conn, psi)) <= 2.5 * field
 
 
