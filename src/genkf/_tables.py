@@ -9,8 +9,8 @@ index coefficient arrays through the frozen integer tables built here.
 Every such array has the blade axis first, (size, *batch), so a table
 selects along axis 0.
 
-Only the wedge table computes a sign (_wedge_sign): the axis, d and Mukai
-tables, and the pair rows of fields._pair_rows, are rows of it.
+Only the wedge table computes a sign (_wedge_sign): the axis, d, i and
+Mukai tables, and the pair rows of fields._pair_rows, are rows of it.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ class BladeTables:
     # the same dx^mu ^ rows grouped by target blade: d_rows[h] holds
     # (mu, source, sign) for each bit mu of h, mu ascending, as Python numbers
     d_rows: tuple
+    # read target to source they are i_mu's rows, grouped by i_mu's target:
+    # i_rows[l] holds (mu, source, sign) for each bit mu not in l, mu ascending
+    i_rows: tuple
+    # d_drop[h]: the sources whose last reader in d_rows order is target h
+    d_drop: tuple
     # Mukai pair table: <a,b>_s = sum_i mukai_s[i] * a[i] * b[comp[i]]
     mukai_comp: np.ndarray
     mukai_s: np.ndarray
@@ -100,9 +105,15 @@ def blade_tables(n: int) -> BladeTables:
     axis = np.array([np.flatnonzero(wedge_i == 1 << mu) for mu in range(dim)])
     axis_lo, axis_hi, axis_s = wedge_j[axis], wedge_k[axis], wedge_s[axis]
     d_rows = [[] for _ in range(size)]
+    i_rows = [[] for _ in range(size)]
     for mu in range(dim):
         for l, h, s in zip(axis_lo[mu].tolist(), axis_hi[mu].tolist(), axis_s[mu].tolist()):
             d_rows[h].append((mu, l, s))
+            i_rows[l].append((mu, h, s))
+    # a source's readers l | 1 << mu grow with mu, so its last row is read last
+    d_drop = [[] for _ in range(size)]
+    for l, rows in enumerate(i_rows[:-1]):
+        d_drop[rows[-1][1]].append(l)
 
     # the top segment holds i ^ (top ^ i), i ascending; top ^ i = top - i
     comp = top - np.arange(size, dtype=np.int64)
@@ -123,6 +134,8 @@ def blade_tables(n: int) -> BladeTables:
         axis_hi=axis_hi,
         axis_s=axis_s,
         d_rows=tuple(map(tuple, d_rows)),
+        i_rows=tuple(map(tuple, i_rows)),
+        d_drop=tuple(map(tuple, d_drop)),
         mukai_comp=comp,
         mukai_s=mukai_s,
     )

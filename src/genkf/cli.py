@@ -153,6 +153,7 @@ def cmd_verify(cfg, args) -> int:
 def cmd_curvature(cfg, args) -> int:
     f, k, chern, lam, norm, closed = _curvature_numbers(cfg)
     window = u_window_defect(f, cfg.b, cfg.omega)
+    del f  # nothing below reads F
     dbar = dbar_residual(cfg.grid, cfg.conn, standard_complex(cfg.n))
 
     print(f"lambda = {lam:.12g}")

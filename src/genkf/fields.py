@@ -341,36 +341,52 @@ def _like(f, data):
 def d_field(f):
     """Discrete exterior derivative, sum_mu dx^mu ^ D_mu, summed per target
     blade straight into the result (see _d_live)."""
-    return _like(f, _d_live(f.grid, f.data, np.zeros_like(f.data)))
+    live = _k._blades_live(f.data).tolist()
+    out = _d_live(f.grid, lambda l: f.data[l] if live[l] else None, np.zeros_like(f.data))
+    return _like(f, out)
 
 
-def _d_live(grid, data, out, a=None):
-    """out += sum_mu dx^mu ^ (D_mu data + [a_mu, data]) over data's live
-    blades, those that hold a nonzero entry, returned; a = None is d alone.
+def _d_live(grid, blade, out, a=None):
+    """out += sum_mu dx^mu ^ (D_mu u + [a_mu, u]), returned, for the field u
+    whose blade l is blade(l), or None where u's blade l is dead (holds no
+    nonzero entry); a = None is d alone.
 
     One target blade h at a time (its rows in t.d_rows): its D_mu terms for
     mu = 0..2n-1, then its commutators for mu = 0..2n-1, are summed into one
     buffer started at +0, and out[h] += buffer.  Each blade gets the bits it
-    would get if d^A data were summed as a field of its own and then added
-    to out, yet no temporary is larger than one blade.  A dead blade's rows
-    only add +-0 (see _add_rows) and are skipped, as is a target with no other.
+    would get if d^A u were summed as a field of its own and then added
+    to out.  A dead blade's rows only add +-0 (see _add_rows) and are
+    skipped, as is a target with no other.
+
+    blade(l) is called once, at the first target that reads l, and what it
+    returns is held until the last (t.d_drop).  Besides out, only the buffer,
+    the held blades and one-blade temporaries are alive: at n = 2 a field
+    of e^{i omega}'s odd blades, such as V . psi, holds at most 4 of its 8.
     """
     n2 = 2 * grid.n
-    live = _k._blades_live(data).tolist()
-    buf = np.empty_like(data[0])
-    for h, rows in enumerate(blade_tables(grid.n).d_rows):
-        rows = [row for row in rows if live[row[1]]]
-        if not rows:
-            continue
-        buf.fill(0.0)
-        for mu, l, s in rows:
-            buf += s * _diff(grid, data[l], mu)
-        if a is not None:
+    t = blade_tables(grid.n)
+    held = {}
+
+    def source(l):
+        if l not in held:
+            held[l] = blade(l)
+        return held[l]
+
+    buf = np.empty_like(out[0])
+    for h, rows in enumerate(t.d_rows):
+        rows = [row for row in rows if source(row[1]) is not None]
+        if rows:
+            buf.fill(0.0)
             for mu, l, s in rows:
-                comm = _small_matmul(a[mu], data[l], n2)
-                comm -= _small_matmul(data[l], a[mu], n2)
-                buf += s * comm
-        out[h] += buf
+                buf += s * _diff(grid, held[l], mu)
+            if a is not None:
+                for mu, l, s in rows:
+                    comm = _small_matmul(a[mu], held[l], n2)
+                    comm -= _small_matmul(held[l], a[mu], n2)
+                    buf += s * comm
+            out[h] += buf
+        for l in t.d_drop[h]:
+            del held[l]
     return out
 
 
@@ -473,12 +489,15 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     V . psi does.  A skipped row would add +-0 to an accumulator started at
     +0, so F is bit for bit the all-blade loops' on finite input.
 
-    Besides the result only V . psi is a full-size array: each F_{mu nu} is
-    built just before its wedge rows and dropped after them, every table
-    walk goes one row at a time, and d^A(V . psi) is summed per target
-    blade into out (see _d_live).  The bits are those of the whole-field
-    form: F_A . psi over field_strength's F, plus d^A(V . psi) summed as a
-    field of its own, plus the [V . V] term, each summed in table order.
+    Only the result is a full-size array: each F_{mu nu} is built just
+    before its wedge rows and dropped after them, every table walk goes one
+    row at a time, and d^A(V . psi) is summed per target blade into out
+    (see _d_live), which builds each blade of V . psi when a target first
+    reads it and drops it after the last.  The bits are those of the
+    whole-field form: F_A . psi over field_strength's F, plus d^A(V . psi)
+    summed as a field of its own, with each blade of V . psi summed from +0
+    over i_mu's rows, mu ascending, plus the [V . V] term, each summed in
+    table order.
     """
     grid = conn.grid
     t = blade_tables(grid.n)
@@ -497,11 +516,17 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
             _add_rows(out, blades, live, lo, hi, s, f)
 
     # vector part acting by contraction, then the covariant derivative
-    vpsi = np.zeros_like(out)
-    for mu in range(n2):
-        _add_rows(vpsi, blades, live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu], conn.V[mu])
-    _d_live(grid, vpsi, out, conn.A if r > 1 else None)
-    del vpsi
+    def vpsi_blade(l):
+        """Blade l of V . psi = sum_mu V^mu i_mu psi, or None where it is dead."""
+        rows = [(mu, h, s) for mu, h, s in t.i_rows[l] if live[h]]
+        if not rows:
+            return None
+        u = np.zeros_like(out[0])
+        for mu, h, s in rows:
+            u += (s * blades[h]) * conn.V[mu]
+        return u if u.any() else None
+
+    _d_live(grid, vpsi_blade, out, conn.A if r > 1 else None)
     if r == 1:
         return EndFormField(grid, r, out)
 
@@ -552,7 +577,8 @@ def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
         for j in nz[1:]:
             row += p[j] * cols[j]
         worst = max(worst, float(np.max(np.abs(row))))
-    return worst / (float(np.max(np.abs(g))) + 1e-30)
+    peak = float(np.max([np.max(np.abs(c)) for c in cols]))  # no |g| array
+    return worst / (peak + 1e-30)
 
 
 def eh_residual_from(k: np.ndarray, psi: FormField, lam: float):

@@ -300,7 +300,15 @@ class GKPair:
 
 
 def gk_validate(J1, J2) -> dict:
-    """Compatibility report for a candidate pair (accepts matrices or structures)."""
+    """Compatibility report for a candidate pair (accepts matrices or structures).
+
+    The metric (J1 J2)^T Q, Q the neutral pairing, is positive when its
+    smallest eigenvalue times max|J1| max|J2| exceeds _STRUCTURE_TOL.  J^2 =
+    -1 makes (J1 J2)^{-1} = J2 J1, so that product is the eigenvalue's own
+    scale: for omega = c omega_0 the eigenvalue is min(c, 1/c)/2 and J2's
+    entries are c and 1/c, so the test does not depend on c, and at c = 1
+    it is min_eig > _STRUCTURE_TOL.
+    """
     j1 = J1.J if isinstance(J1, GCStructure) else np.asarray(J1, dtype=float)
     j2 = J2.J if isinstance(J2, GCStructure) else np.asarray(J2, dtype=float)
     n = j1.shape[0] // 4
@@ -316,7 +324,7 @@ def gk_validate(J1, J2) -> dict:
         commutator < _STRUCTURE_TOL
         and square_defect < _STRUCTURE_TOL
         and metric_symmetry < _STRUCTURE_TOL
-        and min_eig > _STRUCTURE_TOL
+        and min_eig * np.max(np.abs(j1)) * np.max(np.abs(j2)) > _STRUCTURE_TOL
     )
     return {
         "commutator": commutator,

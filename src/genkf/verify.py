@@ -288,7 +288,7 @@ def _structure_checks(rng, n, omega, psi0):
 
     rep = gk_validate(jc, js)
     err = max(rep["commutator"], rep["square_defect"], rep["metric_symmetry"])
-    if rep["metric_min_eigenvalue"] <= 1e-8:
+    if not rep["valid"]:
         err = max(err, 1.0)
     rows.append(_row("structures/gk-pair-compatibility", 1e-10, err))
 
