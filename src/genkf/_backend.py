@@ -9,6 +9,11 @@ then the grid axes).  Batch axes are padded on the left and broadcast as
 numpy's do, so a (size, 1, 1) form or a (dim,) vector acts at every point,
 and a (size, *sizes) form acts on every matrix entry of a
 (size, r, r, *sizes) field.
+
+The wedge and the spin action have one implementation, the row walk
+_add_rows over the walk rows of the blade tables, which fields' curvature
+also takes for its pair rows: a product gets the same bits whichever
+route reaches it, a form alone, a batch or a field.
 """
 
 from __future__ import annotations
@@ -19,19 +24,15 @@ from ._tables import BladeTables
 
 BACKEND_NAME = "python"
 
-
-def _batch_ndim(*arrays) -> int:
-    return max(x.ndim for x in arrays) - 1
+# bytes of one row's product from which _add_rows goes one row at a time
+_ROW_BYTES = 1 << 16
 
 
 def _lift(x: np.ndarray, nb: int) -> np.ndarray:
     """x (k, *batch) with its batch axes padded on the left to nb axes."""
+    if x.ndim == nb + 1:
+        return x
     return x.reshape(x.shape[:1] + (1,) * (nb + 1 - x.ndim) + x.shape[1:])
-
-
-def _column(sign: np.ndarray, nb: int) -> np.ndarray:
-    """One sign per blade, shaped to multiply (blades, *batch) arrays."""
-    return sign.reshape((-1,) + (1,) * nb)
 
 
 def _blades_live(data: np.ndarray) -> np.ndarray:
@@ -39,74 +40,82 @@ def _blades_live(data: np.ndarray) -> np.ndarray:
     return np.any(data.reshape(data.shape[0], -1), axis=1)
 
 
+def _add_rows(out, x, ys, rows):
+    """out[h] += (s x[l]) y[m] for each row (h, l, m, s) of rows, returned,
+    with y the arrays ys stacked along axis 0; x, each of ys and out are
+    (blades, *batch) arrays with the same number of axes, out C-contiguous.
+
+    Each target is summed in row order, starting from what out holds, one
+    of two ways by the size of one row's product; both give the same bits.
+    Below _ROW_BYTES the rows are stacked into one (rows, *batch) product,
+    added by np.add.at in index order.  A larger product goes one row at a
+    time on one-blade slices and builds nothing of (rows, *batch) size.
+    Rows take slices, not numpy scalars, whose products may round apart
+    from the (fused) array loop's, so a form alone keeps its batch bits.
+
+    A row whose x blade or y component is dead (all zero) adds +-0 on
+    finite input, which changes no bit of a sum started at +0 (it never
+    becomes -0 when rounding to nearest), so a caller may leave such rows
+    out, and _walk does before it goes one row at a time.
+    """
+    h, l, m, s = rows
+    if out[0].nbytes < _ROW_BYTES:
+        y = ys[0] if len(ys) == 1 else np.concatenate(np.broadcast_arrays(*ys))
+        prod = (s.reshape((-1,) + (1,) * (out.ndim - 1)) * x[l]) * y[m]
+        # on flat indices np.add.at takes its fast one-axis loop
+        width = out[0].size
+        flat = h if width == 1 else (h[:, None] * width + np.arange(width)).ravel()
+        np.add.at(out.reshape(-1, copy=False), flat, prod.reshape(-1))
+        return out
+    comps = [c[k:k + 1] for c in ys for k in range(len(c))]
+    for hh, ll, mm, ss in zip(*(a.tolist() for a in rows)):
+        out[hh:hh + 1] += (ss * x[ll:ll + 1]) * comps[mm]
+    return out
+
+
+def _walk(rows, x, *ys):
+    """The sums of _add_rows from +0, broadcasting x and ys as the kernels
+    do; one row at a time, only over the rows whose x blade and y
+    component are live."""
+    nb = max(c.ndim for c in (x, *ys)) - 1
+    x, ys = _lift(x, nb), [_lift(c, nb) for c in ys]
+    shape = np.broadcast(x[0], *(c[0] for c in ys)).shape
+    out = np.zeros((len(x),) + shape, dtype=np.result_type(x, *ys))
+    if out[0].nbytes >= _ROW_BYTES:
+        live_y = np.concatenate([_blades_live(c) for c in ys])
+        keep = _blades_live(x)[rows[1]] & live_y[rows[2]]
+        rows = tuple(a[keep] for a in rows)
+    return _add_rows(out, x, ys, rows)
+
+
 def wedge_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[:, p] = a[:, p] ^ b[:, p] at each batch point p."""
-    nb = _batch_ndim(a, b)
-    a, b = _lift(a, nb), _lift(b, nb)
-    prod = a[t.wedge_i] * b[t.wedge_j] * _column(t.wedge_s, nb)
-    segsum = np.add.reduceat(prod, t.wedge_starts, axis=0)
-    out = np.zeros((t.size,) + segsum.shape[1:], dtype=segsum.dtype)
-    out[t.wedge_cols] = segsum
-    return out
-
-
-def _wedge_rows(t: BladeTables, a: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """a ^ f as out[i|j] += (a[i] s) f[j], one wedge-table row (i, j, s) at a
-    time in table order, over the rows whose blade i is live in a and j in f:
-    on finite input the bits of the sequential sum over every row (a skipped
-    row adds +-0, see _axis_steps), with no (rows, *batch) product built.
-    For sparse operands such as e^b and b; dense small forms take wedge_batch.
-    Rows take one-blade slices, not numpy scalars, whose products may round
-    apart from the (fused) array loop's: a form alone keeps its batch bits.
-    """
-    keep = _blades_live(a)[t.wedge_i] & _blades_live(f)[t.wedge_j]
-    rows = zip(t.wedge_i[keep].tolist(), t.wedge_j[keep].tolist(), t.wedge_s[keep].tolist())
-    out = np.zeros((t.size,) + np.broadcast_shapes(a.shape[1:], f.shape[1:]),
-                   dtype=np.result_type(a, f))
-    for i, j, s in rows:
-        out[i | j:(i | j) + 1] += (a[i:i + 1] * s) * f[j:j + 1]
-    return out
-
-
-def _axis_steps(t, comps, a, src, dst):
-    """sum_mu (sign comps[mu]) a[src[mu]], each term scattered to dst[mu].
-
-    A constant vector (comps of shape (dim,)) skips its zero components:
-    on a finite a their terms are +-0, which change no bit of an
-    accumulator started at +0 (it never becomes -0 when rounding to nearest).
-    """
-    nb = _batch_ndim(comps, a)
-    a = _lift(a, nb)
-    shape = np.broadcast_shapes(comps.shape[1:], a.shape[1:])
-    out = np.zeros((t.size,) + shape, dtype=np.result_type(comps, a))
-    for mu in range(t.dim):
-        if comps.ndim == 1 and comps[mu] == 0:
-            continue
-        out[dst[mu]] += _column(t.axis_s[mu], nb) * comps[mu] * a[src[mu]]
-    return out
+    return _walk(t.wedge_rows, a, b)
 
 
 def interior_batch(t: BladeTables, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """out[:, p] = i_{v[:, p]} a[:, p], contracting each axis component in turn."""
-    return _axis_steps(t, v, a, t.axis_hi, t.axis_lo)
+    """out[:, p] = i_{v[:, p]} a[:, p]: the spin action of v + 0, whose
+    dx^mu ^ rows add +-0."""
+    return _walk(t.clifford_rows, a, v, np.zeros(t.dim))
 
 
 def wedge1_batch(t: BladeTables, xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """out[:, p] = (sum_mu xi[mu, p] dx^mu) ^ a[:, p]."""
-    return _axis_steps(t, xi, a, t.axis_lo, t.axis_hi)
+    """out[:, p] = (sum_mu xi[mu, p] dx^mu) ^ a[:, p]: the spin action of 0 + xi."""
+    return _walk(t.clifford_rows, a, np.zeros(t.dim), xi)
 
 
 def clifford_batch(
     t: BladeTables, v: np.ndarray, xi: np.ndarray, a: np.ndarray
 ) -> np.ndarray:
-    """Spin action of v + xi: interior product plus one-form wedge."""
-    return _axis_steps(t, v, a, t.axis_hi, t.axis_lo) + _axis_steps(t, xi, a, t.axis_lo, t.axis_hi)
+    """Spin action of v + xi, i_v + xi ^, one axis at a time: for mu
+    ascending, xi_mu dx^mu ^ a, then v^mu i_mu a."""
+    return _walk(t.clifford_rows, a, v, xi)
 
 
 def mukai_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Top-degree coefficient of a ^ sigma(b), one value per batch point."""
-    nb = _batch_ndim(a, b)
-    prod = _lift(a, nb) * _column(t.mukai_s, nb) * _lift(b, nb)[t.mukai_comp]
-    # numpy sums a contiguous last axis pairwise but an outer axis in
-    # sequence; with the blades last, each point sums as its form alone does
-    return np.moveaxis(prod, 0, -1).copy().sum(axis=-1)
+    """Top-degree coefficient of a ^ sigma(b), one value per batch point.
+
+    mukai_comp[c] = top ^ c is the reversal, so b's partner blades are a
+    view and the signs enter the contraction as a third operand: no copy.
+    """
+    return np.einsum("c...,c,c...->...", a, t.mukai_s, b[::-1])

@@ -4,13 +4,14 @@ Basis blades of the full exterior algebra are indexed by bitmasks
 S in [0, 4^n): bit mu set means dx^{mu+1} is a factor, and the blade is
 the ascending product dx^{s1} ^ ... ^ dx^{sk}, s1 < ... < sk.
 
-The kernels in _backend and the coordinate wedge/interior in fields
-index coefficient arrays through the frozen integer tables built here.
-Every such array has the blade axis first, (size, *batch), so a table
-selects along axis 0.
+The kernels in _backend and the field operators in fields index
+coefficient arrays through the frozen integer tables built here.  Every
+such array has the blade axis first, (size, *batch), so a table selects
+along axis 0.
 
 Only the wedge table computes a sign (_wedge_sign): the axis, d, i and
-Mukai tables, and the pair rows of fields._pair_rows, are rows of it.
+Mukai tables, the walk rows of the wedge and the spin action, and the
+pair rows of fields._pair_rows, are rows of it.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ class BladeTables:
     size: int           # 4^n blades
     deg: np.ndarray     # (size,) blade degree
     invol: np.ndarray   # (size,) sign of the parity involution per blade
-    # wedge COO, sorted by output blade k
+    # wedge COO, sorted by output blade i | j
     wedge_i: np.ndarray
     wedge_j: np.ndarray
     wedge_s: np.ndarray
-    wedge_starts: np.ndarray  # segment starts into the COO arrays
-    wedge_cols: np.ndarray    # output blade per segment
     # per-axis contraction/extension tables: blades without bit mu <-> with
     axis_lo: np.ndarray   # (dim, size//2) blades without bit mu
     axis_hi: np.ndarray   # (dim, size//2) same blades with bit mu set
@@ -71,6 +70,12 @@ class BladeTables:
     # Mukai pair table: <a,b>_s = sum_i mukai_s[i] * a[i] * b[comp[i]]
     mukai_comp: np.ndarray
     mukai_s: np.ndarray
+    # rows (target, blade, component, sign) of _backend._add_rows, four flat
+    # arrays each: the wedge table's, whose component is b's blade, and the
+    # spin action's, for mu ascending dx^mu ^'s with xi_mu, then i_mu's with
+    # v^mu, components indexing v and xi stacked
+    wedge_rows: tuple
+    clifford_rows: tuple
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +104,6 @@ def blade_tables(n: int) -> BladeTables:
     wedge_j = np.asarray(wj, dtype=np.int64)[order]
     wedge_k = np.asarray(wk, dtype=np.int64)[order]
     wedge_s = np.asarray(ws, dtype=np.float64)[order]
-    cols, starts = np.unique(wedge_k, return_index=True)
 
     # dx^mu's rows: the blades without bit mu, ascending, and dx^mu ^'s sign
     axis = np.array([np.flatnonzero(wedge_i == 1 << mu) for mu in range(dim)])
@@ -115,9 +119,12 @@ def blade_tables(n: int) -> BladeTables:
     for l, rows in enumerate(i_rows[:-1]):
         d_drop[rows[-1][1]].append(l)
 
-    # the top segment holds i ^ (top ^ i), i ascending; top ^ i = top - i
+    # the last size rows hold i ^ (top ^ i), i ascending; top ^ i = top - i
     comp = top - np.arange(size, dtype=np.int64)
-    mukai_s = wedge_s[starts[-1]:] * invol[comp]
+    mukai_s = wedge_s[-size:] * invol[comp]
+
+    axis_mu = np.repeat(np.arange(dim), size // 2).reshape(dim, -1)
+    spin = zip((axis_hi, axis_lo, axis_mu + dim, axis_s), (axis_lo, axis_hi, axis_mu, axis_s))
 
     return BladeTables(
         n=n,
@@ -128,8 +135,6 @@ def blade_tables(n: int) -> BladeTables:
         wedge_i=wedge_i,
         wedge_j=wedge_j,
         wedge_s=wedge_s,
-        wedge_starts=starts.astype(np.int64),
-        wedge_cols=cols.astype(np.int64),
         axis_lo=axis_lo,
         axis_hi=axis_hi,
         axis_s=axis_s,
@@ -138,4 +143,6 @@ def blade_tables(n: int) -> BladeTables:
         d_drop=tuple(map(tuple, d_drop)),
         mukai_comp=comp,
         mukai_s=mukai_s,
+        wedge_rows=(wedge_k, wedge_i, wedge_j, wedge_s),
+        clifford_rows=tuple(np.concatenate(part, axis=1).ravel() for part in spin),
     )

@@ -63,10 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args):
-    """Reject out-of-range solver and trial counts before any work."""
+    """Reject an out-of-range seed, solver tolerance or count before any work."""
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
         raise specio.SpecError(f"--tol must be a finite positive number, got {args.tol}")
-    for flag, value in (("--max-iter", args.max_iter), ("--trials", args.trials)):
+    for flag, value in (("--seed", args.seed), ("--max-iter", args.max_iter),
+                        ("--trials", args.trials)):
         if value < 0:
             raise specio.SpecError(f"{flag} must be non-negative, got {value}")
 

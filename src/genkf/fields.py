@@ -303,22 +303,6 @@ def _strength_pair(conn, mu, nu):
     return f
 
 
-def _add_rows(out, blades, live, src, dst, sign, coeff):
-    """out[target] += (sign * blades[source]) * coeff for each row (source,
-    target, sign) of a blade table whose source blade is live, one row at a
-    time on basic-index views.
-
-    Each table (dx^mu ^, i_mu or a pair's rows) maps its rows one to one, so
-    a step's rows touch distinct targets and their order moves no bit.  A
-    dead source blade holds only +-0, so its row would add +-0 terms to an
-    accumulator started at +0, which changes no bit of it (never -0 when
-    rounding to nearest): no bit of a finite result moves when it is skipped.
-    """
-    keep = live[src]
-    for l, h, s in zip(src[keep].tolist(), dst[keep].tolist(), sign[keep].tolist()):
-        out[h] += (s * blades[l]) * coeff
-
-
 def _pair_rows(t, mu, nu):
     """The wedge-table rows (source, target, sign) of dx^mu ^ dx^nu ^, mu < nu;
     read target to source with negated signs, they are i_mu i_nu."""
@@ -355,8 +339,10 @@ def _d_live(grid, blade, out, a=None):
     mu = 0..2n-1, then its commutators for mu = 0..2n-1, are summed into one
     buffer started at +0, and out[h] += buffer.  Each blade gets the bits it
     would get if d^A u were summed as a field of its own and then added
-    to out.  A dead blade's rows only add +-0 (see _add_rows) and are
-    skipped, as is a target with no other.
+    to out.  A dead blade's rows only add +-0 (see _backend._add_rows) and
+    are skipped, as is a target with no other.  The kernels' walk,
+    _add_rows, sums in row order instead, so it would need every source
+    blade of u at once.
 
     blade(l) is called once, at the first target that reads l, and what it
     returns is held until the last (t.d_drop).  Besides out, only the buffer,
@@ -479,8 +465,8 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     [V^mu, V^nu] term is skipped: _small_matmul is np.matmul there, whose
     scalar products commute exactly, so each commutator is p - p = +0 for
     finite p, and adding +-0 changes no bit of an accumulator started at +0
-    (see _add_rows).  field_strength keeps its [A_mu, A_nu]: there the
-    commutator enters as (y + p) - p, which is not y bit for bit.
+    (see _backend._add_rows).  field_strength keeps its [A_mu, A_nu]: there
+    the commutator enters as (y + p) - p, which is not y bit for bit.
 
     Every table walk, over wedge-table rows (_pair_rows, and dx^mu's for
     i_mu and dx^mu ^), visits only the rows whose source blade is live: the
@@ -489,9 +475,10 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     V . psi does.  A skipped row would add +-0 to an accumulator started at
     +0, so F is bit for bit the all-blade loops' on finite input.
 
-    Only the result is a full-size array: each F_{mu nu} is built just
-    before its wedge rows and dropped after them, every table walk goes one
-    row at a time, and d^A(V . psi) is summed per target blade into out
+    Only the result is a full-size array: each F_{mu nu} and [V^mu, V^nu]
+    is built just before its pair rows and dropped after them, the pair
+    rows go through _backend._add_rows, the kernels' walk, one row at a time
+    at field sizes, and d^A(V . psi) is summed per target blade into out
     (see _d_live), which builds each blade of V . psi when a target first
     reads it and drops it after the last.  The bits are those of the
     whole-field form: F_A . psi over field_strength's F, plus d^A(V . psi)
@@ -508,12 +495,17 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     blades = psi.data[:, None, None]
     live = _k._blades_live(psi.data)
 
+    def walk(rows, coeff):
+        """out[h] += (s psi[l]) coeff over the rows (h, l, 0, s) whose psi blade is live."""
+        keep = live[rows[1]]
+        _k._add_rows(out, blades, [coeff[None]], tuple(a[keep] for a in rows))
+
     # two-form part of the curvature, wedged in one F_{mu nu} at a time
     for mu in range(n2):
         for nu in range(mu + 1, n2):
             f = _strength_pair(conn, mu, nu)
             lo, hi, s = _pair_rows(t, mu, nu)
-            _add_rows(out, blades, live, lo, hi, s, f)
+            walk((hi, lo, 0 * lo, s), f)
 
     # vector part acting by contraction, then the covariant derivative
     def vpsi_blade(l):
@@ -539,7 +531,7 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
             comm = _small_matmul(conn.V[mu], conn.V[nu], n2)
             comm -= _small_matmul(conn.V[nu], conn.V[mu], n2)
             lo, hi, s = _pair_rows(t, mu, nu)
-            _add_rows(out, blades, live, hi, lo, -s, comm)
+            walk((lo, hi, 0 * lo, -s), comm)
 
     return EndFormField(grid, r, out)
 
@@ -626,7 +618,7 @@ def b_transform_field(b, f):
     b = np.asarray(b)
     if b.ndim == 2:
         b = real_two_form_matrix(b, f.grid.n, "b matrix")
-    return _like(f, _k._wedge_rows(t, exp_blades(t, two_form_blades(b)), f.data))
+    return _like(f, _k.wedge_batch(t, exp_blades(t, two_form_blades(b)), f.data))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +639,7 @@ def mukai_field(f1, f2):
         return np.einsum("cij...,c,c...->ij...", f1.data, t.mukai_s, rev)
     if e2:
         return np.einsum("c...,c,cij...->ij...", f1.data, t.mukai_s, rev)
-    return np.einsum("c...,c,c...->...", f1.data, t.mukai_s, rev)
+    return _k.mukai_batch(t, f1.data, f2.data)
 
 
 def trace_field(f: EndFormField) -> FormField:
@@ -684,19 +676,6 @@ def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
 
 # ---------------------------------------------------------------------------
 # moment map and the GM structures
-
-
-def _variation_act(grid, var, psi_data, rank):
-    """Clifford action of a connection variation on a (plain) spinor field,
-    over the spinor's live blades as in curvature."""
-    t = blade_tables(grid.n)
-    out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
-    blades = psi_data[:, None, None]
-    live = _k._blades_live(psi_data)
-    for mu in range(2 * grid.n):
-        _add_rows(out, blades, live, t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu], var.A[mu])
-        _add_rows(out, blades, live, t.axis_hi[mu], t.axis_lo[mu], t.axis_s[mu], var.V[mu])
-    return out
 
 
 def _im_trace_integral(s1: EndFormField, s2: EndFormField) -> float:
@@ -740,12 +719,11 @@ def gm_symplectic(
     grid: TorusGrid, a1: ConnVariation, a2: ConnVariation, psi: FormField
 ) -> float:
     """Integral of Im i^{-n} tr <a1 . psi, a2 . psibar>_s."""
+    t = blade_tables(grid.n)
     rank = a1.A.shape[1]
-    s1 = EndFormField(grid, rank, _variation_act(grid, a1, psi.data, rank))
-    s2 = EndFormField(
-        grid, rank, _variation_act(grid, a2, np.conj(psi.data), rank)
-    )
-    return _im_trace_integral(s1, s2)
+    s1 = _k.clifford_batch(t, a1.V, a1.A, psi.data[:, None, None])
+    s2 = _k.clifford_batch(t, a2.V, a2.A, np.conj(psi.data)[:, None, None])
+    return _im_trace_integral(EndFormField(grid, rank, s1), EndFormField(grid, rank, s2))
 
 
 def gm_metric(

@@ -215,7 +215,7 @@ def exp_blades(t, b: np.ndarray) -> np.ndarray:
     acc[0] = 1.0
     term = acc
     for k in range(1, t.n + 1):
-        term = _k._wedge_rows(t, term, b)
+        term = _k.wedge_batch(t, term, b)
         term *= 1.0 / k
         acc += term
     return acc

@@ -47,6 +47,7 @@ from .fields import (
     MAX_GRID_N, MIN_GRID_SIZE, FormField, GenConnection, TorusGrid, exp_two_form_field
 )
 from .structures import OMEGA_BLOCK, gcs_symplectic, gk_validate, standard_complex
+from .analysis import _theta_covector
 
 _DEFAULT_SIZE = 32
 _DEFAULT_AMP = 0.1
@@ -343,8 +344,10 @@ def _theta_components(spec, n):
         arr = np.asarray(spec, dtype=float)
     except (TypeError, ValueError):
         raise SpecError("theta must be a list of real components") from None
-    if arr.shape not in ((2 * n,), (4 * n,)):
-        raise SpecError(f"theta needs {2 * n} covector or {4 * n} full components")
+    try:
+        _theta_covector(arr, n)  # the symbol maps' own test, ahead of any work
+    except ValueError as exc:
+        raise SpecError(str(exc)) from None
     return arr
 
 
@@ -356,6 +359,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     n = _as_int(doc.get("n", 1), "n", 1)
     if n > MAX_GRID_N:
         raise SpecError(f"n must be at most {MAX_GRID_N}, got {n}")
+    theta = _theta_components(doc.get("theta"), n)
 
     gspec = doc.get("grid", {})
     if not isinstance(gspec, dict) or set(gspec) - {"sizes", "periods"}:
@@ -427,6 +431,6 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         omega=omega,
         psi=psi,
         conn=conn,
-        theta=_theta_components(doc.get("theta"), n),
+        theta=theta,
         lam=None if lam is None else _as_real(lam, "lambda"),
     )

@@ -851,6 +851,12 @@ _KEY_DOCS = {
         "psi.omega is singular",
         _COMMANDS,
     ),
+    "theta-zero": ({"theta": [0, 0]}, "theta must be nonzero", ["symbols", "report"]),
+    "theta-vector-part": (
+        {"theta": [1, 0, 0, 1]},
+        "theta must be a cotangent direction (vector part present)",
+        ["symbols", "report"],
+    ),
     "omega-n2-not-commuting": (
         {"n": 2, "psi": {"omega": [[0, 0, 1, 0], [0, 0, 0, -1], [-1, 0, 0, 0], [0, 1, 0, 0]]}},
         _NOT_A_PAIR,
@@ -1063,6 +1069,7 @@ def test_any_connection_amplitude_ends_with_a_status(command, rank, exponents):
         (["solve", "--tol", "0"], "--tol must be a finite positive number, got 0.0"),
         (["solve", "--max-iter", "-1"], "--max-iter must be non-negative, got -1"),
         (["report", "--trials", "-2"], "--trials must be non-negative, got -2"),
+        (["verify", "--seed", "-1"], "--seed must be non-negative, got -1"),
     ],
 )
 def test_out_of_range_flag_exits_2_before_work(capsys, monkeypatch, argv, flag):

@@ -8,6 +8,7 @@ tolerance; genuinely discretized statements carry O(h^2) tolerances.
 """
 
 import dataclasses
+import itertools
 import re
 import tracemalloc
 import weakref
@@ -21,8 +22,10 @@ from hypothesis.extra import numpy as hnp
 from genkf import _backend, constants, fields
 from genkf._tables import _wedge_sign, blade_tables
 from genkf.multivector import (
+    GenVector,
     GradedForm,
     b_transform,
+    clifford_act,
     exp_blades,
     exp_two_form,
     interior,
@@ -68,7 +71,6 @@ from genkf.fields import (
 from genkf.fields import (
     _diff,
     _small_matmul,
-    _variation_act,
 )
 
 RNG = np.random.default_rng(660301)
@@ -82,6 +84,36 @@ def _signed(sign, sub):
     """sign * sub, one sign per blade: a batched coordinate step is
     out[dst] += this over all of a table's rows at once."""
     return sign.reshape((-1,) + (1,) * (sub.ndim - 1)) * sub
+
+
+def loop_wedge(t, a, f):
+    """a ^ f as out[i | j] += (a[i] s) f[j] over every wedge-table row in
+    table order, one row at a time on one-blade slices into zeros: the sum
+    the kernels' row walk makes, written apart from it.  a's batch axes
+    broadcast against f's trailing ones."""
+    shape = np.broadcast_shapes(a.shape[1:], f.shape[1:])
+    out = np.zeros((t.size,) + shape, dtype=np.complex128)
+    for i, j, s in zip(t.wedge_i.tolist(), t.wedge_j.tolist(), t.wedge_s.tolist()):
+        out[i | j:(i | j) + 1] += (a[i:i + 1] * s) * f[j:j + 1]
+    return out
+
+
+def loop_exp(t, b):
+    """e^b = sum b^k / k!, k <= n, for two-form blades b, each term (the last
+    term ^ b) / k by loop_wedge, added in order as exp_blades adds them."""
+    acc = np.zeros_like(b)
+    acc[0] = 1.0
+    term = acc
+    for k in range(1, t.n + 1):
+        term = loop_wedge(t, term, b) * (1.0 / k)
+        acc = acc + term
+    return acc
+
+
+def variation_act(grid, var, psi_data):
+    """The spin action of a connection variation on a spinor field, as
+    gm_symplectic applies it."""
+    return _backend.clifford_batch(blade_tables(grid.n), var.V, var.A, psi_data[:, None, None])
 
 
 def std_omega(n):
@@ -516,7 +548,7 @@ def test_curvature_u_grading(n):
 @pytest.mark.parametrize("varying", [False, True], ids=["constant-b", "varying-b"])
 def test_exp_wedge_series_is_the_wedge_with_exp_b(n, varying):
     # e^{-b} ^ F by b_transform_field, which u_window_defect takes, against
-    # the general kernel fed the blades of e^{-b}
+    # the series and the wedge summed row by row apart from the kernels
     rng = np.random.default_rng([n, varying])
     g = make_grid(n, 8)
     t = blade_tables(n)
@@ -526,17 +558,17 @@ def test_exp_wedge_series_is_the_wedge_with_exp_b(n, varying):
     b = m - np.swapaxes(m, 0, 1)
     if not varying:
         b[0, -1] = b[-1, 0] = 0.0  # a zero entry, whose blade the walk skips
-    want = _backend.wedge_batch(t, exp_blades(t, two_form_blades(-b)), f.data)
+    want = loop_wedge(t, loop_exp(t, two_form_blades(-b)), f.data)
     got = b_transform_field(-b, f).data
-    assert max_abs(got - want) <= 1e-15 * max_abs(want)
+    assert got.tobytes() == want.tobytes()
 
 
 def dense_u_window(f, b, omega):
     # the U-window check as one projector product per k over the whole grid,
-    # with e^{-b} ^ f by the general kernel
+    # with e^{-b} ^ f summed row by row apart from the kernels
     n = f.grid.n
     t = blade_tables(n)
-    g = _backend.wedge_batch(t, exp_blades(t, two_form_blades(-b)), f.data) if np.any(b) else f.data
+    g = loop_wedge(t, loop_exp(t, two_form_blades(-b)), f.data) if np.any(b) else f.data
     cols = g.reshape(4**n, -1)
     dec = UDecomposition(gcs_from_spinor(GradedForm(n, exp_blades(t, two_form_blades(1j * omega)))))
     outside = [k for k in range(-n, n + 1) if k not in (-n, -n + 2)]
@@ -1161,9 +1193,7 @@ def random_field(grid, rng, rank):
 def test_b_transform_field_is_table_order_multiply_adds(n, rank):
     # e^b, constant or varying, is applied as out[i|j] += (e^b[i] s) f[j],
     # one pair of the wedge table at a time in table order: bit for bit a
-    # sequential sum over every pair (the pairs it skips add only +-0).  The
-    # general kernel sums the same products, but reduceat sums segments of
-    # 8 or more terms pairwise, so it agrees to roundoff.
+    # sequential sum over every pair (the pairs it skips add only +-0)
     rng = np.random.default_rng(8 + n)
     g = make_grid(n, 8)
     f = random_field(g, rng, rank)
@@ -1183,9 +1213,6 @@ def test_b_transform_field_is_table_order_multiply_adds(n, rank):
             sequential[i | j] += (eb[i] * s) * f.data[j]
         assert got.data.tobytes() == sequential.tobytes()
 
-        kernel = _backend.wedge_batch(t, eb, f.data)
-        assert np.max(np.abs(got.data - kernel)) <= 1e-13 * np.max(np.abs(kernel))
-
 
 def test_b_transform_field_peaks_near_one_field():
     # the multiply-adds build no (pairs, *sizes) product: the traced peak
@@ -1202,6 +1229,83 @@ def test_b_transform_field_peaks_near_one_field():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * f.data.nbytes
+
+
+def at_every_point(x, shape):
+    """x (k,) repeated at every point of a batch of the given shape."""
+    return np.ascontiguousarray(np.broadcast_to(x.reshape((-1,) + (1,) * len(shape)), x.shape + shape))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_blade_product_has_one_set_of_bits_on_every_route(n):
+    # the wedge, the spin action and the Mukai pairing of one pair of forms
+    # give the bits of the forms alone at every point of a small batch,
+    # whose rows the walk stacks, of a batch one row of which reaches
+    # _ROW_BYTES, which it walks one row at a time, and of constant fields
+    # at both sides of that size
+    t = blade_tables(n)
+    rng = np.random.default_rng([n, 27])
+    a, b = (rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size) for _ in range(2))
+    v, xi = (rng.standard_normal(t.dim) + 1j * rng.standard_normal(t.dim) for _ in range(2))
+    m = rng.standard_normal((t.dim, t.dim))
+    fa, fb, e, bm = GradedForm(n, a), GradedForm(n, b), GenVector(v, xi), m - m.T
+    want = {
+        "wedge": wedge(fa, fb).coeffs,
+        "interior": interior(v, fa).coeffs,
+        "wedge1": clifford_act(GenVector(0 * v, xi), fa).coeffs,
+        "clifford": clifford_act(e, fa).coeffs,
+        "mukai": np.array([mukai_pair(fa, fb)]),
+        "b-transform": b_transform(bm, fa).coeffs,
+    }
+    rows = _backend._ROW_BYTES // 16  # complex entries in one row's product
+    assert 3 < rows
+    for shape in [(3,), (rows,)]:
+        ab, bb = at_every_point(a, shape), at_every_point(b, shape)
+        vb, xib = at_every_point(v, shape), at_every_point(xi, shape)
+        got = {
+            "wedge": _backend.wedge_batch(t, ab, bb),
+            "interior": _backend.interior_batch(t, vb, ab),
+            "wedge1": _backend.wedge1_batch(t, xib, ab),
+            "clifford": _backend.clifford_batch(t, vb, xib, ab),
+            "mukai": _backend.mukai_batch(t, ab, bb)[None],
+        }
+        for key, out in got.items():
+            assert same_bits(out, at_every_point(want[key], shape)), (key, shape)
+    for size in [8, 64] if n == 1 else [8]:
+        g = make_grid(n, size)
+        fa_field, fb_field = FormField.constant(g, fa), FormField.constant(g, fb)
+        var = ConnVariation(*(at_every_point(c, (1, 1) + g.sizes) for c in (xi, v)))
+        got = {
+            "clifford": variation_act(g, var, fa_field.data)[:, 0, 0],
+            "mukai": mukai_field(fa_field, fb_field)[None],
+            "b-transform": b_transform_field(bm, fa_field).data,
+        }
+        for key, out in got.items():
+            assert same_bits(out, at_every_point(want[key], g.sizes)), (key, size)
+
+
+@pytest.mark.parametrize("n, size, rank", [(1, 8, 2), (1, 64, 1), (2, 8, 1)])
+def test_field_products_match_the_form_products_at_every_point(n, size, rank):
+    # b_transform_field, mukai_field and gm_symplectic's spin action on
+    # varying fields give, at each point, the bits of b_transform,
+    # mukai_pair and clifford_act on that point's forms
+    rng = np.random.default_rng([n, size, rank, 27])
+    g = make_grid(n, size)
+    f1, f2 = random_field(g, rng, None), random_field(g, rng, None)
+    var = ConnVariation(*(rng.standard_normal((2 * n, rank, rank) + g.sizes) + 0j for _ in range(2)))
+    m = rng.standard_normal((2 * n, 2 * n))
+    bm = m - m.T
+    moved = b_transform_field(bm, f1).data
+    paired = mukai_field(f1, f2)
+    acted = variation_act(g, var, f1.data)
+    for p in itertools.product(*map(range, g.sizes)):
+        at = (slice(None),) + p
+        fa, fb = f1.value_at(p), f2.value_at(p)
+        assert moved[at].tobytes() == b_transform(bm, fa).coeffs.tobytes()
+        assert paired[p].tobytes() == np.complex128(mukai_pair(fa, fb)).tobytes()
+        for i, j in itertools.product(range(rank), repeat=2):
+            e = GenVector(var.V[(slice(None), i, j) + p], var.A[(slice(None), i, j) + p])
+            assert acted[(slice(None), i, j) + p].tobytes() == clifford_act(e, fa).coeffs.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1544,7 +1648,7 @@ def test_field_operators_match_full_array_formulas_bitwise(n, r, seed, zero, neg
         ConnVariation(*(complex_with_zeros(rng, var_shape, zero, neg) for _ in range(2)))
         for _ in range(2)
     )
-    got = _variation_act(g, a1, psi.data, r)
+    got = variation_act(g, a1, psi.data)
     assert same_bits(got, full_variation_act(g, a1, psi.data, r))
     got = gm_symplectic(g, a1, a2, psi)
     want = full_gm_symplectic(g, a1, a2, psi)
@@ -1703,7 +1807,7 @@ def all_blade_variation_act(grid, var, psi_data, rank):
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("bkind", ["constant-psi", "constant-b", "varying-b"])
 def test_live_blade_loops_match_every_blade_loops_bitwise(n, r, bkind):
-    # psi = e^{b + i omega} is even, so curvature and _variation_act skip at
+    # psi = e^{b + i omega} is even, so curvature and the spin action skip at
     # least half the table rows; the rows skipped only added +-0
     rng = np.random.default_rng([n, r, len(bkind)])
     g = make_grid(n, 16 if n == 1 else 8)
@@ -1717,7 +1821,7 @@ def test_live_blade_loops_match_every_blade_loops_bitwise(n, r, bkind):
     var = random_variation(g, r, rng)
     for spinor in (psi, psi.conjugate()):
         assert same_bits(curvature(conn, spinor).data, all_blade_curvature(conn, spinor.data))
-        got = _variation_act(g, var, spinor.data, r)
+        got = variation_act(g, var, spinor.data)
         assert same_bits(got, all_blade_variation_act(g, var, spinor.data, r))
 
 

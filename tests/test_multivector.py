@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import genkf
-from genkf import _backend, multivector
+from genkf import _backend, fields, multivector
 from genkf._tables import blade_tables
 from genkf.analysis import cohiggs_residual
 from genkf.fields import FormField, GenConnection, TorusGrid, bfield_act, moment_value
@@ -185,6 +185,9 @@ def test_tracer_wraps_the_kernels_of_backend_and_nests_none():
     for modname in tracer_module.LAYER_MODULES.values():
         importlib.import_module(modname)
     kernels = {name: getattr(_backend, name) for name in KERNEL_NAMES}
+    grid = fields.TorusGrid(1, (8, 8))
+    psi = fields.exp_two_form_field(grid, np.array([[0.0, 1j], [-1j, 0.0]]))
+    var = fields.ConnVariation(*(RNG.standard_normal((2, 1, 1, 8, 8)) + 0j for _ in range(2)))
     tracer = tracer_module.Tracer()
     try:
         tracer.install()
@@ -192,12 +195,18 @@ def test_tracer_wraps_the_kernels_of_backend_and_nests_none():
             assert getattr(_backend, name).__wrapped__ is fn
         e = GenVector(RNG.standard_normal(4), RNG.standard_normal(4))
         multivector.clifford_act(e, random_form(2))
+        # a field layer reaches the kernels the same way
+        fields.gm_symplectic(grid, var, var, psi)
     finally:
         tracer.uninstall()
     assert all(getattr(_backend, name) is fn for name, fn in kernels.items())
     names = [tracer.names[i] for i in tracer.span_name]
-    assert names == ["multivector.clifford_act", "kernels.clifford_batch"]
-    assert tracer.span_parent == [-1, 0]
+    assert names == [
+        "multivector.clifford_act", "kernels.clifford_batch",
+        "fields.gm_symplectic", "kernels.clifford_batch", "kernels.clifford_batch",
+        "fields.mukai_field",
+    ]
+    assert tracer.span_parent == [-1, 0, -1, 2, 2, 2]
 
 
 # names no command reaches yet, kept on purpose: one reason each
@@ -289,7 +298,7 @@ def test_kernels_on_blade_first_batches_match_single_forms_bitwise(n):
 
 
 def every_axis_step(t, comps, a, src, dst):
-    """sum over every mu of (sign comps[mu]) a[src[mu]] scattered to dst[mu],
+    """sum over every mu of (sign a[src[mu]]) comps[mu] scattered to dst[mu],
     zero components included, into a +0 array (the kernels' full sum)."""
     nb = max(comps.ndim, a.ndim) - 1
     a = a.reshape(a.shape[:1] + (1,) * (nb + 1 - a.ndim) + a.shape[1:])
@@ -298,7 +307,7 @@ def every_axis_step(t, comps, a, src, dst):
     out = np.zeros((t.size,) + shape, dtype=np.complex128)
     for mu in range(t.dim):
         sign = t.axis_s[mu].reshape((-1,) + (1,) * nb)
-        out[dst[mu]] += sign * comps[mu] * a[src[mu]]
+        out[dst[mu]] += (sign * a[src[mu]]) * comps[mu]
     return out
 
 
