@@ -24,20 +24,20 @@ from ._tables import BladeTables
 
 BACKEND_NAME = "python"
 
-# bytes of one row's product from which _add_rows goes one row at a time
-_ROW_BYTES = 1 << 16
+# bytes of all rows' stacked product from which _add_rows goes one row at a
+# time; timed on 2 vCPUs, one row at a time wins from about 48 KB at n = 1,
+# and the stacked product slows 2-3x past about 128 KB at n = 1 and 2
+_STACK_BYTES = 1 << 16
 
 
 def _lift(x: np.ndarray, nb: int) -> np.ndarray:
     """x (k, *batch) with its batch axes padded on the left to nb axes."""
-    if x.ndim == nb + 1:
-        return x
     return x.reshape(x.shape[:1] + (1,) * (nb + 1 - x.ndim) + x.shape[1:])
 
 
 def _blades_live(data: np.ndarray) -> np.ndarray:
     """(size,) mask of the blades of (size, *batch) data that hold any nonzero entry."""
-    return np.any(data.reshape(data.shape[0], -1), axis=1)
+    return data.reshape(len(data), -1).any(1)
 
 
 def _add_rows(out, x, ys, rows):
@@ -46,26 +46,26 @@ def _add_rows(out, x, ys, rows):
     (blades, *batch) arrays with the same number of axes, out C-contiguous.
 
     Each target is summed in row order, starting from what out holds, one
-    of two ways by the size of one row's product; both give the same bits.
-    Below _ROW_BYTES the rows are stacked into one (rows, *batch) product,
-    added by np.add.at in index order.  A larger product goes one row at a
-    time on one-blade slices and builds nothing of (rows, *batch) size.
-    Rows take slices, not numpy scalars, whose products may round apart
-    from the (fused) array loop's, so a form alone keeps its batch bits.
+    of two ways by the size of the rows' products; both give the same bits.
+    Below _STACK_BYTES the rows are stacked into one (rows, *batch) product,
+    added by np.add.at in index order, so its temporaries stay within a few
+    times _STACK_BYTES.  Larger products go one row at a time and build
+    nothing of (rows, *batch) size.  A row takes one-blade slices, not numpy
+    scalars, whose products may round apart from the (fused) array loop's,
+    so a form alone keeps its batch bits.
 
-    A row whose x blade or y component is dead (all zero) adds +-0 on
-    finite input, which changes no bit of a sum started at +0 (it never
-    becomes -0 when rounding to nearest), so a caller may leave such rows
-    out, and _walk does before it goes one row at a time.
+    A row whose x blade or y component is all zero adds +-0 on finite input,
+    which moves no bit of a sum started at +0 (never -0 when rounding to
+    nearest); callers leave such rows out, as _walk does.
     """
     h, l, m, s = rows
-    if out[0].nbytes < _ROW_BYTES:
+    if len(h) * out[0].nbytes < _STACK_BYTES:
         y = ys[0] if len(ys) == 1 else np.concatenate(np.broadcast_arrays(*ys))
         prod = (s.reshape((-1,) + (1,) * (out.ndim - 1)) * x[l]) * y[m]
-        # on flat indices np.add.at takes its fast one-axis loop
+        # np.add.at's fast one-axis loop, on a view as out is C-contiguous
         width = out[0].size
         flat = h if width == 1 else (h[:, None] * width + np.arange(width)).ravel()
-        np.add.at(out.reshape(-1, copy=False), flat, prod.reshape(-1))
+        np.add.at(out.reshape(-1), flat, prod.reshape(-1))
         return out
     comps = [c[k:k + 1] for c in ys for k in range(len(c))]
     for hh, ll, mm, ss in zip(*(a.tolist() for a in rows)):
@@ -74,18 +74,14 @@ def _add_rows(out, x, ys, rows):
 
 
 def _walk(rows, x, *ys):
-    """The sums of _add_rows from +0, broadcasting x and ys as the kernels
-    do; one row at a time, only over the rows whose x blade and y
-    component are live."""
+    """The sums of _add_rows from +0 over the rows whose x blade and y
+    component are live, broadcasting x and ys as the kernels do."""
     nb = max(c.ndim for c in (x, *ys)) - 1
     x, ys = _lift(x, nb), [_lift(c, nb) for c in ys]
     shape = np.broadcast(x[0], *(c[0] for c in ys)).shape
     out = np.zeros((len(x),) + shape, dtype=np.result_type(x, *ys))
-    if out[0].nbytes >= _ROW_BYTES:
-        live_y = np.concatenate([_blades_live(c) for c in ys])
-        keep = _blades_live(x)[rows[1]] & live_y[rows[2]]
-        rows = tuple(a[keep] for a in rows)
-    return _add_rows(out, x, ys, rows)
+    live_y = _blades_live(ys[0]) if len(ys) == 1 else np.concatenate([_blades_live(c) for c in ys])
+    return _add_rows(out, x, ys, rows.compress(_blades_live(x)[rows[1]] & live_y[rows[2]], axis=1))
 
 
 def wedge_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,14 +90,13 @@ def wedge_batch(t: BladeTables, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def interior_batch(t: BladeTables, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """out[:, p] = i_{v[:, p]} a[:, p]: the spin action of v + 0, whose
-    dx^mu ^ rows add +-0."""
-    return _walk(t.clifford_rows, a, v, np.zeros(t.dim))
+    """out[:, p] = i_{v[:, p]} a[:, p], over the spin action's i_mu rows."""
+    return _walk(t.interior_rows, a, v)
 
 
 def wedge1_batch(t: BladeTables, xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """out[:, p] = (sum_mu xi[mu, p] dx^mu) ^ a[:, p]: the spin action of 0 + xi."""
-    return _walk(t.clifford_rows, a, np.zeros(t.dim), xi)
+    """out[:, p] = (sum_mu xi[mu, p] dx^mu) ^ a[:, p], over its dx^mu ^ rows."""
+    return _walk(t.wedge1_rows, a, xi)
 
 
 def clifford_batch(

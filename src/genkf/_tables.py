@@ -70,12 +70,14 @@ class BladeTables:
     # Mukai pair table: <a,b>_s = sum_i mukai_s[i] * a[i] * b[comp[i]]
     mukai_comp: np.ndarray
     mukai_s: np.ndarray
-    # rows (target, blade, component, sign) of _backend._add_rows, four flat
-    # arrays each: the wedge table's, whose component is b's blade, and the
-    # spin action's, for mu ascending dx^mu ^'s with xi_mu, then i_mu's with
-    # v^mu, components indexing v and xi stacked
-    wedge_rows: tuple
-    clifford_rows: tuple
+    # (4, rows) integer rows (target, blade, component, sign) of
+    # _backend._add_rows: the wedge table's, component b's blade; dx^mu ^'s
+    # and i_mu's, mu ascending, component mu; the spin action's, for each mu
+    # dx^mu ^'s with xi_mu then i_mu's with v^mu, v and xi stacked
+    wedge_rows: np.ndarray
+    wedge1_rows: np.ndarray
+    interior_rows: np.ndarray
+    clifford_rows: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +126,9 @@ def blade_tables(n: int) -> BladeTables:
     mukai_s = wedge_s[-size:] * invol[comp]
 
     axis_mu = np.repeat(np.arange(dim), size // 2).reshape(dim, -1)
-    spin = zip((axis_hi, axis_lo, axis_mu + dim, axis_s), (axis_lo, axis_hi, axis_mu, axis_s))
+    wedge1 = np.stack([axis_hi, axis_lo, axis_mu, axis_s.astype(np.int64)])
+    interior = wedge1[[1, 0, 2, 3]]
+    spin = np.concatenate([wedge1 + np.array([0, 0, dim, 0])[:, None, None], interior], axis=2)
 
     return BladeTables(
         n=n,
@@ -143,6 +147,8 @@ def blade_tables(n: int) -> BladeTables:
         d_drop=tuple(map(tuple, d_drop)),
         mukai_comp=comp,
         mukai_s=mukai_s,
-        wedge_rows=(wedge_k, wedge_i, wedge_j, wedge_s),
-        clifford_rows=tuple(np.concatenate(part, axis=1).ravel() for part in spin),
+        wedge_rows=np.stack([wedge_k, wedge_i, wedge_j, wedge_s.astype(np.int64)]),
+        wedge1_rows=wedge1.reshape(4, -1),
+        interior_rows=interior.reshape(4, -1),
+        clifford_rows=spin.reshape(4, -1),
     )

@@ -340,9 +340,8 @@ def _d_live(grid, blade, out, a=None):
     buffer started at +0, and out[h] += buffer.  Each blade gets the bits it
     would get if d^A u were summed as a field of its own and then added
     to out.  A dead blade's rows only add +-0 (see _backend._add_rows) and
-    are skipped, as is a target with no other.  The kernels' walk,
-    _add_rows, sums in row order instead, so it would need every source
-    blade of u at once.
+    are skipped, as is a target with no other.  _add_rows sums in row order
+    instead, so it would need every source blade of u at once.
 
     blade(l) is called once, at the first target that reads l, and what it
     returns is held until the last (t.d_drop).  Besides out, only the buffer,

@@ -1231,6 +1231,26 @@ def test_b_transform_field_peaks_near_one_field():
     assert peak <= 2 * f.data.nbytes
 
 
+def test_b_transform_field_stacked_walk_peaks_within_its_bound():
+    # at n = 1 on 28^2 the wedge's 5 live rows (e^b's blades 1 and dx^0 ^ dx^1
+    # against f's) make a 61 KB product, just under _STACK_BYTES, so the walk
+    # stacks them: the peak is the result plus temporaries bounded by a few
+    # times _STACK_BYTES, not a multiple of the field
+    rng = np.random.default_rng(5)
+    g = make_grid(1, 28)
+    f = random_field(g, rng, None)
+    assert 5 * f.data[0].nbytes < _backend._STACK_BYTES <= 5 * 16 * 30 * 30  # 30^2: one row at a time
+    bmat = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        b_transform_field(bmat, f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= f.data.nbytes + 4 * _backend._STACK_BYTES
+
+
 def at_every_point(x, shape):
     """x (k,) repeated at every point of a batch of the given shape."""
     return np.ascontiguousarray(np.broadcast_to(x.reshape((-1,) + (1,) * len(shape)), x.shape + shape))
@@ -1241,7 +1261,7 @@ def test_each_blade_product_has_one_set_of_bits_on_every_route(n):
     # the wedge, the spin action and the Mukai pairing of one pair of forms
     # give the bits of the forms alone at every point of a small batch,
     # whose rows the walk stacks, of a batch one row of which reaches
-    # _ROW_BYTES, which it walks one row at a time, and of constant fields
+    # _STACK_BYTES, which it walks one row at a time, and of constant fields
     # at both sides of that size
     t = blade_tables(n)
     rng = np.random.default_rng([n, 27])
@@ -1257,9 +1277,9 @@ def test_each_blade_product_has_one_set_of_bits_on_every_route(n):
         "mukai": np.array([mukai_pair(fa, fb)]),
         "b-transform": b_transform(bm, fa).coeffs,
     }
-    rows = _backend._ROW_BYTES // 16  # complex entries in one row's product
-    assert 3 < rows
-    for shape in [(3,), (rows,)]:
+    wide = _backend._STACK_BYTES // 16  # complex entries in one row's product
+    assert len(t.wedge_rows[0]) * 3 * 16 < _backend._STACK_BYTES
+    for shape in [(3,), (wide,)]:
         ab, bb = at_every_point(a, shape), at_every_point(b, shape)
         vb, xib = at_every_point(v, shape), at_every_point(xi, shape)
         got = {
@@ -1282,6 +1302,30 @@ def test_each_blade_product_has_one_set_of_bits_on_every_route(n):
         }
         for key, out in got.items():
             assert same_bits(out, at_every_point(want[key], g.sizes)), (key, size)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_walk_leaves_out_dead_rows_on_either_path(n):
+    # a row whose form blade or vector component is zero is left out, in a
+    # small batch and in one walked one row at a time: an infinite top blade
+    # meets no zero to make 0 * inf = NaN, so every blade its live rows do
+    # not reach stays exactly zero
+    t = blade_tables(n)
+    top = t.size - 1
+    for shape in [(3,), (_backend._STACK_BYTES // 16,)]:
+        a = np.zeros((t.size,) + shape, dtype=complex)
+        a[top] = np.inf
+        e0 = at_every_point(np.eye(t.dim)[0] + 0j, shape)
+        dx0 = at_every_point(np.eye(t.size)[1] + 0j, shape)
+        with np.errstate(invalid="ignore"):  # inf * (1 + 0j) in the live rows
+            got = {
+                # i_0 of the top blade reaches top - 1 alone; dx^0 ^ top is no row
+                "interior": (_backend.interior_batch(t, e0, a), [top - 1]),
+                "clifford": (_backend.clifford_batch(t, e0, 0 * e0, a), [top - 1]),
+                "wedge": (_backend.wedge_batch(t, dx0, a), []),
+            }
+        for key, (out, reached) in got.items():
+            assert (np.delete(out, reached, axis=0) == 0).all(), (key, shape)
 
 
 @pytest.mark.parametrize("n, size, rank", [(1, 8, 2), (1, 64, 1), (2, 8, 1)])
