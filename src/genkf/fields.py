@@ -260,6 +260,22 @@ def _diff(grid: TorusGrid, arr: np.ndarray, mu: int):
     return out
 
 
+def _second_diff(grid: TorusGrid, arr: np.ndarray, mu: int):
+    """arr[i+1] + arr[i-1] - 2 arr[i] along grid axis mu, periodic and unscaled.
+
+    arr[i] is subtracted twice, not doubled, so a constant gives exactly 0.
+    """
+    out = np.empty_like(arr)
+    axis = mu - 2 * grid.n
+    a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
+    np.add(a[2:], a[:-2], out=o[1:-1])
+    np.add(a[1], a[-1], out=o[0])
+    np.add(a[0], a[-2], out=o[-1])
+    out -= arr
+    out -= arr
+    return out
+
+
 def _small_matmul(x: np.ndarray, y: np.ndarray, ngrid: int) -> np.ndarray:
     """x @ y over the (r, r) axes just before the ngrid trailing grid axes;
     leading axes broadcast.
@@ -745,11 +761,23 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
     """Max norm of dbar compose dbar over test sections exp(i phase(k)) e_i, k = 0 or e_mu.
 
     dbar is the L-bar projection of the generalized derivative: along each
-    antiholomorphic basis direction e = v + eta the operator is
-    sum_mu v^mu D_mu + m_e, with m_e = sum_mu v^mu A_mu + sum_mu eta_mu V^mu.
-    Each m_e is built once, as one (r, r, *sizes) field; the r sections of a
-    wave are the columns of the one field exp(i phase) I, so a single matrix
-    product applies m_e to all of them.
+    antiholomorphic basis direction a, with e_a = v_a + eta_a, the operator
+    is sum_mu v_a^mu D_mu + m_a, with m_a = sum_mu v_a^mu A_mu +
+    sum_mu eta_a,mu V^mu and D_mu the periodic central difference.  The
+    differences commute, so the second-order terms of dbar_a dbar_b -
+    dbar_b dbar_a cancel and what is left is the zeroth-order field
+
+        [m_a, m_b] + sum_mu [D_mu, w_mu],   w_mu = v_a^mu m_b - v_b^mu m_a.
+
+    On the wave exp(i phase(k)), with theta_mu = 2 pi k_mu h_mu / P_mu,
+    [D_mu, w] acts as multiplication by cos(theta_mu) D_mu w +
+    (i sin(theta_mu) / 2 h_mu) (w(x + h_mu) - 2 w + w(x - h_mu)).  So the
+    commutator sends the r sections of wave k to the columns of
+    exp(i phase(k)) M_ab(k), and as |exp(i phase(k))| = 1 the max over the
+    sections of that wave is max|M_ab(k)|.  M_ab(0) has D_mu w_mu in every
+    term; M_ab(e_nu) replaces the nu term only, so a wave along an axis
+    where v_a and v_b both vanish gives M_ab(0) again.  Each w_mu is built,
+    differenced and dropped inside its pair.
     """
     if j.n != grid.n:
         raise ValueError("structure dimension mismatch")
@@ -766,21 +794,36 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
                 m += lbar[n2 + mu, a] * conn.V[mu]
         zeroth.append(m)
 
-    def op(a, s):
-        out = _small_matmul(zeroth[a], s, n2)
-        for mu in range(n2):
-            if lbar[mu, a] != 0:
-                out += lbar[mu, a] * _diff(grid, s, mu)
-        return out
-
     worst = 0.0
-    for wave in (np.zeros(n2, dtype=int), *np.eye(n2, dtype=int)):
-        s = np.multiply.outer(np.eye(r), np.exp(1j * grid.phase(wave)))
-        ops = [op(a, s) for a in range(n2)]
-        for a in range(n2):
-            for b in range(a + 1, n2):
-                res = op(a, ops[b]) - op(b, ops[a])
-                worst = max(worst, float(np.max(np.abs(res))))
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            m_ab = _small_matmul(zeroth[a], zeroth[b], n2)
+            m_ab -= _small_matmul(zeroth[b], zeroth[a], n2)
+            waves = []  # M_ab(e_mu) - M_ab(0) for each axis dbar_a or dbar_b moves along
+            for mu in range(n2):
+                va, vb = lbar[mu, a], lbar[mu, b]
+                if va == 0 and vb == 0:
+                    continue
+                if vb == 0:
+                    w = va * zeroth[b]
+                elif va == 0:
+                    w = -vb * zeroth[a]
+                else:
+                    w = va * zeroth[b] - vb * zeroth[a]
+                h = grid.spacings[mu]
+                theta = 2.0 * np.pi * h / grid.periods[mu]
+                dw = _diff(grid, w, mu)
+                m_ab += dw
+                dw *= np.cos(theta) - 1.0
+                wave = _second_diff(grid, w, mu)
+                wave *= 1j * np.sin(theta) / (2.0 * h)
+                wave += dw
+                waves.append(wave)
+                del w, dw
+            worst = max(worst, float(np.max(np.abs(m_ab))))
+            for wave in waves:
+                wave += m_ab
+                worst = max(worst, float(np.max(np.abs(wave))))
     return worst
 
 

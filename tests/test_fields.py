@@ -36,6 +36,7 @@ from genkf.multivector import (
 from genkf.structures import (
     GKPair,
     UDecomposition,
+    gcs_b_transform,
     gcs_complex,
     gcs_from_spinor,
     gcs_symplectic,
@@ -912,18 +913,22 @@ def test_moment_derivative_identity():
 
 
 def test_dbar_flat_and_constant():
+    # every term of the closed form is an exact zero here: D m = 0,
+    # m(x + h) - 2m + m(x - h) = 0, and rank-1 commutators vanish bit for bit
     g = make_grid()
     j = gcs_complex(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    assert dbar_residual(g, GenConnection.zero(g, 1), j) < 1e-12
+    for r in (1, 2):
+        assert dbar_residual(g, GenConnection.zero(g, r), j) == 0.0
     vconst = np.zeros((2, 1, 1, *g.sizes), dtype=np.complex128)
     vconst[0] += 0.3j
     vconst[1] += 0.1j
     conn = GenConnection(g, 1, np.zeros_like(vconst), vconst)
-    assert dbar_residual(g, conn, j) < 1e-12
+    assert dbar_residual(g, conn, j) == 0.0
 
 
 def dbar_residual_per_section(grid, conn, j):
-    """dbar_residual with each section e_i on its own and the zeroth-order
+    """dbar_residual in operator form: each test section exp(i phase(k)) e_i
+    on its own through dbar_a dbar_b - dbar_b dbar_a, with the zeroth-order
     part rebuilt by per-mu einsums in every application."""
     lbar = j.minus_i_eigenbasis()
     n2 = 2 * grid.n
@@ -960,15 +965,53 @@ def dbar_residual_per_section(grid, conn, j):
 @pytest.mark.parametrize("n, size", [(1, 16), (2, 8)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_dbar_matches_per_section_reference(n, size, r):
-    # one zeroth-order field per direction, applied to the identity field of
-    # all r sections, against each section and per-mu einsums apart
+    # the closed-form commutator field per direction pair and wave, against
+    # each section pushed through both first-order operators; the wave
+    # correction's angle is 2 pi h / P, so non-unit periods move it
     rng = np.random.default_rng([n, r, 12])
-    g = make_grid(n, size)
-    for j in (standard_complex(n), gcs_symplectic(std_omega(n))):
-        for conn in (GenConnection.zero(g, r), random_conn(g, r, rng, amp=0.3)):
-            got, want = dbar_residual(g, conn, j), dbar_residual_per_section(g, conn, j)
-            assert abs(got - want) <= 1e-13 * max(1.0, want)
-        assert dbar_residual(g, GenConnection.zero(g, r), j) < 1e-12
+    m = rng.standard_normal((2 * n, 2 * n))
+    bmat = 0.3 * (m - m.T)
+    for periods in (None, np.linspace(0.6, 1.8, 2 * n)):
+        g = TorusGrid(n, (size,) * (2 * n), periods)
+        for j in (
+            standard_complex(n),
+            gcs_symplectic(std_omega(n)),
+            gcs_b_transform(bmat, standard_complex(n)),
+        ):
+            for conn in (GenConnection.zero(g, r), random_conn(g, r, rng, amp=0.3)):
+                got, want = dbar_residual(g, conn, j), dbar_residual_per_section(g, conn, j)
+                assert abs(got - want) <= 1e-13 * max(1.0, want)
+            assert dbar_residual(g, GenConnection.zero(g, r), j) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_dbar_wave_terms_count(n, r):
+    # V^0 = 0.3i I (-1)^{x_0}: D_0 of a Nyquist mode is 0, so the k = 0 field
+    # vanishes and the whole defect comes from the e_0 wave's
+    # second-difference term, (sin(2 pi / 8) / 2h) 4 |v^0 eta_0| 0.3
+    g = make_grid(n, 8)
+    v = np.zeros((2 * n, r, r, *g.sizes), dtype=np.complex128)
+    checker = (-1.0) ** np.arange(8).reshape((8,) + (1,) * (2 * n - 1))
+    v[0] = 0.3j * np.eye(r).reshape((r, r) + (1,) * (2 * n)) * checker
+    conn = GenConnection(g, r, np.zeros_like(v), v)
+    j = standard_complex(n)
+    got, want = dbar_residual(g, conn, j), dbar_residual_per_section(g, conn, j)
+    assert abs(got - want) <= 1e-13 * want
+    assert got > 1.0
+    assert abs(got - np.sin(2 * np.pi / 8) / (2 / 8) * 4 * 0.5 * 0.3) <= 1e-13
+
+
+def test_dbar_peaks_under_fifteen_matrix_fields():
+    # each pair's shifted terms are built, read and dropped inside the pair:
+    # the four zeroth-order fields, the pair's M_ab, its wave corrections
+    # and one term's temporaries, 11.6 (r, r, *sizes) fields.  Holding every
+    # term for the whole call goes past 15
+    rng = np.random.default_rng(28)
+    g = make_grid(2, 10)
+    conn = random_conn(g, 2, rng)
+    matrix_field = 16 * 2**2 * 10**4
+    assert traced_peak(lambda: dbar_residual(g, conn, standard_complex(2))) <= 15 * matrix_field
 
 
 def test_dbar_detects_nonholomorphic():
