@@ -12,7 +12,8 @@ Layers, bottom up:
   cli           `genkf` command line (verify / curvature / solve / symbols / report)
 """
 
-from ._backend import BACKEND_NAME as kernel_backend
-
+# a literal, not read from _backend: importing the package loads no numpy,
+# so the genkf command can fix its BLAS threads first (see cli)
+kernel_backend = "python"
 __version__ = "0.1.0"
 __all__ = ["kernel_backend", "__version__"]

@@ -22,8 +22,6 @@ import numpy as np
 
 from ._tables import BladeTables
 
-BACKEND_NAME = "python"
-
 # bytes of all rows' stacked product from which _add_rows goes one row at a
 # time; timed on 2 vCPUs, one row at a time wins from about 48 KB at n = 1,
 # and the stacked product slows 2-3x past about 128 KB at n = 1 and 2

@@ -18,7 +18,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+
+# BLAS runs on the calling thread: OpenBLAS reads this when numpy first
+# loads it, so it is set before any genkf module imports numpy.  No command
+# hands BLAS a matrix larger than 52 x 32 or LAPACK one larger than 64 x 16,
+# and a second OpenBLAS thread was measured doing none of the work, yet its
+# idle worker spins for about 0.13 s of CPU after the import.  An exported
+# value wins, and a program that imports genkf's modules itself keeps its
+# own BLAS setup.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -248,15 +248,20 @@ def shift_connection(conn: GenConnection, var: ConnVariation, t: float) -> GenCo
 def _diff(grid: TorusGrid, arr: np.ndarray, mu: int):
     """Central difference along grid axis mu; the 2n grid axes trail.
 
-    (arr[i+1] - arr[i-1]) / 2h, periodic: interior slab and wrap faces apart.
+    (arr[i+1] - arr[i-1]) * (1/2h), periodic: interior slab and wrap faces
+    apart.  The scale multiplies the float64 parts, real and imaginary
+    alike.  numpy's complex division by 2h + 0j, (a + b*0) * (1/2h), costs
+    several times as much and differs only in the sign of a zero part and
+    beside a non-finite part.
     """
-    out = np.empty_like(arr)
+    out = np.empty(arr.shape, dtype=arr.dtype)  # C order, so its float64 view exists
     axis = mu - 2 * grid.n
     a, o = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(a[2:], a[:-2], out=o[1:-1])
     np.subtract(a[1], a[-1], out=o[0])
     np.subtract(a[0], a[-2], out=o[-1])
-    out /= 2.0 * grid.spacings[mu]
+    parts = out.view(np.float64)
+    parts *= 1.0 / (2.0 * grid.spacings[mu])
     return out
 
 
@@ -411,7 +416,7 @@ def lie_derivative(grid: TorusGrid, v, f: FormField) -> FormField:
 
 def vol_density(grid: TorusGrid, psi: FormField) -> np.ndarray:
     """Positive density i^{-n} <psi, psibar>_s; aborts on a degenerate point."""
-    val = (1j ** (-grid.n)) * mukai_field(psi, psi.conjugate())
+    val = (1j ** (-grid.n)) * _pair_psibar(psi, grid.sizes, psi.data.__getitem__)
     peak = float(np.max(np.abs(val)))
     if peak == 0.0:
         raise ValueError("degenerate spinor field: pairing vanishes identically")
@@ -553,9 +558,8 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
 
 def mean_curvature_from(f: EndFormField, psi: FormField) -> np.ndarray:
     """Hermitian part of the psi-line coefficient of the curvature f, (r, r, *sizes)."""
-    psibar = psi.conjugate()
-    num = mukai_field(f, psibar)  # (r, r, *sizes)
-    den = mukai_field(psi, psibar)  # (*sizes)
+    num = _pair_psibar(psi, f.data.shape[1:], f.data.__getitem__)  # (r, r, *sizes)
+    den = _pair_psibar(psi, psi.grid.sizes, psi.data.__getitem__)  # (*sizes)
     k = num / den
     return (k + np.swapaxes(k, 0, 1).conj()) / 2.0
 
@@ -661,14 +665,37 @@ def trace_field(f: EndFormField) -> FormField:
     return FormField(f.grid, np.trace(f.data, axis1=1, axis2=2))
 
 
+def _pair_psibar(psi: FormField, shape, blade) -> np.ndarray:
+    """<f, psibar>_s, of the given shape, for the field f whose blade c is
+    blade(c): mukai_field(f, psi.conjugate()) bit for bit on finite input,
+    with no conjugate field built.
+
+    Only the blades c whose partner top - c is live in psi are read (4 of
+    16 for e^{i omega} at n = 2); the others add +-0, which moves no bit of
+    a sum started at +0 (see _backend._add_rows).  Each partner is
+    conjugated on its own, and each term is einsum's product, as in
+    mukai_field's contraction, (f[c] s_c) conj(psi[top - c]), added in
+    blade order.
+    """
+    t = blade_tables(psi.grid.n)
+    top = t.size - 1
+    live = _k._blades_live(psi.data)
+    out = np.zeros(shape, dtype=np.complex128)
+    for c in range(t.size):
+        if live[top - c]:
+            out += np.einsum("...,,...->...", blade(c), t.mukai_s[c], np.conj(psi.data[top - c]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Chern pairing and the topological lambda
 
 
 def chern_from(f: EndFormField, psi: FormField) -> complex:
-    """Integral of <tr f, psibar>_s for the curvature f on psi."""
+    """Integral of <tr f, psibar>_s for the curvature f on psi, tr f taken
+    one blade at a time."""
     grid = f.grid
-    return complex(grid.integrate(mukai_field(trace_field(f), psi.conjugate())))
+    return complex(grid.integrate(_pair_psibar(psi, grid.sizes, lambda c: np.trace(f.data[c]))))
 
 
 class LambdaNotReal(ValueError):
@@ -682,7 +709,7 @@ class LambdaNotReal(ValueError):
 def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
     """The topological lambda: the chern pair over rank times the total pairing."""
     grid = psi.grid
-    denom = rank * complex(grid.integrate(mukai_field(psi, psi.conjugate())))
+    denom = rank * complex(grid.integrate(_pair_psibar(psi, grid.sizes, psi.data.__getitem__)))
     lam = chern / denom
     if abs(lam.imag) > 1e-8 * max(1.0, abs(lam)):
         raise LambdaNotReal(f"lambda is not real: {lam}")
@@ -693,27 +720,25 @@ def lambda_from(chern: complex, psi: FormField, rank: int) -> float:
 # moment map and the GM structures
 
 
-def _im_trace_integral(s1: EndFormField, s2: EndFormField) -> float:
-    """Integral of Im i^{-n} tr <s1, s2>_s."""
-    grid = s1.grid
-    paired = mukai_field(s1, s2)
-    integrand = ((1j ** (-grid.n)) * np.einsum("ii...->...", paired)).imag
-    return float(grid.integrate(integrand))
-
-
 def moment_value(grid: TorusGrid, conn: GenConnection, xi, psi: FormField) -> float:
     """Integral of Im i^{-n} tr <xi psi, curvature(psibar)>_s.
 
-    As for curvature, psi is taken as it is; the caller validates it.
+    The pairing is summed as sum_c s_c psi[c] tr(xi Fbar[top - c]) over
+    psi's live blades c, so xi psi is never built.  As for curvature, psi
+    is taken as it is; the caller validates it.
     """
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.shape != (conn.rank, conn.rank, *grid.sizes):
         raise ValueError(f"xi shape {xi.shape}")
     if not is_skew(xi, np.swapaxes(xi, 0, 1).conj()):
         raise ValueError("xi must be skew-Hermitian")
-    fbar = curvature(conn, psi.conjugate())
-    xipsi = EndFormField(grid, conn.rank, psi.data[:, None, None] * xi)
-    return _im_trace_integral(xipsi, fbar)
+    fbar = curvature(conn, psi.conjugate()).data
+    t = blade_tables(grid.n)
+    top = t.size - 1
+    paired = np.zeros(grid.sizes, dtype=np.complex128)
+    for c in np.flatnonzero(_k._blades_live(psi.data)).tolist():
+        paired += (t.mukai_s[c] * psi.data[c]) * np.einsum("ij...,ji...->...", xi, fbar[top - c])
+    return float(grid.integrate(((1j ** (-grid.n)) * paired).imag))
 
 
 def connection_derivative(conn: GenConnection, xi) -> ConnVariation:
@@ -738,7 +763,8 @@ def gm_symplectic(
     rank = a1.A.shape[1]
     s1 = _k.clifford_batch(t, a1.V, a1.A, psi.data[:, None, None])
     s2 = _k.clifford_batch(t, a2.V, a2.A, np.conj(psi.data)[:, None, None])
-    return _im_trace_integral(EndFormField(grid, rank, s1), EndFormField(grid, rank, s2))
+    paired = mukai_field(EndFormField(grid, rank, s1), EndFormField(grid, rank, s2))
+    return float(grid.integrate(((1j ** (-grid.n)) * np.einsum("ii...->...", paired)).imag))
 
 
 def gm_metric(

@@ -42,6 +42,7 @@ from .fields import (
     FormField,
     GenConnection,
     TorusGrid,
+    _diff,
     b_transform_field,
     bfield_act,
     chern_from,
@@ -314,22 +315,18 @@ def _field_checks(rng, cfg, curv):
         )
     )
 
+    # blade 1 << mu of d of a 0-form u is D_mu u: f and g are differenced
+    # as they are, with no form field built around them
     f = _trig(rng, grid)
     g = _trig(rng, grid)
-    fdata = np.zeros((t.size, *grid.sizes), dtype=np.complex128)
-    fdata[0] = f
-    df = d_field(FormField(grid, fdata)).data
-    gdata = np.zeros_like(fdata)
-    gdata[0] = g
-    dg = d_field(FormField(grid, gdata)).data
     err = 0.0
     for mu in range(2 * n):
-        s = grid.integrate((df[1 << mu] * g + f * dg[1 << mu]).real)
+        s = grid.integrate(_diff(grid, f, mu) * g + f * _diff(grid, g, mu))
         err = max(err, abs(float(s)))
     rows.append(_row("fields/derivative-skew-sum", 1e-12, err))
     # each full-size array is freed once its rows are written, so the suite
     # holds at most one group's temporaries at a time
-    del fdata, df, gdata, dg
+    del f, g
 
     rand_data = np.stack([_trig(rng, grid) for _ in range(t.size)]).astype(
         np.complex128
@@ -355,6 +352,7 @@ def _field_checks(rng, cfg, curv):
             ),
         )
     )
+    del dff
 
     bmat = 0.5 * _rand_two_form(rng, n)
     back = b_transform_field(-bmat, b_transform_field(bmat, ff))
@@ -365,7 +363,7 @@ def _field_checks(rng, cfg, curv):
             _rel(np.max(np.abs(back.data - ff.data)), scale),
         )
     )
-    del rand_data, ff, dff, back
+    del rand_data, ff, back
 
     fscale = float(np.max(np.abs(fcurv.data))) + 1e-30
     # draw the five sample points this check once took, so every later row stays
@@ -414,6 +412,7 @@ def _field_checks(rng, cfg, curv):
     other = _rand_conn(rng, grid, conn.rank)
     err = _rel(abs(chern_from(curvature(other, psi), psi) - c0), abs(c0))
     rows.append(_row("fields/chern-connection-independence", 1e-10, err))
+    del other
 
     vol = vol_density(grid, psi)
     drift = grid.integrate(vol * (np.einsum("ii...->...", kmean).real - conn.rank * lam))

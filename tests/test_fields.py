@@ -1586,11 +1586,13 @@ def full_step(t, mu, data, src, dst):
 
 
 def roll_diff(grid, arr, mu):
-    """Central difference along grid axis mu; the 2n grid axes trail."""
+    """Central difference along grid axis mu; the 2n grid axes trail: the
+    np.roll difference with its float64 parts times 1/(2h)."""
     axis = mu - 2 * grid.n
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (
-        2.0 * grid.spacings[mu]
-    )
+    out = np.ascontiguousarray(np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis))
+    parts = out.view(np.float64)
+    parts *= 1.0 / (2.0 * grid.spacings[mu])
+    return out
 
 
 def full_d(grid, data):
@@ -1756,6 +1758,48 @@ def test_diff_matches_roll_formula_bitwise(n):
         assert same_bits(_diff(g, data, mu), roll_diff(g, data, mu))
         assert same_bits(_diff(g, strided, mu), roll_diff(g, strided, mu))
         assert same_bits(_diff(g, real, mu), roll_diff(g, real, mu))
+        # numpy's complex division by 2h + 0j, (a + b*0) * (1/2h), gives the
+        # same values on finite data: only the sign of a zero part differs
+        axis = mu - 2 * n
+        divided = (np.roll(data, -1, axis) - np.roll(data, 1, axis)) / (2.0 * g.spacings[mu])
+        assert np.array_equal(_diff(g, data, mu), divided)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_psibar_pairings_match_the_conjugate_field_bitwise(n, r):
+    # mean_curvature_from, chern_from, vol_density and lambda_from pair with
+    # psibar over psi's live partner blades, conjugating one blade at a
+    # time: the bits of mukai_field against the whole conjugate field,
+    # signed zeros and dead blades included
+    rng = np.random.default_rng(10 * n + r)
+    g = TorusGrid(n, (8,) * (2 * n), periods=np.linspace(0.7, 1.9, 2 * n))
+    t = blade_tables(n)
+    data = complex_with_zeros(rng, (t.size, *g.sizes), zero=0.0, neg=0.0)
+    dead = rng.permutation(t.size)[: t.size // 4]
+    data[dead] = data[t.size - 1 - dead] = 0.0  # dead blades, partners too, so <psi, psibar> != 0
+    psi = FormField(g, data)
+    f = EndFormField(g, r, complex_with_zeros(rng, (t.size, r, r, *g.sizes)))
+    psibar = psi.conjugate()
+    k = mukai_field(f, psibar) / mukai_field(psi, psibar)
+    assert same_bits(mean_curvature_from(f, psi), (k + np.swapaxes(k, 0, 1).conj()) / 2.0)
+    chern = complex(g.integrate(mukai_field(trace_field(f), psibar)))
+    assert np.complex128(chern_from(f, psi)).tobytes() == np.complex128(chern).tobytes()
+    got = fields._pair_psibar(psi, g.sizes, psi.data.__getitem__)
+    assert same_bits(got, mukai_field(psi, psibar))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_moment_value_matches_the_whole_field_pairing(n):
+    # moment_value sums psi[c] tr(xi Fbar[top - c]) without building xi psi
+    g = TorusGrid(n, (8,) * (2 * n))
+    psi = psi_const(g, c=0.25)
+    conn = random_conn(g, 2, np.random.default_rng(n))
+    xi = random_xi(g, 2, np.random.default_rng(n + 10))
+    xipsi = EndFormField(g, 2, psi.data[:, None, None] * xi)
+    paired = mukai_field(xipsi, curvature(conn, psi.conjugate()))
+    want = float(g.integrate(((1j ** (-n)) * np.einsum("ii...->...", paired)).imag))
+    assert abs(moment_value(g, conn, xi, psi) - want) <= 1e-14 * abs(want)
 
 
 def below(blades, mu):
