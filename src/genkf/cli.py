@@ -22,12 +22,16 @@ import os
 import sys
 
 # BLAS runs on the calling thread: OpenBLAS reads this when numpy first
-# loads it, so it is set before any genkf module imports numpy.  No command
-# hands BLAS a matrix larger than 52 x 32 or LAPACK one larger than 64 x 16,
-# and a second OpenBLAS thread was measured doing none of the work, yet its
-# idle worker spins for about 0.13 s of CPU after the import.  An exported
-# value wins, and a program that imports genkf's modules itself keeps its
-# own BLAS setup.
+# loads it, so it is set before any genkf module imports numpy.  At rank
+# <= 2 no command hands BLAS a matrix larger than 52 x 32 or LAPACK one
+# larger than 64 x 16, and a second OpenBLAS thread was measured doing none
+# of the work, yet its idle worker spins for about 0.13 s of CPU after the
+# import.  The symbol maps of symbols and report grow as rank^2, so from
+# rank 6 a second thread does share their work: at n = 2, rank 8 symbols
+# ran in 2.3-2.4 s on two threads against 2.8-2.9 s on one, for 3.5-3.7 s
+# of CPU time against 2.8-2.9 s (README.md has the table).  An exported
+# value wins, so export OPENBLAS_NUM_THREADS to have it; a program that
+# imports genkf's modules itself keeps its own BLAS setup.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

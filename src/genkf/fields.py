@@ -892,7 +892,9 @@ def canonical_line_connection(
     if worst > 1e-8 * max(1.0, float(np.max(np.abs(target)))):
         raise ValueError(f"d phi is not of the form eta . phi (residual {worst:.3e})")
 
-    ratio = mukai_field(phi, phi.conjugate()) / mukai_field(psi, psi.conjugate())
+    ratio = _pair_psibar(phi, grid.sizes, phi.data.__getitem__) / _pair_psibar(
+        psi, grid.sizes, psi.data.__getitem__
+    )
     peak = float(np.max(np.abs(ratio)))
     if peak == 0.0 or np.min(np.abs(ratio)) < 1e-10 * peak:
         raise ValueError("pairing density of phi degenerates")

@@ -42,7 +42,6 @@ from .fields import (
     FormField,
     GenConnection,
     TorusGrid,
-    _diff,
     b_transform_field,
     bfield_act,
     chern_from,
@@ -315,18 +314,22 @@ def _field_checks(rng, cfg, curv):
         )
     )
 
-    # blade 1 << mu of d of a 0-form u is D_mu u: f and g are differenced
-    # as they are, with no form field built around them
+    # the real 0-forms f and g are the real and imaginary parts of one
+    # 0-form u, so blade 1 << mu of d u is D_mu f + i D_mu g: a wrong sign or
+    # factor on one of d's 0-form-to-1-form blades leaves a nonzero sum
     f = _trig(rng, grid)
     g = _trig(rng, grid)
+    udata = np.zeros((t.size, *grid.sizes), dtype=np.complex128)
+    udata[0] = f + 1j * g
+    du = d_field(FormField(grid, udata)).data
     err = 0.0
     for mu in range(2 * n):
-        s = grid.integrate(_diff(grid, f, mu) * g + f * _diff(grid, g, mu))
+        s = grid.integrate(du[1 << mu].real * g + f * du[1 << mu].imag)
         err = max(err, abs(float(s)))
     rows.append(_row("fields/derivative-skew-sum", 1e-12, err))
     # each full-size array is freed once its rows are written, so the suite
     # holds at most one group's temporaries at a time
-    del f, g
+    del f, g, udata, du
 
     rand_data = np.stack([_trig(rng, grid) for _ in range(t.size)]).astype(
         np.complex128

@@ -465,8 +465,9 @@ def test_u_window_sees_a_defect_at_an_unsampled_point(doc, point):
 _CPU_WALL_CHILD = """
 import json, resource, sys, time
 from genkf import cli
+time.sleep(float(sys.argv[1]))
 before, start = resource.getrusage(resource.RUSAGE_SELF), time.monotonic()
-code = cli.main(sys.argv[1:])
+code = cli.main(sys.argv[2:])
 wall, after = time.monotonic() - start, resource.getrusage(resource.RUSAGE_SELF)
 cpu = after.ru_utime - before.ru_utime + after.ru_stime - before.ru_stime
 print(json.dumps({"code": code, "cpu": cpu, "wall": wall}))
@@ -479,22 +480,35 @@ def env_without_blas_threads():
     return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
 
 
-def test_curvature_command_runs_on_one_thread(tmp_path):
-    # CPU time beyond wall time is time on a second thread.  Timed as
-    # perfbench's child times it, around cli.main right after the import,
-    # in an environment that does not set the BLAS threads; load on the
-    # machine only lowers CPU time against wall time.  On a 2-vCPU guest
-    # this read -0.001 s on one thread, and 0.039-0.045 s with OpenBLAS's
-    # pool left to start, from its idle worker's spin after the import
+def curvature_cpu_over_wall(tmp_path, settle, **env):
+    """CPU time minus wall time of the curvature command on a rank-2 n = 2
+    document, timed around cli.main in a child that sleeps `settle` seconds
+    after importing genkf.cli.  CPU time beyond wall time is time on a
+    second thread; load on the machine only lowers it."""
     random = {"random": {"amp": 0.1, "modes": 2}}
     doc = {"n": 2, "grid": {"sizes": [10] * 4}, "bundle": {"rank": 2},
            "connection": {"A": random, "V": random}}
     argv = ["curvature", "--input", write_doc(tmp_path, doc), "--output", str(tmp_path / "c.json")]
-    proc = subprocess.run([sys.executable, "-c", _CPU_WALL_CHILD, *argv],
-                          capture_output=True, text=True, env=env_without_blas_threads())
+    proc = subprocess.run([sys.executable, "-c", _CPU_WALL_CHILD, str(settle), *argv],
+                          capture_output=True, text=True, env={**env_without_blas_threads(), **env})
     rec = json.loads(proc.stdout.splitlines()[-1])
     assert rec["code"] == 0
-    assert rec["cpu"] - rec["wall"] <= 0.02, rec
+    return rec["cpu"] - rec["wall"]
+
+
+def test_curvature_command_runs_on_one_thread(tmp_path):
+    # timed as perfbench's child times it, right after the import, with the
+    # BLAS threads left unset.  On a 2-vCPU guest this read -0.001 s, and
+    # 0.039-0.045 s with OpenBLAS's pool left to start, from its idle
+    # worker's spin after the import
+    assert curvature_cpu_over_wall(tmp_path, 0.0) <= 0.05
+
+
+def test_curvature_command_hands_blas_no_full_grid_product(tmp_path):
+    # an exported OPENBLAS_NUM_THREADS=2 keeps OpenBLAS's worker, and the
+    # settle lets its spin after the import end before the timing starts:
+    # a BLAS product over the whole grid would then run on both threads
+    assert curvature_cpu_over_wall(tmp_path, 0.2, OPENBLAS_NUM_THREADS="2") <= 0.05
 
 
 _THREADS_CHILD = """
