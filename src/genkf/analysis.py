@@ -37,6 +37,7 @@ __all__ = [
     "cohiggs_residual",
     "solve_eh_line",
     "RoundoffFloor",
+    "UnrepresentableLine",
 ]
 
 _RANK_TOL = 1e-8
@@ -69,27 +70,6 @@ class FlowTrace:
 # symbol complex
 
 
-def _skew_basis(r):
-    """Real basis of the skew-Hermitian r x r matrices: i E_jj first, then
-    E_jk - E_kj and i(E_jk + E_kj) for each j < k."""
-    out = []
-    for j in range(r):
-        m = np.zeros((r, r), dtype=np.complex128)
-        m[j, j] = 1j
-        out.append(m)
-    for j in range(r):
-        for k in range(j + 1, r):
-            m = np.zeros((r, r), dtype=np.complex128)
-            m[j, k] = 1.0
-            m[k, j] = -1.0
-            out.append(m)
-            m = np.zeros((r, r), dtype=np.complex128)
-            m[j, k] = 1j
-            m[k, j] = 1j
-            out.append(m)
-    return out
-
-
 def _theta_covector(theta, n):
     """Normalize theta to real (4n,) components with vanishing vector part."""
     if isinstance(theta, GenVector):
@@ -112,6 +92,10 @@ def _theta_covector(theta, n):
     return arr.astype(float)
 
 
+class UnrepresentableLine(ValueError):
+    """The Mukai norm of j2's spinor line is 0 or not finite in double precision."""
+
+
 @dataclass(frozen=True)
 class _SymbolSetup:
     """The theta-independent data of the symbol maps of one pair (j1, j2)."""
@@ -129,31 +113,31 @@ def _symbol_setup(n, j1, j2):
     t = blade_tables(n)
     psi = spinor_line(j2).coeffs
     psibar = np.conj(psi)
+    norm = _k.mukai_batch(t, psi, psibar)
+    if norm == 0.0 or not np.isfinite(norm):
+        raise UnrepresentableLine(f"the spinor line of j2 has Mukai norm {norm}")
     kb = j1.minus_i_eigenbasis()
     eye = np.eye(4 * n)
     return _SymbolSetup(
         t=t,
         degsel=[np.flatnonzero(t.deg == j) for j in range(2 * n + 1)],
         psibar=psibar,
-        norm=_k.mukai_batch(t, psi, psibar),
+        norm=norm,
         coords=kb.conj().T @ ((eye + 1j * j1.J) / 2.0),
         ek_psi=_k.clifford_batch(t, eye[: 2 * n], eye[2 * n :], psi[:, None]),
     )
 
 
-def _symbol_maps(setup, r, theta):
-    """Real matrices of the symbol complex at the covector theta.
+def _symbol_maps(setup, theta):
+    """Real matrices of the rank-1 symbol complex at the covector theta.
 
-    Layout: B^0 is the skew basis; B^1 stacks one skew block per generalized
-    direction (column k*r^2 + m); B^2 puts the Hermitian coordinates first,
-    then the realified endomorphism-valued two-letter coefficients in the
-    antiholomorphic basis of j1 (real parts, then imaginary parts, letter
+    Layout: B^0 is R i; B^1 has one column per generalized direction; B^2
+    puts the Hermitian coordinate first, then the two-letter coefficients in
+    the antiholomorphic basis of j1 (real parts, then imaginary parts, letter
     sets in bitmask order); higher pieces continue the realified pattern.
     """
     t, degsel, coords = setup.t, setup.degsel, setup.coords
     n = t.n
-    basis = np.array(_skew_basis(r))
-    rr = r * r
     c2 = degsel[2].size
 
     # theta-flat wedged onto every blade (the first t.size columns) and onto
@@ -169,35 +153,22 @@ def _symbol_maps(setup, r, theta):
     acted = clifford_matrix(theta, n) @ setup.ek_psi
     cline = _k.mukai_batch(t, acted, setup.psibar[:, None]) / setup.norm
 
-    # column k * rr + m of B^0 -> B^1 and B^1 -> B^2 is direction e_k with basis[m]
-    m0 = np.kron(theta[:, None], np.eye(rr))
-    m1 = np.zeros((rr + 2 * c2 * rr, 4 * n * rr))
-    m = np.arange(rr)[:, None]
-    m1[m, rr * np.arange(4 * n) + m] = cline.imag
-    y = np.einsum("ik,mab->iabkm", wedged[degsel[2], t.size :], basis)
-    y = y.reshape(c2 * rr, 4 * n * rr)
-    m1[rr : rr + c2 * rr] = y.real
-    m1[rr + c2 * rr :] = y.imag
+    # column k of B^0 -> B^1 and B^1 -> B^2 is direction e_k with i
+    m0 = theta[:, None]
+    m1 = np.zeros((1 + 2 * c2, 4 * n))
+    m1[0] = cline.imag
+    y = 1j * wedged[degsel[2], t.size :]
+    m1[1 : 1 + c2] = y.real
+    m1[1 + c2 :] = y.imag
 
     def realified(j):
         wc = wedged[np.ix_(degsel[j + 1], degsel[j])]
-        re = np.kron(wc.real, np.eye(rr))
-        im = np.kron(wc.imag, np.eye(rr))
-        return np.block([[re, -im], [im, re]])
+        return np.block([[wc.real, -wc.imag], [wc.imag, wc.real]])
 
-    dims = [rr, 4 * n * rr, rr + 2 * c2 * rr]
-    mats = [m0, m1]
-    if n > 1:
-        w2 = realified(2)
-        m2 = np.zeros((w2.shape[0], rr + w2.shape[1]))
-        m2[:, rr:] = w2
-        dims.append(w2.shape[0])
-        mats.append(m2)
-        for j in range(3, 2 * n):
-            mj = realified(j)
-            dims.append(mj.shape[0])
-            mats.append(mj)
-    return dims, mats
+    mats = [m0, m1] + [realified(j) for j in range(2, 2 * n)]
+    if n > 1:  # nothing maps B^2's Hermitian coordinate on
+        mats[2] = np.hstack([np.zeros((mats[2].shape[0], 1)), mats[2]])
+    return [m.shape[1] for m in mats] + [mats[-1].shape[0]], mats
 
 
 def _random_covectors(rng, n, trials):
@@ -211,88 +182,27 @@ def _random_covectors(rng, n, trials):
     return out
 
 
-def _diagonal_blocks(stack):
-    """Independent diagonal blocks of every map sum_a theta_a stack[a].
-
-    Each such map vanishes outside the union sparsity pattern of the stack,
-    so the connected components of that pattern's row-column graph permute
-    it into block-diagonal form; rows and columns outside every component
-    are zero.  Blocks whose stack slices are bitwise equal are the same
-    matrix at every theta.  Returns the classes of equal blocks, in order of
-    first row, each a list of (rows, cols) index arrays, representative first.
-    """
-    pattern = np.any(stack != 0.0, axis=0)
-    live = np.flatnonzero(pattern.any(axis=1))
-    link = pattern[live]
-    # boolean products: numpy's own loop, no BLAS threads (and their buffers)
-    reach = link @ link.T
-    while True:  # transitive closure by squaring: log2(diameter) steps
-        grown = reach @ reach
-        if (grown == reach).all():
-            break
-        reach = grown
-    classes = {}
-    for first in np.flatnonzero(reach.argmax(axis=1) == np.arange(live.size)):
-        rows = live[reach[first]]
-        cols = np.flatnonzero(pattern[rows].any(axis=0))
-        key = (rows.size, cols.size, stack[:, rows[:, None], cols].tobytes())
-        classes.setdefault(key, []).append((rows, cols))
-    return list(classes.values())
+def _map_ranks(mats):
+    """Rank of each map in mats (T, rows, cols): singular values over _RANK_TOL x the top."""
+    s = np.linalg.svd(mats, compute_uv=False)
+    return np.sum(s > _RANK_TOL * s[:, :1], axis=1)
 
 
-def _rank_plan(classes):
-    """One (rows (k, p), cols (k, q), copies (k,)) entry per block shape,
-    listing the representative of each class of that shape."""
-    shapes = {}
-    for cls in classes:
-        rows, cols = cls[0]
-        reps = shapes.setdefault((rows.size, cols.size), ([], [], []))
-        reps[0].append(rows)
-        reps[1].append(cols)
-        reps[2].append(len(cls))
-    return [tuple(np.array(x) for x in reps) for reps in shapes.values()]
+def _trial_ranks(n, j1, j2, covecs):
+    """Dims of the rank-1 symbol complex and each map's rank at each covector.
 
-
-def _blocked_ranks(mats, plan):
-    """Rank of each map in mats (T, rows, cols) from its distinct blocks.
-
-    A map's singular values are those of its blocks, so the rank counts, once
-    per copy, the block singular values above _RANK_TOL times the largest
-    over all blocks.
-    """
-    svals = [
-        np.linalg.svd(mats[:, rows[:, :, None], cols[:, None, :]], compute_uv=False)
-        for rows, cols, _ in plan
-    ]
-    top = np.zeros(len(mats))
-    for s in svals:
-        top = np.maximum(top, s[:, :, 0].max(axis=1))
-    return sum(
-        np.sum(s > _RANK_TOL * top[:, None, None], axis=2) @ copies
-        for s, (_, _, copies) in zip(svals, plan)
-    )
-
-
-def _trial_ranks(n, r, j1, j2, covecs):
-    """Dims of the symbol complex and the rank of each map at each covector.
-
-    The symbol maps are linear in theta, so they are assembled once per
-    covector basis element, from theta-independent data built once, and each
-    direction's maps are combinations of those stacks; the directions are
-    tested in blocks of _TRIAL_BLOCK.  Consecutive maps must compose to zero
-    on the full matrices.  Ranks come from the independent diagonal blocks
-    of each map (_diagonal_blocks, found once from the stacks): each
-    distinct block is SVD'd once per direction, blocks of one shape in one
-    batched call, and counted once per copy.
-    Returns (dims, ranks) with ranks shaped (len(covecs), number of maps).
+    The maps are linear in theta, so they are assembled once per covector
+    basis element, from theta-independent data built once; each direction's
+    maps, combined from those stacks in blocks of _TRIAL_BLOCK, must compose
+    to zero, and each map of a block is ranked by one batched SVD
+    (_map_ranks).  Returns (dims, ranks), ranks shaped (len(covecs), maps).
     """
     setup = _symbol_setup(n, j1, j2)
-    basis = [_symbol_maps(setup, r, np.eye(4 * n)[2 * n + a]) for a in range(2 * n)]
+    basis = [_symbol_maps(setup, np.eye(4 * n)[2 * n + a]) for a in range(2 * n)]
     dims = basis[0][0]
     stacks = [np.stack(maps) for maps in zip(*(mats for _, mats in basis))]
     if sum((-1) ** i * d for i, d in enumerate(dims)) != 0:
         raise RuntimeError(f"symbol complex dimensions do not alternate to zero: {dims}")
-    plans = [_rank_plan(_diagonal_blocks(s)) for s in stacks]
 
     ranks = np.empty((len(covecs), len(stacks)), dtype=int)
     for lo in range(0, len(covecs), _TRIAL_BLOCK):
@@ -308,8 +218,8 @@ def _trial_ranks(n, r, j1, j2, covecs):
                     f"consecutive symbol maps fail to compose to zero at trial "
                     f"{lo + bad[0]} (defect {defect[bad[0]]:.3e})"
                 )
-        for k, (m, plan) in enumerate(zip(mats, plans)):
-            ranks[lo : lo + len(block), k] = _blocked_ranks(m, plan)
+        for k, m in enumerate(mats):
+            ranks[lo : lo + len(block), k] = _map_ranks(m)
     return tuple(dims), ranks
 
 
@@ -318,9 +228,15 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
 
     Repeats the rank check for `trials` extra random cotangent directions;
     the reported dims and ranks belong to the given theta, while `exact`
-    holds only if every junction passed for every direction tried.  The
-    theta-independent parts of the maps are built once per call, and each
-    map is ranked through its independent diagonal blocks (_trial_ranks).
+    holds only if every junction passed for every direction tried.
+
+    The rank enters as a tensor factor: a principal symbol does not see the
+    connection's zeroth-order terms, the only place where ad(E) = u(r) acts
+    other than as a factor.  In the basis {b_m, i b_m} of gl(r), b_m a real
+    basis of u(r), each rank-r map is the rank-1 map tensored with the
+    identity on r^2 copies, so dims and ranks are r^2 times rank 1's and a
+    junction is exact at rank r when it is at rank 1, which alone is
+    assembled and rank-tested (_trial_ranks).
     """
     n = int(n)
     r = int(r)
@@ -339,16 +255,17 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
     covecs = np.vstack(
         [th[2 * n :], _random_covectors(np.random.default_rng(seed), n, trials)]
     )
-    dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
+    dims, ranks = _trial_ranks(n, j1, j2, covecs)
     # junction j is exact when the ranks into and out of B^j add up to dim B^j
     padded = np.pad(ranks, ((0, 0), (1, 1)))
     exact = tuple(
         bool(np.all(padded[:, j] + padded[:, j + 1] == d)) for j, d in enumerate(dims)
     )
+    rr = r * r
     return SymbolReport(
         theta=GenVector(th[: 2 * n], th[2 * n :]),
-        dims=dims,
-        ranks=tuple(int(k) for k in ranks[0]),
+        dims=tuple(rr * d for d in dims),
+        ranks=tuple(rr * int(k) for k in ranks[0]),
         exact=exact,
     )
 

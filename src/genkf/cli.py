@@ -22,22 +22,20 @@ import os
 import sys
 
 # BLAS runs on the calling thread: OpenBLAS reads this when numpy first
-# loads it, so it is set before any genkf module imports numpy.  At rank
-# <= 2 no command hands BLAS a matrix larger than 52 x 32 or LAPACK one
-# larger than 64 x 16, and a second OpenBLAS thread was measured doing none
-# of the work, yet its idle worker spins for about 0.13 s of CPU after the
-# import.  The symbol maps of symbols and report grow as rank^2, so from
-# rank 6 a second thread does share their work: at n = 2, rank 8 symbols
-# ran in 2.3-2.4 s on two threads against 2.8-2.9 s on one, for 3.5-3.7 s
-# of CPU time against 2.8-2.9 s (README.md has the table).  An exported
-# value wins, so export OPENBLAS_NUM_THREADS to have it; a program that
-# imports genkf's modules itself keeps its own BLAS setup.
+# loads it, so it is set before any genkf module imports numpy.  At any
+# rank symbols hands BLAS no operand larger than 16 x 16 and LAPACK none
+# larger than 64 x 16.  At rank <= 2 a second OpenBLAS thread was measured
+# doing none of any command's work, yet its idle worker spins for about
+# 0.13 s of CPU after the import; at n = 2, ranks 4 to 8, two threads kept
+# the wall time of symbols and report within its spread and took 0.1-0.3 s
+# more CPU in 16 of 18 paired runs.  An exported value wins; a program
+# that imports genkf's modules itself keeps its own BLAS setup.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import report, specio
-from .analysis import RoundoffFloor, solve_eh_line, symbol_exactness
+from .analysis import RoundoffFloor, UnrepresentableLine, solve_eh_line, symbol_exactness
 from .fields import (
     LambdaNotReal,
     chern_from,
@@ -307,6 +305,8 @@ def main(argv=None) -> int:
             msg = f"{_CONNECTION_KEYS} is too large: {msg}"
         elif isinstance(exc, RoundoffFloor):
             msg = f"--tol is too small for the size of {_CONNECTION_KEYS}: {msg}"
+        elif isinstance(exc, UnrepresentableLine):
+            msg = f"psi.omega is of a scale double precision cannot represent: {msg}"
         print(f"error: {msg}", file=sys.stderr)
         return 1 if isinstance(exc, RuntimeError) else 2
 

@@ -519,7 +519,7 @@ def _line_oracle_check(rng):
 def _analysis_checks(rng, cfg, seed):
     rows = []
     n = cfg.n
-    r = min(cfg.rank, 2)
+    r = cfg.rank
     jc = standard_complex(n)
     js = gcs_symplectic(np.kron(np.eye(n), OMEGA_BLOCK))
     theta = np.zeros(2 * n)

@@ -2,7 +2,9 @@
 and the abelian Einstein-Hermitian solver.
 
 Oracles here are independent of the implementation: dimension and rank
-tables counted by hand from the letter bookkeeping, hand-evaluated
+tables counted by hand from the letter bookkeeping, the symbol complex
+assembled entry by entry at rank r (the reference for the rank-1 code's
+tensor-factor claim), the grid's connection derivative, hand-evaluated
 commutators for the Higgs bracket, the exact cancellation of a soliton
 profile, and a Fourier-diagonal least-squares solution assembled from
 impulse responses of the curvature map.
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from genkf import _backend as _k
 from genkf import analysis, constants, structures
 from genkf.analysis import (
     _TRIAL_BLOCK,
@@ -25,13 +28,12 @@ from genkf.analysis import (
     _forward,
     _line_k,
     _line_map,
+    _map_ranks,
+    _random_covectors,
     _shifted,
     _stencil_offsets,
-    _diagonal_blocks,
-    _random_covectors,
     _symbol_maps,
     _symbol_setup,
-    _skew_basis,
     _trial_ranks,
     cohiggs_residual,
     solve_eh_line,
@@ -42,6 +44,7 @@ from genkf.fields import (
     GenConnection,
     TorusGrid,
     chern_from,
+    connection_derivative,
     curvature,
     eh_residual_from,
     lambda_from,
@@ -149,12 +152,182 @@ EXPECTED = {
 
 
 # ---------------------------------------------------------------------------
+# rank-r oracle: the symbol complex assembled on the entries of gl(r)
+
+
+def skew_basis(r):
+    """Real basis of the skew-Hermitian r x r matrices: i E_jj first, then
+    E_jk - E_kj and i(E_jk + E_kj) for each j < k."""
+    out = []
+    for j in range(r):
+        m = np.zeros((r, r), dtype=np.complex128)
+        m[j, j] = 1j
+        out.append(m)
+    for j in range(r):
+        for k in range(j + 1, r):
+            m = np.zeros((r, r), dtype=np.complex128)
+            m[j, k] = 1.0
+            m[k, j] = -1.0
+            out.append(m)
+            m = np.zeros((r, r), dtype=np.complex128)
+            m[j, k] = 1j
+            m[k, j] = 1j
+            out.append(m)
+    return out
+
+
+def entry_maps(setup, r, theta):
+    """Real matrices of the rank-r symbol complex at the covector theta.
+
+    The reference for symbol_exactness's tensor-factor claim.  B^0 is the
+    skew basis; B^1 stacks one skew block per generalized direction (column
+    k*r^2 + m); B^2 puts the Hermitian coordinates first, then the
+    realified endomorphism-valued two-letter coefficients in the
+    antiholomorphic basis of j1, entry by entry (real parts, then imaginary
+    parts, letter sets in bitmask order); higher pieces continue the
+    realified pattern, each wedge block tensored with eye(r^2).
+    """
+    t, degsel, coords = setup.t, setup.degsel, setup.coords
+    n = t.n
+    basis = np.array(skew_basis(r))
+    rr = r * r
+    c2 = degsel[2].size
+
+    thf = np.zeros(t.size, dtype=np.complex128)
+    thf[degsel[1]] = coords @ theta
+    forms = np.zeros((t.size, t.size + 4 * n), dtype=np.complex128)
+    forms[:, : t.size] = np.eye(t.size)
+    forms[degsel[1], t.size :] = coords
+    wedged = _k.wedge_batch(t, thf, forms)
+
+    acted = structures.clifford_matrix(theta, n) @ setup.ek_psi
+    cline = _k.mukai_batch(t, acted, setup.psibar[:, None]) / setup.norm
+
+    m0 = np.kron(theta[:, None], np.eye(rr))
+    m1 = np.zeros((rr + 2 * c2 * rr, 4 * n * rr))
+    m = np.arange(rr)[:, None]
+    m1[m, rr * np.arange(4 * n) + m] = cline.imag
+    y = np.einsum("ik,mab->iabkm", wedged[degsel[2], t.size :], basis)
+    y = y.reshape(c2 * rr, 4 * n * rr)
+    m1[rr : rr + c2 * rr] = y.real
+    m1[rr + c2 * rr :] = y.imag
+
+    def realified(j):
+        wc = wedged[np.ix_(degsel[j + 1], degsel[j])]
+        re = np.kron(wc.real, np.eye(rr))
+        im = np.kron(wc.imag, np.eye(rr))
+        return np.block([[re, -im], [im, re]])
+
+    dims = [rr, 4 * n * rr, rr + 2 * c2 * rr]
+    mats = [m0, m1]
+    if n > 1:
+        w2 = realified(2)
+        m2 = np.zeros((w2.shape[0], rr + w2.shape[1]))
+        m2[:, rr:] = w2
+        dims.append(w2.shape[0])
+        mats.append(m2)
+        for j in range(3, 2 * n):
+            mj = realified(j)
+            dims.append(mj.shape[0])
+            mats.append(mj)
+    return dims, mats
+
+
+def direct_ranks(n, r, j1, j2, covecs):
+    """Assemble the rank-r oracle at each covector and rank each full map by
+    its own SVD; every consecutive pair must compose to zero."""
+    setup = _symbol_setup(n, j1, j2)
+    out = []
+    for covec in covecs:
+        _, mats = entry_maps(setup, r, np.concatenate([np.zeros(2 * n), covec]))
+        for m_in, m_out in zip(mats, mats[1:]):
+            scale = max(1.0, np.abs(m_in).max() * np.abs(m_out).max())
+            assert np.abs(m_out @ m_in).max() < 1e-10 * scale
+        ranks = []
+        for m in mats:
+            s = np.linalg.svd(m, compute_uv=False)
+            ranks.append(0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-8 * s[0])))
+        out.append(ranks)
+    return np.array(out)
+
+
+def b_transformed_pair():
+    b = np.array([[0.0, 0.4], [-0.4, 0.0]])
+    j1, j2 = std_pair(1)
+    return gcs_b_transform(b, j1), gcs_b_transform(b, j2)
+
+
+def weighted_pair(weights):
+    j1, _ = std_pair(len(weights))
+    return j1, gcs_symplectic(np.kron(np.diag(weights), OMEGA_BLOCK))
+
+
+PAIRS = {
+    "standard-n1": lambda: std_pair(1),
+    "standard-n2": lambda: std_pair(2),
+    "weighted-n1": lambda: weighted_pair([2.5]),
+    "weighted-n2": lambda: weighted_pair([0.5, 3.0]),
+    "b-transformed-n1": b_transformed_pair,
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_rank_one_oracle_is_the_symbol_maps_exactly(pair):
+    # at r = 1 the skew basis is {i} and kron(., eye(1)) copies, so the
+    # entry-based assembly is _symbol_maps entry for entry, with no
+    # tolerance; only the sign of a zero may differ (einsum adds each product
+    # to +0, so it turns the -0 of 1j * w into +0)
+    j1, j2 = PAIRS[pair]()
+    n = j1.n
+    setup = _symbol_setup(n, j1, j2)
+    rng = np.random.default_rng(55)
+    for th in [np.eye(4 * n)[2 * n], np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])]:
+        want_dims, want = entry_maps(setup, 1, th)
+        dims, mats = _symbol_maps(setup, th)
+        assert dims == want_dims
+        assert len(mats) == len(want)
+        for m, w in zip(mats, want):
+            assert m.shape == w.shape
+            assert np.array_equal(m, w)
+
+
+def assert_oracle_ranks_are_r_squared_rank_one_ranks(j1, j2, r, seed, trials):
+    # the full rank-r oracle maps compose to zero (checked in direct_ranks),
+    # and their own SVD ranks and dims are r^2 times the rank-1 ranks and
+    # dims of _trial_ranks, which ranks trial blocks of the rank-1 maps
+    n = j1.n
+    covecs = _random_covectors(np.random.default_rng(seed), n, trials)
+    dims, ranks = _trial_ranks(n, j1, j2, covecs)
+    assert np.array_equal(r * r * ranks, direct_ranks(n, r, j1, j2, covecs))
+    oracle_dims, _ = entry_maps(_symbol_setup(n, j1, j2), r, np.eye(4 * n)[2 * n])
+    assert oracle_dims == [r * r * d for d in dims]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_blocked_ranks_match_full_matrix_ranks(n, r):
+    assert_oracle_ranks_are_r_squared_rank_one_ranks(*std_pair(n), r, 90 + 10 * n + r, 300)
+
+
+@pytest.mark.parametrize(
+    "n, r, pair",
+    [(1, 2, "b-transformed-n1"), (2, 2, "weighted-n2"), (1, 3, "weighted-n1"),
+     (1, 3, "b-transformed-n1"), (2, 3, "weighted-n2"), (1, 2, "weighted-n1")],
+    ids=["1-2-pair0", "2-2-pair1", "1-3-pair2", "1-3-pair3", "2-3-pair4", "1-2-pair5"],
+)
+def test_blocked_ranks_match_full_matrix_ranks_on_other_pairs(n, r, pair):
+    j1, j2 = PAIRS[pair]()
+    assert j1.n == n
+    assert_oracle_ranks_are_r_squared_rank_one_ranks(j1, j2, r, 17, 200)
+
+
+# ---------------------------------------------------------------------------
 # symbol complex: frozen tables
 
 
 def test_symbol_dimension_and_rank_tables():
     for n in (1, 2):
-        for r in (1, 2):
+        for r in (1, 2, 3, 8):
             j1, j2 = std_pair(n)
             th = cov_theta(n, [0.3, -1.1, 0.7, 0.2][: 2 * n])
             rep = symbol_exactness(n, r, j1, j2, th, trials=2)
@@ -168,10 +341,11 @@ def test_symbol_dimension_and_rank_tables():
 
 
 def test_symbol_maps_compose_to_zero():
-    for n, r in ((1, 2), (2, 1), (2, 2)):
+    for n in (1, 2):
         j1, j2 = std_pair(n)
         th = np.concatenate([np.zeros(2 * n), RNG.normal(size=2 * n)])
-        dims, mats = _symbol_maps(_symbol_setup(n, j1, j2), r, th)
+        dims, mats = _symbol_maps(_symbol_setup(n, j1, j2), th)
+        assert dims == list(EXPECTED[n][0])
         assert [m.shape[1] for m in mats] == dims[:-1]
         assert [m.shape[0] for m in mats] == dims[1:]
         for m_in, m_out in zip(mats, mats[1:]):
@@ -180,13 +354,14 @@ def test_symbol_maps_compose_to_zero():
 
 
 def test_symbol_kernel_reconstructs_endomorphism_times_theta():
-    # the kernel at the middle of the first junction is exactly f (x) theta
+    # on the rank-2 oracle, the kernel at the middle of the first junction
+    # is exactly f (x) theta
     for n, r in ((1, 2), (2, 2)):
         j1, j2 = std_pair(n)
         comps = RNG.normal(size=2 * n)
         th = np.concatenate([np.zeros(2 * n), comps])
-        _, mats = _symbol_maps(_symbol_setup(n, j1, j2), r, th)
-        basis = _skew_basis(r)
+        _, mats = entry_maps(_symbol_setup(n, j1, j2), r, th)
+        basis = skew_basis(r)
         s1 = mats[1]
         _, sv, vh = np.linalg.svd(s1)
         null = vh[np.sum(sv > 1e-8 * sv[0]) :]
@@ -199,10 +374,33 @@ def test_symbol_kernel_reconstructs_endomorphism_times_theta():
             assert np.max(np.abs(mats_k - want)) < 1e-8
 
 
-def b_transformed_pair():
-    b = np.array([[0.0, 0.4], [-0.4, 0.0]])
-    j1, j2 = std_pair(1)
-    return gcs_b_transform(b, j1), gcs_b_transform(b, j2)
+@pytest.mark.parametrize("n", [1, 2])
+def test_first_symbol_map_is_the_symbol_of_connection_derivative(n):
+    # B^0 -> B^1 against the grid: at a zero connection, connection_derivative
+    # of xi = i e^{ik.x} has A part i theta_k,mu xi, theta_k,mu =
+    # sin(2 pi k_mu / N_mu) / h_mu (central differences), and V part 0 --
+    # the first symbol map at theta_k times i, with i the basis of B^0
+    grid = make_grid(n, 8)
+    conn = GenConnection.zero(grid, 1)
+    j1, j2 = std_pair(n)
+    setup = _symbol_setup(n, j1, j2)
+    modes = [(1, 0, 0, 0), (1, 2, 3, 0), (3, -1, 2, 1), (-2, 3, 0, -1), (0, 1, -3, 2)]
+    for k in (np.array(m[: 2 * n]) for m in modes):
+        xi = 1j * np.exp(1j * grid.phase(k))[None, None]
+        theta = np.array(
+            [np.sin(2 * np.pi * k[mu] / grid.sizes[mu]) / grid.spacings[mu] for mu in range(2 * n)]
+        )
+        var = connection_derivative(conn, xi)
+        m0 = _symbol_maps(setup, np.concatenate([np.zeros(2 * n), theta]))[1][0]
+        assert m0.shape == (4 * n, 1)
+        assert not np.any(var.V)
+        assert not np.any(m0[: 2 * n])
+        for mu in range(2 * n):
+            want = 1j * theta[mu] * xi
+            assert np.abs(var.A[mu] - want).max() <= 1e-13 * np.abs(theta).max()
+            assert np.abs(var.A[mu] - 1j * m0[2 * n + mu, 0] * xi).max() <= (
+                1e-13 * np.abs(theta).max()
+            )
 
 
 def test_symbol_exactness_b_transformed_pair():
@@ -239,20 +437,6 @@ def test_symbol_rejects_degenerate_inputs():
         symbol_exactness(1, 1, j1, j2, cov_theta(1, [1.0, 0.0]), trials=-3)
 
 
-def direct_ranks(n, r, j1, j2, covecs):
-    """Reference: assemble the complex at each covector and rank each full map."""
-    setup = _symbol_setup(n, j1, j2)
-    out = []
-    for covec in covecs:
-        _, mats = analysis._symbol_maps(setup, r, np.concatenate([np.zeros(2 * n), covec]))
-        ranks = []
-        for m in mats:
-            s = np.linalg.svd(m, compute_uv=False)
-            ranks.append(0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > 1e-8 * s[0])))
-        out.append(ranks)
-    return np.array(out)
-
-
 def reference_directions(covec, trials, seed):
     """The given covector, then the seeded draws with near-zero redraws."""
     rng = np.random.default_rng(seed)
@@ -268,17 +452,17 @@ def reference_directions(covec, trials, seed):
 _BASIS_STACKS = {}
 
 
-def basis_stacks(n, r):
-    if (n, r) not in _BASIS_STACKS:
+def basis_stacks(n):
+    if n not in _BASIS_STACKS:
         j1, j2 = std_pair(n)
-        _BASIS_STACKS[n, r] = [
-            _symbol_maps(_symbol_setup(n, j1, j2), r, np.eye(4 * n)[2 * n + a])[1]
+        _BASIS_STACKS[n] = [
+            _symbol_maps(_symbol_setup(n, j1, j2), np.eye(4 * n)[2 * n + a])[1]
             for a in range(2 * n)
         ]
-    return _BASIS_STACKS[n, r]
+    return _BASIS_STACKS[n]
 
 
-@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=25, deadline=None)
 @given(
     comps=st.lists(
@@ -287,12 +471,12 @@ def basis_stacks(n, r):
         max_size=4,
     )
 )
-def test_symbol_matrices_linear_in_theta(n, r, comps):
+def test_symbol_matrices_linear_in_theta(n, comps):
     comps = np.array(comps[: 2 * n])
     assume(np.abs(comps).max() > 1e-100)
     j1, j2 = std_pair(n)
-    _, direct = _symbol_maps(_symbol_setup(n, j1, j2), r, np.concatenate([np.zeros(2 * n), comps]))
-    stacks = basis_stacks(n, r)
+    _, direct = _symbol_maps(_symbol_setup(n, j1, j2), np.concatenate([np.zeros(2 * n), comps]))
+    stacks = basis_stacks(n)
     for k, m in enumerate(direct):
         combo = sum(c * mats[k] for c, mats in zip(comps, stacks))
         assert np.abs(m - combo).max() <= 1e-14 * np.abs(m).max()
@@ -309,15 +493,13 @@ def theta_wedge(n, thf, mask):
     return wedge(thf, blade).coeffs[blades_of_degree(n, j + 1)]
 
 
-@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n):
     # every theta-wedge block of the symbol maps, rebuilt one blade at a time
     # with GradedForm: B^1 -> B^2 on the one-forms of the 4n directions, and
     # the realified blocks B^j -> B^{j+1}, j >= 2
-    rng = np.random.default_rng(4100 + 10 * n + r)
+    rng = np.random.default_rng(4100 + 10 * n)
     j1, j2 = std_pair(n)
-    rr = r * r
-    basis = np.array(_skew_basis(r))
     coords = j1.minus_i_eigenbasis().conj().T @ ((np.eye(4 * n) + 1j * j1.J) / 2.0)
 
     def one_form(c):
@@ -325,38 +507,34 @@ def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
 
     for _ in range(3):
         th = np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])
-        _, mats = _symbol_maps(_symbol_setup(n, j1, j2), r, th)
+        _, mats = _symbol_maps(_symbol_setup(n, j1, j2), th)
         thf = one_form(coords @ th)
         for k in range(4 * n):
-            w = wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
-            for m in range(rr):
-                y = np.outer(w, basis[m].ravel()).ravel()
-                col = mats[1][rr:, k * rr + m]
-                assert np.array_equal(col, np.concatenate([y.real, y.imag]))
+            y = 1j * wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
+            assert np.array_equal(mats[1][1:, k], np.concatenate([y.real, y.imag]))
         for j in range(2, 2 * n):
             wc = np.array([theta_wedge(n, thf, mask) for mask in blades_of_degree(n, j)]).T
-            re, im = np.kron(wc.real, np.eye(rr)), np.kron(wc.imag, np.eye(rr))
-            block = mats[j] if j > 2 else mats[2][:, rr:]
-            assert np.array_equal(block, np.block([[re, -im], [im, re]]))
+            block = mats[j] if j > 2 else mats[2][:, 1:]
+            assert np.array_equal(block, np.block([[wc.real, -wc.imag], [wc.imag, wc.real]]))
 
 
 @pytest.mark.parametrize(
     "trials", [_TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 1]
 )
 def test_block_ranks_match_direct_assembly(trials):
-    n, r, seed = 2, 2, 5
+    n, seed = 2, 5
     j1, j2 = std_pair(n)
     th = np.array([0.3, -1.1, 0.7, 0.2])
     covecs = reference_directions(th, trials, seed)
     drawn = _random_covectors(np.random.default_rng(seed), n, trials)
     assert np.array_equal(np.vstack([th, drawn]), covecs)
 
-    dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
-    want = direct_ranks(n, r, j1, j2, covecs)
+    dims, ranks = _trial_ranks(n, j1, j2, covecs)
+    want = direct_ranks(n, 1, j1, j2, covecs)
     assert ranks.shape == (trials + 1, len(dims) - 1)
     assert np.array_equal(ranks, want)
 
-    rep = symbol_exactness(n, r, j1, j2, cov_theta(n, th), trials=trials, seed=seed)
+    rep = symbol_exactness(n, 1, j1, j2, cov_theta(n, th), trials=trials, seed=seed)
     zero = np.zeros((trials + 1, 1), dtype=int)
     padded = np.hstack([zero, want, zero])
     want_exact = tuple(
@@ -367,123 +545,37 @@ def test_block_ranks_match_direct_assembly(trials):
     assert rep.exact == want_exact
 
 
-def basis_stacks_of(n, r, j1, j2):
-    setup = _symbol_setup(n, j1, j2)
-    maps = [_symbol_maps(setup, r, np.eye(4 * n)[2 * n + a])[1] for a in range(2 * n)]
-    return [np.stack(mats) for mats in zip(*maps)]
-
-
-def weighted_pair(weights):
-    j1, _ = std_pair(len(weights))
-    return j1, gcs_symplectic(np.kron(np.diag(weights), OMEGA_BLOCK))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_blocked_ranks_match_full_matrix_ranks(n, r):
-    j1, j2 = std_pair(n)
-    covecs = _random_covectors(np.random.default_rng(90 + 10 * n + r), n, 500)
-    dims, ranks = _trial_ranks(n, r, j1, j2, covecs)
-    assert np.array_equal(ranks, direct_ranks(n, r, j1, j2, covecs))
-
-
-@pytest.mark.parametrize(
-    "n, r, pair",
-    [(1, 2, b_transformed_pair()), (2, 2, weighted_pair([0.5, 3.0])), (1, 3, weighted_pair([2.5]))],
-)
-def test_blocked_ranks_match_full_matrix_ranks_on_other_pairs(n, r, pair):
-    j1, j2 = pair
-    covecs = _random_covectors(np.random.default_rng(17), n, 200)
-    _, ranks = _trial_ranks(n, r, j1, j2, covecs)
-    assert np.array_equal(ranks, direct_ranks(n, r, j1, j2, covecs))
-
-
-@pytest.mark.parametrize(
-    "n, r, pair",
-    [(1, 1, None), (1, 3, None), (2, 2, None), (2, 3, None),
-     (1, 2, b_transformed_pair()), (2, 2, weighted_pair([0.5, 3.0]))],
-)
-def test_diagonal_blocks_cover_each_map(n, r, pair):
-    # at random theta the map vanishes outside its blocks, every copy holds its
-    # representative's data bit for bit, and the blocks' singular values (one
-    # set per copy, padded with zeros) are the full map's
-    j1, j2 = std_pair(n) if pair is None else pair
-    rng = np.random.default_rng(300 + 10 * n + r)
-    for stack in basis_stacks_of(n, r, j1, j2):
-        classes = _diagonal_blocks(stack)
-        rep_shapes = set()
-        for cls in classes:
-            (rows0, cols0) = cls[0]
-            rep_shapes.add((rows0.size, cols0.size))
-            for rows, cols in cls[1:]:
-                assert np.array_equal(
-                    stack[:, rows[:, None], cols].view(np.uint64),
-                    stack[:, rows0[:, None], cols0].view(np.uint64),
-                )
-        for _ in range(3):
-            m = np.einsum("a,aij->ij", rng.normal(size=2 * n), stack)
-            outside = np.ones(m.shape, dtype=bool)
-            svals = []
-            for cls in classes:
-                for rows, cols in cls:
-                    outside[np.ix_(rows, cols)] = False
-                    svals.append(np.linalg.svd(m[np.ix_(rows, cols)], compute_uv=False))
-            assert not np.any(m[outside])
-            full = np.linalg.svd(m, compute_uv=False)
-            union = np.concatenate(svals)
-            union = np.sort(np.concatenate([union, np.zeros(full.size - union.size)]))
-            assert np.abs(union - np.sort(full)).max() <= 1e-13 * full[0]
-
-
 def test_blocked_rank_tolerance_is_relative_to_the_whole_map():
-    # two 1 x 1 blocks, 1 and 1e-10: the small one is below _RANK_TOL times
-    # the map's largest singular value, though not below its own
-    stack = np.zeros((1, 2, 2))
-    stack[0] = np.diag([1.0, 1e-10])
-    plan = analysis._rank_plan(_diagonal_blocks(stack))
-    assert analysis._blocked_ranks(stack, plan).tolist() == [1]
+    # _map_ranks on a block of three maps.  diag(1, 1e-10): the small
+    # singular value is below _RANK_TOL times the map's largest; alone,
+    # 1e-10 is the largest and counts, and a zero map has rank 0
+    mats = np.zeros((3, 2, 2))
+    mats[0] = np.diag([1.0, 1e-10])
+    mats[1] = np.diag([1e-10, 0.0])
+    assert _map_ranks(mats).tolist() == [1, 1, 0]
 
 
-def test_blocked_ranks_see_a_defective_copy(monkeypatch):
-    # the last map at n = 2 is four equal 2 x 4 blocks; one non-first copy
-    # gets its first row in place of its second at every theta, which keeps
-    # both compositions at zero, keeps the block's pattern and drops the full
-    # map's rank by one, so only a bitwise key can keep the copy apart
-    n, r = 2, 2
-    j1, j2 = std_pair(n)
-    classes = _diagonal_blocks(basis_stacks_of(n, r, j1, j2)[-1])
-    dup = next(cls for cls in classes if len(cls) > 1)
-    rows, cols = dup[1]
-    original = analysis._symbol_maps
+def test_symbol_svd_work_does_not_grow_with_rank(monkeypatch):
+    # the rank enters only as r^2: symbol_exactness hands np.linalg.svd the
+    # same calls, on the same shapes, at r = 1 and r = 8
+    calls = []
+    svd = np.linalg.svd
 
-    def perturbed(setup, r_, theta):
-        dims, mats = original(setup, r_, theta)
-        mats[-1][rows[1], cols] = mats[-1][rows[0], cols]
-        return dims, mats
+    def recorded(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
-    covecs = _random_covectors(np.random.default_rng(8), n, 40)
-    clean = direct_ranks(n, r, j1, j2, covecs)
-    monkeypatch.setattr(analysis, "_symbol_maps", perturbed)
-    _, ranks = _trial_ranks(n, r, j1, j2, covecs)
-    want = direct_ranks(n, r, j1, j2, covecs)
-    assert np.all(want[:, -1] == clean[:, -1] - 1)
-    assert np.array_equal(ranks, want)
-
-
-def test_distinct_blocks_do_not_grow_with_rank():
-    # at n = 2 the rank-2 and rank-3 maps split into the same distinct blocks
-    # (only the number of copies grows), so the rank test's SVD work per
-    # direction does not grow with r
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     j1, j2 = std_pair(2)
+    th = cov_theta(2, [1.0, -0.3, 0.2, 0.8])
     per_rank = []
-    for r in (2, 3):
-        per_rank.append(
-            [
-                [(cls[0][0].size, cls[0][1].size) for cls in _diagonal_blocks(stack)]
-                for stack in basis_stacks_of(2, r, j1, j2)
-            ]
-        )
+    for r in (1, 8):
+        calls.clear()
+        rep = symbol_exactness(2, r, j1, j2, th, trials=2 * _TRIAL_BLOCK)
+        assert all(rep.exact)
+        per_rank.append(list(calls))
     assert per_rank[0] == per_rank[1]
+    assert (_TRIAL_BLOCK, 13, 8) in per_rank[0]
 
 
 def test_random_covectors_redraw_near_zero():
@@ -502,19 +594,19 @@ def test_random_covectors_redraw_near_zero():
 def test_symbol_composition_check_is_live(monkeypatch):
     # a defect in the last basis stack spares theta = e_0 (trial 0) but
     # reaches every random direction
-    n, r = 2, 2
+    n = 2
     j1, j2 = std_pair(n)
     original = analysis._symbol_maps
 
-    def perturbed(setup, r_, theta):
-        dims, mats = original(setup, r_, theta)
+    def perturbed(setup, theta):
+        dims, mats = original(setup, theta)
         if theta[4 * n - 1] == 1.0:
             mats[1] = mats[1] + 1e-3
         return dims, mats
 
     monkeypatch.setattr(analysis, "_symbol_maps", perturbed)
     with pytest.raises(RuntimeError, match="compose to zero at trial 1 "):
-        symbol_exactness(n, r, j1, j2, cov_theta(n, [1.0, 0.0, 0.0, 0.0]), trials=40)
+        symbol_exactness(n, 2, j1, j2, cov_theta(n, [1.0, 0.0, 0.0, 0.0]), trials=40)
 
 
 def test_symbol_assembly_cost_independent_of_trials(monkeypatch):

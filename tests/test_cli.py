@@ -340,6 +340,20 @@ def test_symbols_negative_trials_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, c", [(1, 1e150), (1, 1e200), (2, 1e100), (2, 1e150)])
+def test_symbols_names_psi_omega_when_its_line_has_zero_norm(tmp_path, capsys, n, c):
+    # the Mukai norm of the spinor line of c * omega_0 underflows to 0j; the
+    # command refuses it by its key before anything divides by it
+    doc = {"n": n, "psi": {"omega": (c * np.kron(np.eye(n), OMEGA_BLOCK)).tolist()}}
+    path = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["symbols", "--trials", "5", "--input", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: psi.omega ")
+    assert "Mukai norm 0j" in err
+
+
 # ---------------------------------------------------------------------------
 # curvature and report
 
