@@ -452,17 +452,23 @@ def reference_directions(covec, trials, seed):
 _BASIS_STACKS = {}
 
 
-def basis_stacks(n):
-    if n not in _BASIS_STACKS:
+def rank_maps(setup, r, theta):
+    """The symbol maps at rank r: _symbol_maps itself at r = 1, the rank-r
+    oracle above it (_symbol_maps builds rank 1 only)."""
+    return _symbol_maps(setup, theta) if r == 1 else entry_maps(setup, r, theta)
+
+
+def basis_stacks(n, r):
+    if (n, r) not in _BASIS_STACKS:
         j1, j2 = std_pair(n)
-        _BASIS_STACKS[n] = [
-            _symbol_maps(_symbol_setup(n, j1, j2), np.eye(4 * n)[2 * n + a])[1]
+        _BASIS_STACKS[n, r] = [
+            rank_maps(_symbol_setup(n, j1, j2), r, np.eye(4 * n)[2 * n + a])[1]
             for a in range(2 * n)
         ]
-    return _BASIS_STACKS[n]
+    return _BASIS_STACKS[n, r]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2)])
 @settings(max_examples=25, deadline=None)
 @given(
     comps=st.lists(
@@ -471,12 +477,12 @@ def basis_stacks(n):
         max_size=4,
     )
 )
-def test_symbol_matrices_linear_in_theta(n, comps):
+def test_symbol_matrices_linear_in_theta(n, r, comps):
     comps = np.array(comps[: 2 * n])
     assume(np.abs(comps).max() > 1e-100)
     j1, j2 = std_pair(n)
-    _, direct = _symbol_maps(_symbol_setup(n, j1, j2), np.concatenate([np.zeros(2 * n), comps]))
-    stacks = basis_stacks(n)
+    _, direct = rank_maps(_symbol_setup(n, j1, j2), r, np.concatenate([np.zeros(2 * n), comps]))
+    stacks = basis_stacks(n, r)
     for k, m in enumerate(direct):
         combo = sum(c * mats[k] for c, mats in zip(comps, stacks))
         assert np.abs(m - combo).max() <= 1e-14 * np.abs(m).max()
@@ -493,13 +499,15 @@ def theta_wedge(n, thf, mask):
     return wedge(thf, blade).coeffs[blades_of_degree(n, j + 1)]
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n):
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
     # every theta-wedge block of the symbol maps, rebuilt one blade at a time
     # with GradedForm: B^1 -> B^2 on the one-forms of the 4n directions, and
     # the realified blocks B^j -> B^{j+1}, j >= 2
-    rng = np.random.default_rng(4100 + 10 * n)
+    rng = np.random.default_rng(4100 + 10 * n + r)
     j1, j2 = std_pair(n)
+    rr = r * r
+    basis = np.array(skew_basis(r))
     coords = j1.minus_i_eigenbasis().conj().T @ ((np.eye(4 * n) + 1j * j1.J) / 2.0)
 
     def one_form(c):
@@ -507,15 +515,19 @@ def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n):
 
     for _ in range(3):
         th = np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])
-        _, mats = _symbol_maps(_symbol_setup(n, j1, j2), th)
+        _, mats = rank_maps(_symbol_setup(n, j1, j2), r, th)
         thf = one_form(coords @ th)
         for k in range(4 * n):
-            y = 1j * wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
-            assert np.array_equal(mats[1][1:, k], np.concatenate([y.real, y.imag]))
+            w = wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
+            for m in range(rr):
+                y = np.outer(w, basis[m].ravel()).ravel()
+                col = mats[1][rr:, k * rr + m]
+                assert np.array_equal(col, np.concatenate([y.real, y.imag]))
         for j in range(2, 2 * n):
             wc = np.array([theta_wedge(n, thf, mask) for mask in blades_of_degree(n, j)]).T
-            block = mats[j] if j > 2 else mats[2][:, 1:]
-            assert np.array_equal(block, np.block([[wc.real, -wc.imag], [wc.imag, wc.real]]))
+            re, im = np.kron(wc.real, np.eye(rr)), np.kron(wc.imag, np.eye(rr))
+            block = mats[j] if j > 2 else mats[2][:, rr:]
+            assert np.array_equal(block, np.block([[re, -im], [im, re]]))
 
 
 @pytest.mark.parametrize(
