@@ -28,7 +28,7 @@ from .fields import (
     vol_density,
 )
 from .multivector import GenVector, real_two_form_matrix
-from .structures import OMEGA_BLOCK, clifford_matrix, gk_validate, spinor_line, standard_complex
+from .structures import OMEGA_BLOCK, clifford_matrix, spinor_line, standard_complex
 
 __all__ = [
     "SymbolReport",
@@ -108,10 +108,11 @@ class _SymbolSetup:
     ek_psi: np.ndarray  # (4^n, 4n) Clifford action of each direction on psi
 
 
-def _symbol_setup(n, j1, j2):
+def _symbol_setup(pair):
     """Assemble the parts of the symbol maps that do not depend on theta."""
+    n, j1 = pair.n, pair.J1
     t = blade_tables(n)
-    psi = spinor_line(j2).coeffs
+    psi = spinor_line(pair.J2).coeffs
     psibar = np.conj(psi)
     norm = _k.mukai_batch(t, psi, psibar)
     if norm == 0.0 or not np.isfinite(norm):
@@ -188,7 +189,7 @@ def _map_ranks(mats):
     return np.sum(s > _RANK_TOL * s[:, :1], axis=1)
 
 
-def _trial_ranks(n, j1, j2, covecs):
+def _trial_ranks(pair, covecs):
     """Dims of the rank-1 symbol complex and each map's rank at each covector.
 
     The maps are linear in theta, so they are assembled once per covector
@@ -197,7 +198,8 @@ def _trial_ranks(n, j1, j2, covecs):
     to zero, and each map of a block is ranked by one batched SVD
     (_map_ranks).  Returns (dims, ranks), ranks shaped (len(covecs), maps).
     """
-    setup = _symbol_setup(n, j1, j2)
+    n = pair.n
+    setup = _symbol_setup(pair)
     basis = [_symbol_maps(setup, np.eye(4 * n)[2 * n + a]) for a in range(2 * n)]
     dims = basis[0][0]
     stacks = [np.stack(maps) for maps in zip(*(mats for _, mats in basis))]
@@ -223,8 +225,9 @@ def _trial_ranks(n, j1, j2, covecs):
     return tuple(dims), ranks
 
 
-def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
-    """Assemble the symbol complex at theta and test exactness by SVD ranks.
+def symbol_exactness(pair, r, theta, trials=100, seed=0):
+    """Assemble the symbol complex of a GKPair (valid by construction) at
+    theta and test exactness by SVD ranks.
 
     Repeats the rank check for `trials` extra random cotangent directions;
     the reported dims and ranks belong to the given theta, while `exact`
@@ -238,24 +241,19 @@ def symbol_exactness(n, r, j1, j2, theta, trials=100, seed=0):
     junction is exact at rank r when it is at rank 1, which alone is
     assembled and rank-tested (_trial_ranks).
     """
-    n = int(n)
+    n = pair.n
     r = int(r)
     trials = int(trials)
     if r < 1:
         raise ValueError(f"rank must be at least 1, got {r}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    if j1.n != n or j2.n != n:
-        raise ValueError(f"structure dimension mismatch: n={n}, got {j1.n} and {j2.n}")
-    report = gk_validate(j1, j2)
-    if not report["valid"]:
-        raise ValueError(f"not a generalized Kahler pair: {report}")
     th = _theta_covector(theta, n)
 
     covecs = np.vstack(
         [th[2 * n :], _random_covectors(np.random.default_rng(seed), n, trials)]
     )
-    dims, ranks = _trial_ranks(n, j1, j2, covecs)
+    dims, ranks = _trial_ranks(pair, covecs)
     # junction j is exact when the ranks into and out of B^j add up to dim B^j
     padded = np.pad(ranks, ((0, 0), (1, 1)))
     exact = tuple(

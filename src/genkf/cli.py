@@ -47,7 +47,6 @@ from .fields import (
     u_window_defect,
     validate_spinor_field,
 )
-from .structures import gcs_symplectic, standard_complex
 from .verify import run_suite
 
 
@@ -165,9 +164,9 @@ def cmd_verify(cfg, args) -> int:
 
 def cmd_curvature(cfg, args) -> int:
     f, k, chern, lam, norm, closed = _curvature_numbers(cfg)
-    window = u_window_defect(f, cfg.b, cfg.omega)
+    window = u_window_defect(f, cfg.b, cfg.pair.J2)
     del f  # nothing below reads F
-    dbar = dbar_residual(cfg.grid, cfg.conn, standard_complex(cfg.n))
+    dbar = dbar_residual(cfg.grid, cfg.conn, cfg.pair.J1)
 
     print(f"lambda = {lam:.12g}")
     print(f"eh residual = {norm:.6e}")
@@ -232,15 +231,13 @@ def cmd_solve(cfg, args) -> int:
 
 
 def _symbols_body(cfg, args):
-    """Symbol exactness of the standard pair at the document's theta
-    (default dx^0), as symbols writes it."""
-    n = cfg.n
+    """Symbol exactness of the document's pair at its theta (default dx^0),
+    as symbols writes it."""
     theta = cfg.theta
     if theta is None:
-        theta = np.zeros(2 * n)
+        theta = np.zeros(2 * cfg.n)
         theta[0] = 1.0
-    jc, js = standard_complex(n), gcs_symplectic(cfg.omega)
-    rep = symbol_exactness(n, cfg.rank, jc, js, theta, trials=args.trials, seed=args.seed)
+    rep = symbol_exactness(cfg.pair, cfg.rank, theta, trials=args.trials, seed=args.seed)
     return {
         "theta": rep.theta.as_array().real,
         "dims": list(rep.dims),

@@ -35,7 +35,6 @@ from .structures import (
     UDecomposition,
     classify_spinor,
     gcs_from_spinor,
-    gcs_symplectic,
 )
 
 __all__ = [
@@ -564,13 +563,13 @@ def mean_curvature_from(f: EndFormField, psi: FormField) -> np.ndarray:
     return (k + np.swapaxes(k, 0, 1).conj()) / 2.0
 
 
-def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
+def u_window_defect(f: EndFormField, b: np.ndarray, js: GCStructure) -> float:
     """Largest |P_k g| / max|g| over the U^k pieces of e^{i omega}, k not in
     {-n, -n + 2}, for the curvature f on psi = e^b e^{i omega} and g = e^{-b} ^ f;
     b is (2n, 2n) or varying (2n, 2n, *sizes).  e^{b(x)} ^ carries each U^k of
     e^{i omega} onto psi(x)'s, so one decomposition checks every grid point.
-    The U^k are those of gcs_symplectic(omega), the exact structure whose
-    spinor line is e^{i omega}; its projectors are read off J's entries, so
+    The U^k are those of js, the structure whose spinor line is e^{i omega}
+    (gcs_symplectic(omega), exact); its projectors are read off J's entries, so
     for the standard omega they are exactly sparse (48 nonzero entries in
     the outside rows at n = 2).  Each row of P_k g is multiply-added over
     P_k's nonzero entries on g's (blades, r^2 * points) view, one row at a
@@ -579,7 +578,7 @@ def u_window_defect(f: EndFormField, b: np.ndarray, omega) -> float:
     n = f.grid.n
     g = b_transform_field(-b, f).data if np.any(b) else f.data  # at b = 0, f's own array
     cols = g.reshape(4**n, -1)  # (blades, r^2 * points)
-    dec = UDecomposition(gcs_symplectic(omega))
+    dec = UDecomposition(js)
     proj = np.concatenate([dec.projector(k) for k in range(-n, n + 1) if k not in (-n, -n + 2)])
     worst = 0.0
     for p in proj[np.any(proj, axis=1)]:  # every row of every P_k that is not all zero

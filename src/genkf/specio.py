@@ -46,7 +46,7 @@ from .multivector import is_skew
 from .fields import (
     MAX_GRID_N, MIN_GRID_SIZE, FormField, GenConnection, TorusGrid, exp_two_form_field
 )
-from .structures import OMEGA_BLOCK, gcs_symplectic, gk_validate, standard_complex
+from .structures import OMEGA_BLOCK, GKPair, gcs_symplectic, standard_complex
 from .analysis import _theta_covector
 
 _DEFAULT_SIZE = 32
@@ -62,13 +62,15 @@ class SpecError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs, built from one document; psi is
-    e^{b + i omega}, b (2n, 2n) or varying (2n, 2n, *sizes), omega (2n, 2n)."""
+    e^{b + i omega}, b (2n, 2n) or varying (2n, 2n, *sizes), omega (2n, 2n),
+    and pair the document's GKPair (standard_complex(n), gcs_symplectic(omega))."""
 
     n: int
     grid: TorusGrid
     rank: int
     b: np.ndarray
     omega: np.ndarray
+    pair: GKPair
     psi: FormField
     conn: GenConnection
     theta: np.ndarray | None
@@ -203,25 +205,26 @@ def _eval_expr(expr, grid, what):
     return out
 
 
-def _omega_matrix(spec, n):
-    """omega, checked to form a generalized Kahler pair with the standard
-    complex structure (the pair symbols and verify take) before psi is built."""
+def _omega_pair(spec, n):
+    """omega and the document's pair (standard_complex(n), gcs_symplectic(omega)),
+    which every command reads, built before psi; an omega of no pair is named."""
     if spec is None:
-        return np.kron(np.eye(n), OMEGA_BLOCK)
+        spec = np.kron(np.eye(n), OMEGA_BLOCK)
     m = _as_matrix(spec, (2 * n, 2 * n), "psi.omega")
     if not is_skew(m, m.T):
         raise SpecError("psi.omega must be antisymmetric")
-    try:  # no inverse, one past the float range, or one too large for J^2 = -1
-        with np.errstate(all="raise", under="ignore"):
-            pair = gk_validate(standard_complex(n), gcs_symplectic(m))
-    except (ArithmeticError, ValueError) as exc:
-        raise SpecError(f"psi.omega is singular: {exc}") from None
-    if not pair["valid"]:
-        raise SpecError(
-            "psi.omega does not form a generalized Kahler pair with the "
-            f"standard complex structure: {pair}"
-        )
-    return m
+    with np.errstate(all="raise", under="ignore"):
+        try:  # no inverse, one past the float range, or one too large for J^2 = -1
+            js = gcs_symplectic(m)
+        except (ArithmeticError, ValueError) as exc:
+            raise SpecError(f"psi.omega is singular: {exc}") from None
+        try:
+            return m, GKPair(standard_complex(n), js)
+        except (ArithmeticError, ValueError) as exc:
+            raise SpecError(
+                "psi.omega does not form a generalized Kahler pair with the "
+                f"standard complex structure: {exc}"
+            ) from None
 
 
 def _b_field(spec, grid):
@@ -408,7 +411,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     pspec = doc.get("psi", {})
     if not isinstance(pspec, dict) or set(pspec) - {"b", "omega"}:
         raise SpecError("psi must be {'b': ..., 'omega': ...}")
-    omega = _omega_matrix(pspec.get("omega"), n)
+    omega, pair = _omega_pair(pspec.get("omega"), n)
     bfield = _b_field(pspec.get("b"), grid)
     psi = _build_psi(grid, bfield, omega)
 
@@ -429,6 +432,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         rank=r,
         b=bfield,
         omega=omega,
+        pair=pair,
         psi=psi,
         conn=conn,
         theta=theta,

@@ -219,10 +219,10 @@ def _algebra_checks(rng, n):
     return rows
 
 
-def _structure_checks(rng, n, omega, psi0):
+def _structure_checks(rng, cfg, psi0):
     rows = []
-    jc = standard_complex(n)
-    js = gcs_symplectic(omega)
+    n, omega = cfg.n, cfg.omega
+    jc, js = cfg.pair.J1, cfg.pair.J2
 
     j = gcs_from_spinor(psi0)
     rows.append(
@@ -371,7 +371,7 @@ def _field_checks(rng, cfg, curv):
     fscale = float(np.max(np.abs(fcurv.data))) + 1e-30
     # draw the five sample points this check once took, so every later row stays
     rng.integers(0, grid.sizes, size=(5, 2 * n))
-    err = u_window_defect(fcurv, cfg.b, cfg.omega)
+    err = u_window_defect(fcurv, cfg.b, cfg.pair.J2)
     rows.append(_row("fields/curvature-u-window", 1e-10, err))
 
     # bfield_act shifts A and so nabla_V in D^2(psi (x) s) = F_A(psi) s +
@@ -444,10 +444,9 @@ def _field_checks(rng, cfg, curv):
         _row("fields/gm-symplectic-antisymmetry", 1e-10, _rel(abs(w12 + w21), abs(w12)))
     )
 
-    pair = GKPair(standard_complex(n), gcs_symplectic(cfg.omega))
-    g12 = gm_metric(grid, a1, a2, pair, psi)
-    g21 = gm_metric(grid, a2, a1, pair, psi)
-    g11 = gm_metric(grid, a1, a1, pair, psi)
+    g12 = gm_metric(grid, a1, a2, cfg.pair, psi)
+    g21 = gm_metric(grid, a2, a1, cfg.pair, psi)
+    g11 = gm_metric(grid, a1, a1, cfg.pair, psi)
     err = _rel(abs(g12 - g21), abs(g12))
     if g11 <= 0.0:
         err = max(err, 1.0)
@@ -479,7 +478,7 @@ def _field_checks(rng, cfg, curv):
         _row(
             "fields/dbar-flat-connection",
             1e-12,
-            dbar_residual(grid, flat, standard_complex(n)),
+            dbar_residual(grid, flat, cfg.pair.J1),
         )
     )
 
@@ -520,13 +519,13 @@ def _analysis_checks(rng, cfg, seed):
     rows = []
     n = cfg.n
     r = cfg.rank
-    jc = standard_complex(n)
-    js = gcs_symplectic(np.kron(np.eye(n), OMEGA_BLOCK))
+    # a self-contained standard pair, whatever the document's omega
+    pair = GKPair(standard_complex(n), gcs_symplectic(np.kron(np.eye(n), OMEGA_BLOCK)))
     theta = np.zeros(2 * n)
     theta[0] = 1.0
 
     try:
-        rep = symbol_exactness(n, r, jc, js, theta, trials=8, seed=seed)
+        rep = symbol_exactness(pair, r, theta, trials=8, seed=seed)
         inexact = sum(0 if ok else 1 for ok in rep.exact)
         rows.append(_row("analysis/symbol-junction-exactness", 0.5, float(inexact)))
 
@@ -548,14 +547,14 @@ def _analysis_checks(rng, cfg, seed):
         ):
             rows.append(_row(name, 0.5, 1.0))
 
-    plus = (np.eye(4 * n) + GKPair(jc, js).g_hat()) / 2.0
+    plus = (np.eye(4 * n) + pair.g_hat()) / 2.0
     err = 0.0
     for _ in range(20):
         th = rng.normal(size=2 * n)
         if np.abs(th).max() < 1e-2:
             continue
         full = np.concatenate([np.zeros(2 * n), th])
-        t10 = (full - 1j * (jc.J @ full)) / 2.0
+        t10 = (full - 1j * (pair.J1.J @ full)) / 2.0
         val = neutral_pairing(
             GenVector.from_array(plus @ t10),
             GenVector.from_array(plus @ np.conj(t10)),
@@ -617,7 +616,7 @@ def run_suite(cfg, curv, seed=0):
     psi0 = cfg.psi.value_at((0,) * (2 * cfg.n))
     rows = []
     rows += _algebra_checks(rng, cfg.n)
-    rows += _structure_checks(rng, cfg.n, cfg.omega, psi0)
+    rows += _structure_checks(rng, cfg, psi0)
     rows += _field_checks(rng, cfg, curv)
     rows += _analysis_checks(rng, cfg, seed)
     return rows

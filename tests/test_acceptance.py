@@ -472,12 +472,11 @@ def test_criterion_7_symbol_exactness():
     worst_junction = 0
     table_err = 0
     for n in (1, 2):
-        jc = gcs_complex(std_jmat(n))
-        js = gcs_symplectic(std_omega(n))
+        pair = GKPair(gcs_complex(std_jmat(n)), gcs_symplectic(std_omega(n)))
         theta = np.zeros(2 * n)
         theta[0] = 1.0
         for r in (1, 2):
-            rep = symbol_exactness(n, r, jc, js, theta, trials=100, seed=90107)
+            rep = symbol_exactness(pair, r, theta, trials=100, seed=90107)
             worst_junction += sum(0 if ok else 1 for ok in rep.exact)
             table_err += abs((rep.dims[1] - rep.ranks[1]) - r * r)
             table_err += abs(sum((-1) ** i * d for i, d in enumerate(rep.dims)))

@@ -83,7 +83,7 @@ def std_omega(n):
 
 def std_pair(n):
     j = np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
-    return gcs_complex(j), gcs_symplectic(std_omega(n))
+    return GKPair(gcs_complex(j), gcs_symplectic(std_omega(n)))
 
 
 def cov_theta(n, comps):
@@ -233,10 +233,11 @@ def entry_maps(setup, r, theta):
     return dims, mats
 
 
-def direct_ranks(n, r, j1, j2, covecs):
+def direct_ranks(pair, r, covecs):
     """Assemble the rank-r oracle at each covector and rank each full map by
     its own SVD; every consecutive pair must compose to zero."""
-    setup = _symbol_setup(n, j1, j2)
+    n = pair.n
+    setup = _symbol_setup(pair)
     out = []
     for covec in covecs:
         _, mats = entry_maps(setup, r, np.concatenate([np.zeros(2 * n), covec]))
@@ -253,13 +254,13 @@ def direct_ranks(n, r, j1, j2, covecs):
 
 def b_transformed_pair():
     b = np.array([[0.0, 0.4], [-0.4, 0.0]])
-    j1, j2 = std_pair(1)
-    return gcs_b_transform(b, j1), gcs_b_transform(b, j2)
+    pair = std_pair(1)
+    return GKPair(gcs_b_transform(b, pair.J1), gcs_b_transform(b, pair.J2))
 
 
 def weighted_pair(weights):
-    j1, _ = std_pair(len(weights))
-    return j1, gcs_symplectic(np.kron(np.diag(weights), OMEGA_BLOCK))
+    j1 = std_pair(len(weights)).J1
+    return GKPair(j1, gcs_symplectic(np.kron(np.diag(weights), OMEGA_BLOCK)))
 
 
 PAIRS = {
@@ -277,9 +278,9 @@ def test_rank_one_oracle_is_the_symbol_maps_exactly(pair):
     # entry-based assembly is _symbol_maps entry for entry, with no
     # tolerance; only the sign of a zero may differ (einsum adds each product
     # to +0, so it turns the -0 of 1j * w into +0)
-    j1, j2 = PAIRS[pair]()
-    n = j1.n
-    setup = _symbol_setup(n, j1, j2)
+    pair = PAIRS[pair]()
+    n = pair.n
+    setup = _symbol_setup(pair)
     rng = np.random.default_rng(55)
     for th in [np.eye(4 * n)[2 * n], np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])]:
         want_dims, want = entry_maps(setup, 1, th)
@@ -291,22 +292,22 @@ def test_rank_one_oracle_is_the_symbol_maps_exactly(pair):
             assert np.array_equal(m, w)
 
 
-def assert_oracle_ranks_are_r_squared_rank_one_ranks(j1, j2, r, seed, trials):
+def assert_oracle_ranks_are_r_squared_rank_one_ranks(pair, r, seed, trials):
     # the full rank-r oracle maps compose to zero (checked in direct_ranks),
     # and their own SVD ranks and dims are r^2 times the rank-1 ranks and
     # dims of _trial_ranks, which ranks trial blocks of the rank-1 maps
-    n = j1.n
+    n = pair.n
     covecs = _random_covectors(np.random.default_rng(seed), n, trials)
-    dims, ranks = _trial_ranks(n, j1, j2, covecs)
-    assert np.array_equal(r * r * ranks, direct_ranks(n, r, j1, j2, covecs))
-    oracle_dims, _ = entry_maps(_symbol_setup(n, j1, j2), r, np.eye(4 * n)[2 * n])
+    dims, ranks = _trial_ranks(pair, covecs)
+    assert np.array_equal(r * r * ranks, direct_ranks(pair, r, covecs))
+    oracle_dims, _ = entry_maps(_symbol_setup(pair), r, np.eye(4 * n)[2 * n])
     assert oracle_dims == [r * r * d for d in dims]
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_blocked_ranks_match_full_matrix_ranks(n, r):
-    assert_oracle_ranks_are_r_squared_rank_one_ranks(*std_pair(n), r, 90 + 10 * n + r, 300)
+    assert_oracle_ranks_are_r_squared_rank_one_ranks(std_pair(n), r, 90 + 10 * n + r, 300)
 
 
 @pytest.mark.parametrize(
@@ -316,9 +317,9 @@ def test_blocked_ranks_match_full_matrix_ranks(n, r):
     ids=["1-2-pair0", "2-2-pair1", "1-3-pair2", "1-3-pair3", "2-3-pair4", "1-2-pair5"],
 )
 def test_blocked_ranks_match_full_matrix_ranks_on_other_pairs(n, r, pair):
-    j1, j2 = PAIRS[pair]()
-    assert j1.n == n
-    assert_oracle_ranks_are_r_squared_rank_one_ranks(j1, j2, r, 17, 200)
+    pair = PAIRS[pair]()
+    assert pair.n == n
+    assert_oracle_ranks_are_r_squared_rank_one_ranks(pair, r, 17, 200)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +329,8 @@ def test_blocked_ranks_match_full_matrix_ranks_on_other_pairs(n, r, pair):
 def test_symbol_dimension_and_rank_tables():
     for n in (1, 2):
         for r in (1, 2, 3, 8):
-            j1, j2 = std_pair(n)
             th = cov_theta(n, [0.3, -1.1, 0.7, 0.2][: 2 * n])
-            rep = symbol_exactness(n, r, j1, j2, th, trials=2)
+            rep = symbol_exactness(std_pair(n), r, th, trials=2)
             dims, ranks = EXPECTED[n]
             assert rep.dims == tuple(d * r * r for d in dims)
             assert rep.ranks == tuple(k * r * r for k in ranks)
@@ -342,9 +342,8 @@ def test_symbol_dimension_and_rank_tables():
 
 def test_symbol_maps_compose_to_zero():
     for n in (1, 2):
-        j1, j2 = std_pair(n)
         th = np.concatenate([np.zeros(2 * n), RNG.normal(size=2 * n)])
-        dims, mats = _symbol_maps(_symbol_setup(n, j1, j2), th)
+        dims, mats = _symbol_maps(_symbol_setup(std_pair(n)), th)
         assert dims == list(EXPECTED[n][0])
         assert [m.shape[1] for m in mats] == dims[:-1]
         assert [m.shape[0] for m in mats] == dims[1:]
@@ -357,10 +356,9 @@ def test_symbol_kernel_reconstructs_endomorphism_times_theta():
     # on the rank-2 oracle, the kernel at the middle of the first junction
     # is exactly f (x) theta
     for n, r in ((1, 2), (2, 2)):
-        j1, j2 = std_pair(n)
         comps = RNG.normal(size=2 * n)
         th = np.concatenate([np.zeros(2 * n), comps])
-        _, mats = entry_maps(_symbol_setup(n, j1, j2), r, th)
+        _, mats = entry_maps(_symbol_setup(std_pair(n)), r, th)
         basis = skew_basis(r)
         s1 = mats[1]
         _, sv, vh = np.linalg.svd(s1)
@@ -382,8 +380,7 @@ def test_first_symbol_map_is_the_symbol_of_connection_derivative(n):
     # the first symbol map at theta_k times i, with i the basis of B^0
     grid = make_grid(n, 8)
     conn = GenConnection.zero(grid, 1)
-    j1, j2 = std_pair(n)
-    setup = _symbol_setup(n, j1, j2)
+    setup = _symbol_setup(std_pair(n))
     modes = [(1, 0, 0, 0), (1, 2, 3, 0), (3, -1, 2, 1), (-2, 3, 0, -1), (0, 1, -3, 2)]
     for k in (np.array(m[: 2 * n]) for m in modes):
         xi = 1j * np.exp(1j * grid.phase(k))[None, None]
@@ -404,17 +401,17 @@ def test_first_symbol_map_is_the_symbol_of_connection_derivative(n):
 
 
 def test_symbol_exactness_b_transformed_pair():
-    rep = symbol_exactness(1, 2, *b_transformed_pair(), cov_theta(1, [0.9, 0.4]), trials=5)
+    rep = symbol_exactness(b_transformed_pair(), 2, cov_theta(1, [0.9, 0.4]), trials=5)
     assert rep.dims == (4, 16, 12)
     assert rep.ranks == (4, 12)
     assert all(rep.exact)
 
 
 def test_symbol_trials_deterministic():
-    j1, j2 = std_pair(2)
+    pair = std_pair(2)
     th = cov_theta(2, [1.0, -0.3, 0.2, 0.8])
-    rep1 = symbol_exactness(2, 2, j1, j2, th, trials=25, seed=3)
-    rep2 = symbol_exactness(2, 2, j1, j2, th, trials=25, seed=3)
+    rep1 = symbol_exactness(pair, 2, th, trials=25, seed=3)
+    rep2 = symbol_exactness(pair, 2, th, trials=25, seed=3)
     assert rep1.dims == rep2.dims
     assert rep1.ranks == rep2.ranks
     assert rep1.exact == rep2.exact
@@ -422,19 +419,20 @@ def test_symbol_trials_deterministic():
 
 
 def test_symbol_rejects_degenerate_inputs():
-    j1, j2 = std_pair(1)
+    # a pair that is not one is refused by GKPair itself, before any symbol
+    pair = std_pair(1)
     with pytest.raises(ValueError, match="nonzero"):
-        symbol_exactness(1, 1, j1, j2, cov_theta(1, [0.0, 0.0]))
+        symbol_exactness(pair, 1, cov_theta(1, [0.0, 0.0]))
     with pytest.raises(ValueError, match="cotangent"):
-        symbol_exactness(1, 1, j1, j2, GenVector([1.0, 0.0], [0.0, 0.0]))
-    with pytest.raises(ValueError, match="pair"):
-        symbol_exactness(1, 1, j2, j2, cov_theta(1, [1.0, 0.0]))
+        symbol_exactness(pair, 1, GenVector([1.0, 0.0], [0.0, 0.0]))
+    with pytest.raises(ValueError, match="not a compatible pair"):
+        GKPair(pair.J2, pair.J2)
     with pytest.raises(ValueError, match="rank"):
-        symbol_exactness(1, 0, j1, j2, cov_theta(1, [1.0, 0.0]))
-    with pytest.raises(ValueError, match="dimension"):
-        symbol_exactness(2, 1, j1, j2, cov_theta(2, [1.0, 0.0, 0.0, 0.0]))
+        symbol_exactness(pair, 0, cov_theta(1, [1.0, 0.0]))
+    with pytest.raises(ValueError, match="theta needs 2 covector or 4 full components"):
+        symbol_exactness(pair, 1, cov_theta(2, [1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
-        symbol_exactness(1, 1, j1, j2, cov_theta(1, [1.0, 0.0]), trials=-3)
+        symbol_exactness(pair, 1, cov_theta(1, [1.0, 0.0]), trials=-3)
 
 
 def reference_directions(covec, trials, seed):
@@ -460,9 +458,9 @@ def rank_maps(setup, r, theta):
 
 def basis_stacks(n, r):
     if (n, r) not in _BASIS_STACKS:
-        j1, j2 = std_pair(n)
+        setup = _symbol_setup(std_pair(n))
         _BASIS_STACKS[n, r] = [
-            rank_maps(_symbol_setup(n, j1, j2), r, np.eye(4 * n)[2 * n + a])[1]
+            rank_maps(setup, r, np.eye(4 * n)[2 * n + a])[1]
             for a in range(2 * n)
         ]
     return _BASIS_STACKS[n, r]
@@ -480,8 +478,7 @@ def basis_stacks(n, r):
 def test_symbol_matrices_linear_in_theta(n, r, comps):
     comps = np.array(comps[: 2 * n])
     assume(np.abs(comps).max() > 1e-100)
-    j1, j2 = std_pair(n)
-    _, direct = rank_maps(_symbol_setup(n, j1, j2), r, np.concatenate([np.zeros(2 * n), comps]))
+    _, direct = rank_maps(_symbol_setup(std_pair(n)), r, np.concatenate([np.zeros(2 * n), comps]))
     stacks = basis_stacks(n, r)
     for k, m in enumerate(direct):
         combo = sum(c * mats[k] for c, mats in zip(comps, stacks))
@@ -505,7 +502,8 @@ def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
     # with GradedForm: B^1 -> B^2 on the one-forms of the 4n directions, and
     # the realified blocks B^j -> B^{j+1}, j >= 2
     rng = np.random.default_rng(4100 + 10 * n + r)
-    j1, j2 = std_pair(n)
+    pair = std_pair(n)
+    j1 = pair.J1
     rr = r * r
     basis = np.array(skew_basis(r))
     coords = j1.minus_i_eigenbasis().conj().T @ ((np.eye(4 * n) + 1j * j1.J) / 2.0)
@@ -515,7 +513,7 @@ def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
 
     for _ in range(3):
         th = np.concatenate([np.zeros(2 * n), rng.normal(size=2 * n)])
-        _, mats = rank_maps(_symbol_setup(n, j1, j2), r, th)
+        _, mats = rank_maps(_symbol_setup(pair), r, th)
         thf = one_form(coords @ th)
         for k in range(4 * n):
             w = wedge(thf, one_form(coords[:, k])).coeffs[blades_of_degree(n, 2)]
@@ -535,18 +533,18 @@ def test_symbol_wedge_blocks_match_blade_by_blade_wedges(n, r):
 )
 def test_block_ranks_match_direct_assembly(trials):
     n, seed = 2, 5
-    j1, j2 = std_pair(n)
+    pair = std_pair(n)
     th = np.array([0.3, -1.1, 0.7, 0.2])
     covecs = reference_directions(th, trials, seed)
     drawn = _random_covectors(np.random.default_rng(seed), n, trials)
     assert np.array_equal(np.vstack([th, drawn]), covecs)
 
-    dims, ranks = _trial_ranks(n, j1, j2, covecs)
-    want = direct_ranks(n, 1, j1, j2, covecs)
+    dims, ranks = _trial_ranks(pair, covecs)
+    want = direct_ranks(pair, 1, covecs)
     assert ranks.shape == (trials + 1, len(dims) - 1)
     assert np.array_equal(ranks, want)
 
-    rep = symbol_exactness(n, 1, j1, j2, cov_theta(n, th), trials=trials, seed=seed)
+    rep = symbol_exactness(pair, 1, cov_theta(n, th), trials=trials, seed=seed)
     zero = np.zeros((trials + 1, 1), dtype=int)
     padded = np.hstack([zero, want, zero])
     want_exact = tuple(
@@ -578,12 +576,12 @@ def test_symbol_svd_work_does_not_grow_with_rank(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
-    j1, j2 = std_pair(2)
+    pair = std_pair(2)
     th = cov_theta(2, [1.0, -0.3, 0.2, 0.8])
     per_rank = []
     for r in (1, 8):
         calls.clear()
-        rep = symbol_exactness(2, r, j1, j2, th, trials=2 * _TRIAL_BLOCK)
+        rep = symbol_exactness(pair, r, th, trials=2 * _TRIAL_BLOCK)
         assert all(rep.exact)
         per_rank.append(list(calls))
     assert per_rank[0] == per_rank[1]
@@ -607,7 +605,6 @@ def test_symbol_composition_check_is_live(monkeypatch):
     # a defect in the last basis stack spares theta = e_0 (trial 0) but
     # reaches every random direction
     n = 2
-    j1, j2 = std_pair(n)
     original = analysis._symbol_maps
 
     def perturbed(setup, theta):
@@ -618,7 +615,7 @@ def test_symbol_composition_check_is_live(monkeypatch):
 
     monkeypatch.setattr(analysis, "_symbol_maps", perturbed)
     with pytest.raises(RuntimeError, match="compose to zero at trial 1 "):
-        symbol_exactness(n, 2, j1, j2, cov_theta(n, [1.0, 0.0, 0.0, 0.0]), trials=40)
+        symbol_exactness(std_pair(n), 2, cov_theta(n, [1.0, 0.0, 0.0, 0.0]), trials=40)
 
 
 def test_symbol_assembly_cost_independent_of_trials(monkeypatch):
@@ -630,12 +627,12 @@ def test_symbol_assembly_cost_independent_of_trials(monkeypatch):
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    j1, j2 = std_pair(2)
+    pair = std_pair(2)
     th = cov_theta(2, [1.0, 0.0, 0.0, 0.0])
     per_trials = []
     for trials in (10, 1000):
         counts.clear()
-        assert all(symbol_exactness(2, 2, j1, j2, th, trials=trials).exact)
+        assert all(symbol_exactness(pair, 2, th, trials=trials).exact)
         per_trials.append(dict(counts))
     # one spinor line (2n Clifford matrices) per call, then one Clifford
     # matrix per covector basis element
@@ -647,19 +644,15 @@ def test_plus_projected_theta_components_pair_positively():
     # the pairing of the two complex-type components of the metric-positive
     # projection of a cotangent direction is real and positive; this is the
     # scalar that pins down the kernel at the first junction
-    b = np.array([[0.0, 0.4], [-0.4, 0.0]])
-    pairs = [std_pair(1), std_pair(2)]
-    j1, j2 = std_pair(1)
-    pairs.append((gcs_b_transform(b, j1), gcs_b_transform(b, j2)))
-    for j1_, j2_ in pairs:
-        n = j1_.n
-        plus = (np.eye(4 * n) + GKPair(j1_, j2_).g_hat()) / 2.0
+    for pair in (std_pair(1), std_pair(2), b_transformed_pair()):
+        n = pair.n
+        plus = (np.eye(4 * n) + pair.g_hat()) / 2.0
         for _ in range(50):
             th = RNG.normal(size=2 * n)
             if np.abs(th).max() < 1e-2:
                 continue
             full = np.concatenate([np.zeros(2 * n), th])
-            t10 = (full - 1j * (j1_.J @ full)) / 2.0
+            t10 = (full - 1j * (pair.J1.J @ full)) / 2.0
             val = neutral_pairing(
                 GenVector.from_array(plus @ t10),
                 GenVector.from_array(plus @ np.conj(t10)),

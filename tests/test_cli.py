@@ -469,11 +469,11 @@ def test_u_window_sees_a_defect_at_an_unsampled_point(doc, point):
     cfg = build_config(doc)
     n = cfg.n
     f = fields.curvature(cfg.conn, cfg.psi)
-    assert fields.u_window_defect(f, cfg.b, cfg.omega) < 1e-14
+    assert fields.u_window_defect(f, cfg.b, cfg.pair.J2) < 1e-14
     u = UDecomposition(gcs_from_spinor(cfg.psi.value_at(point))).projector(-n + 1)
     u = u @ np.random.default_rng(0).standard_normal(4**n)
     f.data[(slice(None), 0, 0) + point] += 1e-6 * np.max(np.abs(f.data)) * u / np.max(np.abs(u))
-    assert 0.9e-6 < fields.u_window_defect(f, cfg.b, cfg.omega) < 1.2e-6
+    assert 0.9e-6 < fields.u_window_defect(f, cfg.b, cfg.pair.J2) < 1.2e-6
 
 
 _CPU_WALL_CHILD = """
@@ -651,9 +651,9 @@ def test_field_checks_compute_each_curvature_once(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_structure_checks_decompose_the_spinor_structure_once(monkeypatch, n):
     built = count_decompositions(monkeypatch)
-    omega = np.kron(np.eye(n), OMEGA_BLOCK)
-    psi0 = exp_two_form(1j * omega)
-    rows = _structure_checks(np.random.default_rng(0), n, omega, psi0)
+    cfg = build_config({"n": n}, grid_size=8)
+    psi0 = exp_two_form(1j * cfg.omega)
+    rows = _structure_checks(np.random.default_rng(0), cfg, psi0)
     assert all(row["pass"] for row in rows)
     assert built == [gcs_from_spinor(psi0).J.tobytes()]
 

@@ -596,7 +596,7 @@ def test_u_window_defect_matches_dense_projector_products(n, rank, bkind):
     b = 0.3 * (m - np.swapaxes(m, 0, 1)) * (bkind != "zero-b")
     want = dense_u_window(f, b, omega)
     assert want > 0.1  # a random field is far outside the window
-    assert abs(fields.u_window_defect(f, b, omega) - want) <= 1e-15 * want
+    assert abs(fields.u_window_defect(f, b, gcs_symplectic(omega)) - want) <= 1e-15 * want
 
 
 def test_curvature_covariance_constant_b_abelian():
@@ -2147,5 +2147,6 @@ def test_u_window_defect_peaks_under_two_fields(bkind, bound):
     f = random_field(g, rng, 2)
     m = rng.standard_normal((4, 4) + (g.sizes if bkind == "varying-b" else ()))
     b = 0.3 * (m - np.swapaxes(m, 0, 1)) * (bkind != "zero-b")
-    peak = traced_peak(lambda: fields.u_window_defect(f, b, std_omega(2)))
+    js = gcs_symplectic(std_omega(2))
+    peak = traced_peak(lambda: fields.u_window_defect(f, b, js))
     assert peak <= bound * f.data.nbytes
