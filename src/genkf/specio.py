@@ -255,8 +255,16 @@ def _b_field(spec, grid):
 
 
 def _build_psi(grid, bfield, omega):
-    """e^{b + i omega} as a form field, constant where b is a matrix."""
-    return exp_two_form_field(grid, bfield + 1j * omega[(...,) + (None,) * (bfield.ndim - 2)])
+    """e^{b + i omega} as a form field, constant where b is a matrix; one
+    whose series leaves the float range is refused by its keys."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = exp_two_form_field(grid, bfield + 1j * omega[(...,) + (None,) * (bfield.ndim - 2)])
+    if not np.isfinite(psi.data).all():
+        raise SpecError(
+            "psi.b or psi.omega is too large: e^{b + i omega} has coefficients "
+            "past the float range"
+        )
+    return psi
 
 
 def _basis_matrix(spec, rank, what):

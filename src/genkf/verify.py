@@ -9,6 +9,7 @@ rows are reproduced exactly.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -220,78 +221,77 @@ def _algebra_checks(rng, n):
 
 
 def _structure_checks(rng, cfg, psi0):
-    rows = []
+    """The structure rows.  A structure that `structures` refuses to build
+    (a ValueError) fails each row that needs it with error 1.0, as the
+    symbol rows do, and the other rows still run; the random draws come
+    first, in the order the rows use them."""
     n, omega = cfg.n, cfg.omega
     jc, js = cfg.pair.J1, cfg.pair.J2
-
-    j = gcs_from_spinor(psi0)
-    rows.append(
-        _row(
-            "structures/spinor-structure-square",
-            1e-10,
-            j.square_defect() + j.orthogonality_defect(),
-        )
-    )
-
-    line = spinor_line(js)
-    target = exp_two_form(1j * omega)
-    scale = target.coeffs[0] / line.coeffs[0]
-    rows.append(
-        _row(
-            "structures/symplectic-spinor-roundtrip",
-            1e-10,
-            _rel((line * scale - target).norm(), target.norm()),
-        )
-    )
-
-    rows.append(
-        _row(
-            "structures/complex-spinor-roundtrip",
-            1e-10,
-            np.max(np.abs(gcs_from_spinor(spinor_line(jc)).J - jc.J)),
-        )
-    )
-
     bmat = _rand_two_form(rng, n)
-    jb = gcs_b_transform(bmat, js)
-    via_spinor = gcs_from_spinor(b_transform(bmat, spinor_line(js)))
-    rows.append(
-        _row(
-            "structures/b-transform-structure-match",
-            1e-10,
-            np.max(np.abs(via_spinor.J - jb.J)),
-        )
-    )
+    forms = [_rand_form(rng, n) for _ in range(10)]
+    j = cache(lambda: gcs_from_spinor(psi0))
+    dec = cache(lambda: UDecomposition(j()))
 
-    dec = UDecomposition(j)
-    err = 0.0
-    for _ in range(10):
-        a = _rand_form(rng, n)
-        total = GradedForm.zero(n)
+    def square():
+        return j().square_defect() + j().orthogonality_defect()
+
+    def symplectic_roundtrip():
+        line = spinor_line(js)
+        target = exp_two_form(1j * omega)
+        scale = target.coeffs[0] / line.coeffs[0]
+        return _rel((line * scale - target).norm(), target.norm())
+
+    def complex_roundtrip():
+        return np.max(np.abs(gcs_from_spinor(spinor_line(jc)).J - jc.J))
+
+    def b_transform_match():
+        jb = gcs_b_transform(bmat, js)
+        via_spinor = gcs_from_spinor(b_transform(bmat, spinor_line(js)))
+        return np.max(np.abs(via_spinor.J - jb.J))
+
+    def resolution():
+        err = 0.0
+        for a in forms:
+            total = GradedForm.zero(n)
+            for k in range(-n, n + 1):
+                total = total + dec().project(k, a)
+            err = max(err, _rel((total - a).norm(), a.norm()))
+        return err
+
+    def orthogonality():
+        p = dec().projector
+        err = 0.0
         for k in range(-n, n + 1):
-            total = total + dec.project(k, a)
-        err = max(err, _rel((total - a).norm(), a.norm()))
-    rows.append(_row("structures/u-resolution-identity", 1e-10, err))
+            for l in range(-n, n + 1):
+                prod = p(k) @ p(l)
+                want = p(k) if k == l else np.zeros_like(prod)
+                err = max(err, np.max(np.abs(prod - want)))
+        return err
 
-    err = 0.0
-    for k in range(-n, n + 1):
-        for l in range(-n, n + 1):
-            prod = dec.projector(k) @ dec.projector(l)
-            want = dec.projector(k) if k == l else np.zeros_like(prod)
-            err = max(err, np.max(np.abs(prod - want)))
-    rows.append(_row("structures/u-projector-orthogonality", 1e-10, err))
+    def dimensions():
+        return sum(abs(dec().dimension(k) - comb(2 * n, n + k)) for k in range(-n, n + 1))
 
-    err = 0.0
-    for k in range(-n, n + 1):
-        err += abs(dec.dimension(k) - comb(2 * n, n + k))
-    rows.append(_row("structures/u-dimension-binomial", 0.5, err))
+    def compatibility():
+        rep = gk_validate(jc, js)
+        err = max(rep["commutator"], rep["square_defect"], rep["metric_symmetry"])
+        return err if rep["valid"] else max(err, 1.0)
 
-    rep = gk_validate(jc, js)
-    err = max(rep["commutator"], rep["square_defect"], rep["metric_symmetry"])
-    if not rep["valid"]:
-        err = max(err, 1.0)
-    rows.append(_row("structures/gk-pair-compatibility", 1e-10, err))
-
+    rows = []
+    for check, tol, measure in (
+        ("structures/spinor-structure-square", 1e-10, square),
+        ("structures/symplectic-spinor-roundtrip", 1e-10, symplectic_roundtrip),
+        ("structures/complex-spinor-roundtrip", 1e-10, complex_roundtrip),
+        ("structures/b-transform-structure-match", 1e-10, b_transform_match),
+        ("structures/u-resolution-identity", 1e-10, resolution),
+        ("structures/u-projector-orthogonality", 1e-10, orthogonality),
+        ("structures/u-dimension-binomial", 0.5, dimensions),
+        ("structures/gk-pair-compatibility", 1e-10, compatibility),
+    ):
+        try:
+            err = measure()
+        except ValueError:
+            err = 1.0
+        rows.append(_row(check, tol, err))
     return rows
 
 

@@ -354,6 +354,31 @@ def test_symbols_names_psi_omega_when_its_line_has_zero_norm(tmp_path, capsys, n
     assert "Mukai norm 0j" in err
 
 
+_OVERFLOWING_PSI = {
+    # e^{i omega}'s top blade is c^2 = 1e400 at n = 2
+    "omega": {"omega": (1e200 * np.kron(np.eye(2), OMEGA_BLOCK)).tolist()},
+    # b ^ b overflows at every grid point
+    "b-entries": {
+        "b": {"entries": [{"i": 0, "j": 1, "coeff": 1e200}, {"i": 2, "j": 3, "coeff": 1e200}]}
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "symbols", "report"])
+@pytest.mark.parametrize("key", sorted(_OVERFLOWING_PSI))
+def test_psi_past_the_float_range_is_refused_by_name(tmp_path, capsys, command, key):
+    # build_config refuses a non-finite e^{b + i omega} by its keys, before
+    # any command reads it, and the series' overflow prints no numpy warning
+    path = write_doc(tmp_path, {"n": 2, "psi": _OVERFLOWING_PSI[key]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--trials", "5", "--input", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: psi.b or psi.omega is too large: e^{b + i omega} has coefficients "
+        "past the float range\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # curvature and report
 
@@ -656,6 +681,23 @@ def test_structure_checks_decompose_the_spinor_structure_once(monkeypatch, n):
     rows = _structure_checks(np.random.default_rng(0), cfg, psi0)
     assert all(row["pass"] for row in rows)
     assert built == [gcs_from_spinor(psi0).J.tobytes()]
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_a_structure_refused_inside_a_row_fails_only_that_row(tmp_path, capsys, command):
+    # at n = 1, omega = 1e-9 omega_0, gcs_b_transform(b, J_psi) has entries
+    # near 1e9 and fails GCStructure's J^2 = -1 test; that row fails with
+    # error 1.0, the suite runs on, and the command exits 1, not 2
+    doc = {"psi": {"omega": [[0, 1e-9], [-1e-9, 0]]}}
+    out = tmp_path / "out.json"
+    args = [command, "--trials", "5", "--input", write_doc(tmp_path, doc), "--output", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == ""
+    body = json.loads(out.read_text())
+    rows = {r["check"]: r for r in (body["verify"] if command == "report" else body)["checks"]}
+    assert len(rows) == 41
+    assert rows["structures/b-transform-structure-match"]["error"] == 1.0
+    assert all(r["pass"] for name, r in rows.items() if not name.startswith("structures/"))
 
 
 def record_validations(monkeypatch, events):

@@ -596,7 +596,8 @@ def test_u_window_defect_matches_dense_projector_products(n, rank, bkind):
     b = 0.3 * (m - np.swapaxes(m, 0, 1)) * (bkind != "zero-b")
     want = dense_u_window(f, b, omega)
     assert want > 0.1  # a random field is far outside the window
-    assert abs(fields.u_window_defect(f, b, gcs_symplectic(omega)) - want) <= 1e-15 * want
+    got = fields.u_window_defect(f, b, gcs_symplectic(omega))
+    assert abs(got - want) <= 1e-15 * want
 
 
 def test_curvature_covariance_constant_b_abelian():
@@ -906,6 +907,45 @@ def test_moment_derivative_identity():
     dxi = connection_derivative(conn, xi)
     want = constants.MOMENT_DERIVATIVE_SIGN * gm_symplectic(g, dxi, a, psi)
     assert abs(deriv - want) < 1e-6 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# gauge facts that hold exactly on the grid
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rank_one_curvature_is_gauge_invariant(n):
+    # at rank 1 every commutator vanishes, so connection_derivative(c, xi) is
+    # (d xi, 0), and the periodic central differences commute: d(d xi) drops
+    # out of F bit for bit up to roundoff, even for a xi of grid scale
+    rng = np.random.default_rng([n, 17])
+    g = make_grid(n, 16 if n == 1 else 8)
+    psi = psi_const(g, c=0.2)
+    conn = random_conn(g, 1, rng)
+    xi = 1j * rng.standard_normal(g.sizes)[None, None]
+    f = curvature(conn, psi).data
+    moved = curvature(shift_connection(conn, connection_derivative(conn, xi), 1.0), psi).data
+    assert max_abs(moved - f) <= 1e-12 * max_abs(f)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_curvature_is_equivariant_under_a_constant_gauge_direction(n):
+    # for a constant xi the variation ([A, xi], [V, xi]) is pointwise
+    # conjugation, which commutes with the differences, so at rank 2 the
+    # first-order change of F is [F, xi]; F is quadratic in (A, V), so the
+    # central difference of unit step is that change exactly
+    rng = np.random.default_rng([n, 18])
+    g = make_grid(n, 16 if n == 1 else 8)
+    psi = psi_const(g, c=0.2)
+    conn = random_conn(g, 2, rng)
+    x = random_skew(rng, 2)
+    xi = np.broadcast_to(x.reshape((2, 2) + (1,) * (2 * n)), (2, 2, *g.sizes)).copy()
+    var = connection_derivative(conn, xi)
+    plus, minus = (curvature(shift_connection(conn, var, s), psi).data for s in (1.0, -1.0))
+    f = curvature(conn, psi).data
+    want = np.einsum("bij...,jk->bik...", f, x) - np.einsum("ij,bjk...->bik...", x, f)
+    assert max_abs(want) > 0.1 * max_abs(f)
+    assert max_abs((plus - minus) / 2.0 - want) <= 1e-13 * max_abs(f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ checked against explicitly listed generalized vectors, and the two
 construction routes (block formula vs kernel of the spinor) must agree.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import genkf
 from genkf import structures
 from genkf.multivector import (
     GenVector,
@@ -402,3 +406,30 @@ def test_indefinite_pair_rejected():
     assert rep["commutator"] < 1e-14
     assert rep["metric_min_eigenvalue"] < 0
     assert not rep["valid"]
+
+
+# the places in src/genkf outside specio (which builds the document's pair,
+# RunConfig.pair) and structures (which defines them) that may call
+# standard_complex or gcs_symplectic: self-contained standard instances
+_OWN_STANDARD_PAIRS = {
+    "verify._analysis_checks": "the symbol rows' frozen tables are the standard pair's",
+    "analysis.cohiggs_residual": "its Higgs field is holomorphic for the standard J",
+}
+
+
+def test_the_document_pair_is_built_in_specio_only():
+    # a command reads cfg.pair; a consumer that built (standard_complex(n),
+    # gcs_symplectic(omega)) itself could drift from the document's pair
+    callers = set()
+    for path in pathlib.Path(genkf.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for sub in ast.walk(node):
+                if not isinstance(sub, ast.Call):
+                    continue
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("standard_complex", "gcs_symplectic"):
+                    callers.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    assert any(c.startswith("specio.") for c in callers)
+    outside = {c for c in callers if c.split(".")[0] not in ("specio", "structures")}
+    assert outside == set(_OWN_STANDARD_PAIRS)
