@@ -257,14 +257,15 @@ def _b_field(spec, grid):
 def _build_psi(grid, bfield, omega):
     """e^{b + i omega} as a form field, constant where b is a matrix; one
     whose series leaves the float range is refused by its keys."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        psi = exp_two_form_field(grid, bfield + 1j * omega[(...,) + (None,) * (bfield.ndim - 2)])
-    if not np.isfinite(psi.data).all():
+    exponent = bfield + 1j * omega[(...,) + (None,) * (bfield.ndim - 2)]
+    try:  # an overflow in the series leaves a coefficient that is not finite
+        with np.errstate(over="raise", invalid="raise"):
+            return exp_two_form_field(grid, exponent)
+    except FloatingPointError:
         raise SpecError(
             "psi.b or psi.omega is too large: e^{b + i omega} has coefficients "
             "past the float range"
-        )
-    return psi
+        ) from None
 
 
 def _basis_matrix(spec, rank, what):
