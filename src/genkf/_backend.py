@@ -35,7 +35,7 @@ def _lift(x: np.ndarray, nb: int) -> np.ndarray:
 
 def _blades_live(data: np.ndarray) -> np.ndarray:
     """(size,) mask of the blades of (size, *batch) data that hold any nonzero entry."""
-    return data.reshape(len(data), -1).any(1)
+    return data.any(axis=tuple(range(1, data.ndim)))
 
 
 def _add_rows(out, x, ys, rows):
@@ -47,10 +47,13 @@ def _add_rows(out, x, ys, rows):
     of two ways by the size of the rows' products; both give the same bits.
     Below _STACK_BYTES the rows are stacked into one (rows, *batch) product,
     added by np.add.at in index order, so its temporaries stay within a few
-    times _STACK_BYTES.  Larger products go one row at a time and build
-    nothing of (rows, *batch) size.  A row takes one-blade slices, not numpy
-    scalars, whose products may round apart from the (fused) array loop's,
-    so a form alone keeps its batch bits.
+    times _STACK_BYTES.  Larger products go one row at a time into one
+    reused out[h]-sized buffer and build nothing of (rows, *batch) size.  A
+    row takes one-blade slices, not numpy scalars, whose products may round
+    apart from the (fused) array loop's, so a form alone keeps its batch
+    bits.  Operands keep their order, s, then x, then y: a complex product
+    is not commutative bit for bit, while a broadcast (zero-stride) operand
+    gives the bits of its full copy.
 
     A row whose x blade or y component is all zero adds +-0 on finite input,
     which moves no bit of a sum started at +0 (never -0 when rounding to
@@ -66,8 +69,11 @@ def _add_rows(out, x, ys, rows):
         np.add.at(out.reshape(-1), flat, prod.reshape(-1))
         return out
     comps = [c[k:k + 1] for c in ys for k in range(len(c))]
+    buf = np.empty_like(out[:1])
     for hh, ll, mm, ss in zip(*(a.tolist() for a in rows)):
-        out[hh:hh + 1] += (ss * x[ll:ll + 1]) * comps[mm]
+        np.multiply(ss, x[ll:ll + 1], out=buf)
+        buf *= comps[mm]
+        out[hh:hh + 1] += buf
     return out
 
 

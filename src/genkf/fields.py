@@ -10,6 +10,13 @@ axes, then the 2n grid axes.  Grid axes trail, so each matrix entry is a
 contiguous block, and a form's (4^n, *sizes) data broadcasts against an
 endomorphism's (4^n, r, r, *sizes) by numpy's own rule.
 
+A constant field is one point: FormField.constant stores its (4^n, 1, ..., 1)
+coefficients once and spreads them over the grid as a read-only view whose
+grid strides are all 0 (_point tells such a field apart).  Pointwise
+operators that keep a constant field constant, conjugate and a constant-b
+b_transform_field, run on that point and return a point; every other
+operator reads the view as it would the full array, with the same bits.
+
 Shapes:
     FormField.data       (4^n, *sizes)
     EndFormField.data    (4^n, r, r, *sizes)
@@ -28,7 +35,14 @@ import numpy as np
 
 from . import _backend as _k
 from ._tables import blade_tables
-from .multivector import GradedForm, exp_blades, is_skew, real_two_form_matrix, two_form_blades
+from .multivector import (
+    GradedForm,
+    exp_blades,
+    is_skew,
+    real_two_form_matrix,
+    skew_within,
+    two_form_blades,
+)
 from .structures import (
     GCStructure,
     GKPair,
@@ -152,18 +166,19 @@ class FormField:
 
     @classmethod
     def constant(cls, grid: TorusGrid, form: GradedForm) -> "FormField":
+        """form at every grid point: its coefficients, copied once and
+        spread over the grid as a read-only view."""
         if form.n != grid.n:
             raise ValueError("dimension mismatch")
-        data = np.empty((4**grid.n, *grid.sizes), dtype=np.complex128)
-        data[:] = form.coeffs.reshape((-1,) + (1,) * (2 * grid.n))
-        return cls(grid, data)
+        point = np.array(form.coeffs, dtype=np.complex128).reshape((-1,) + (1,) * (2 * grid.n))
+        return cls(grid, _spread(point, grid.sizes))
 
     def value_at(self, point) -> GradedForm:
         idx = (slice(None),) + tuple(point)
         return GradedForm(self.grid.n, np.array(self.data[idx]))
 
     def conjugate(self) -> "FormField":
-        return FormField(self.grid, np.conj(self.data))
+        return FormField(self.grid, _per_point(np.conj, self.data, 2 * self.grid.n))
 
 
 class EndFormField:
@@ -183,13 +198,25 @@ class EndFormField:
 
 
 def _check_skew(arr, grid, rank, what):
+    """arr, checked skew-Hermitian at every point by is_skew's rule.
+
+    The rule's two maxima are taken over the matrix entries (i, k >= i):
+    |a_ik + conj(a_ki)| is |a_ki + conj(a_ik)| bit for bit, so entry (k, i)
+    of arr + adjoint adds nothing, and no adjoint or sum of arr's size is
+    built.  np.max keeps a NaN, which passes as in is_skew.
+    """
     arr = np.asarray(arr, dtype=np.complex128)
     want = (2 * grid.n, rank, rank, *grid.sizes)
     if arr.shape != want:
         raise ValueError(f"{what} shape {arr.shape}, expected (2n, r, r, *sizes) = {want}")
-    adjoint = np.swapaxes(arr, 1, 2).conj()
-    if not is_skew(arr, adjoint):
-        defect = np.max(np.abs(arr + adjoint))
+    defects = []
+    for i in range(rank):
+        for k in range(i, rank):
+            pair = np.conj(arr[:, k, i])
+            defects.append(np.max(np.abs(np.add(arr[:, i, k], pair, out=pair))))
+    defect = np.max(defects)
+    peak = np.max([np.max(np.abs(arr[:, i, k])) for i in range(rank) for k in range(rank)])
+    if not skew_within(defect, peak):
         raise ValueError(f"{what} is not skew-Hermitian (defect {defect:.3e})")
     return arr
 
@@ -312,12 +339,38 @@ def _matrices_last(x: np.ndarray, ngrid: int) -> np.ndarray:
     return x.reshape(x.shape[: -ngrid - 2] + x.shape[-ngrid:] + (1, 1))
 
 
+def _point(data: np.ndarray, ngrid: int):
+    """The one point of a constant field, data cut to length 1 on its ngrid
+    trailing grid axes (a view), or None: a field is constant when all its
+    grid strides are 0, as FormField.constant and _spread build it."""
+    if any(data.strides[-ngrid:]):
+        return None
+    return data[(...,) + (slice(0, 1),) * ngrid]
+
+
+def _spread(point: np.ndarray, sizes) -> np.ndarray:
+    """A (..., 1, ..., 1) point at every point of a grid of the given sizes:
+    a read-only view with zero grid strides, no copy."""
+    return np.broadcast_to(point, point.shape[: -len(sizes)] + tuple(sizes))
+
+
+def _per_point(op, data: np.ndarray, ngrid: int) -> np.ndarray:
+    """op(data) for an op that acts point by point: on a constant field op
+    runs on its one point, which is spread back over the grid."""
+    point = _point(data, ngrid)
+    if point is None:
+        return op(data)
+    return _spread(op(point), data.shape[-ngrid:])
+
+
 def _strength_pair(conn, mu, nu):
     """F_{mu nu} = D_mu A_nu - D_nu A_mu + [A_mu, A_nu], (r, r, *sizes): the
     one definition of field_strength's entries, which curvature builds one
-    pair at a time."""
+    pair at a time.  Each later term is summed into the first in place, so
+    at most two (r, r, *sizes) arrays are alive."""
     grid, a, n2 = conn.grid, conn.A, 2 * conn.grid.n
-    f = _diff(grid, a[nu], mu) - _diff(grid, a[mu], nu)
+    f = _diff(grid, a[nu], mu)
+    f -= _diff(grid, a[mu], nu)
     f += _small_matmul(a[mu], a[nu], n2)
     f -= _small_matmul(a[nu], a[mu], n2)
     return f
@@ -365,8 +418,9 @@ def _d_live(grid, blade, out, a=None):
 
     blade(l) is called once, at the first target that reads l, and what it
     returns is held until the last (t.d_drop).  Besides out, only the buffer,
-    the held blades and one-blade temporaries are alive: at n = 2 a field
-    of e^{i omega}'s odd blades, such as V . psi, holds at most 4 of its 8.
+    the held blades and one term's one-blade temporaries, each scaled by its
+    sign in place, are alive: at n = 2 a field of e^{i omega}'s odd blades,
+    such as V . psi, holds at most 4 of its 8.
     """
     n2 = 2 * grid.n
     t = blade_tables(grid.n)
@@ -383,12 +437,13 @@ def _d_live(grid, blade, out, a=None):
         if rows:
             buf.fill(0.0)
             for mu, l, s in rows:
-                buf += s * _diff(grid, held[l], mu)
+                d = _diff(grid, held[l], mu)
+                buf += np.multiply(s, d, out=d)
             if a is not None:
                 for mu, l, s in rows:
                     comm = _small_matmul(a[mu], held[l], n2)
                     comm -= _small_matmul(held[l], a[mu], n2)
-                    buf += s * comm
+                    buf += np.multiply(s, comm, out=comm)
             out[h] += buf
         for l in t.d_drop[h]:
             del held[l]
@@ -519,22 +574,25 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
         keep = live[rows[1]]
         _k._add_rows(out, blades, [coeff[None]], tuple(a[keep] for a in rows))
 
-    # two-form part of the curvature, wedged in one F_{mu nu} at a time
+    # two-form part of the curvature, wedged in one F_{mu nu} at a time,
+    # each dropped after its rows
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            f = _strength_pair(conn, mu, nu)
             lo, hi, s = _pair_rows(t, mu, nu)
-            walk((hi, lo, 0 * lo, s), f)
+            walk((hi, lo, 0 * lo, s), _strength_pair(conn, mu, nu))
 
     # vector part acting by contraction, then the covariant derivative
     def vpsi_blade(l):
-        """Blade l of V . psi = sum_mu V^mu i_mu psi, or None where it is dead."""
+        """Blade l of V . psi = sum_mu V^mu i_mu psi, or None where it is
+        dead; each term (s psi[h]) V^mu is taken into one buffer."""
         rows = [(mu, h, s) for mu, h, s in t.i_rows[l] if live[h]]
         if not rows:
             return None
         u = np.zeros_like(out[0])
+        term = np.empty_like(u)
         for mu, h, s in rows:
-            u += (s * blades[h]) * conn.V[mu]
+            np.multiply(s, blades[h], out=term)
+            u += np.multiply(term, conn.V[mu], out=term)
         return u if u.any() else None
 
     _d_live(grid, vpsi_blade, out, conn.A if r > 1 else None)
@@ -631,12 +689,14 @@ def exp_two_form_field(grid: TorusGrid, b) -> FormField:
 def b_transform_field(b, f):
     """Pointwise e^b ^ on a (form or endomorphism-form) field for a real
     two-form b, constant (2n, 2n), checked here, or varying (2n, 2n, *sizes),
-    as specio checked it; e^b is applied by the table walk that builds it."""
+    as specio checked it; e^b is applied by the table walk that builds it.
+    A constant b keeps a constant field one point (_per_point)."""
     t = blade_tables(f.grid.n)
     b = np.asarray(b)
-    if b.ndim == 2:
-        b = real_two_form_matrix(b, f.grid.n, "b matrix")
-    return _like(f, _k.wedge_batch(t, exp_blades(t, two_form_blades(b)), f.data))
+    if b.ndim > 2:
+        return _like(f, _k.wedge_batch(t, exp_blades(t, two_form_blades(b)), f.data))
+    eb = exp_blades(t, two_form_blades(real_two_form_matrix(b, f.grid.n, "b matrix")))
+    return _like(f, _per_point(lambda x: _k.wedge_batch(t, eb, x), f.data, 2 * f.grid.n))
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +821,7 @@ def gm_symplectic(
     t = blade_tables(grid.n)
     rank = a1.A.shape[1]
     s1 = _k.clifford_batch(t, a1.V, a1.A, psi.data[:, None, None])
-    s2 = _k.clifford_batch(t, a2.V, a2.A, np.conj(psi.data)[:, None, None])
+    s2 = _k.clifford_batch(t, a2.V, a2.A, psi.conjugate().data[:, None, None])
     paired = mukai_field(EndFormField(grid, rank, s1), EndFormField(grid, rank, s2))
     return float(grid.integrate(((1j ** (-grid.n)) * np.einsum("ii...->...", paired)).imag))
 

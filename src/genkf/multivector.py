@@ -30,6 +30,7 @@ __all__ = [
     "neutral_pairing_matrix",
     "two_form_blades",
     "is_skew",
+    "skew_within",
     "real_two_form_matrix",
 ]
 
@@ -247,12 +248,18 @@ def two_form_blades(m) -> np.ndarray:
     return out
 
 
+def skew_within(defect, peak) -> bool:
+    """The skew rule on defect = max|m + adjoint| and peak = max|m|:
+    defect <= 1e-12 * max(1, peak).  A NaN defect passes; finiteness is
+    checked on input.  A caller that reduces m a block at a time passes the
+    two maxima over all of m, NaN kept (np.max, not max)."""
+    return not defect > _SKEW_TOL * max(1.0, peak)
+
+
 def is_skew(m, adjoint) -> bool:
-    """The skew test, max|m + adjoint| <= 1e-12 * max(1, max|m|), with adjoint
-    the transpose of m (antisymmetric) or its conjugate transpose
-    (skew-Hermitian).  A NaN defect passes; finiteness is checked on input.
-    """
-    return not np.max(np.abs(m + adjoint)) > _SKEW_TOL * max(1.0, np.max(np.abs(m)))
+    """The skew test (skew_within) of m, with adjoint the transpose of m
+    (antisymmetric) or its conjugate transpose (skew-Hermitian)."""
+    return skew_within(np.max(np.abs(m + adjoint)), np.max(np.abs(m)))
 
 
 def real_two_form_matrix(m, n: int, what: str) -> np.ndarray:

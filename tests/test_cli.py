@@ -59,47 +59,38 @@ def test_verify_matrix_passes_every_check(tmp_path, capsys, n, rank):
     assert doc["passed"] is True and len(doc["checks"]) == 41
 
 
-def test_verify_rank2_peak_stays_under_ten_field_sizes(tmp_path, capsys):
-    # numpy reports its buffers to tracemalloc, so the traced peak of a
-    # verify run is deterministic; a rank-r field is 16 * 4^n * prod(sizes)
-    # * r^2 bytes, and the suite frees each group's arrays once its rows are
-    # written
+def command_peak(tmp_path, traced_peak, command, rank):
+    """Traced peak of command at n = 2 on 8^4 with a random rank-r
+    connection, in field sizes: a rank-r field is 16 * 4^n * prod(sizes)
+    * r^2 bytes.  numpy reports its buffers to tracemalloc, so the peak is
+    deterministic once a first, untraced run has loaded what the command
+    loads once (numpy.random, cached tables), whatever ran before it."""
     rand = {"random": {"amp": 0.1, "modes": 2}}
-    doc = {"n": 2, "grid": {"sizes": [8] * 4}, "bundle": {"rank": 2},
+    doc = {"n": 2, "grid": {"sizes": [8] * 4}, "bundle": {"rank": rank},
            "connection": {"A": rand, "V": rand}}
-    path = write_doc(tmp_path, doc)
-    field = 16 * 4**2 * 8**4 * 2**2
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(["verify", "--input", path]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    args = [command, "--input", write_doc(tmp_path, doc)]
+    codes = [main(args)]
+    peak = traced_peak(lambda: codes.append(main(args)))
+    assert codes == [0, 0]
+    return peak / (16 * 4**2 * 8**4 * rank**2)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_verify_peak_stays_under_six_field_sizes(tmp_path, capsys, traced_peak, rank):
+    # the suite frees each group's arrays once its rows are written, and
+    # psi, its conjugate and e^b psi are one point each
+    assert command_peak(tmp_path, traced_peak, "verify", rank) <= 6
     assert "41/41 checks passed" in capsys.readouterr().out
-    assert peak <= 10 * field
 
 
-def test_curvature_rank2_peak_stays_under_two_and_three_quarter_field_sizes(tmp_path, capsys):
+def test_curvature_rank2_peak_stays_under_two_and_a_quarter_field_sizes(tmp_path, capsys, traced_peak):
     # curvature() holds its result and (r, r, *sizes) temporaries; the
-    # command adds the mean curvature and the U-window check
-    rand = {"random": {"amp": 0.1, "modes": 2}}
-    doc = {"n": 2, "grid": {"sizes": [8] * 4}, "bundle": {"rank": 2},
-           "connection": {"A": rand, "V": rand}}
-    path = write_doc(tmp_path, doc)
-    field = 16 * 4**2 * 8**4 * 2**2
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(["curvature", "--input", path]) == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    # command adds A, V, the mean curvature and the U-window check
+    assert command_peak(tmp_path, traced_peak, "curvature", 2) <= 2.25
     capsys.readouterr()
-    assert peak <= 2.75 * field
 
 
-def test_curvature_command_releases_f_before_the_dbar_check(tmp_path, capsys, monkeypatch):
+def test_curvature_command_releases_f_before_the_dbar_check(tmp_path, capsys, monkeypatch, traced_peak):
     # nothing after the U-window check reads F: when dbar_residual starts,
     # what the command holds (A, V, psi, the mean curvature) is less than
     # one field, and a whole field less than when the check started
@@ -114,19 +105,18 @@ def test_curvature_command_releases_f_before_the_dbar_check(tmp_path, capsys, mo
         run = getattr(cli, name)
 
         def wrapper(*args):
-            held[name] = tracemalloc.get_traced_memory()[0] - base
+            held[name] = tracemalloc.get_traced_memory()[0] - held["start"]
             return run(*args)
 
         monkeypatch.setattr(cli, name, wrapper)
 
+    def command():
+        held["start"] = tracemalloc.get_traced_memory()[0]
+        assert main(["curvature", "--input", path]) == 0
+
     measured("u_window_defect")
     measured("dbar_residual")
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert main(["curvature", "--input", path]) == 0
-    finally:
-        tracemalloc.stop()
+    traced_peak(command)
     capsys.readouterr()
     assert held["dbar_residual"] < field
     assert held["dbar_residual"] <= held["u_window_defect"] - 0.95 * field
@@ -698,6 +688,26 @@ def test_a_structure_refused_inside_a_row_fails_only_that_row(tmp_path, capsys, 
     assert len(rows) == 41
     assert rows["structures/b-transform-structure-match"]["error"] == 1.0
     assert all(r["pass"] for name, r in rows.items() if not name.startswith("structures/"))
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_a_refused_b_transformed_spinor_fails_its_two_rows(tmp_path, capsys, command):
+    # at n = 2, omega = 1e-9 omega_0, the pairing of psi_b = e^b psi comes
+    # out exactly 0 (its O(1) terms cancel below their roundoff), so
+    # validate_spinor_field refuses psi_b: the b-covariance row and the
+    # EH-norm row, which reads psi_b's curvature, fail with error 1.0, and
+    # the command writes its report and exits 1, not 2
+    omega = 1e-9 * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    doc = {"n": 2, "grid": {"sizes": [8] * 4}, "psi": {"omega": omega.tolist()}}
+    out = tmp_path / "out.json"
+    args = [command, "--trials", "5", "--input", write_doc(tmp_path, doc), "--output", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == ""
+    body = json.loads(out.read_text())
+    rows = {r["check"]: r for r in (body["verify"] if command == "report" else body)["checks"]}
+    assert len(rows) == 41
+    for check in ("fields/curvature-b-covariance", "fields/eh-norm-b-invariance"):
+        assert rows[check]["error"] == 1.0
 
 
 def record_validations(monkeypatch, events):

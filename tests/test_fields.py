@@ -10,7 +10,6 @@ tolerance; genuinely discretized statements carry O(h^2) tolerances.
 import dataclasses
 import itertools
 import re
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -33,6 +32,7 @@ from genkf.multivector import (
     two_form_blades,
     wedge,
 )
+from genkf.specio import build_config
 from genkf.structures import (
     GKPair,
     UDecomposition,
@@ -1042,7 +1042,7 @@ def test_dbar_wave_terms_count(n, r):
     assert abs(got - np.sin(2 * np.pi / 8) / (2 / 8) * 4 * 0.5 * 0.3) <= 1e-13
 
 
-def test_dbar_peaks_under_fifteen_matrix_fields():
+def test_dbar_peaks_under_fifteen_matrix_fields(traced_peak):
     # each pair's shifted terms are built, read and dropped inside the pair:
     # the four zeroth-order fields, the pair's M_ab, its wave corrections
     # and one term's temporaries, 11.6 (r, r, *sizes) fields.  Holding every
@@ -1297,24 +1297,18 @@ def test_b_transform_field_is_table_order_multiply_adds(n, rank):
         assert got.data.tobytes() == sequential.tobytes()
 
 
-def test_b_transform_field_peaks_near_one_field():
+def test_b_transform_field_peaks_near_one_field(traced_peak):
     # the multiply-adds build no (pairs, *sizes) product: the traced peak
     # is the result plus one blade's temporary
     rng = np.random.default_rng(5)
     g = make_grid(2, 8)
     f = random_field(g, rng, None)
     bmat = np.kron(np.eye(2), np.array([[0.0, 0.3], [-0.3, 0.0]]))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        b_transform_field(bmat, f)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: b_transform_field(bmat, f))
     assert peak <= 2 * f.data.nbytes
 
 
-def test_b_transform_field_stacked_walk_peaks_within_its_bound():
+def test_b_transform_field_stacked_walk_peaks_within_its_bound(traced_peak):
     # at n = 1 on 28^2 the wedge's 5 live rows (e^b's blades 1 and dx^0 ^ dx^1
     # against f's) make a 61 KB product, just under _STACK_BYTES, so the walk
     # stacks them: the peak is the result plus temporaries bounded by a few
@@ -1324,13 +1318,7 @@ def test_b_transform_field_stacked_walk_peaks_within_its_bound():
     f = random_field(g, rng, None)
     assert 5 * f.data[0].nbytes < _backend._STACK_BYTES <= 5 * 16 * 30 * 30  # 30^2: one row at a time
     bmat = np.array([[0.0, 0.3], [-0.3, 0.0]])
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        b_transform_field(bmat, f)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: b_transform_field(bmat, f))
     assert peak <= f.data.nbytes + 4 * _backend._STACK_BYTES
 
 
@@ -2146,21 +2134,9 @@ def test_d_field_differentiates_only_live_blades(monkeypatch, kind, calls):
     assert same_bits(got, all_blade_d(g, f.data))
 
 
-def traced_peak(run):
-    """Peak bytes numpy allocates while run() executes, above what is live
-    before it (numpy reports its buffers to tracemalloc)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("r, varying", [(1, False), (2, False), (2, True)],
                          ids=["rank-1", "rank-2", "rank-2-varying-b"])
-def test_curvature_peaks_under_one_and_three_quarter_fields(r, varying):
+def test_curvature_peaks_under_one_and_three_quarter_fields(traced_peak, r, varying):
     # only the result is full size: each F_{mu nu}, each table row, each
     # target blade of d^A(V . psi) and each blade of V . psi (at most 4 held
     # at a time) is one (r, r, *sizes) temporary, a sixteenth of a field
@@ -2177,7 +2153,7 @@ def test_curvature_peaks_under_one_and_three_quarter_fields(r, varying):
 
 @pytest.mark.parametrize("bkind, bound", [("zero-b", 0.25), ("constant-b", 1.6), ("varying-b", 1.6)],
                          ids=["zero-b", "constant-b", "varying-b"])
-def test_u_window_defect_peaks_under_two_fields(bkind, bound):
+def test_u_window_defect_peaks_under_two_fields(traced_peak, bkind, bound):
     # e^{-b} ^ F is summed row by row into its result: besides it only the
     # blades of b and e^{-b}, a quarter field each at rank 2, and one
     # blade's product are held; max|g| is taken blade by blade.  At b = 0
@@ -2190,3 +2166,77 @@ def test_u_window_defect_peaks_under_two_fields(bkind, bound):
     js = gcs_symplectic(std_omega(2))
     peak = traced_peak(lambda: fields.u_window_defect(f, b, js))
     assert peak <= bound * f.data.nbytes
+
+
+# ---------------------------------------------------------------------------
+# a constant field is one point
+
+
+CONSTANT_B = {
+    1: [[0.0, 0.3], [-0.3, 0.0]],
+    2: [[0.0, 0.3, 0.1, -0.2], [-0.3, 0.0, 0.4, 0.05], [-0.1, -0.4, 0.0, 0.2], [0.2, -0.05, -0.2, 0.0]],
+}
+
+
+def owner(x):
+    """The array that owns x's memory."""
+    while x.base is not None:
+        x = x.base
+    return x
+
+
+def is_one_point(data):
+    return not any(data.strides[1:])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_constant_b_document_spinor_is_one_read_only_point(n):
+    cfg = build_config({"n": n, "psi": {"b": CONSTANT_B[n]}}, grid_size=8)
+    data = cfg.psi.data
+    assert data.shape == (4**n,) + cfg.grid.sizes
+    assert is_one_point(data)
+    assert owner(data).nbytes == 16 * 4**n
+    with pytest.raises(ValueError, match="read-only"):
+        data[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conjugate_and_constant_b_transform_keep_one_point_with_the_full_bits(n):
+    g = make_grid(n, 8)
+    psi = psi_const(g, c=0.2)
+    full = FormField(g, np.ascontiguousarray(psi.data))
+    bmat = np.array(CONSTANT_B[n])
+    for got, want in (
+        (psi.conjugate(), full.conjugate()),
+        (b_transform_field(bmat, psi), b_transform_field(bmat, full)),
+        (b_transform_field(-bmat, b_transform_field(bmat, psi)),
+         b_transform_field(-bmat, b_transform_field(bmat, full))),
+    ):
+        assert is_one_point(got.data) and owner(got.data).nbytes == 16 * 4**n
+        assert want.data.flags.c_contiguous
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_varying_b_spinor_stays_a_full_c_contiguous_field(n):
+    entry = {"i": 0, "j": 1, "coeff": [{"c": 0.2, "trig": "sin", "k": [1] + [0] * (2 * n - 1)}]}
+    cfg = build_config({"n": n, "psi": {"b": {"entries": [entry]}}}, grid_size=8)
+    for data in (cfg.psi.data, cfg.psi.conjugate().data):
+        assert data.flags.c_contiguous and data.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_blades_live_reads_a_broadcast_field_without_a_field_size_copy(traced_peak, n):
+    # any over the grid axes as they lie: reshape(len, -1) would copy a
+    # field broadcast along some grid axes and not others
+    g = make_grid(n, 16 if n == 1 else 8)
+    f = random_field(g, np.random.default_rng(7), None).data
+    f[1] = 0.0
+    point, slab = f[(...,) + (slice(0, 1),) * (2 * n)], f[:, :1]
+    for part in (point, slab):
+        data = np.broadcast_to(part, f.shape)
+        got = []
+        peak = traced_peak(lambda: got.append(_backend._blades_live(data)))
+        want = _backend._blades_live(np.ascontiguousarray(data))
+        assert got[0].tolist() == want.tolist() == [l != 1 for l in range(4**n)]
+        assert peak < data.nbytes / 4
