@@ -17,7 +17,7 @@ from . import constants
 from ._tables import blade_tables
 from .fields import (
     GenConnection,
-    _small_matmul,
+    _bracket,
     chern_from,
     curvature,
     dbar_residual,
@@ -306,7 +306,7 @@ def cohiggs_residual(conn, omega, lam):
     for i in range(n):
         w = np.sqrt(weights[i] / 2.0) * (conn.V[2 * i] - 1j * conn.V[2 * i + 1])
         wh = np.swapaxes(w, 0, 1).conj()
-        total = total + _small_matmul(w, wh, 2 * n) - _small_matmul(wh, w, 2 * n)
+        _bracket(w, wh, 2 * n, out=total)
     k = constants.COHIGGS_SCALE * total
     k = (k + np.swapaxes(k, 0, 1).conj()) / 2.0
     return eh_residual_from(k, exp_two_form_field(grid, 1j * om), lam)

@@ -194,9 +194,10 @@ def cmd_curvature(cfg, args) -> int:
 
 def cmd_solve(cfg, args) -> int:
     if cfg.rank != 1:
+        key = "bundle.rank" if args.rank is None else "--rank"
         raise specio.SpecError(
-            f"solve handles rank-1 bundles only (got rank {cfg.rank}); "
-            "higher-rank existence is out of scope"
+            f"{key} must be 1 for solve, got {cfg.rank}: solve handles rank-1 "
+            "bundles only; higher-rank existence is out of scope"
         )
     _validate_psi(cfg)
     tol = 1e-8 if args.tol is None else args.tol

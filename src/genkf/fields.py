@@ -307,36 +307,47 @@ def _second_diff(grid: TorusGrid, arr: np.ndarray, mu: int):
     return out
 
 
-def _small_matmul(x: np.ndarray, y: np.ndarray, ngrid: int) -> np.ndarray:
-    """x @ y over the (r, r) axes just before the ngrid trailing grid axes;
-    leading axes broadcast.
+def _bracket(x: np.ndarray, y: np.ndarray, ngrid: int, out=None) -> np.ndarray:
+    """[x, y] = x y - y x over the (r, r) axes just before the ngrid trailing
+    grid axes, leading axes broadcasting: a new array, or, given out, summed
+    into out, which is returned.
 
-    numpy's matmul loops over every small matrix; here each of the r^2
-    output entries is one contiguous block, the sum of r elementwise
-    products of contiguous blocks, so the loop runs r^3 times whatever the
-    grid size.  At r = 1 the length-1 matrix axes move to the end by a free
-    reshape and matmul is kept, with the bits it gives there: its scalar
-    products commute exactly, so rank-1 commutators vanish bit for bit.
+    u(1) is abelian, so at r = 1 no product is taken: the bracket is +0, and
+    out comes back as it is.  Above r = 1 each of the r^2 entries (i, k) is
+    one contiguous block, summed on its own in a fixed order: a new array
+    gets sum_j x_ij y_jk (j ascending) written straight into it, then
+    sum_j y_ij x_jk subtracted; into out the entry becomes
+    (out + sum_j x_ij y_jk) - sum_j y_ij x_jk.  The loop runs 2 r^3 times
+    whatever the grid size, and its only temporaries are two entry-sized
+    buffers, one sum and one product.
     """
-    r = x.shape[-ngrid - 1]
+    shape = np.broadcast_shapes(x.shape, y.shape)
+    r = shape[-ngrid - 1]
     if r == 1:
-        return np.matmul(_matrices_last(x, ngrid), _matrices_last(y, ngrid)).reshape(
-            np.broadcast_shapes(x.shape, y.shape)
-        )
+        return np.zeros(shape, dtype=np.complex128) if out is None else out
+    fresh = out is None
+    if fresh:
+        out = np.empty(shape, dtype=np.complex128)
     grid = (slice(None),) * ngrid
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    total = np.empty(out[(..., 0, 0) + grid].shape, dtype=np.complex128)
+    term = np.empty_like(total)
+
+    def product(p, q, i, k, into):
+        """into = sum_j p_ij q_jk, j ascending."""
+        np.multiply(p[(..., i, 0) + grid], q[(..., 0, k) + grid], out=into)
+        for j in range(1, r):
+            into += np.multiply(p[(..., i, j) + grid], q[(..., j, k) + grid], out=term)
+        return into
+
     for i in range(r):
         for k in range(r):
             o = out[(..., i, k) + grid]
-            np.multiply(x[(..., i, 0) + grid], y[(..., 0, k) + grid], out=o)
-            for j in range(1, r):
-                o += x[(..., i, j) + grid] * y[(..., j, k) + grid]
+            if fresh:
+                product(x, y, i, k, o)
+            else:
+                o += product(x, y, i, k, total)
+            o -= product(y, x, i, k, total)
     return out
-
-
-def _matrices_last(x: np.ndarray, ngrid: int) -> np.ndarray:
-    """A (..., 1, 1, *grid) array as (..., *grid, 1, 1): a reshape, no copy."""
-    return x.reshape(x.shape[: -ngrid - 2] + x.shape[-ngrid:] + (1, 1))
 
 
 def _point(data: np.ndarray, ngrid: int):
@@ -371,9 +382,7 @@ def _strength_pair(conn, mu, nu):
     grid, a, n2 = conn.grid, conn.A, 2 * conn.grid.n
     f = _diff(grid, a[nu], mu)
     f -= _diff(grid, a[mu], nu)
-    f += _small_matmul(a[mu], a[nu], n2)
-    f -= _small_matmul(a[nu], a[mu], n2)
-    return f
+    return _bracket(a[mu], a[nu], n2, out=f)
 
 
 def _pair_rows(t, mu, nu):
@@ -441,8 +450,7 @@ def _d_live(grid, blade, out, a=None):
                 buf += np.multiply(s, d, out=d)
             if a is not None:
                 for mu, l, s in rows:
-                    comm = _small_matmul(a[mu], held[l], n2)
-                    comm -= _small_matmul(held[l], a[mu], n2)
+                    comm = _bracket(a[mu], held[l], n2)
                     buf += np.multiply(s, comm, out=comm)
             out[h] += buf
         for l in t.d_drop[h]:
@@ -495,11 +503,14 @@ def validate_spinor_field(grid: TorusGrid, psi: FormField) -> float:
 
     The type is checked at _sample_points, once per distinct value (compared
     by bytes); an error names the first failing point in _sample_points order.
+    A constant psi is read at its one point (_point), and its d is taken as
+    the +0 it is blade by blade, with no field built.
     """
     vol_density(grid, psi)
-    scale = float(np.max(np.abs(psi.data)))
+    point = _point(psi.data, 2 * grid.n)
+    scale = float(np.max(np.abs(psi.data if point is None else point)))
     closed_tol = max(1e-10, 10.0 * max(grid.spacings) ** 2) * max(1.0, scale)
-    dnorm = float(np.max(np.abs(d_field(psi).data)))
+    dnorm = 0.0 if point is not None else float(np.max(np.abs(d_field(psi).data)))
     if dnorm > closed_tol:
         raise ValueError(f"spinor field is not d-closed (|d psi| = {dnorm:.3e})")
     seen = set()  # sample values already classified, keyed by their bytes
@@ -536,11 +547,9 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     without the 1/2, one commutator per unordered pair.
 
     At rank 1 d^A(V . psi) leaves out its [A_mu, .] and the quadratic
-    [V^mu, V^nu] term is skipped: _small_matmul is np.matmul there, whose
-    scalar products commute exactly, so each commutator is p - p = +0 for
-    finite p, and adding +-0 changes no bit of an accumulator started at +0
-    (see _backend._add_rows).  field_strength keeps its [A_mu, A_nu]: there
-    the commutator enters as (y + p) - p, which is not y bit for bit.
+    [V^mu, V^nu] term is skipped: u(1) is abelian, so _bracket gives +0
+    there, and adding +-0 changes no bit of an accumulator started at +0
+    (see _backend._add_rows).  Skipping them skips the +0 arrays too.
 
     Every table walk, over wedge-table rows (_pair_rows, and dx^mu's for
     i_mu and dx^mu ^), visits only the rows whose source blade is live: the
@@ -605,8 +614,7 @@ def curvature(conn: GenConnection, psi: FormField) -> EndFormField:
     # walks dx^mu ^ dx^nu's rows target to source with negated signs
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            comm = _small_matmul(conn.V[mu], conn.V[nu], n2)
-            comm -= _small_matmul(conn.V[nu], conn.V[mu], n2)
+            comm = _bracket(conn.V[mu], conn.V[nu], n2)
             lo, hi, s = _pair_rows(t, mu, nu)
             walk((lo, hi, 0 * lo, -s), comm)
 
@@ -809,8 +817,8 @@ def connection_derivative(conn: GenConnection, xi) -> ConnVariation:
     dv = np.empty_like(conn.V)
     for mu in range(n2):
         amu, vmu = conn.A[mu], conn.V[mu]
-        da[mu] = _diff(grid, xi, mu) + _small_matmul(amu, xi, n2) - _small_matmul(xi, amu, n2)
-        dv[mu] = _small_matmul(vmu, xi, n2) - _small_matmul(xi, vmu, n2)
+        da[mu] = _bracket(amu, xi, n2, out=_diff(grid, xi, mu))
+        dv[mu] = _bracket(vmu, xi, n2)
     return ConnVariation(da, dv)
 
 
@@ -882,8 +890,7 @@ def dbar_residual(grid: TorusGrid, conn: GenConnection, j: GCStructure) -> float
     worst = 0.0
     for a in range(n2):
         for b in range(a + 1, n2):
-            m_ab = _small_matmul(zeroth[a], zeroth[b], n2)
-            m_ab -= _small_matmul(zeroth[b], zeroth[a], n2)
+            m_ab = _bracket(zeroth[a], zeroth[b], n2)
             waves = []  # M_ab(e_mu) - M_ab(0) for each axis dbar_a or dbar_b moves along
             for mu in range(n2):
                 va, vb = lbar[mu, a], lbar[mu, b]

@@ -161,6 +161,14 @@ def _as_int(value, what, minimum=None):
     return value
 
 
+def _as_size(value, what):
+    """A grid size: an even integer of at least MIN_GRID_SIZE, as TorusGrid takes."""
+    size = _as_int(value, what, MIN_GRID_SIZE)
+    if size % 2:
+        raise SpecError(f"{what} must be even, got {size}")
+    return size
+
+
 def _as_real(value, what):
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise SpecError(f"{what} must be a number, got {value!r}")
@@ -377,24 +385,26 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     if not isinstance(gspec, dict) or set(gspec) - {"sizes", "periods"}:
         raise SpecError("grid must be {'sizes': [...], 'periods': [...]}")
     if grid_size is not None:
-        sizes = (_as_int(grid_size, "--grid", MIN_GRID_SIZE),) * (2 * n)
+        sizes = (_as_size(grid_size, "--grid"),) * (2 * n)
     elif "sizes" in gspec:
         sizes = _as_list(gspec["sizes"], 2 * n, "grid.sizes", "integers")
-        sizes = [_as_int(s, f"grid.sizes[{i}]", MIN_GRID_SIZE) for i, s in enumerate(sizes)]
+        sizes = [_as_size(s, f"grid.sizes[{i}]") for i, s in enumerate(sizes)]
     else:
         sizes = (_DEFAULT_SIZE if n == 1 else MIN_GRID_SIZE,) * (2 * n)
     periods = gspec.get("periods")
     if periods is not None:
         periods = _as_list(periods, 2 * n, "grid.periods", "numbers")
         periods = [_as_real(p, f"grid.periods[{i}]") for i, p in enumerate(periods)]
-        # the grid's phase 2 pi k x / P (x < P), difference factor size / P,
-        # squared spacing and cell volume must be finite and the volume
-        # nonzero; TorusGrid names a period that is not positive
+        # each period is positive, the grid's phase 2 pi k x / P (x < P),
+        # difference factor size / P, squared spacing and cell volume must
+        # be finite and the volume nonzero
         for i, (p, s) in enumerate(zip(periods, sizes)):
-            if p > 0 and not all(map(math.isfinite, (2 * math.pi * p, s / p, (p / s) * (p / s)))):
+            if p <= 0:
+                raise SpecError(f"grid.periods[{i}] must be positive, got {p!r}")
+            if not all(map(math.isfinite, (2 * math.pi * p, s / p, (p / s) * (p / s)))):
                 raise SpecError(f"grid.periods[{i}] is out of range, got {p!r}")
         volume = math.prod(p / s for p, s in zip(periods, sizes))
-        if min(periods) > 0 and not 0.0 < volume < math.inf:
+        if not 0.0 < volume < math.inf:
             raise SpecError(f"grid.periods is out of range: cell volume {volume!r}")
 
     bspec = doc.get("bundle", {})
@@ -403,7 +413,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
     if rank is not None:
         r = _as_int(rank, "--rank", 1)
     else:
-        r = _as_int(bspec.get("rank", 1), "bundle rank", 1)
+        r = _as_int(bspec.get("rank", 1), "bundle.rank", 1)
 
     _check_addressable(
         n,
@@ -412,10 +422,7 @@ def build_config(doc, grid_size=None, rank=None, seed=0) -> RunConfig:
         "grid.sizes" if grid_size is None else "--grid",
         "bundle.rank" if rank is None else "--rank",
     )
-    try:
-        grid = TorusGrid(n, tuple(sizes), periods)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"bad grid: {exc}") from None
+    grid = TorusGrid(n, tuple(sizes), periods)
 
     pspec = doc.get("psi", {})
     if not isinstance(pspec, dict) or set(pspec) - {"b", "omega"}:

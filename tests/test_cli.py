@@ -612,12 +612,14 @@ def test_curvature_command_computes_curvature_once(tmp_path, capsys, monkeypatch
     assert len(calls) == 1
 
 
+_VARYING_B = {"entries": [{"i": 0, "j": 1, "coeff": [{"c": 0.2, "trig": "sin", "k": [1, 0]}]}]}
+
+
 @pytest.mark.parametrize("command", ["curvature", "verify"])
 def test_command_takes_d_psi_once_from_the_validation(tmp_path, capsys, monkeypatch, command):
     # validate_spinor_field computes max |d psi|; the curvature report's
-    # psi_closedness and verify's fields/spinor-d-closed row reuse it
-    cfg = build_config(_RANK2_DOC, grid_size=8)
-    doc_psi = cfg.psi.data.tobytes()
+    # psi_closedness and verify's fields/spinor-d-closed row reuse it.  The
+    # default document's psi is constant: its d is +0 and never built
     on_psi = []
     real = fields.d_field
 
@@ -628,16 +630,20 @@ def test_command_takes_d_psi_once_from_the_validation(tmp_path, capsys, monkeypa
 
     for mod in ("genkf.fields", "genkf.cli", "genkf.verify", "genkf.analysis"):
         monkeypatch.setattr(f"{mod}.d_field", counted, raising=False)
-    out = tmp_path / f"{command}.json"
-    args = [command, "--grid", "8", "--input", write_doc(tmp_path, _RANK2_DOC)]
-    assert main(args + ["--output", str(out)]) == 0
-    assert len(on_psi) == 1
-    rep = json.loads(out.read_text())
-    if command == "curvature":
-        assert rep["psi_closedness"] == float(np.max(np.abs(real(cfg.psi).data)))
-    else:
-        row = next(r for r in rep["checks"] if r["check"] == "fields/spinor-d-closed")
-        assert row["pass"]
+    for doc, takes in ((_RANK2_DOC, 0), ({**_RANK2_DOC, "psi": {"b": _VARYING_B}}, 1)):
+        cfg = build_config(doc, grid_size=8)
+        doc_psi = cfg.psi.data.tobytes()
+        on_psi.clear()
+        out = tmp_path / f"{command}.json"
+        args = [command, "--grid", "8", "--input", write_doc(tmp_path, doc)]
+        assert main(args + ["--output", str(out)]) == 0
+        assert len(on_psi) == takes
+        rep = json.loads(out.read_text())
+        if command == "curvature":
+            assert rep["psi_closedness"] == float(np.max(np.abs(real(cfg.psi).data)))
+        else:
+            row = next(r for r in rep["checks"] if r["check"] == "fields/spinor-d-closed")
+            assert row["pass"]
 
 
 def test_report_computes_no_curvature_beyond_verify(tmp_path, capsys, monkeypatch):
@@ -918,17 +924,36 @@ def test_unindexable_grid_exits_2_before_any_array(tmp_path, capsys, monkeypatch
         ({"periods": [1, 1e-320]}, [], "grid.periods[1] is out of range"),
         ({"periods": [1e200, 1]}, [], "grid.periods[0] is out of range"),
         ({"periods": [1e-200, 1e-200]}, [], "grid.periods is out of range: cell volume 0.0"),
+        ({"sizes": [9, 8]}, [], "grid.sizes[0] must be even, got 9"),
+        ({}, ["--grid", "9"], "--grid must be even, got 9"),
+        ({"periods": [0, 1]}, [], "grid.periods[0] must be positive, got 0.0"),
+        ({"periods": [1, -2.5]}, [], "grid.periods[1] must be positive, got -2.5"),
     ],
     ids=[
         "size-float", "size-strings", "size-bool", "size-small", "sizes-scalar",
         "sizes-short", "period-string", "period-bool", "periods-scalar",
         "flag-small", "flag-negative", "period-huge", "period-tiny",
-        "period-spacing-squared", "periods-cell-volume",
+        "period-spacing-squared", "periods-cell-volume", "size-odd", "flag-odd",
+        "period-zero", "period-negative",
     ],
 )
 def test_grid_key_exits_2_naming_its_key(tmp_path, capsys, grid, argv, message):
     args = ["curvature", "--input", write_doc(tmp_path, {"grid": grid}), *argv]
     assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "command, doc, argv, message",
+    [
+        ("solve", {"bundle": {"rank": 2}}, [], "bundle.rank must be 1 for solve, got 2"),
+        ("solve", {}, ["--rank", "2"], "--rank must be 1 for solve, got 2"),
+        ("curvature", {"bundle": {"rank": 0}}, [], "bundle.rank must be at least 1, got 0"),
+    ],
+    ids=["solve-document", "solve-flag", "rank-small"],
+)
+def test_rank_key_exits_2_naming_its_key(tmp_path, capsys, command, doc, argv, message):
+    assert main([command, "--input", write_doc(tmp_path, doc), *argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 

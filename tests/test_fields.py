@@ -7,10 +7,12 @@ conjugation identities.  Identities that are exact in the discrete model
 tolerance; genuinely discretized statements carry O(h^2) tolerances.
 """
 
+import ast
 import dataclasses
 import itertools
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,8 +72,8 @@ from genkf.fields import (
     vol_density,
 )
 from genkf.fields import (
+    _bracket,
     _diff,
-    _small_matmul,
 )
 
 RNG = np.random.default_rng(660301)
@@ -450,9 +452,8 @@ def test_operators_match_per_point_matmul_in_the_old_order(n, size, r):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_rank_one_commutators_are_exact_zeros(n):
-    # the length-1 matrix axes give scalar products, which commute exactly:
-    # every [A_mu, a] is +-0 and d^A at rank 1 is d, bit for bit, so
-    # curvature may leave the commutators out
+    # u(1) is abelian: every [A_mu, a] is +0 with no product taken, and d^A
+    # at rank 1 is d, bit for bit, so curvature may leave the commutators out
     rng = np.random.default_rng([n, 18])
     g = make_grid(n, 8)
     conn = random_conn(g, 1, rng, amp=0.3)
@@ -461,8 +462,9 @@ def test_rank_one_commutators_are_exact_zeros(n):
     a = EndFormField(g, 1, rng.normal(size=shape) + 1j * rng.normal(size=shape))
     for mu in range(2 * n):
         sub = a.data[t.axis_lo[mu]]
-        comm = _small_matmul(conn.A[mu], sub, 2 * n) - _small_matmul(sub, conn.A[mu], 2 * n)
+        comm = _bracket(conn.A[mu], sub, 2 * n)
         assert comm.shape == sub.shape and not np.any(comm)
+        assert not np.signbit(comm.view(np.float64)).any()
     got = d_live(g, a.data, conn.A)
     assert got.tobytes() == d_field(a).data.tobytes()
 
@@ -1140,6 +1142,20 @@ def test_validate_classifies_each_distinct_sample_value_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("size", [8, 10])
+def test_validate_reads_a_constant_spinor_at_its_one_point(traced_peak, size):
+    # a constant psi's scale is read at its one point and its d is +0 blade
+    # by blade, so no psi-sized |psi| or d psi is built: only vol_density's
+    # scalar densities, a sixteenth of psi each at n = 2
+    g = make_grid(2, size)
+    psi = psi_const(g, c=0.2)
+    got = []
+    peak = traced_peak(lambda: got.append(validate_spinor_field(g, psi)))
+    assert peak <= 0.25 * 16 * 4**2 * g.npoints
+    full = FormField(g, np.ascontiguousarray(psi.data))
+    assert got == [validate_spinor_field(g, full)] == [0.0]
+
+
 def test_vol_density_positive():
     g = make_grid()
     vol = vol_density(g, psi_const(g, c=0.3))
@@ -1506,17 +1522,19 @@ def test_derived_quantities_from_curvature_match_wrappers_bitwise(n, size, r):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
-    # at r = 1 each [A_mu, .] of covariant_d and [V^mu, V^nu] of curvature
-    # is an exact +0 and is skipped; field_strength keeps its [A_mu, A_nu]
+def test_commutators_reach_bracket_only_above_rank_one(monkeypatch, n):
+    # field_strength takes one bracket per unordered pair at every rank (at
+    # r = 1 it comes back as F's difference part untouched); at r = 1 the
+    # [A_mu, .] of covariant_d and [V^mu, V^nu] of curvature are +0 and
+    # never asked for
     shapes = []
-    real = fields._small_matmul
+    real = fields._bracket
 
-    def counted(x, y, ngrid):
+    def counted(x, y, ngrid, out=None):
         shapes.append(x.shape[-ngrid - 1])
-        return real(x, y, ngrid)
+        return real(x, y, ngrid, out)
 
-    monkeypatch.setattr("genkf.fields._small_matmul", counted)
+    monkeypatch.setattr("genkf.fields._bracket", counted)
     n2 = 2 * n
     g = make_grid(n, 8)
     psi = psi_const(g, c=0.3)
@@ -1530,6 +1548,7 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
     for mu in range(n2):
         vlive[t.axis_lo[mu][live[t.axis_hi[mu]]]] = True
     vrows = sum(np.count_nonzero(vlive[t.axis_lo[mu]]) for mu in range(n2))
+    pairs = n2 * (n2 - 1) // 2
     for r in (1, 2):
         conn = random_conn(g, r, rng)
         a = EndFormField(g, r, complex_with_zeros(rng, (4**n, r, r, *g.sizes)))
@@ -1544,18 +1563,19 @@ def test_commutators_reach_small_matmul_only_above_rank_one(monkeypatch, n):
             assert set(shapes) <= {r}
             counts.append(len(shapes))
         strength, cov, curv = counts
-        assert strength == n2 * (n2 - 1)
+        assert strength == pairs
         if r == 1:
             assert cov == 0 and curv == strength
         else:
-            assert cov == 2 * n2 * 4**n // 2
-            assert curv == strength + 2 * vrows + n2 * (n2 - 1)
+            assert cov == n2 * 4**n // 2
+            assert curv == strength + vrows + pairs
 
 
 @st.composite
 def matrix_pairs(draw):
     """Two complex (*lead, r, r, *grid) stacks, r = 1..3, ngrid = 1 or 2 grid
-    axes, with broadcastable leading and grid shapes."""
+    axes, with broadcastable leading and grid shapes, and a third stack of
+    their broadcast shape."""
     r = draw(st.integers(1, 3))
     ngrid = draw(st.integers(1, 2))
     leads = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=3))
@@ -1565,32 +1585,59 @@ def matrix_pairs(draw):
         )
     )
     entries = st.floats(-1e3, 1e3, allow_subnormal=False)
-    out = []
-    for lead, grid in zip(leads.input_shapes, grids.input_shapes):
-        re = draw(hnp.arrays(np.float64, lead + (r, r) + grid, elements=entries))
-        im = draw(hnp.arrays(np.float64, lead + (r, r) + grid, elements=entries))
-        out.append(re + 1j * im)
-    return ngrid, out
+
+    def stack(shape):
+        re = draw(hnp.arrays(np.float64, shape, elements=entries))
+        im = draw(hnp.arrays(np.float64, shape, elements=entries))
+        return re + 1j * im
+
+    x, y = (
+        stack(lead + (r, r) + grid) for lead, grid in zip(leads.input_shapes, grids.input_shapes)
+    )
+    out = stack(leads.result_shape + (r, r) + grids.result_shape)
+    return ngrid, x, y, out
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=matrix_pairs())
-def test_small_matmul_matches_matmul(drawn):
-    # against numpy's matmul with the matrix axes moved last, and back
-    ngrid, (x, y) = drawn
+def test_bracket_matches_the_matmul_commutator(drawn):
+    # against x @ y - y @ x with the matrix axes moved last, and back; into
+    # out the sum (out + x y) - y x also rounds on out's scale
+    ngrid, x, y, out = drawn
     rows, cols = -ngrid - 2, -ngrid - 1
 
     def last(m):
         return np.moveaxis(m, (rows, cols), (-2, -1))
 
-    got = _small_matmul(x, y, ngrid)
-    want = np.moveaxis(np.matmul(last(x), last(y)), (-2, -1), (rows, cols))
+    def peak(m):
+        return float(np.max(np.abs(m), initial=0.0))
+
+    want = np.moveaxis(last(x) @ last(y) - last(y) @ last(x), (-2, -1), (rows, cols))
+    ax, ay = np.abs(last(x)), np.abs(last(y))
+    bound = 1e-15 * (peak(ax @ ay) + peak(ay @ ax))
+    got = _bracket(x, y, ngrid)
     assert got.shape == want.shape and got.dtype == np.complex128
-    scale = float(np.max(np.abs(last(x)) @ np.abs(last(y)), initial=0.0))
-    assert float(np.max(np.abs(got - want), initial=0.0)) <= 1e-15 * scale
+    assert peak(got - want) <= bound
+    summed = _bracket(x, y, ngrid, out=out.copy())
+    assert peak(summed - (out + want)) <= bound + 1e-15 * peak(out)
+    assert np.array_equal(_bracket(y, x, ngrid), -got)
     if x.shape[rows] == 1:
-        assert np.array_equal(got, want)
-        assert not np.any(_small_matmul(x, y, ngrid) - _small_matmul(y, x, ngrid))
+        assert not np.signbit(got.view(np.float64)).any() and not np.any(got)
+        kept = out.copy()
+        assert _bracket(x, y, ngrid, out=kept) is kept and kept.tobytes() == out.tobytes()
+
+
+def test_fields_takes_every_commutator_through_bracket():
+    # no second commutator path: fields has no @ and no matmul beside _bracket
+    tree = ast.parse(Path(fields.__file__).read_text())
+    found = [
+        type(node).__name__
+        for node in ast.walk(tree)
+        if isinstance(node, ast.MatMult)
+        or isinstance(node, ast.Name) and node.id == "matmul"
+        or isinstance(node, ast.Attribute) and node.attr == "matmul"
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -1632,14 +1679,44 @@ def full_d(grid, data):
     return out
 
 
+def entry_product(x, y, ngrid):
+    """x y over the (r, r) axes before the ngrid grid axes, each entry
+    sum_j x_ij y_jk summed j ascending into a fresh array: the order in
+    which _bracket sums each of its two products."""
+    grid = (slice(None),) * ngrid
+    r = x.shape[-ngrid - 1]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.complex128)
+    for i, k in itertools.product(range(r), repeat=2):
+        o = out[(..., i, k) + grid]
+        o[...] = x[(..., i, 0) + grid] * y[(..., 0, k) + grid]
+        for j in range(1, r):
+            o += x[(..., i, j) + grid] * y[(..., j, k) + grid]
+    return out
+
+
 def full_covariant_d(conn, data):
     t = blade_tables(conn.grid.n)
     n2 = 2 * conn.grid.n
     out = full_d(conn.grid, data)
     for mu in range(n2):
         amu = conn.A[mu][None]
-        comm = _small_matmul(amu, data, n2) - _small_matmul(data, amu, n2)
+        comm = entry_product(amu, data, n2) - entry_product(data, amu, n2)
         out += full_step(t, mu, comm, t.axis_lo, t.axis_hi)
+    return out
+
+
+def full_field_strength(conn):
+    """F[mu, nu] = D_mu A_nu - D_nu A_mu + [A_mu, A_nu] by np.roll
+    differences; u(1) is abelian, so at rank 1 no commutator enters."""
+    grid, A, n2 = conn.grid, conn.A, 2 * conn.grid.n
+    out = np.zeros((n2, n2) + A.shape[1:], dtype=np.complex128)
+    for mu in range(n2):
+        for nu in range(mu + 1, n2):
+            fmn = roll_diff(grid, A[nu], mu) - roll_diff(grid, A[mu], nu)
+            if conn.rank > 1:
+                fmn = fmn + entry_product(A[mu], A[nu], n2) - entry_product(A[nu], A[mu], n2)
+            out[mu, nu] = fmn
+            out[nu, mu] = -fmn
     return out
 
 
@@ -1649,7 +1726,7 @@ def full_curvature(conn, psi_data, ordered=False):
     grid, r = conn.grid, conn.rank
     t = blade_tables(grid.n)
     n2 = 2 * grid.n
-    A, V = conn.A, conn.V
+    V = conn.V
 
     def wedge(mu, data):
         return full_step(t, mu, data, t.axis_lo, t.axis_hi)
@@ -1661,15 +1738,10 @@ def full_curvature(conn, psi_data, ordered=False):
         return blade[:, None, None] * mat
 
     out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
+    strength = full_field_strength(conn)
     for mu in range(n2):
         for nu in range(mu + 1, n2):
-            fmn = (
-                roll_diff(grid, A[nu], mu)
-                - roll_diff(grid, A[mu], nu)
-                + _small_matmul(A[mu], A[nu], n2)
-                - _small_matmul(A[nu], A[mu], n2)
-            )
-            out += times(wedge(mu, wedge(nu, psi_data)), fmn)
+            out += times(wedge(mu, wedge(nu, psi_data)), strength[mu, nu])
     ipsi = [interior(mu, psi_data) for mu in range(n2)]
     vpsi = np.zeros_like(out)
     for mu in range(n2):
@@ -1678,7 +1750,7 @@ def full_curvature(conn, psi_data, ordered=False):
     for mu in range(n2):
         for nu in range(n2) if ordered else range(mu + 1, n2):
             if mu != nu:
-                comm = _small_matmul(V[mu], V[nu], n2) - _small_matmul(V[nu], V[mu], n2)
+                comm = entry_product(V[mu], V[nu], n2) - entry_product(V[nu], V[mu], n2)
                 term = times(interior(mu, ipsi[nu]), comm)
                 out += 0.5 * term if ordered else term
     return out
@@ -1896,78 +1968,13 @@ def test_axis_d_and_mukai_tables_match_their_formulas(n):
     assert np.array_equal(t.mukai_s, np.array(want, dtype=np.float64))
 
 
-def all_blade_d(grid, data):
-    """d over every blade, as d_field summed before the live-blade tables."""
-    t = blade_tables(grid.n)
-    out = np.zeros_like(data)
-    for mu in range(2 * grid.n):
-        diff = _diff(grid, data[t.axis_lo[mu]], mu)
-        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], diff)
-    return out
-
-
-def step_pair_table(mu, nu, size):
-    """dx^mu ^ dx^nu ^ and i_mu i_nu as products of two axis steps, apart
-    from the wedge table: the blades without bits mu and nu, the same blades
-    with both, and the two signs."""
-    blades = np.arange(size)
-    lo = blades[(blades >> mu | blades >> nu) & 1 == 0]
-    wedge2 = below(lo, nu) * below(lo | 1 << nu, mu)
-    interior2 = below(lo, mu) * below(lo | 1 << mu, nu)
-    return lo, lo | 1 << mu | 1 << nu, wedge2, interior2
-
-
-def all_blade_curvature(conn, psi_data):
-    """curvature's loops over every row of every blade table."""
-    grid, r = conn.grid, conn.rank
-    t = blade_tables(grid.n)
-    n2 = 2 * grid.n
-    out = np.zeros((t.size, r, r, *grid.sizes), dtype=np.complex128)
-    blades = psi_data[:, None, None]
-    two = conn.field_strength()
-    for mu in range(n2):
-        for nu in range(mu + 1, n2):
-            lo, hi, wedge2, _ = step_pair_table(mu, nu, t.size)
-            out[hi] += _signed(wedge2, blades[lo]) * two[mu, nu]
-    vpsi = np.zeros_like(out)
-    for mu in range(n2):
-        vpsi[t.axis_lo[mu]] += _signed(t.axis_s[mu], blades[t.axis_hi[mu]]) * conn.V[mu]
-    dv = all_blade_d(grid, vpsi)
-    if r > 1:
-        for mu in range(n2):
-            sub = vpsi[t.axis_lo[mu]]
-            comm = _small_matmul(conn.A[mu], sub, n2)
-            comm -= _small_matmul(sub, conn.A[mu], n2)
-            dv[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
-    out += dv
-    if r == 1:
-        return out
-    for mu in range(n2):
-        for nu in range(mu + 1, n2):
-            lo, hi, _, interior2 = step_pair_table(mu, nu, t.size)
-            comm = _small_matmul(conn.V[mu], conn.V[nu], n2)
-            comm -= _small_matmul(conn.V[nu], conn.V[mu], n2)
-            out[lo] += _signed(interior2, blades[hi]) * comm
-    return out
-
-
-def all_blade_variation_act(grid, var, psi_data, rank):
-    t = blade_tables(grid.n)
-    out = np.zeros((t.size, rank, rank, *grid.sizes), dtype=np.complex128)
-    blades = psi_data[:, None, None]
-    for mu in range(2 * grid.n):
-        lo, hi, sign = t.axis_lo[mu], t.axis_hi[mu], t.axis_s[mu]
-        out[hi] += _signed(sign, blades[lo]) * var.A[mu]
-        out[lo] += _signed(sign, blades[hi]) * var.V[mu]
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("r", [1, 2])
 @pytest.mark.parametrize("bkind", ["constant-psi", "constant-b", "varying-b"])
 def test_live_blade_loops_match_every_blade_loops_bitwise(n, r, bkind):
     # psi = e^{b + i omega} is even, so curvature and the spin action skip at
-    # least half the table rows; the rows skipped only added +-0
+    # least half the table rows; the rows skipped only added +-0, so the bits
+    # are those of the full-array formulas over every blade
     rng = np.random.default_rng([n, r, len(bkind)])
     g = make_grid(n, 16 if n == 1 else 8)
     m = rng.standard_normal((2 * n, 2 * n) + (g.sizes if bkind == "varying-b" else ()))
@@ -1979,9 +1986,9 @@ def test_live_blade_loops_match_every_blade_loops_bitwise(n, r, bkind):
     conn = random_conn(g, r, rng)
     var = random_variation(g, r, rng)
     for spinor in (psi, psi.conjugate()):
-        assert same_bits(curvature(conn, spinor).data, all_blade_curvature(conn, spinor.data))
+        assert same_bits(curvature(conn, spinor).data, full_curvature(conn, spinor.data))
         got = variation_act(g, var, spinor.data)
-        assert same_bits(got, all_blade_variation_act(g, var, spinor.data, r))
+        assert same_bits(got, full_variation_act(g, var, spinor.data, r))
 
 
 def conn_with_v(conn, vkind):
@@ -1998,7 +2005,7 @@ def conn_with_v(conn, vkind):
 def test_lazy_v_psi_blades_match_every_blade_loops_bitwise(n, r, vkind):
     # d^A(V . psi) builds each blade of V . psi when a target first reads
     # it: at V = 0 every built blade is zero, so dead, and at V^0 = 0 those
-    # fed by i_0 alone are; the bits stay those of the loops over every blade
+    # fed by i_0 alone are; the bits stay those of the full-array formulas
     rng = np.random.default_rng([n, r, len(vkind), 26])
     g = make_grid(n, 16 if n == 1 else 8)
     conn = conn_with_v(random_conn(g, r, rng), vkind)
@@ -2007,7 +2014,7 @@ def test_lazy_v_psi_blades_match_every_blade_loops_bitwise(n, r, vkind):
     for b in (0.0 * m, 0.3 * (m - m.T)):
         psi = fields.exp_two_form_field(g, b + 1j * omega)
         for spinor in (psi, psi.conjugate()):
-            assert same_bits(curvature(conn, spinor).data, all_blade_curvature(conn, spinor.data))
+            assert same_bits(curvature(conn, spinor).data, full_curvature(conn, spinor.data))
 
 
 @pytest.mark.parametrize("vkind, calls", [("random-V", 16), ("V0-zero", 12), ("zero-V", 0)])
@@ -2057,38 +2064,7 @@ def test_curvature_differentiates_each_live_v_psi_blade_once_per_reader(
     assert sorted(built) == list(range(15))
     assert max(alive_at_build, default=0) <= 4
     assert len(alive_at_build) == np.count_nonzero(live)
-    assert same_bits(got, all_blade_curvature(conn, psi.data))
-
-
-def batched_field_strength(conn):
-    """field_strength with each F_{mu nu} written out in place, as before
-    the per-pair helper that curvature shares."""
-    n2 = 2 * conn.grid.n
-    out = np.zeros((n2, n2, conn.rank, conn.rank, *conn.grid.sizes), dtype=np.complex128)
-    for mu in range(n2):
-        for nu in range(mu + 1, n2):
-            f = _diff(conn.grid, conn.A[nu], mu) - _diff(conn.grid, conn.A[mu], nu)
-            f += _small_matmul(conn.A[mu], conn.A[nu], n2)
-            f -= _small_matmul(conn.A[nu], conn.A[mu], n2)
-            out[mu, nu] = f
-            out[nu, mu] = -f
-    return out
-
-
-def batched_covariant_d(conn, data):
-    """d^A over every blade as one gather and scatter-add per table: all the
-    d steps, then all the commutators, into a field of its own."""
-    out = all_blade_d(conn.grid, data)
-    if conn.rank == 1:
-        return out
-    t = blade_tables(conn.grid.n)
-    n2 = 2 * conn.grid.n
-    for mu in range(n2):
-        sub = data[t.axis_lo[mu]]
-        comm = _small_matmul(conn.A[mu], sub, n2)
-        comm -= _small_matmul(sub, conn.A[mu], n2)
-        out[t.axis_hi[mu]] += _signed(t.axis_s[mu], comm)
-    return out
+    assert same_bits(got, full_curvature(conn, psi.data))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -2096,16 +2072,16 @@ def batched_covariant_d(conn, data):
 def test_per_target_d_and_per_pair_strength_match_batched_loops_bitwise(n, r):
     # d_field and covariant_d sum each target blade's terms in one buffer,
     # field_strength builds each F_{mu nu} through the helper curvature
-    # uses; the sums keep the batched loops' order, so the bits are theirs
+    # uses; the sums keep the full-array formulas' order, so the bits are theirs
     rng = np.random.default_rng([n, r, 22])
     g = make_grid(n, 16 if n == 1 else 8)
     conn = random_conn(g, r, rng)
     form = FormField(g, complex_with_zeros(rng, (4**n, *g.sizes)))
     end = EndFormField(g, r, complex_with_zeros(rng, (4**n, r, r, *g.sizes)))
-    assert same_bits(d_field(form).data, all_blade_d(g, form.data))
-    assert same_bits(d_field(end).data, all_blade_d(g, end.data))
-    assert same_bits(covariant_d(conn, end).data, batched_covariant_d(conn, end.data))
-    assert same_bits(conn.field_strength(), batched_field_strength(conn))
+    assert same_bits(d_field(form).data, full_d(g, form.data))
+    assert same_bits(d_field(end).data, full_d(g, end.data))
+    assert same_bits(covariant_d(conn, end).data, full_covariant_d(conn, end.data))
+    assert same_bits(conn.field_strength(), full_field_strength(conn))
 
 
 @pytest.mark.parametrize("kind, calls", [("0-form", 4), ("e^{i omega}", 8)])
@@ -2113,7 +2089,7 @@ def test_d_field_differentiates_only_live_blades(monkeypatch, kind, calls):
     # d of a 0-form takes 2n = 4 differences at n = 2; a form on the blades
     # of e^{i omega} (1, dx^0 dx^1, dx^2 dx^3, top) takes 4 + 2 + 2 + 0: a
     # dead blade is never differentiated, and the bits stay those of the
-    # loops over every blade
+    # full-array formula
     rng = np.random.default_rng(25)
     g = make_grid(2, 8)
     if kind == "0-form":
@@ -2131,7 +2107,7 @@ def test_d_field_differentiates_only_live_blades(monkeypatch, kind, calls):
     monkeypatch.setattr(fields, "_diff", counted)
     got = d_field(f).data
     assert len(seen) == calls
-    assert same_bits(got, all_blade_d(g, f.data))
+    assert same_bits(got, full_d(g, f.data))
 
 
 @pytest.mark.parametrize("r, varying", [(1, False), (2, False), (2, True)],
